@@ -22,15 +22,15 @@ Asserted:
   but scheduler-starved single-core runners still only get a bounded
   honesty check.
 
-The run also writes ``BENCH_build_parallel.json`` at the repo root —
-the same artifact as ``python -m repro.bench --experiment
-build-parallel`` — so the build-phase trajectory accumulates in-repo.
+The report is written to pytest's ``tmp_path`` (exercising the writer);
+the committed ``BENCH_build_parallel.json`` is regenerated only by
+``python -m repro.bench --experiment build-parallel``, so a test run
+never dirties the working tree.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import pytest
 
@@ -44,10 +44,9 @@ from repro.bench.reporting import render_table
 # executions); scale down locally via the env knob if needed.
 BUILD_SCALE = float(os.environ.get("REPRO_BUILD_SCALE", "1.0"))
 MORSEL_ROWS = 16384
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_partitioned_build_equivalence_and_speedup(benchmark):
+def test_partitioned_build_equivalence_and_speedup(benchmark, tmp_path):
     payload = benchmark.pedantic(
         run_build_parallel,
         kwargs=dict(
@@ -59,7 +58,7 @@ def test_partitioned_build_equivalence_and_speedup(benchmark):
         rounds=1,
         iterations=1,
     )
-    write_build_parallel_report(payload, REPO_ROOT / "BENCH_build_parallel.json")
+    write_build_parallel_report(payload, tmp_path / "BENCH_build_parallel.json")
 
     print()
     for kind, entry in payload["kinds"].items():

@@ -22,15 +22,15 @@ Asserted:
   timing assertion is skipped (equivalence is still asserted, and a
   bounded-overhead check keeps the 1-core cost honest).
 
-The run also writes ``BENCH_parallel_scaling.json`` at the repo root —
-the same artifact as ``python -m repro.bench --experiment
-parallel-scaling`` — so the perf trajectory accumulates in-repo.
+The report is written to pytest's ``tmp_path`` (exercising the writer);
+the committed ``BENCH_parallel_scaling.json`` is regenerated only by
+``python -m repro.bench --experiment parallel-scaling``, so a test run
+never dirties the working tree.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,10 +50,9 @@ from repro.workloads import star
 # table -> ~8 morsels of 16k.
 SCALING_SCALE = float(os.environ.get("REPRO_SCALING_SCALE", "1.0"))
 MORSEL_ROWS = 16384
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_parallel_equivalence_and_scaling(benchmark):
+def test_parallel_equivalence_and_scaling(benchmark, tmp_path):
     database = star.build_database(scale=SCALING_SCALE)
     plans = star_workload_plans(database)
 
@@ -91,7 +90,7 @@ def test_parallel_equivalence_and_scaling(benchmark):
         rounds=1,
         iterations=1,
     )
-    write_scaling_report(payload, REPO_ROOT / "BENCH_parallel_scaling.json")
+    write_scaling_report(payload, tmp_path / "BENCH_parallel_scaling.json")
 
     print()
     print(render_table(

@@ -17,22 +17,19 @@ The tentpole claims of the succinct-bitvector PR, asserted on
   workload hold strictly fewer resident bytes than the dense int64
   position vectors they replaced.
 
-The run also writes ``BENCH_succinct_filters.json`` at the repo root —
-the same artifact as ``python -m repro.bench --experiment
-succinct-filters`` — so the footprint trajectory accumulates in-repo.
+The report is written to pytest's ``tmp_path`` (exercising the writer);
+the committed ``BENCH_succinct_filters.json`` is regenerated only by
+``python -m repro.bench --experiment succinct-filters``, so a test run
+never dirties the working tree.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.bench.reporting import render_table
 from repro.bench.succinct import run_succinct_filters, write_succinct_report
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
-
-def test_succinct_filters_footprint_and_identity(benchmark):
+def test_succinct_filters_footprint_and_identity(benchmark, tmp_path):
     payload = benchmark.pedantic(
         run_succinct_filters, rounds=1, iterations=1
     )
@@ -43,7 +40,7 @@ def test_succinct_filters_footprint_and_identity(benchmark):
     if payload["probe_throughput_ratio"] < 0.9:
         payload = run_succinct_filters()
     write_succinct_report(
-        payload, REPO_ROOT / "BENCH_succinct_filters.json"
+        payload, tmp_path / "BENCH_succinct_filters.json"
     )
 
     footprint = payload["membership_footprint"]

@@ -17,15 +17,15 @@ it cannot help.  Asserted on the band-select + band-join workload of
   baseline: consulting a resident synopsis is O(morsels) interval
   checks.
 
-The run also writes ``BENCH_zonemap_pruning.json`` at the repo root —
-the same artifact as ``python -m repro.bench --experiment
-zonemap-pruning`` — so the skipping trajectory accumulates in-repo.
+The report is written to pytest's ``tmp_path`` (exercising the writer);
+the committed ``BENCH_zonemap_pruning.json`` is regenerated only by
+``python -m repro.bench --experiment zonemap-pruning``, so a test run
+never dirties the working tree.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -46,10 +46,9 @@ PRUNING_ROWS = int(
     DEFAULT_ROWS * float(os.environ.get("REPRO_PRUNING_SCALE", "1.0"))
 )
 MORSEL_ROWS = 16384
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_zonemap_pruning_speedup_and_equivalence(benchmark):
+def test_zonemap_pruning_speedup_and_equivalence(benchmark, tmp_path):
     # --- byte-identity: zone maps on vs. off, parallelism 1 and 4
     for layout in ("clustered", "shuffled"):
         database = build_pruning_database(PRUNING_ROWS, layout)
@@ -109,7 +108,7 @@ def test_zonemap_pruning_speedup_and_equivalence(benchmark):
             rows=PRUNING_ROWS, parallelism_levels=(1, 4),
             morsel_rows=MORSEL_ROWS,
         )
-    write_pruning_report(payload, REPO_ROOT / "BENCH_zonemap_pruning.json")
+    write_pruning_report(payload, tmp_path / "BENCH_zonemap_pruning.json")
 
     print()
     for layout, entry in payload["layouts"].items():

@@ -51,7 +51,14 @@ from repro.storage.zonemaps import (
     predicate_band,
     scan_morsel_decisions,
 )
-from repro.util.keycodes import combine_codes, dense_table_worthwhile, joint_codes
+from repro.util.keycodes import (
+    code_domain,
+    combine_codes,
+    dense_table_worthwhile,
+    joint_codes,
+    single_table_codes,
+    split_codes,
+)
 
 # Serial-below-this threshold, re-exported under the historical name so
 # tests can monkeypatch the executor's copy (the storage layer owns the
@@ -1338,54 +1345,48 @@ class Executor:
         "per-partition dictionary reuse" the partitioned storage layer
         is built around.
         """
-        per_key: list[tuple[str, str, object, np.ndarray | None]] = []
+        database = self._database
+        # Probe dictionaries are resolved on an empty view: the probe
+        # codes themselves are gathered by ``encode_probe`` per consumer
+        # (the whole relation or one morsel), never here.
+        probe_head = probe_rel.range_view(0, 0)
+        translations: list[np.ndarray | None] = []
         build_code_columns: list[np.ndarray] = []
         radices: list[int] = []
         for (b_alias, b_col), (p_alias, p_col) in zip(
             node.build_keys, node.probe_keys
         ):
-            build_src = build_rel.base_source(b_alias, b_col)
-            probe_src = probe_rel.base_source(p_alias, p_col)
-            if build_src is None or probe_src is None:
+            # None: no provenance, or float keys (joint factorization
+            # matches NaN == NaN, ordered dictionaries cannot) — take
+            # the fallback so both join paths agree.
+            probe = probe_head.dictionary_codes(database, p_alias, p_col)
+            if probe is None:
                 return None
-            if (
-                self._database.table(build_src[0]).column(build_src[1]).dtype.kind
-                in "fc"
-                or self._database.table(probe_src[0]).column(probe_src[1]).dtype.kind
-                in "fc"
-            ):
-                # Float keys: ordered dictionary lookups cannot match
-                # NaN == NaN the way joint factorization does; take the
-                # fallback so both join paths agree on NaN keys.
+            build = build_rel.dictionary_codes(database, b_alias, b_col)
+            if build is None:
                 return None
-            build_dict = self._database.dictionary(build_src[0], build_src[1])
-            probe_dict = self._database.dictionary(probe_src[0], probe_src[1])
-            build_codes = build_dict.codes
-            if build_src[2] is not None:
-                build_codes = build_codes[build_src[2]]
-            if probe_dict is not build_dict:
-                # Re-express probe codes in the build column's domain;
-                # values absent from it become -1 (can never match).
-                translate = probe_dict.translate_to(build_dict)
-            else:
-                translate = None
-            per_key.append((p_alias, p_col, probe_dict, translate))
+            build_dict, build_codes = build
+            probe_dict = probe[0]
+            # Re-express probe codes in the build column's domain;
+            # values absent from it become -1 (can never match).
+            translations.append(
+                None
+                if probe_dict is build_dict
+                else probe_dict.translate_to(build_dict)
+            )
             build_code_columns.append(build_codes)
             radices.append(build_dict.num_values)
         build_combined = combine_codes(build_code_columns, radices)
         if build_combined is None:
             return None
-        domain = 1
-        for radix in radices:
-            domain *= max(radix, 1)
+        domain = code_domain(radices)
 
         def encode_probe(view: Relation) -> np.ndarray | None:
             probe_code_columns: list[np.ndarray] = []
-            for p_alias, p_col, probe_dict, translate in per_key:
-                source = view.base_source(p_alias, p_col)
-                codes = probe_dict.codes
-                if source[2] is not None:
-                    codes = codes[source[2]]
+            for (p_alias, p_col), translate in zip(
+                node.probe_keys, translations
+            ):
+                _, codes = view.dictionary_codes(database, p_alias, p_col)
                 if translate is not None:
                     codes = translate[codes]
                 probe_code_columns.append(codes)
@@ -1538,12 +1539,17 @@ class Executor:
             record.add("filter_check", relation.num_rows)
 
             def mask_fn(view, definition=definition, bitvector=bitvector):
-                return bitvector.contains(
-                    [
-                        view.column(alias, column)
-                        for alias, column in definition.probe_keys
-                    ]
+                mask = self._contains_by_codes(
+                    bitvector, definition.probe_keys, view
                 )
+                if mask is None:
+                    mask = bitvector.contains(
+                        [
+                            view.column(alias, column)
+                            for alias, column in definition.probe_keys
+                        ]
+                    )
+                return mask
 
             if pending_ranges is not None:
                 selection = self._selection_over_ranges(
@@ -1558,18 +1564,59 @@ class Executor:
             if selection is not None:
                 relation = self._settle(relation.select_sorted(selection))
                 continue
-            key_columns = [
-                relation.column(alias, column)
-                for alias, column in definition.probe_keys
-            ]
             if self._eager and hasattr(bitvector, "contains_legacy"):
                 # Baseline mode: the seed engine's per-probe joint
                 # re-factorization instead of the indexed probe.
-                mask = bitvector.contains_legacy(key_columns)
+                mask = bitvector.contains_legacy(
+                    [
+                        relation.column(alias, column)
+                        for alias, column in definition.probe_keys
+                    ]
+                )
             else:
-                mask = bitvector.contains(key_columns)
+                mask = mask_fn(relation)
             relation = self._settle(relation.mask(mask))
         return relation
+
+    def _contains_by_codes(
+        self,
+        bitvector: BitvectorFilter,
+        probe_keys,
+        view: Relation,
+    ) -> np.ndarray | None:
+        """Code-space filter probe of one view, or None (probe values).
+
+        Filters that can answer in code space (the exact kind) take the
+        view's stored dictionary codes — one gather through the filter's
+        memoized ``probe code -> member`` table, no value column
+        materialized, no per-row search.  ``None`` for Bloom kinds, for
+        keys without table provenance or of float dtype, and in the
+        eager baseline (which reproduces the seed engine's probes).
+        """
+        probe = getattr(bitvector, "contains_dictionary_codes", None)
+        coded = None if probe is None else self._key_codes(view, probe_keys)
+        if coded is None:
+            return None
+        return probe(*coded)
+
+    def _key_codes(
+        self, view: Relation, keys
+    ) -> tuple[list, list[np.ndarray]] | None:
+        """Stored dictionary codes of the ``(alias, column)`` key columns
+        of one view, as ``(dictionaries, code_columns)`` — or None when
+        any of them must stay on the value path (no table provenance,
+        float dtype: see :meth:`Relation.dictionary_codes`) and in the
+        eager baseline."""
+        if self._eager:
+            return None
+        dictionaries, code_columns = [], []
+        for alias, column in keys:
+            coded = view.dictionary_codes(self._database, alias, column)
+            if coded is None:
+                return None
+            dictionaries.append(coded[0])
+            code_columns.append(coded[1])
+        return dictionaries, code_columns
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -1586,28 +1633,14 @@ class Executor:
         record.add("aggregate", relation.num_rows)
 
         if node.group_by:
-            group_columns = [
-                relation.column(ref.alias, ref.column) for ref in node.group_by
-            ]
-            from repro.util.keycodes import single_table_codes
-
-            codes = (
-                single_table_codes(group_columns)
-                if relation.num_rows
-                else np.array([], dtype=np.int64)
-            )
-            unique_codes, group_index = np.unique(codes, return_inverse=True)
-            num_groups = len(unique_codes)
-            # First row index of each group, as a stable representative
-            # for emitting the grouping columns.
-            first_positions = np.full(num_groups, relation.num_rows, dtype=np.int64)
-            if num_groups:
-                np.minimum.at(
-                    first_positions, group_index, np.arange(relation.num_rows)
-                )
-            output: dict[str, np.ndarray] = {}
-            for ref, values in zip(node.group_by, group_columns):
-                output[f"{ref.alias}.{ref.column}"] = values[first_positions]
+            grouped = self._group_by_codes(node.group_by, relation)
+            if grouped is None:
+                grouped = self._group_by_values(node.group_by, relation)
+            group_index, num_groups, key_columns = grouped
+            output: dict[str, np.ndarray] = {
+                f"{ref.alias}.{ref.column}": keys
+                for ref, keys in zip(node.group_by, key_columns)
+            }
         else:
             num_groups = 1
             group_index = np.zeros(relation.num_rows, dtype=np.int64)
@@ -1661,6 +1694,81 @@ class Executor:
             }
             record.rows_out = int(np.count_nonzero(keep))
         return output
+
+    def _group_by_codes(
+        self, group_by, relation: Relation
+    ) -> tuple[np.ndarray, int, list[np.ndarray]] | None:
+        """Group rows on stored dictionary codes, or None (group values).
+
+        Returns ``(group_index, num_groups, key_columns)`` exactly as
+        :meth:`_group_by_values` would: dictionary values are sorted, so
+        code order is value order and the mixed-radix combination
+        (first column most significant) enumerates groups in the same
+        lexicographic order ``np.unique`` over the values does — group
+        order, key dtypes and, through the identical ``group_index``,
+        every aggregate's accumulation order are unchanged.  Compact
+        key domains group by direct addressing (a presence table over
+        the radix product, no sort at all); wider ones sort the int64
+        combined codes, never the values.  Group keys are decoded from
+        the dictionaries, so no value column is materialized.
+
+        ``None`` when a grouping column has no table provenance or is
+        float (see :meth:`Relation.dictionary_codes`), when the radix
+        product overflows, and in the eager baseline.
+        """
+        coded = self._key_codes(
+            relation, [(ref.alias, ref.column) for ref in group_by]
+        )
+        if coded is None:
+            return None
+        dictionaries, code_columns = coded
+        radices = [dictionary.num_values for dictionary in dictionaries]
+        combined = combine_codes(code_columns, radices)
+        if combined is None:
+            return None
+        domain = code_domain(radices)
+        if dense_table_worthwhile(domain, relation.num_rows):
+            present = np.bincount(combined, minlength=domain) > 0
+            group_codes = np.flatnonzero(present)
+            group_index = (np.cumsum(present) - 1)[combined]
+        else:
+            group_codes, group_index = np.unique(combined, return_inverse=True)
+        key_columns = [
+            dictionary.values[codes]
+            for dictionary, codes in zip(
+                dictionaries, split_codes(group_codes, radices)
+            )
+        ]
+        return group_index, len(group_codes), key_columns
+
+    @staticmethod
+    def _group_by_values(
+        group_by, relation: Relation
+    ) -> tuple[np.ndarray, int, list[np.ndarray]]:
+        """Group rows by factorizing the raw grouping values — the
+        fallback (and reference) for :meth:`_group_by_codes`."""
+        group_columns = [
+            relation.column(ref.alias, ref.column) for ref in group_by
+        ]
+        codes = (
+            single_table_codes(group_columns)
+            if relation.num_rows
+            else np.array([], dtype=np.int64)
+        )
+        unique_codes, group_index = np.unique(codes, return_inverse=True)
+        num_groups = len(unique_codes)
+        # First row index of each group, as a stable representative
+        # for emitting the grouping columns.
+        first_positions = np.full(num_groups, relation.num_rows, dtype=np.int64)
+        if num_groups:
+            np.minimum.at(
+                first_positions, group_index, np.arange(relation.num_rows)
+            )
+        return (
+            group_index,
+            num_groups,
+            [values[first_positions] for values in group_columns],
+        )
 
     # ------------------------------------------------------------------
     # Top-k (ORDER BY ... LIMIT)

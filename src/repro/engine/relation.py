@@ -14,9 +14,10 @@ filter applications no longer gather untouched columns.
 Columns remember their *provenance* — the ``(table, column)`` they were
 scanned from.  Because selections compose without rewriting base arrays,
 provenance survives arbitrarily many filters and joins, which lets the
-executor encode join keys through the table-resident dictionary indexes
-(:meth:`repro.storage.database.Database.dictionary`) instead of
-re-factorizing per query.
+executor read join, group-by and filter-probe keys as stored dictionary
+codes (:meth:`Relation.dictionary_codes`, backed by
+:meth:`repro.storage.database.Database.dictionary`) instead of
+re-factorizing or binary-searching raw values per query.
 """
 
 from __future__ import annotations
@@ -300,6 +301,35 @@ class Relation:
             # selection; hand them the decoded positions.
             selection = selection.positions()
         return (source[0], source[1], selection)
+
+    def dictionary_codes(self, database, alias: str, name: str):
+        """A column at this view as stored dictionary codes, or ``None``.
+
+        Returns ``(dictionary, codes)``: the column's table-resident
+        :class:`~repro.util.keycodes.ColumnDictionary` and the int64
+        code of every row of the view (``dictionary.values[codes]``
+        equals :meth:`column`) — one gather of the stored per-row
+        codes, zero-copy for identity and morsel-range views, with no
+        value column materialized.  The one provenance -> codes step
+        shared by the hash join, group-by and exact-filter probes.
+
+        ``None`` when the column has no table provenance (derived
+        columns, eagerly materialized relations) or is float/complex:
+        ordered dictionaries cannot equate NaN with NaN the way
+        ``np.unique`` factorization does, so those keys stay on the
+        value paths.
+        """
+        source = self.base_source(alias, name)
+        if source is None:
+            return None
+        table_name, column_name, selection = source
+        if database.table(table_name).column(column_name).dtype.kind in "fc":
+            return None
+        dictionary = database.dictionary(table_name, column_name)
+        codes = dictionary.codes
+        if selection is not None:
+            codes = codes[selection]
+        return dictionary, codes
 
     def _group_of(self, key: tuple[str, str]) -> _ColumnGroup:
         for group in self._groups:

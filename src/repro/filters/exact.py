@@ -10,6 +10,11 @@ lookup — no re-factorization of the build keys at probe time, which is
 what makes repeated filter applications cheap enough for the paper's
 cost model to hold.
 
+Probes of stored columns skip even the per-row encode:
+:meth:`ExactFilter.contains_dictionary_codes` takes the probe rows as
+codes in the probe columns' table-resident dictionaries and answers
+with one gather through a memoized ``probe code -> member`` table.
+
 Float key columns take the legacy joint-factorization path instead:
 ``np.unique`` treats NaN as equal to NaN while ordered dictionary
 lookups cannot, and the engine's join fallback factorizes jointly — the
@@ -19,14 +24,18 @@ integers and strings, so this costs nothing in practice.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.filters.base import BitvectorFilter, validate_key_columns
 from repro.succinct import Bitvector
 from repro.util.keycodes import (
     ColumnDictionary,
+    code_domain,
     combine_codes,
     joint_codes,
+    split_codes,
 )
 
 # Largest combined key domain for which a packed membership bitvector
@@ -67,6 +76,7 @@ class ExactFilter(BitvectorFilter):
         self._code_set: np.ndarray | None = None
         self._member_table: Bitvector | None = None
         self._probe_view: np.ndarray | None = None
+        self._code_memos = _new_code_memos(len(key_columns))
         self._mode = "indexed"
 
         if any(column.dtype.kind in "fc" for column in key_columns):
@@ -86,9 +96,7 @@ class ExactFilter(BitvectorFilter):
             return
         self._dictionaries = dictionaries
         self._code_set = np.unique(combined)
-        domain = 1
-        for radix in radices:
-            domain *= max(radix, 1)
+        domain = code_domain(radices)
         if _packed_table_worthwhile(domain, len(self._code_set)):
             # Packed membership bitvector over the combined key domain:
             # repeated probes become one word gather + shift per element
@@ -161,9 +169,7 @@ class ExactFilter(BitvectorFilter):
             merged_domains.append(merged_values)
             translations.append(partial_codes)
         radices = [len(domain) for domain in merged_domains]
-        domain = 1
-        for radix in radices:
-            domain *= max(radix, 1)
+        domain = code_domain(radices)
         member_table: Bitvector | None = None
         if num_columns == 1:
             # Every dictionary value occurs in some key, so the merged
@@ -220,12 +226,13 @@ class ExactFilter(BitvectorFilter):
         merged._dictionaries = [
             ColumnDictionary(domain, codes)
             for domain, codes in zip(
-                merged_domains, _decode_codes(code_set, radices)
+                merged_domains, split_codes(code_set, radices)
             )
         ]
         merged._code_set = code_set
         merged._member_table = member_table
         merged._probe_view = None
+        merged._code_memos = _new_code_memos(num_columns)
         return merged
 
     @classmethod
@@ -253,7 +260,7 @@ class ExactFilter(BitvectorFilter):
         (mixed-radix decode, last column fastest-varying).  Indexed
         mode only."""
         assert self._code_set is not None and self._dictionaries is not None
-        return _decode_codes(
+        return split_codes(
             self._code_set, [d.num_values for d in self._dictionaries]
         )
 
@@ -309,13 +316,71 @@ class ExactFilter(BitvectorFilter):
         assert combined is not None  # radices fit at construction time
         return combined
 
+    def contains_dictionary_codes(
+        self,
+        dictionaries: list[ColumnDictionary],
+        code_columns: list[np.ndarray],
+    ) -> np.ndarray | None:
+        """Membership of probe rows given as *probe-side* dictionary codes.
+
+        ``code_columns[i]`` holds each probe row's code in
+        ``dictionaries[i]`` — the table-resident dictionary of the
+        probed column, not this filter's build dictionary.  Equal to
+        ``contains([d.values[c] for d, c in zip(...)])`` without ever
+        materializing or searching the values: per probe dictionary the
+        filter memoizes, in O(distinct values), a bool ``probe code ->
+        member`` table (single-column keys; one gather per probe) or a
+        ``probe code -> build code`` translation per column (multi-column
+        keys; combined mixed-radix, then :meth:`contains_codes`).
+
+        Memos are keyed weakly by the dictionary *object*: a dictionary
+        rebuilt after ``Database.invalidate_dictionaries`` is a new
+        object and starts a fresh entry, and entries die with their
+        dictionary.  Filters are shared across morsel workers; a racing
+        first probe computes the same table twice, which is benign.
+
+        Returns ``None`` in the fallback modes (float keys, radix
+        overflow), where only value probes are defined.
+        """
+        if self._num_keys == 0:
+            return np.zeros(len(code_columns[0]), dtype=bool)
+        if self._code_set is None:
+            return None
+        assert self._dictionaries is not None
+        if len(self._dictionaries) == 1:
+            memo, probe_dictionary = self._code_memos[0], dictionaries[0]
+            member = memo.get(probe_dictionary)
+            if member is None:
+                member = memo[probe_dictionary] = self.contains(
+                    [probe_dictionary.values]
+                )
+            return member[code_columns[0]]
+        translated = []
+        for memo, build_dictionary, probe_dictionary, codes in zip(
+            self._code_memos, self._dictionaries, dictionaries, code_columns
+        ):
+            translate = memo.get(probe_dictionary)
+            if translate is None:
+                translate = memo[probe_dictionary] = (
+                    probe_dictionary.translate_to(build_dictionary)
+                )
+            translated.append(translate[codes])
+        combined = combine_codes(
+            translated, [d.num_values for d in self._dictionaries]
+        )
+        assert combined is not None  # radices fit at construction time
+        return self.contains_codes(combined)
+
     def contains_codes(self, combined: np.ndarray) -> np.ndarray:
         """Membership of precomputed combined codes (see :meth:`encode`).
 
-        ``np.isin`` selects a table- or sort-based strategy; both beat a
-        per-element binary search at probe sizes.  Codes of ``-1``
-        (tuples absent from some key domain) never appear in the code
-        set, so they fall out as non-members naturally.
+        Domains that passed ``_packed_table_worthwhile`` at build time
+        answer from the packed member bitvector (through its decoded
+        bool view while the domain is cache-resident, a word probe
+        above that); only sparse or oversized domains fall through to
+        ``np.isin`` over the sorted code set.  Codes of ``-1`` (tuples
+        absent from some key domain) never appear in the code set, so
+        they come out as non-members on every branch.
         """
         assert self._code_set is not None
         if len(self._code_set) == 0:
@@ -363,6 +428,14 @@ class ExactFilter(BitvectorFilter):
             total += self._member_table.resident_bytes
         if self._probe_view is not None:
             total += self._probe_view.nbytes
+        for memo in self._code_memos:
+            # keyrefs() snapshots atomically; iterating the live mapping
+            # could race a morsel worker memoizing a new table.
+            for keyref in memo.keyrefs():
+                dictionary = keyref()
+                table = None if dictionary is None else memo.get(dictionary)
+                if table is not None:
+                    total += table.nbytes
         if self._key_columns is not None:
             for column in self._key_columns:
                 total += column.nbytes
@@ -417,16 +490,10 @@ class ExactFilter(BitvectorFilter):
         return f"ExactFilter(keys={self._num_keys})"
 
 
-def _decode_codes(codes: np.ndarray, radices: list[int]) -> list[np.ndarray]:
-    """Mixed-radix decode of combined codes into per-column codes
-    (inverse of :func:`repro.util.keycodes.combine_codes` for
-    non-negative codes; last column fastest-varying)."""
-    columns: list[np.ndarray] = [None] * len(radices)  # type: ignore[list-item]
-    for index in range(len(radices) - 1, -1, -1):
-        radix = max(int(radices[index]), 1)
-        columns[index] = codes % radix
-        codes = codes // radix
-    return columns
+def _new_code_memos(num_columns: int) -> list[weakref.WeakKeyDictionary]:
+    """One ``probe dictionary -> table`` memo per key column (see
+    :meth:`ExactFilter.contains_dictionary_codes`)."""
+    return [weakref.WeakKeyDictionary() for _ in range(num_columns)]
 
 
 def _merge_sorted_domains(

@@ -117,9 +117,12 @@ class Database:
         """Cached factorization of one stored column.
 
         The first call factorizes the column (one ``np.unique`` pass);
-        every later call — any join, bitvector probe, or group-by that
-        touches the column, from any thread — reuses the sorted distinct
-        values and per-row codes.  Tables are immutable and cannot be
+        every later call — any hash join, exact-filter probe, or
+        group-by that touches the column, from any thread — reuses the
+        sorted distinct values and per-row codes.  All three reach it
+        through :meth:`repro.engine.relation.Relation.dictionary_codes`
+        and work on the stored codes; float columns and columns without
+        table provenance never get here.  Tables are immutable and cannot be
         re-registered (the catalog rejects duplicates), so entries never
         go stale in-place; a data reload that swaps databases or tables
         must call :meth:`invalidate_dictionaries`, mirroring

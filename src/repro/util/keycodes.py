@@ -17,6 +17,13 @@ distinct build values, with no re-factorization.  The executor keeps one
 dictionary per ``(table, column)`` in :class:`repro.storage.database.
 Database`; :class:`repro.filters.exact.ExactFilter` builds a private one
 per key column at construction.
+
+Stored codes are also the engine's key representation *between*
+operators: joins, group-bys and exact-filter probes gather
+``dictionary.codes[selection]`` (see
+:meth:`repro.engine.relation.Relation.dictionary_codes`) and combine /
+translate codes (:func:`combine_codes`, :func:`split_codes`,
+:meth:`ColumnDictionary.translate_to`) without touching raw values.
 """
 
 from __future__ import annotations
@@ -132,24 +139,52 @@ def single_table_codes(columns: list[np.ndarray]) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _beyond_int64(values: np.ndarray) -> np.ndarray | None:
+    """Mask of entries an int64 cast would wrap negative, or ``None``.
+
+    Only uint64 can hold such values.  A wrapped probe would compare
+    equal to a genuinely negative key, so callers force these entries
+    to "absent" instead of trusting the cast.
+    """
+    if values.dtype.kind != "u" or values.dtype.itemsize < 8:
+        return None
+    beyond = values > _INT64_MAX
+    return beyond if beyond.any() else None
+
+
 def encode_into_domain(values: np.ndarray, domain: np.ndarray) -> np.ndarray:
     """Dense codes of ``values`` within a *sorted* distinct ``domain``.
 
     Values absent from the domain get code ``-1``.  Pure binary search:
     no factorization of ``values`` is performed.
     """
-    if len(domain) == 0:
-        return np.full(len(values), -1, dtype=np.int64)
+    beyond = None
     if (
         values.dtype.kind in ("i", "u")
         and domain.dtype.kind in ("i", "u")
         and values.dtype != domain.dtype
     ):
+        # Mixed integer widths compare in int64.  uint64 entries past
+        # int64 cannot equal anything on the other (narrower or signed)
+        # side: probes among them are absent, and domain entries among
+        # them — a sorted suffix — are dropped without moving any code.
+        beyond = _beyond_int64(values)
+        if _beyond_int64(domain) is not None:
+            domain = domain[
+                : np.searchsorted(domain, np.uint64(_INT64_MAX), side="right")
+            ]
         values = values.astype(np.int64, copy=False)
         domain = domain.astype(np.int64, copy=False)
+    if len(domain) == 0:
+        return np.full(len(values), -1, dtype=np.int64)
     positions = np.searchsorted(domain, values)
     positions[positions == len(domain)] = 0
     matched = domain[positions] == values
+    if beyond is not None:
+        matched &= ~beyond
     return np.where(matched, positions, -1).astype(np.int64, copy=False)
 
 
@@ -177,7 +212,14 @@ class ColumnDictionary:
     ``values`` holds the sorted distinct values; ``codes`` holds the
     dense int64 code of every base row (``values[codes] == column``).
     Built once per column, then reused by every join, filter probe, and
-    group-by that touches the column.
+    group-by that touches the column.  Because ``values`` is sorted,
+    code order *is* value order — grouping or comparing by code yields
+    the same order as grouping or comparing by value.
+
+    Instances are weak-referenceable so per-dictionary memos (the exact
+    filter's code-space member tables) are keyed by the dictionary
+    *object* and die with it: a rebuilt dictionary is a new object and
+    can never hit an entry derived from the old one.
 
     For compact integer domains a dense value->code lookup table is
     built lazily, turning :meth:`encode` into one O(1)-per-element
@@ -185,7 +227,7 @@ class ColumnDictionary:
     that is nearly an order of magnitude slower at probe sizes).
     """
 
-    __slots__ = ("values", "codes", "_table", "_table_base")
+    __slots__ = ("values", "codes", "_table", "_table_base", "__weakref__")
 
     def __init__(self, values: np.ndarray, codes: np.ndarray) -> None:
         self.values = values
@@ -241,6 +283,9 @@ class ColumnDictionary:
             if table is not None:
                 offsets = values.astype(np.int64, copy=False) - self._table_base
                 in_range = (offsets >= 0) & (offsets < len(table))
+                beyond = _beyond_int64(values)
+                if beyond is not None:
+                    in_range &= ~beyond
                 return np.where(
                     in_range, table[np.where(in_range, offsets, 0)], -1
                 )
@@ -294,3 +339,23 @@ def combine_codes(
         combined = combined * max(int(radix), 1) + np.maximum(codes, 0)
     combined[invalid] = -1
     return combined
+
+
+def code_domain(radices: list[int]) -> int:
+    """Size of the combined code domain :func:`combine_codes` maps into
+    (every combined code is ``< code_domain(radices)``)."""
+    domain = 1
+    for radix in radices:
+        domain *= max(int(radix), 1)
+    return domain
+
+
+def split_codes(combined: np.ndarray, radices: list[int]) -> list[np.ndarray]:
+    """Per-column codes of non-negative combined codes (inverse of
+    :func:`combine_codes`; last column fastest-varying)."""
+    columns: list[np.ndarray] = [None] * len(radices)  # type: ignore[list-item]
+    for index in range(len(radices) - 1, -1, -1):
+        radix = max(int(radices[index]), 1)
+        columns[index] = combined % radix
+        combined = combined // radix
+    return columns

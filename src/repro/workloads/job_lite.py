@@ -534,3 +534,13 @@ _QUERIES: list[tuple[str, str]] = [
 def queries(database: Database) -> list[QuerySpec]:
     """Bind the JOB-lite query set against a built database."""
     return [parse_query(database, sql, name) for name, sql in _QUERIES]
+
+
+def query_sqls() -> list[tuple[str, str]]:
+    """The workload's ``(name, sql)`` pairs, unbound.
+
+    Mirrors :func:`repro.workloads.tpcds_lite.query_sqls`: service-level
+    benchmarks feed these through :class:`repro.service.QueryService`
+    so the measured path includes parsing and plan caching.
+    """
+    return list(_QUERIES)

@@ -1,0 +1,363 @@
+"""Code-space execution is a strategy, never a semantics change.
+
+Group-bys and exact-filter probes read stored dictionary codes
+(:meth:`Relation.dictionary_codes`) instead of factorizing or
+binary-searching raw values.  These tests hold the code paths to the
+value paths they replace:
+
+* seeded differential checks over random relations — every selection
+  representation (identity, slice, unsorted index array, bitmap, morsel
+  ``range_view``), int / text / bool / NaN-bearing float keys, empty
+  input, one to three grouping columns, the sorted-codes branch and the
+  radix-overflow fallback — comparing group order, dtypes and bytes;
+* whole queries at ``parallelism`` 1 and 2 against a run with the code
+  paths switched off;
+* a counter gate (no wall-clock): a warm pass of the 32 ``tpcds_lite``
+  statements factorizes nothing but the private dictionaries of the
+  filters it has to rebuild, and never encodes a row-length array.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import numpy as np
+import pytest
+
+from repro.engine.executor import Executor
+from repro.engine.relation import BitmapSelection, Relation
+from repro.expr.expressions import ColumnRef
+from repro.filters.registry import create_filter
+from repro.optimizer.pipelines import optimize_query
+from repro.service import QueryService
+from repro.sql.binder import parse_query
+from repro.storage.database import Database
+from repro.storage.table import Table
+from repro.util import keycodes
+from repro.util.keycodes import ColumnDictionary
+from repro.workloads import tpcds_lite
+
+# Above the relation layer's bitmap threshold, so ``mask`` on the full
+# view yields a BitmapSelection.
+_ROWS = 70_000
+_SEEDS = range(4)
+_TEXT = np.array([f"s{value:02d}" for value in range(23)], dtype=object)
+
+
+def _database(seed: int, rows: int = _ROWS) -> Database:
+    rng = np.random.default_rng(seed)
+    database = Database(f"codes_{seed}")
+    database.add_table(
+        Table.from_arrays(
+            "fact",
+            {
+                "k_int": rng.integers(-7, 40, rows),
+                # Nearly all-distinct: too sparse for direct addressing.
+                "k_wide": rng.integers(0, 10**9, rows),
+                "k_text": _TEXT[rng.integers(0, len(_TEXT), rows)],
+                "k_bool": rng.random(rows) < 0.3,
+                "k_float": np.where(
+                    rng.random(rows) < 0.1,
+                    np.nan,
+                    rng.integers(0, 5, rows).astype(np.float64),
+                ),
+                "m": rng.normal(size=rows),
+            },
+        )
+    )
+    return database
+
+
+def _scan(database: Database) -> Relation:
+    table = database.table("fact")
+    names = table.column_names
+    return Relation(
+        {("f", name): table.column(name) for name in names},
+        table.num_rows,
+        sources={("f", name): ("fact", name) for name in names},
+    )
+
+
+def _views(database: Database, seed: int) -> dict[str, Relation]:
+    rng = np.random.default_rng(100 + seed)
+    scan = _scan(database)
+    rows = scan.num_rows
+    bitmap = scan.mask(rng.random(rows) < 0.4)
+    assert isinstance(bitmap._groups[0].selection, BitmapSelection)
+    return {
+        "identity": scan,
+        "slice": scan.narrow(1_000, 30_000),
+        "array": scan.gather(rng.permutation(rows)[:5_000]),
+        "bitmap": bitmap,
+        "bitmap-refined": bitmap.mask(rng.random(bitmap.num_rows) < 0.5),
+        "morsel-of-slice": scan.range_view(8_192, 16_384),
+        "morsel-of-bitmap": bitmap.range_view(100, 9_000),
+        "empty": scan.gather(np.array([], dtype=np.int64)),
+    }
+
+
+def _same_array(left: np.ndarray, right: np.ndarray) -> bool:
+    if left.dtype != right.dtype or left.shape != right.shape:
+        return False
+    if left.dtype.kind == "O":
+        return left.tolist() == right.tolist()
+    return left.tobytes() == right.tobytes()
+
+
+_CODED_KEYS = [
+    ["k_int"],
+    ["k_text"],
+    ["k_bool"],
+    ["k_wide"],
+    ["k_text", "k_int"],
+    ["k_wide", "k_text"],
+    ["k_bool", "k_text", "k_int"],
+]
+_FALLBACK_KEYS = [["k_float"], ["k_text", "k_float"]]
+
+
+class TestGroupByCodes:
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_grouping_equals_value_factorization(self, seed):
+        database = _database(seed)
+        executor = Executor(database)
+        for view_name, view in _views(database, seed).items():
+            for columns in _CODED_KEYS:
+                refs = [ColumnRef("f", column) for column in columns]
+                coded = executor._group_by_codes(refs, view)
+                valued = Executor._group_by_values(refs, view)
+                where = f"{view_name} {columns}"
+                assert coded is not None, where
+                assert _same_array(coded[0], valued[0]), where
+                assert coded[1] == valued[1], where
+                for got, want in zip(coded[2], valued[2]):
+                    assert _same_array(got, want), where
+
+    def test_float_keys_and_lost_provenance_fall_back(self):
+        database = _database(0)
+        executor = Executor(database)
+        scan = _scan(database)
+        for columns in _FALLBACK_KEYS:
+            refs = [ColumnRef("f", column) for column in columns]
+            assert executor._group_by_codes(refs, scan) is None
+        derived = Relation(
+            {("f", "k_int"): database.table("fact").column("k_int")}, _ROWS
+        )
+        assert executor._group_by_codes([ColumnRef("f", "k_int")], derived) is None
+        eager = Executor(database, eager_materialization=True)
+        assert eager._group_by_codes([ColumnRef("f", "k_int")], scan) is None
+
+    def test_radix_overflow_falls_back(self, monkeypatch):
+        database = _database(0)
+        executor = Executor(database)
+        refs = [ColumnRef("f", "k_text"), ColumnRef("f", "k_int")]
+        scan = _scan(database)
+        assert executor._group_by_codes(refs, scan) is not None
+        monkeypatch.setattr(keycodes, "_RADIX_LIMIT", 100)
+        assert executor._group_by_codes(refs, scan) is None
+
+    def test_grouping_never_materializes_key_columns(self):
+        database = _database(0)
+        view = _views(database, 0)["array"]
+        Executor(database)._group_by_codes([ColumnRef("f", "k_text")], view)
+        assert view._materialized == {}
+
+
+_QUERIES = [
+    "SELECT f.k_text, COUNT(*) AS c, SUM(f.m) AS s, MIN(f.m) AS lo,"
+    " MAX(f.m) AS hi, AVG(f.m) AS a FROM fact f WHERE f.k_int > 3"
+    " GROUP BY f.k_text HAVING COUNT(*) > 5",
+    "SELECT f.k_bool, f.k_text, f.k_int, COUNT(*) AS c, SUM(f.m) AS s"
+    " FROM fact f GROUP BY f.k_bool, f.k_text, f.k_int"
+    " HAVING SUM(f.m) > 0",
+    "SELECT f.k_wide, COUNT(*) AS c FROM fact f WHERE f.k_int < 0"
+    " GROUP BY f.k_wide",
+    "SELECT f.k_float, f.k_text, COUNT(*) AS c FROM fact f"
+    " GROUP BY f.k_float, f.k_text",
+    "SELECT f.k_text, COUNT(*) AS c FROM fact f WHERE f.k_int > 1000"
+    " GROUP BY f.k_text",
+]
+
+
+class TestAggregateAnswers:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_queries_equal_the_value_paths(self, monkeypatch, parallelism):
+        """Whole aggregate output — keys, every aggregate, HAVING — is
+        byte-identical with the code paths on and off, serial and over
+        morsel views.  The radix-overflow round forces the multi-column
+        fallback inside a real query."""
+        database = _database(7)
+        plans = [
+            optimize_query(
+                database, parse_query(database, sql, f"q{index}"), "bqo"
+            ).plan
+            for index, sql in enumerate(_QUERIES)
+        ]
+        executor = Executor(
+            database, parallelism=parallelism, morsel_rows=8_192
+        )
+
+        def answers():
+            return [executor.execute(plan).aggregates for plan in plans]
+
+        coded = answers()
+        with monkeypatch.context() as patch:
+            patch.setattr(keycodes, "_RADIX_LIMIT", 100)
+            overflowed = answers()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                Relation, "dictionary_codes", lambda self, *args: None
+            )
+            valued = answers()
+        for sql, got, overflow, want in zip(_QUERIES, coded, overflowed, valued):
+            assert list(got) == list(want), sql
+            for label in want:
+                assert _same_array(got[label], want[label]), (sql, label)
+                assert _same_array(overflow[label], want[label]), (sql, label)
+
+
+def _exact(*columns):
+    return create_filter("exact", [np.asarray(column) for column in columns])
+
+
+class TestFilterProbeCodes:
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_probe_equals_contains_on_values(self, seed):
+        database = _database(seed)
+        executor = Executor(database)
+        rng = np.random.default_rng(200 + seed)
+        # Build domains overlap the probe domains only partly: some
+        # build keys never occur in the probed column and vice versa.
+        pairs = rng.integers(0, len(_TEXT), 60)
+        filters = {
+            ("k_int",): _exact(rng.integers(-20, 60, 25)),
+            ("k_text",): _exact(
+                np.array(["s01", "s07", "s22", "zz", "a"], dtype=object)
+            ),
+            ("k_wide",): _exact(
+                database.table("fact").column("k_wide")[::7]
+            ),
+            ("k_text", "k_int"): _exact(
+                _TEXT[pairs], rng.integers(-10, 45, 60)
+            ),
+            ("k_bool",): _exact(np.array([], dtype=np.int64)),
+        }
+        for view_name, view in _views(database, seed).items():
+            for keys, bitvector in filters.items():
+                probe_keys = [("f", key) for key in keys]
+                got = executor._contains_by_codes(bitvector, probe_keys, view)
+                want = bitvector.contains(
+                    [view.column("f", key) for key in keys]
+                )
+                where = f"{view_name} {keys}"
+                assert got is not None and got.dtype == np.bool_, where
+                assert np.array_equal(got, want), where
+
+    def test_fallbacks_answer_none(self):
+        database = _database(0)
+        executor = Executor(database)
+        scan = _scan(database)
+        ints = _exact(np.arange(5))
+        # Float probe column, float build keys, Bloom kinds, the eager
+        # baseline: all stay on contains(values).
+        assert executor._contains_by_codes(ints, [("f", "k_float")], scan) is None
+        floats = _exact(np.array([1.0, np.nan]))
+        assert executor._contains_by_codes(floats, [("f", "k_int")], scan) is None
+        for kind in ("bloom", "blocked_bloom"):
+            bloom = create_filter(kind, [np.arange(5)])
+            assert executor._contains_by_codes(bloom, [("f", "k_int")], scan) is None
+        eager = Executor(database, eager_materialization=True)
+        assert eager._contains_by_codes(ints, [("f", "k_int")], scan) is None
+
+    def test_memo_follows_the_dictionary_object(self):
+        """A rebuilt dictionary is a new object: it gets a fresh member
+        table, and the stale one dies with the dictionary it describes."""
+        database = _database(0)
+        executor = Executor(database)
+        scan = _scan(database)
+        bitvector = _exact(np.arange(0, 40, 3))
+        want = bitvector.contains([scan.column("f", "k_int")])
+        first = database.dictionary("fact", "k_int")
+        assert np.array_equal(
+            executor._contains_by_codes(bitvector, [("f", "k_int")], scan), want
+        )
+        assert list(bitvector._code_memos[0]) == [first]
+        database.invalidate_dictionaries()
+        assert np.array_equal(
+            executor._contains_by_codes(bitvector, [("f", "k_int")], scan), want
+        )
+        rebuilt = database.dictionary("fact", "k_int")
+        assert rebuilt is not first
+        del first
+        gc.collect()
+        assert list(bitvector._code_memos[0]) == [rebuilt]
+
+    def test_one_filter_probed_through_two_databases(self):
+        """Same table and column names, different data: entries are keyed
+        by dictionary identity, so neither database sees the other's."""
+        bitvector = _exact(np.arange(-5, 30, 2))
+        for seed in (1, 2):
+            database = _database(seed, rows=5_000)
+            scan = _scan(database)
+            got = Executor(database)._contains_by_codes(
+                bitvector, [("f", "k_int")], scan
+            )
+            want = bitvector.contains([scan.column("f", "k_int")])
+            assert np.array_equal(got, want)
+
+
+class TestWarmPathNeverSorts:
+    @pytest.mark.parametrize("pipeline", ["bqo", "original"])
+    def test_warm_tpcds_pass_stays_in_code_space(self, monkeypatch, pipeline):
+        """After one cold pass, a second pass over the 32 statements
+
+        * factorizes nothing except the private per-key dictionaries of
+          the filters it must rebuild (filters over joined or filtered
+          build sides are not cacheable) — no group-by or join
+          re-factorization, no table dictionary build;
+        * encodes only dictionaries' distinct values (join domain
+          translations), never a gathered, row-length column.
+        """
+        database = tpcds_lite.build_database(scale=0.05)
+        statements = [sql for _, sql in tpcds_lite.query_sqls()]
+        service = QueryService(database, pipeline=pipeline)
+        try:
+            for sql in statements:
+                service.execute(sql)
+
+            filter_dictionaries = []
+            build = ColumnDictionary.build.__func__
+
+            def counting_build(cls, column):
+                filter_dictionaries.append(len(column))
+                return build(cls, column)
+
+            encoded = []
+            encode = keycodes.encode_into_domain
+
+            def counting_encode(values, domain):
+                encoded.append(values)
+                return encode(values, domain)
+
+            monkeypatch.setattr(
+                ColumnDictionary, "build", classmethod(counting_build)
+            )
+            monkeypatch.setattr(keycodes, "encode_into_domain", counting_encode)
+            table_builds = database.dictionary_cache_info()["builds"]
+            factorizations = keycodes.factorization_count()
+
+            for sql in statements:
+                service.execute(sql)
+
+            assert database.dictionary_cache_info()["builds"] == table_builds
+            assert (
+                keycodes.factorization_count() - factorizations
+                == len(filter_dictionaries)
+            )
+            resident = {
+                id(dictionary.values)
+                for dictionary in database._dictionaries.values()
+            }
+            assert all(id(values) in resident for values in encoded)
+        finally:
+            service.close()

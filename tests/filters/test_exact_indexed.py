@@ -123,6 +123,16 @@ class TestFloatAndExtremeDomains:
         probe = np.array([2**63 + 6], dtype=np.uint64)
         assert not f.contains([probe]).any()
 
+    def test_uint64_probe_wrap_is_not_a_false_positive(self):
+        """An exact filter has no false positives: uint64 probes past
+        int64 must not wrap onto negative build keys."""
+        f = ExactFilter.build([np.array([-5, -3, 0, 2])])
+        probe = np.array([2**64 - 5, 2**64 - 3, 7], dtype=np.uint64)
+        assert f.contains([probe]).tolist() == [False, False, False]
+        # ...also past the dense lookup table (sparse build domain).
+        sparse = ExactFilter.build([np.array([-5, -3, 0, 2, 10**12])])
+        assert sparse.contains([probe]).tolist() == [False, False, False]
+
     def test_indexed_mode_does_not_retain_raw_columns(self):
         f = ExactFilter.build([int_col([1, 2, 3])])
         assert f._key_columns is None

@@ -9,6 +9,12 @@ return byte-identical answers: every one of these features is an
 execution strategy, never a semantics change, so any divergence is an
 executor bug.  The runs' metrics must also be sane (a configuration
 without zone maps can never report pruning).
+
+A second generator always groups by one or two *string* dimension
+columns with a HAVING clause: the lazy configurations group on stored
+dictionary codes (direct addressing, keys decoded from the dictionary)
+while the eager ones factorize the raw strings, so every such query
+holds code-space group-by to the value path across all sixteen.
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ _GROUP_COLUMNS = {
     "store": "s.s_state",
     "promotion": "p.p_channel_email",
     "time_dim": "t.t_meal_time",
+}
+
+_STRING_GROUP_COLUMNS = {
+    "item": ("i.i_category", "i.i_class", "i.i_brand"),
+    "store": ("s.s_state",),
+    "promotion": ("p.p_channel_email", "p.p_channel_tv"),
+    "time_dim": ("t.t_meal_time",),
 }
 
 _AGGREGATES = (
@@ -139,6 +152,48 @@ def _generate_star_query(rng: np.random.Generator) -> str:
     )
 
 
+def _generate_string_grouped_query(rng: np.random.Generator) -> str:
+    """Star aggregate grouped by 1-2 string dimension columns + HAVING."""
+    tables = list(_STRING_GROUP_COLUMNS)
+    rng.shuffle(tables)
+    picked = tables[: int(rng.integers(1, 3))]
+    froms = ["store_sales ss"]
+    joins, locals_, group_columns = [], [], []
+    for table in picked:
+        alias, fact_col, dim_col = _DIMENSIONS[table]
+        froms.append(f"{table} {alias}")
+        joins.append(f"ss.{fact_col} = {alias}.{dim_col}")
+        predicate = _random_predicate(rng, table)
+        if predicate:
+            locals_.append(predicate)
+        choices = _STRING_GROUP_COLUMNS[table]
+        group_columns.append(choices[int(rng.integers(0, len(choices)))])
+    if len(picked) == 1 and len(_STRING_GROUP_COLUMNS[picked[0]]) > 1:
+        # Two columns of one dimension: a mixed-radix key whose domain
+        # is mostly absent combinations.
+        extra = [
+            column
+            for column in _STRING_GROUP_COLUMNS[picked[0]]
+            if column not in group_columns
+        ]
+        group_columns.append(extra[int(rng.integers(0, len(extra)))])
+    n_aggs = int(rng.integers(1, 4))
+    aggregates = [
+        _AGGREGATES[i]
+        for i in sorted(rng.permutation(len(_AGGREGATES))[:n_aggs])
+    ]
+    having = (
+        f"COUNT(*) > {int(rng.integers(0, 30))}"
+        if rng.integers(0, 2) == 0
+        else f"SUM(ss.ss_net_paid) > {int(rng.integers(0, 5000))}"
+    )
+    return (
+        f"SELECT {', '.join(group_columns + aggregates)}"
+        f" FROM {', '.join(froms)} WHERE {' AND '.join(joins + locals_)}"
+        f" GROUP BY {', '.join(group_columns)} HAVING {having}"
+    )
+
+
 def _generate_projection_query(rng: np.random.Generator) -> str:
     """Single-table projection top-k (exercises the TopK relation path)."""
     if rng.integers(0, 2) == 0:
@@ -198,6 +253,18 @@ class TestDifferentialOracle:
                 assert result.metrics.rows_skipped == 0, sql
         distinct = set(outputs.values())
         assert len(distinct) == 1, f"configs disagree on: {sql}"
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_string_group_by_identical_across_configs(self, tpcds_db, seed):
+        rng = np.random.default_rng(3000 + seed)
+        sql = _generate_string_grouped_query(rng)
+        spec = parse_query(tpcds_db, sql, f"diff_group_{seed}")
+        plan = optimize_query(tpcds_db, spec, "bqo").plan
+        outputs = set()
+        for config in _CONFIGS:
+            result = Executor(tpcds_db, **config).execute(plan)
+            outputs.add(_result_bytes(result, spec))
+        assert len(outputs) == 1, f"configs disagree on: {sql}"
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_projection_topk_identical_across_configs(self, tpcds_db, seed):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.keycodes import (
+    ColumnDictionary,
     combine_codes,
     encode_into_domain,
     joint_codes,
@@ -118,6 +119,33 @@ class TestEncodeIntoDomain:
         domain = np.array(["a", "c"], dtype=object)
         codes = encode_into_domain(np.array(["c", "b"], dtype=object), domain)
         assert codes.tolist() == [1, -1]
+
+    def test_uint64_probe_beyond_int64_never_wraps_onto_negative_keys(self):
+        """2**64 - 5 cast to int64 is -5; it must stay absent."""
+        domain = np.array([-5, -3, 0, 2])
+        probes = np.array([2**64 - 5, 2**64 - 3, 7, 2], dtype=np.uint64)
+        assert encode_into_domain(probes, domain).tolist() == [-1, -1, -1, 3]
+        dictionary = ColumnDictionary(domain, np.arange(4))
+        assert dictionary._lookup_table() is not None  # dense-table path
+        assert dictionary.encode(probes).tolist() == [-1, -1, -1, 3]
+
+    def test_uint64_domain_beyond_int64_never_wraps_onto_negative_probes(self):
+        domain = np.array([0, 2, 2**64 - 5], dtype=np.uint64)
+        codes = encode_into_domain(np.array([-5, 2, 7]), domain)
+        assert codes.tolist() == [-1, 1, -1]
+        only_big = np.array([2**64 - 5], dtype=np.uint64)
+        assert encode_into_domain(np.array([-5]), only_big).tolist() == [-1]
+
+    def test_dictionary_join_translation_does_not_wrap_uint64(self):
+        """The join variant: ``translate_to`` maps probe codes into the
+        build domain; a wrapped uint64 would join -5 with 2**64 - 5."""
+        signed = ColumnDictionary.build(np.array([-5, -3, 0, 2]))
+        unsigned = ColumnDictionary.build(
+            np.array([2**64 - 5, 2**64 - 3, 7, 2], dtype=np.uint64)
+        )
+        # unsigned.values is sorted: [2, 7, 2**64 - 5, 2**64 - 3]
+        assert unsigned.translate_to(signed).tolist() == [3, -1, -1, -1]
+        assert signed.translate_to(unsigned).tolist() == [-1, -1, -1, 0]
 
 
 class TestCombineCodes:

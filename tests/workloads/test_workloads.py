@@ -123,6 +123,15 @@ class TestWorkloadShapes:
         _, queries = job_lite.build(scale=0.02)
         assert any(q.name == "job_fig2" for q in queries)
 
+    @pytest.mark.parametrize("workload", [job_lite, tpcds_lite])
+    def test_query_sqls_are_what_build_binds(self, workload):
+        from repro.sql import parse_query
+
+        db, queries = workload.build(scale=0.02)
+        pairs = workload.query_sqls()
+        assert [name for name, _ in pairs] == [q.name for q in queries]
+        assert [parse_query(db, sql, name) for name, sql in pairs] == queries
+
 
 class TestSyntheticBuilders:
     def test_star_definition_holds(self):
