@@ -1,26 +1,26 @@
-"""Parallel partitioned build sides — the build-phase speedup gate.
+"""Filter builds across parallelism levels — equivalence and who fans out.
 
-The tentpole claim of the parallel-build PR: bitvector filter
-construction (dimension-key gathers, factorization sorts, hash
-scatters) runs per-morsel on the worker pool and merges on a
-deterministic barrier, so the build phase of a large-dimension join
-scales with workers while the published filter — and therefore every
-query answer — stays byte-identical to the serial build.
+Bloom-kind filter construction (dimension-key gathers, hash scatters)
+runs per-morsel on the worker pool and merges on a deterministic
+barrier.  The exact kind used to as well, and this file used to gate
+its build-phase speedup (>= 1.8x at 4 workers, > 0.5x below 4 cores).
+Exact filters over dictionary-backed keys are now built in one pass
+over the build rows' stored dictionary codes
+(``ExactFilter.from_dictionary_codes``: presence scatter + cumsum, no
+factorization), which is cheaper than the partitioned build's merge
+alone — so at every parallelism level they stay on one thread, and a
+"parallel / serial" ratio for them measures two runs of the same code.
 
-Asserted:
+Asserted (all deterministic):
 
-* ``parallelism=1`` never takes the partitioned path (the serial
-  engine is untouched) and ``parallelism=4`` always does;
 * query results are byte-identical across parallelism levels for
   **every** registry filter kind;
-* on machines with >= 4 usable cores: the metered build phase
-  (``ExecutionMetrics.filter_build_seconds``, cold builds) is at least
-  1.8x faster at 4 workers for the default exact filter.  The exact
-  merge is algorithmically cheaper than a serial build (sorted-domain
-  union + arange code set vs. two full ``np.unique`` sorts), so the
-  bar is typically cleared even before thread parallelism kicks in —
-  but scheduler-starved single-core runners still only get a bounded
-  honesty check.
+* ``parallelism=1`` never takes the partitioned path, for any kind;
+* at ``parallelism=4`` the Bloom kinds always partition (the build side
+  is far above the dispatch threshold) and the exact kind never does.
+
+The measured build-phase seconds and ratios are printed, not asserted:
+wall-clock gates do not belong in tier-1 (ROADMAP 6b).
 
 The report is written to pytest's ``tmp_path`` (exercising the writer);
 the committed ``BENCH_build_parallel.json`` is regenerated only by
@@ -31,8 +31,6 @@ never dirties the working tree.
 from __future__ import annotations
 
 import os
-
-import pytest
 
 from repro.bench.build_parallel import (
     run_build_parallel,
@@ -81,34 +79,15 @@ def test_partitioned_build_equivalence_and_speedup(benchmark, tmp_path):
         "answer drift between serial and partitioned builds: "
         f"{payload['kinds']}"
     )
-    # parallelism=1 stays the untouched serial path; 4 workers always
-    # take the partitioned one (the build side is far above the
-    # dispatch threshold).
     for kind, entry in payload["kinds"].items():
         for level in entry["levels"]:
-            if level["parallelism"] == 1:
+            if level["parallelism"] == 1 or kind == "exact":
                 assert level["partitioned_builds"] == 0, (kind, level)
             else:
                 assert level["partitioned_builds"] > 0, (kind, level)
 
-    speedup = payload["build_speedup_at_top"]
-    cores = payload["cpu_cores"]
-    if cores >= 4:
-        # The acceptance bar: >= 1.8x build phase at 4 workers.
-        assert speedup >= 1.8, (
-            f"build-phase speedup {speedup:.2f}x < 1.8x on {cores} cores "
-            f"(exact levels: {payload['kinds']['exact']['levels']})"
-        )
-    else:
-        # Thread parallelism cannot beat the core count; keep the
-        # partitioned path's overhead honest instead (the exact merge
-        # is algorithmically cheaper, so even one core usually wins).
-        assert speedup > 0.5, (
-            f"partitioned build overhead too high on {cores} core(s): "
-            f"{payload['kinds']['exact']['levels']}"
-        )
-        pytest.skip(
-            f"speedup bar needs >= 4 cores (have {cores}); equivalence "
-            f"and overhead asserted, build-phase speedup measured at "
-            f"{speedup:.2f}x"
-        )
+    print(
+        f"exact build phase, serial / {payload['top_parallelism']} workers: "
+        f"{payload['build_speedup_at_top']:.2f}x (same code-space build at "
+        f"both levels; {payload['cpu_cores']} cores)"
+    )

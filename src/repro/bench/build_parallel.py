@@ -1,25 +1,26 @@
-"""Parallel build-side experiment: partitioned filter builds vs. serial.
+"""Build-side experiment: filter builds across parallelism levels.
 
-The tentpole claim of the parallel-build PR: bitvector filter
-construction — the cost the paper's Section 6.3 threshold polices — no
-longer runs on one thread.  At ``parallelism > 1`` the executor builds
-each filter from per-morsel partials merged on a deterministic barrier
-(see :meth:`repro.engine.executor.Executor._build_join_filter`), so a
-large-dimension build scales with workers while the published filter
-stays byte-equivalent to a serial build.
+At ``parallelism > 1`` the executor builds each Bloom-kind filter from
+per-morsel partials merged on a deterministic barrier (see
+:meth:`repro.engine.executor.Executor._build_join_filter`), so the
+published filter stays byte-equivalent to a serial build.  The exact
+kind over dictionary-backed keys does not partition at any level: it is
+built in one pass over the build rows' stored dictionary codes
+(:meth:`repro.filters.exact.ExactFilter.from_dictionary_codes`), which
+costs less than the partitioned build's merge alone.
 
 The workload is one large-dimension star join (the dimension is bigger
 than the fact table — the Amdahl case morsel-parallel probing alone
 cannot help): every execution rebuilds the join's filter cold (no
 filter cache), and the *build phase* is metered separately via
-``ExecutionMetrics.filter_build_seconds``, so the reported speedup
-isolates exactly the phase this PR parallelizes.  Every registry filter
-kind runs at every parallelism level; answers must be byte-identical
-across levels for each kind (the partitioned-build contract — drift is
-a correctness bug, not noise).
+``ExecutionMetrics.filter_build_seconds``.  Every registry filter kind
+runs at every parallelism level; answers must be byte-identical across
+levels for each kind (the partitioned-build contract — drift is a
+correctness bug, not noise).  ``build_speedup`` is the measured
+serial / parallel build-phase ratio per kind, reported and never gated.
 
-Used by ``benchmarks/test_build_parallel.py`` (asserting the 1.8x
-build-phase bar on >= 4 cores) and by the CLI::
+Used by ``benchmarks/test_build_parallel.py`` (asserting equivalence
+and which kinds partition) and by the CLI::
 
     python -m repro.bench --experiment build-parallel \
         --output BENCH_build_parallel.json
@@ -47,9 +48,9 @@ from repro.storage.database import Database
 from repro.storage.schema import ForeignKey
 from repro.storage.table import Table
 
-# Large dimension, smaller fact: the build pass (gather + factorize +
-# insert 60% of the dimension keys) dominates, which is the regime the
-# partitioned build targets.
+# Large dimension, smaller fact: the build pass (insert 60% of the
+# dimension keys) dominates, which is the regime the partitioned build
+# targets.
 DEFAULT_DIM_ROWS = 1_500_000
 DEFAULT_FACT_ROWS = 500_000
 
@@ -65,10 +66,9 @@ def build_dimension_database(
 ) -> Database:
     """One big dimension + one fact referencing it uniformly.
 
-    Keys are integers (the decision-support case): the build-side
-    kernels — fancy-index gathers, ``np.unique`` sorts, hashing ufuncs
-    — all release the GIL, which is where the partitioned build's
-    speedup comes from.
+    Keys are integers (the decision-support case): the Bloom kinds'
+    build-side kernels — fancy-index gathers, hashing ufuncs — release
+    the GIL, which is where a partitioned build can gain.
     """
     rng = np.random.default_rng(seed)
     database = Database("build_parallel")

@@ -152,8 +152,9 @@ def run_build_parallel(args) -> None:
         ))
     print(f"results identical: {payload['results_identical']}")
     print(
-        f"exact build-phase speedup at {payload['top_parallelism']} "
-        f"workers: {payload['build_speedup_at_top']}x"
+        f"exact build phase, serial / {payload['top_parallelism']} "
+        f"workers: {payload['build_speedup_at_top']}x (code-space build, "
+        "never partitioned)"
     )
     path = write_build_parallel_report(payload, _artifact_path(args))
     print(f"wrote {path}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,10 +53,12 @@ from repro.storage.zonemaps import (
     scan_morsel_decisions,
 )
 from repro.util.keycodes import (
+    ColumnDictionary,
     code_domain,
     combine_codes,
     dense_table_worthwhile,
-    joint_codes,
+    joint_codes_and_domain,
+    radices_fit,
     single_table_codes,
     split_codes,
 )
@@ -65,10 +68,6 @@ from repro.util.keycodes import (
 # canonical value — the estimator's build-parallelism discount reads it
 # from there).
 _MIN_PARALLEL_ROWS = MIN_PARALLEL_ROWS
-
-# "No dictionary-join context computed yet" marker, distinct from None
-# ("computed, not applicable") so a failed attempt is never repeated.
-_UNSET = object()
 
 
 @dataclasses.dataclass
@@ -278,13 +277,20 @@ class Executor:
             metrics.morsel_sizer = AdaptiveMorselSizer(self._morsel_rows)
         filters: dict[int, BitvectorFilter] = {}
         overrides = predicate_overrides or {}
-        needed = _needed_columns(plan, overrides)
+        facts = _PlanFacts(
+            _needed_columns(plan, overrides),
+            # The eager baseline reproduces the seed engine: every join
+            # runs.
+            frozenset()
+            if self._eager
+            else _absorbable_joins(plan),
+        )
         aggregates: dict[str, np.ndarray] | None = None
         if isinstance(plan, TopKNode):
             inner = plan.child
             if isinstance(inner, AggregateNode):
                 relation = self._run(
-                    inner.child, metrics, filters, needed, overrides
+                    inner.child, metrics, filters, facts, overrides
                 )
                 aggregates = self._finalize(
                     "aggregate", inner, metrics,
@@ -296,20 +302,20 @@ class Executor:
                 )
                 aggregates = _drop_hidden(inner, aggregates)
             else:
-                relation = self._run(inner, metrics, filters, needed, overrides)
+                relation = self._run(inner, metrics, filters, facts, overrides)
                 relation = self._finalize(
                     "topk", plan, metrics,
                     lambda: self._topk_relation(plan, relation, metrics),
                 )
         elif isinstance(plan, AggregateNode):
-            relation = self._run(plan.child, metrics, filters, needed, overrides)
+            relation = self._run(plan.child, metrics, filters, facts, overrides)
             aggregates = self._finalize(
                 "aggregate", plan, metrics,
                 lambda: self._aggregate(plan, relation, metrics),
             )
             aggregates = _drop_hidden(plan, aggregates)
         else:
-            relation = self._run(plan, metrics, filters, needed, overrides)
+            relation = self._run(plan, metrics, filters, facts, overrides)
         if metrics.context is not None:
             # Final budget check: gathers done after the last plan-node
             # checkpoint (e.g. the aggregate's measure-column gather)
@@ -358,18 +364,18 @@ class Executor:
         node: PlanNode,
         metrics: ExecutionMetrics,
         filters: dict[int, BitvectorFilter],
-        needed: dict[str, set[str]],
+        facts: _PlanFacts,
         overrides: dict[str, object],
     ) -> Relation:
         tracer = metrics.tracer
         if tracer is None:
-            return self._dispatch(node, metrics, filters, needed, overrides)
+            return self._dispatch(node, metrics, filters, facts, overrides)
         span = tracer.span(
             "node", node_id=node.node_id, label=node.label
         )
         with span:
             relation = self._dispatch(
-                node, metrics, filters, needed, overrides
+                node, metrics, filters, facts, overrides
             )
             span.set(rows_out=relation.num_rows)
         # Inclusive (children counted): the same convention EXPLAIN
@@ -382,16 +388,16 @@ class Executor:
         node: PlanNode,
         metrics: ExecutionMetrics,
         filters: dict[int, BitvectorFilter],
-        needed: dict[str, set[str]],
+        facts: _PlanFacts,
         overrides: dict[str, object],
     ) -> Relation:
         self._checkpoint(metrics)
         if isinstance(node, ScanNode):
-            return self._scan(node, metrics, filters, needed, overrides)
+            return self._scan(node, metrics, filters, facts, overrides)
         if isinstance(node, HashJoinNode):
-            return self._hash_join(node, metrics, filters, needed, overrides)
+            return self._hash_join(node, metrics, filters, facts, overrides)
         if isinstance(node, FilterNode):
-            return self._residual_filter(node, metrics, filters, needed, overrides)
+            return self._residual_filter(node, metrics, filters, facts, overrides)
         if isinstance(node, (AggregateNode, TopKNode)):
             raise ExecutionError(
                 f"{type(node).__name__} is only valid at the plan root"
@@ -1004,49 +1010,6 @@ class Executor:
             columns.append(build_rel.column(alias, column))
         return compute_key_bounds(columns)
 
-    def _morsel_probe_match(
-        self,
-        context,
-        probe_rel: Relation,
-        kept_ranges: list[tuple[int, int]],
-        metrics: ExecutionMetrics,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Hash-join probe over the kept morsels only.
-
-        The pruned counterpart of :meth:`_parallel_probe_match`:
-        skipped morsels were proven matchless, so concatenating the
-        kept morsels' match pairs (probe offsets rebased per morsel)
-        reproduces the whole-relation probe order exactly.  Runs inline
-        when serial or when too little work survives pruning.
-        """
-        empty = np.array([], dtype=np.int64)
-        if not kept_ranges:
-            return empty, empty
-        build_combined, encode_probe, domain = context
-        matcher = _BuildMatcher(build_combined, domain)
-
-        def task(start: int, stop: int, worker: ExecutionMetrics):
-            view = probe_rel.range_view(start, stop, counters=worker)
-            build_idx, probe_idx = matcher.match(encode_probe(view))
-            return build_idx, probe_idx + start
-
-        total = sum(stop - start for start, stop in kept_ranges)
-        if (
-            self._parallel
-            and len(kept_ranges) >= 2
-            and total >= _MIN_PARALLEL_ROWS
-        ):
-            probe_rel.settle_selections()
-            parts = self._map_morsels(metrics, kept_ranges, task)
-        else:
-            parts = [
-                task(start, stop, metrics) for start, stop in kept_ranges
-            ]
-        return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-        )
-
     # ------------------------------------------------------------------
     # Operators
     # ------------------------------------------------------------------
@@ -1056,12 +1019,12 @@ class Executor:
         node: ScanNode,
         metrics: ExecutionMetrics,
         filters: dict[int, BitvectorFilter],
-        needed: dict[str, set[str]],
+        facts: _PlanFacts,
         overrides: dict[str, object],
     ) -> Relation:
         record = metrics.node(node.node_id, node.label, OPERATOR_KIND_LEAF)
         table = self._database.table(node.table_name)
-        names = sorted(needed.get(node.alias, set()))
+        names = sorted(facts.needed.get(node.alias, set()))
         columns = {(node.alias, name): table.column(name) for name in names}
         sources = {
             (node.alias, name): (node.table_name, name) for name in names
@@ -1134,12 +1097,12 @@ class Executor:
         node: HashJoinNode,
         metrics: ExecutionMetrics,
         filters: dict[int, BitvectorFilter],
-        needed: dict[str, set[str]],
+        facts: _PlanFacts,
         overrides: dict[str, object],
     ) -> Relation:
         record = metrics.node(node.node_id, node.label, OPERATOR_KIND_JOIN)
 
-        build_rel = self._run(node.build, metrics, filters, needed, overrides)
+        build_rel = self._run(node.build, metrics, filters, facts, overrides)
         record.add("build", build_rel.num_rows)
 
         if node.created_bitvector is not None:
@@ -1184,51 +1147,41 @@ class Executor:
                 filters[definition.filter_id] = build_filter()
                 record.add("filter_insert", build_rel.num_rows)
 
-        probe_rel = self._run(node.probe, metrics, filters, needed, overrides)
+        probe_rel = self._run(node.probe, metrics, filters, facts, overrides)
         record.add("probe", probe_rel.num_rows)
 
-        # One shared dictionary-join context serves every path: the
-        # zone-pruned and parallel probes consume it directly, and a
-        # failed attempt hands it (possibly None) to the serial path so
-        # the build-side encoding is never computed twice.
-        build_idx = probe_idx = None
-        context = _UNSET
-        if build_rel.num_rows and probe_rel.num_rows:
-            pruning = self._join_zone_pruning(
-                node, build_rel, probe_rel, filters
-            )
-            if pruning is not None:
-                context = self._dictionary_join_context(
-                    node, build_rel, probe_rel
-                )
-                if context is not None:
-                    ranges, pruned = pruning
-                    kept = self._split_pruned(metrics, ranges, pruned)
-                    metrics.dictionary_hits += len(node.build_keys)
-                    build_idx, probe_idx = self._morsel_probe_match(
-                        context, probe_rel, kept, metrics
-                    )
-            if build_idx is None and self._parallel and (
-                probe_rel.num_rows >= _MIN_PARALLEL_ROWS
+        if node.node_id in facts.absorbable:
+            bitvector = filters[node.created_bitvector.filter_id]
+            if (
+                not bitvector.may_have_false_positives
+                and bitvector.has_distinct_keys
+                and self._join_dictionaries(node, build_rel, probe_rel)
             ):
-                if context is _UNSET:
-                    context = self._dictionary_join_context(
-                        node, build_rel, probe_rel
+                # Absorbed: every probe row already passed this join's
+                # own exact filter, so it has a build match, and the
+                # build keys are distinct, so exactly one — the output
+                # is the probe rows, in order.  Nothing above reads a
+                # build-side column, so the probe relation *is* the
+                # result.  Metered as the executed join would be: one
+                # output tuple per probe row, and — its keys resolved
+                # to stored dictionaries just above, as the executed
+                # join's would — one dictionary-encoded key set, so
+                # metered CPU and the dictionary counters compare
+                # plans, not kernels.  (A join whose keys would take
+                # the value fallback is simply executed.)
+                if build_rel.num_rows and probe_rel.num_rows:
+                    metrics.dictionary_hits += len(node.build_keys)
+                record.add("output", probe_rel.num_rows)
+                record.rows_out = probe_rel.num_rows
+                if metrics.tracer is not None:
+                    metrics.tracer.annotate(
+                        elided=True,
+                        absorbed_by=node.created_bitvector.filter_id,
                     )
-                if context is not None:
-                    match = self._parallel_probe_match(
-                        context, probe_rel, metrics
-                    )
-                    if match is not None:
-                        metrics.dictionary_hits += len(node.build_keys)
-                        build_idx, probe_idx = match
-        if build_idx is None:
-            build_codes, probe_codes, domain = self._join_key_codes(
-                node, build_rel, probe_rel, metrics, context
-            )
-            build_idx, probe_idx = _expand_matches(
-                build_codes, probe_codes, domain
-            )
+                return probe_rel
+        build_idx, probe_idx = self._join_matches(
+            node, build_rel, probe_rel, filters, metrics
+        )
         result = self._settle(
             probe_rel.merged_with(build_rel, probe_idx, build_idx)
         )
@@ -1236,152 +1189,158 @@ class Executor:
         record.rows_out = result.num_rows
         return result
 
-    def _parallel_probe_match(
+    def _join_matches(
         self,
-        context,
+        node: HashJoinNode,
+        build_rel: Relation,
         probe_rel: Relation,
+        filters: dict[int, BitvectorFilter],
         metrics: ExecutionMetrics,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Morsel-parallel probe of one hash join, or None (serial).
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Matching ``(build_row, probe_row)`` pairs of one hash join.
 
-        The build side is encoded and sorted once on the main thread
-        (single-build-then-shared); each morsel encodes its slice of
-        the probe keys through the table-resident dictionaries and
-        matches against the shared immutable build structures.  Morsels
-        are cut by the adaptive dispatcher (match-output counts feed
-        the sizer's selectivity signal).  Match pairs concatenate in
-        morsel order, reproducing the serial output order exactly.
-        Requires the dictionary fast path — joint factorization needs
-        both whole sides at once and stays serial.
+        Keys are compared as int64 codes (equal codes <=> equal key
+        tuples).  Every key column that still carries base-table
+        provenance is read as stored dictionary codes — an O(rows) code
+        gather plus an O(distinct) domain translation, see
+        :meth:`_dictionary_join_context` — and the build side's
+        :class:`_BuildMatcher` is built once and shared by whichever
+        probe shape applies: the kept morsels after zone pruning
+        (skipped morsels were proven matchless), adaptive morsels on the
+        pool, or the whole probe relation inline.  Morsel results
+        concatenate in morsel order (probe offsets rebased), so all
+        three emit the identical pair sequence.
+
+        Without provenance (derived columns, float keys, mixed-radix
+        overflow, the eager baseline) both sides are factorized jointly,
+        which needs them whole and therefore stays serial.
         """
-        build_combined, encode_probe, domain = context
-        matcher = _BuildMatcher(build_combined, domain)
+        if build_rel.num_rows == 0 or probe_rel.num_rows == 0:
+            empty = np.array([], dtype=np.int64)
+            return empty, empty
+        dictionaries = (
+            None
+            if self._eager
+            else self._join_dictionaries(node, build_rel, probe_rel)
+        )
+        if dictionaries is None:
+            if not self._eager:
+                metrics.dictionary_misses += len(node.build_keys)
+            build_codes, probe_codes, domain = joint_codes_and_domain(
+                [build_rel.column(a, c) for a, c in node.build_keys],
+                [probe_rel.column(a, c) for a, c in node.probe_keys],
+            )
+            return _BuildMatcher(
+                build_codes, domain, len(probe_codes)
+            ).match(probe_codes)
+        metrics.dictionary_hits += len(node.build_keys)
+        build_codes, encode_probe, domain = self._dictionary_join_context(
+            node, build_rel, probe_rel, dictionaries
+        )
+        matcher = _BuildMatcher(build_codes, domain, probe_rel.num_rows)
 
         def task(start: int, stop: int, worker: ExecutionMetrics):
             view = probe_rel.range_view(start, stop, counters=worker)
             build_idx, probe_idx = matcher.match(encode_probe(view))
             return build_idx, probe_idx + start
 
-        probe_rel.settle_selections()
-        parts = self._adaptive_map(
-            metrics, probe_rel.num_rows, task,
-            out_rows=lambda part: len(part[1]),
-        )
+        parts = None
+        pruning = self._join_zone_pruning(node, build_rel, probe_rel, filters)
+        if pruning is not None:
+            kept = self._split_pruned(metrics, *pruning)
+            if (
+                self._parallel
+                and len(kept) >= 2
+                and sum(stop - start for start, stop in kept)
+                >= _MIN_PARALLEL_ROWS
+            ):
+                probe_rel.settle_selections()
+                parts = self._map_morsels(metrics, kept, task)
+            else:
+                # Too little survived pruning to be worth the pool.
+                parts = [task(start, stop, metrics) for start, stop in kept]
+        elif self._parallel and probe_rel.num_rows >= _MIN_PARALLEL_ROWS:
+            probe_rel.settle_selections()
+            # Match-output counts feed the sizer's selectivity signal.
+            parts = self._adaptive_map(
+                metrics, probe_rel.num_rows, task,
+                out_rows=lambda part: len(part[1]),
+            )
         if parts is None:
-            return None
+            return matcher.match(encode_probe(probe_rel))
+        if not parts:
+            empty = np.array([], dtype=np.int64)
+            return empty, empty
         return (
             np.concatenate([part[0] for part in parts]),
             np.concatenate([part[1] for part in parts]),
         )
 
-    def _join_key_codes(
+    def _join_dictionaries(
         self,
         node: HashJoinNode,
         build_rel: Relation,
         probe_rel: Relation,
-        metrics: ExecutionMetrics,
-        context=_UNSET,
-    ) -> tuple[np.ndarray, np.ndarray, int | None]:
-        """int64 codes for both key sides; equal codes <=> equal tuples.
+    ) -> list[tuple[ColumnDictionary, ColumnDictionary]] | None:
+        """Per key pair the ``(build, probe)`` stored dictionaries, or
+        ``None`` when this join compares values instead.
 
-        Fast path: every key column that still carries base-table
-        provenance is encoded through the table-resident dictionary
-        indexes — an O(rows) code gather plus an O(distinct) domain
-        translation — instead of a per-join ``np.unique`` factorization
-        over build+probe values.  Falls back to joint factorization when
-        provenance is missing (derived columns) or the combined key
-        domain would overflow the mixed radix.
-
-        ``context`` carries a dictionary-join context the caller
-        already computed (or ``None`` if that attempt failed), so the
-        parallel probe's fallback never re-encodes the build side.
-
-        The third element is the combined code domain size when the
-        dictionary path produced the codes (all codes < domain), else
-        ``None``; :func:`_expand_matches` uses it for counting-sort
-        matching.
+        ``None`` means a key without table provenance, a float key
+        (joint factorization matches NaN == NaN, ordered dictionaries
+        cannot — both join paths must agree), or a radix product past
+        int64.  Answered from provenance: no code is gathered here.
         """
-        if build_rel.num_rows == 0 or probe_rel.num_rows == 0:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty, None
-        if not self._eager:
-            if context is _UNSET:
-                context = self._dictionary_join_context(
-                    node, build_rel, probe_rel
-                )
-            coded = None
-            if context is not None:
-                build_combined, encode_probe, domain = context
-                probe_combined = encode_probe(probe_rel)
-                if probe_combined is not None:
-                    coded = (build_combined, probe_combined, domain)
-            if coded is not None:
-                metrics.dictionary_hits += len(node.build_keys)
-                return coded
-            metrics.dictionary_misses += len(node.build_keys)
-        build_keys = [
-            build_rel.column(alias, column) for alias, column in node.build_keys
-        ]
-        probe_keys = [
-            probe_rel.column(alias, column) for alias, column in node.probe_keys
-        ]
-        build_codes, probe_codes = joint_codes(build_keys, probe_keys)
-        return build_codes, probe_codes, None
+        database = self._database
+        pairs = []
+        for (b_alias, b_col), (p_alias, p_col) in zip(
+            node.build_keys, node.probe_keys
+        ):
+            probe = probe_rel.column_dictionary(database, p_alias, p_col)
+            build = build_rel.column_dictionary(database, b_alias, b_col)
+            if probe is None or build is None:
+                return None
+            pairs.append((build, probe))
+        if not radices_fit([build.num_values for build, _ in pairs]):
+            return None
+        return pairs
 
     def _dictionary_join_context(
         self,
         node: HashJoinNode,
         build_rel: Relation,
         probe_rel: Relation,
+        dictionaries: list[tuple[ColumnDictionary, ColumnDictionary]],
     ):
-        """Shared dictionary-encoding context for one join, or None.
+        """Shared dictionary-encoding context for one join.
 
         Returns ``(build_combined, encode_probe, domain)``: the build
         side's combined codes (computed once), a closure encoding the
         probe keys of any view of ``probe_rel`` — the whole relation or
         one morsel — and the combined code domain size.  Per-key
-        artifacts (dictionaries, domain translations) are resolved once
-        here and shared read-only by every morsel, which is the
-        "per-partition dictionary reuse" the partitioned storage layer
-        is built around.
+        artifacts (``dictionaries`` from :meth:`_join_dictionaries`,
+        domain translations) are resolved once and shared read-only by
+        every morsel, which is the "per-partition dictionary reuse" the
+        partitioned storage layer is built around.
         """
         database = self._database
-        # Probe dictionaries are resolved on an empty view: the probe
-        # codes themselves are gathered by ``encode_probe`` per consumer
-        # (the whole relation or one morsel), never here.
-        probe_head = probe_rel.range_view(0, 0)
-        translations: list[np.ndarray | None] = []
-        build_code_columns: list[np.ndarray] = []
-        radices: list[int] = []
-        for (b_alias, b_col), (p_alias, p_col) in zip(
-            node.build_keys, node.probe_keys
-        ):
-            # None: no provenance, or float keys (joint factorization
-            # matches NaN == NaN, ordered dictionaries cannot) — take
-            # the fallback so both join paths agree.
-            probe = probe_head.dictionary_codes(database, p_alias, p_col)
-            if probe is None:
-                return None
-            build = build_rel.dictionary_codes(database, b_alias, b_col)
-            if build is None:
-                return None
-            build_dict, build_codes = build
-            probe_dict = probe[0]
-            # Re-express probe codes in the build column's domain;
-            # values absent from it become -1 (can never match).
-            translations.append(
-                None
-                if probe_dict is build_dict
-                else probe_dict.translate_to(build_dict)
-            )
-            build_code_columns.append(build_codes)
-            radices.append(build_dict.num_values)
-        build_combined = combine_codes(build_code_columns, radices)
-        if build_combined is None:
-            return None
+        # Re-express probe codes in the build column's domain; values
+        # absent from it become -1 (can never match).
+        translations = [
+            None if probe_dict is build_dict
+            else probe_dict.translate_to(build_dict)
+            for build_dict, probe_dict in dictionaries
+        ]
+        radices = [build_dict.num_values for build_dict, _ in dictionaries]
+        build_combined = combine_codes(
+            [
+                build_rel.dictionary_codes(database, alias, column)[1]
+                for alias, column in node.build_keys
+            ],
+            radices,
+        )
         domain = code_domain(radices)
 
-        def encode_probe(view: Relation) -> np.ndarray | None:
+        def encode_probe(view: Relation) -> np.ndarray:
             probe_code_columns: list[np.ndarray] = []
             for (p_alias, p_col), translate in zip(
                 node.probe_keys, translations
@@ -1390,6 +1349,7 @@ class Executor:
                 if translate is not None:
                     codes = translate[codes]
                 probe_code_columns.append(codes)
+            # Same radices as the build side: cannot overflow here.
             return combine_codes(probe_code_columns, radices)
 
         return build_combined, encode_probe, domain
@@ -1400,10 +1360,16 @@ class Executor:
         build_rel: Relation,
         metrics: ExecutionMetrics,
     ) -> BitvectorFilter:
-        """Build one join's bitvector filter, partitioned when parallel.
+        """Build one join's bitvector filter.
 
-        At ``parallelism > 1`` with a big enough build side, the build
-        pipeline runs per-morsel on the shared pool: each worker
+        A kind that can be built from stored dictionary codes (the
+        exact kind, ``from_dictionary_codes``) is, whenever every build
+        key still carries table provenance: one serial pass with no key
+        values gathered and nothing factorized, at every parallelism —
+        it costs less than merging partials would.
+
+        Otherwise, at ``parallelism > 1`` with a big enough build side,
+        the build runs per-morsel on the shared pool: each worker
         gathers its slice of the build key columns (zero-copy range
         views over the build relation's selection), factorizes/hashes
         it, and returns a partial filter under the shared geometry; the
@@ -1412,11 +1378,19 @@ class Executor:
         equivalent to a serial build no matter how the pool scheduled
         the partials (see the partitioned-build contract on
         :class:`~repro.filters.base.BitvectorFilter`).  Serial
-        executions (and filter kinds without partitioned support) take
-        the untouched single-thread path.
+        executions (and filter kinds without partitioned support) build
+        from the gathered key values on the calling thread.
         """
         self._checkpoint(metrics)
         filter_class = FILTER_KINDS.get(self._filter_kind)
+        from_codes = getattr(filter_class, "from_dictionary_codes", None)
+        coded = from_codes and self._key_codes(build_rel, definition.build_keys)
+        if coded:
+            # A code-space build is one partition: the whole build side.
+            fault_point("filter.build_partition")
+            built = from_codes(*coded)
+            if built is not None:
+                return built
         ranges = self._ranges(build_rel.num_rows)
         if (
             ranges is not None
@@ -1488,11 +1462,11 @@ class Executor:
         node: FilterNode,
         metrics: ExecutionMetrics,
         filters: dict[int, BitvectorFilter],
-        needed: dict[str, set[str]],
+        facts: _PlanFacts,
         overrides: dict[str, object],
     ) -> Relation:
         record = metrics.node(node.node_id, node.label, OPERATOR_KIND_OTHER)
-        relation = self._run(node.child, metrics, filters, needed, overrides)
+        relation = self._run(node.child, metrics, filters, facts, overrides)
         relation = self._apply_bitvectors(
             node.applied_bitvectors, relation, record, filters, metrics
         )
@@ -2061,105 +2035,153 @@ def _pool_threshold(pool_parts: list[np.ndarray], limit: int, ascending: bool):
     return ordered[len(ordered) - limit]
 
 
-def _match_keys(
-    build_keys: list[np.ndarray], probe_keys: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """All matching (build_row, probe_row) index pairs, vectorized.
-
-    Sort-based equi-join: encode both key sets over a shared domain,
-    sort the build side, binary-search each probe key, and expand the
-    per-probe match ranges.
-    """
-    if len(build_keys[0]) == 0 or len(probe_keys[0]) == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty
-    build_codes, probe_codes = joint_codes(build_keys, probe_keys)
-    return _expand_matches(build_codes, probe_codes)
-
-
-# Counting-sort matching is used when the code domain is dense enough
-# for its histogram to stay cache-resident and worth the allocation
-# (shared cost model: repro.util.keycodes.dense_table_worthwhile).
+# When a join's combined code domain is served by direct addressing (a
+# ``code -> build row`` table or counting-sort offsets, one int64 slot
+# per code).  Allocating and filling the table costs per *slot* what
+# sorting and binary-searching costs per *row* about 16 times over
+# (measured: ~7 ns a slot against ~110 ns a build-or-probe row), so the
+# table is used while the domain stays within that many slots per row
+# the join touches — a 200-row dimension probed by 450 k fact rows
+# qualifies, two small inputs over a wide key domain sort instead —
+# and never past the cap (8 MiB a table).
+_DENSE_SLOTS_PER_ROW = 16
 _DENSE_DOMAIN_CAP = 1 << 20
 
 
 class _BuildMatcher:
-    """Immutable build-side match structure shared across probe morsels.
+    """Immutable code-space match structure of one join's build side.
 
-    Construction sorts the build codes once (and, for dense dictionary
-    domains, builds the counting-sort histogram).  :meth:`match` is a
-    pure read — every morsel worker probes the same structure
-    lock-free, the single-build-then-shared contract the parallel hash
-    join relies on.
+    Built once from the build rows' combined key codes (all in
+    ``[0, domain)``), then probed by every morsel worker lock-free —
+    the single-build-then-shared contract the parallel hash join relies
+    on.  Three shapes, chosen from what the codes themselves show:
+
+    * **unique build** (the PK side of a PK-FK join; one ``bincount``
+      proves it): a ``code -> build row`` table of ``domain + 1`` slots
+      whose last slot holds ``-1``, so an absent probe code (``-1``)
+      indexes the sentinel directly.  A probe is one gather and a
+      ``>= 0`` mask — no sort, no search, no expansion.
+    * **duplicate build codes, dense domain**: counting-sort offsets
+      (per-code count and start, same sentinel slot) over a stable
+      radix-sorted row order; probes gather their match ranges.
+    * **domain too wide for the rows involved** (more than
+      ``_DENSE_SLOTS_PER_ROW`` slots per build-plus-probe row, or past
+      ``_DENSE_DOMAIN_CAP``): stable sort plus two binary searches per
+      probe.
+
+    Every shape emits pairs in the same order: ``probe_idx`` ascending,
+    and per probe row its build matches in build-row order — so
+    concatenating morsel results equals one whole-relation call.
     """
 
-    __slots__ = ("_order", "_sorted", "_histogram", "_range_ends")
+    __slots__ = ("_rows", "_order", "_counts", "_starts", "_sorted")
 
-    def __init__(self, build_codes: np.ndarray, domain: int | None) -> None:
-        self._order = np.argsort(build_codes, kind="stable")
-        if domain is not None and dense_table_worthwhile(
-            domain, len(build_codes), _DENSE_DOMAIN_CAP
-        ):
-            self._sorted = None
-            self._histogram = np.bincount(build_codes, minlength=domain)
-            self._range_ends = np.cumsum(self._histogram)
-        else:
+    def __init__(
+        self, build_codes: np.ndarray, domain: int, probe_rows: int
+    ) -> None:
+        self._rows = self._order = self._counts = None
+        self._starts = self._sorted = None
+        rows = len(build_codes) + probe_rows
+        if domain > min(_DENSE_DOMAIN_CAP, _DENSE_SLOTS_PER_ROW * rows):
+            self._order = _stable_code_order(build_codes, domain)
             self._sorted = build_codes[self._order]
-            self._histogram = None
-            self._range_ends = None
+            return
+        # One extra slot no build code reaches: the count-0 sentinel.
+        counts = np.bincount(build_codes, minlength=domain + 1)
+        if counts.max() <= 1:
+            rows = np.full(domain + 1, -1, dtype=np.int64)
+            rows[build_codes] = np.arange(len(build_codes), dtype=np.int64)
+            self._rows = rows
+            return
+        self._order = _stable_code_order(build_codes, domain)
+        self._counts = counts
+        self._starts = np.cumsum(counts) - counts
 
     def match(self, probe_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All matching (build_row, probe_row) pairs for these probes.
+        """All matching ``(build_row, probe_row)`` pairs for these probes.
 
-        Negative probe codes mark values absent from the build domain;
-        they produce empty match ranges naturally.  With a dense
-        histogram the per-probe match ranges are O(probe rows) gathers;
-        otherwise two binary-search passes over the sorted build side.
-        ``probe_idx`` is ascending, and per probe row the build matches
-        come in stable sorted order — so concatenating morsel results
-        equals one whole-relation call.
+        A unique build whose every probe row hit returns the gathered
+        build rows themselves (no compaction copy).
         """
-        if len(self._order) == 0 or len(probe_codes) == 0:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty
-        if self._histogram is not None:
-            valid = probe_codes >= 0
-            clipped = np.where(valid, probe_codes, 0)
-            counts = np.where(valid, self._histogram[clipped], 0)
-            lo = self._range_ends[clipped] - self._histogram[clipped]
+        if self._rows is not None:
+            build_idx = self._rows[probe_codes]
+            hit = build_idx >= 0
+            if hit.all():
+                return build_idx, np.arange(len(build_idx), dtype=np.int64)
+            probe_idx = np.flatnonzero(hit)
+            return build_idx[probe_idx], probe_idx
+        if self._sorted is None:
+            counts = self._counts[probe_codes]
+            starts = self._starts[probe_codes]
         else:
-            lo = np.searchsorted(self._sorted, probe_codes, side="left")
-            hi = np.searchsorted(self._sorted, probe_codes, side="right")
-            counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty
+            starts = np.searchsorted(self._sorted, probe_codes, side="left")
+            counts = (
+                np.searchsorted(self._sorted, probe_codes, side="right")
+                - starts
+            )
         probe_idx = np.repeat(
             np.arange(len(probe_codes), dtype=np.int64), counts
         )
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
+        # Output slot t belongs to probe row p = probe_idx[t] and reads
+        # sorted build position starts[p] + (t - first slot of p).
+        firsts = np.cumsum(counts) - counts
+        positions = np.arange(len(probe_idx), dtype=np.int64) + np.repeat(
+            starts - firsts, counts
         )
-        build_idx = self._order[starts + offsets]
-        return build_idx, probe_idx
+        return self._order[positions], probe_idx
 
 
-def _expand_matches(
-    build_codes: np.ndarray,
-    probe_codes: np.ndarray,
-    domain: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Match ranges for pre-encoded keys (equal codes <=> equal tuples).
+def _stable_code_order(codes: np.ndarray, domain: int) -> np.ndarray:
+    """``np.argsort(codes, kind="stable")`` for codes in ``[0, domain)``.
 
-    Serial entry point: builds the match structure and probes the whole
-    probe side in one call (see :class:`_BuildMatcher`).
+    NumPy's stable sort is an O(n) radix sort only for keys of 16 bits
+    or fewer (timsort above), so the key is narrowed: one ``uint16``
+    pass when the domain fits, two (low half, then high half of the
+    already-ordered rows — LSD radix) up to 2**32.
     """
-    if len(build_codes) == 0 or len(probe_codes) == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty
-    return _BuildMatcher(build_codes, domain).match(probe_codes)
+    if domain <= 1 << 16:
+        return np.argsort(codes.astype(np.uint16), kind="stable")
+    if domain <= 1 << 32:
+        order = np.argsort((codes & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (codes >> 16).astype(np.uint16)[order]
+        return order[np.argsort(high, kind="stable")]
+    return np.argsort(codes, kind="stable")
+
+
+class _PlanFacts(NamedTuple):
+    """Per-execution facts derived from the plan tree before it runs."""
+
+    #: Columns each alias's scan must carry (anything any node reads).
+    needed: dict[str, set[str]]
+    #: ``node_id`` of every join the plan's shape lets its own
+    #: pushed-down filter stand in for (see :func:`_absorbable_joins`).
+    absorbable: frozenset[int]
+
+
+def _node_references(node: PlanNode, overrides: dict[str, object]):
+    """The ``(alias, column)`` pairs one plan node reads."""
+    if isinstance(node, ScanNode):
+        predicate = overrides.get(node.alias, node.predicate)
+        if predicate is not None:
+            yield from referenced_columns(predicate)
+    if isinstance(node, HashJoinNode):
+        yield from node.build_keys
+        yield from node.probe_keys
+    for definition in node.applied_bitvectors:
+        yield from definition.probe_keys
+    if isinstance(node, AggregateNode):
+        for aggregate in node.aggregates:
+            if aggregate.argument is not None:
+                yield aggregate.argument.alias, aggregate.argument.column
+        for ref in node.group_by:
+            yield ref.alias, ref.column
+    if isinstance(node, TopKNode):
+        for key in node.order_by:
+            target = key.target
+            if isinstance(target, ColumnRef) and target.alias != OUTPUT_ALIAS:
+                yield target.alias, target.column
+        for ref in node.columns:
+            yield ref.alias, ref.column
 
 
 def _needed_columns(
@@ -2168,35 +2190,56 @@ def _needed_columns(
     """Columns each alias must materialize for this plan."""
     needed: dict[str, set[str]] = {}
     overrides = overrides or {}
-
-    def want(alias: str, column: str) -> None:
-        needed.setdefault(alias, set()).add(column)
-
     for node in plan.walk():
-        if isinstance(node, ScanNode):
-            predicate = overrides.get(node.alias, node.predicate)
-            if predicate is not None:
-                for alias, column in referenced_columns(predicate):
-                    want(alias, column)
-        if isinstance(node, HashJoinNode):
-            for alias, column in node.build_keys + node.probe_keys:
-                want(alias, column)
-        for definition in node.applied_bitvectors:
-            for alias, column in definition.probe_keys:
-                want(alias, column)
-        if isinstance(node, AggregateNode):
-            for aggregate in node.aggregates:
-                if aggregate.argument is not None:
-                    want(aggregate.argument.alias, aggregate.argument.column)
-            for ref in node.group_by:
-                want(ref.alias, ref.column)
-        if isinstance(node, TopKNode):
-            for key in node.order_by:
-                target = key.target
-                if isinstance(target, ColumnRef) and target.alias != OUTPUT_ALIAS:
-                    want(target.alias, target.column)
-            for ref in node.columns:
-                want(ref.alias, ref.column)
+        for alias, column in _node_references(node, overrides):
+            needed.setdefault(alias, set()).add(column)
         if isinstance(node, ScanNode):
             needed.setdefault(node.alias, set())
     return needed
+
+
+def _absorbable_joins(plan: PlanNode) -> frozenset[int]:
+    """Joins whose pushed-down filter may stand in for the join itself.
+
+    The paper's absorption property: once a PK-FK join's filter has
+    been applied below it, the join neither adds nor removes a probe
+    row.  This is the plan-shape half of that test, decided once per
+    execution; :meth:`Executor._hash_join` adds the run-time half (the
+    filter is exact and its build keys came out distinct):
+
+    * the join created a filter over exactly its own key pairs, and
+      some node of its probe subtree applies it (cost-based selection
+      may have dropped it);
+    * no node above the join reads any build-side alias — later join
+      keys, residual filters, aggregates, GROUP BY, ORDER BY or
+      projection columns.  Only ancestors can: every other node sits in
+      a subtree that does not carry those aliases.  A plan rooted at a
+      bare relation outputs every scanned column, so nothing in it is
+      absorbable.
+    """
+    absorbable: set[int] = set()
+
+    def visit(node: PlanNode, above: frozenset[str]) -> None:
+        if isinstance(node, HashJoinNode):
+            definition = node.created_bitvector
+            if (
+                definition is not None
+                and definition.build_keys == node.build_keys
+                and definition.probe_keys == node.probe_keys
+                and node.build.output_aliases.isdisjoint(above)
+                and any(
+                    applied.filter_id == definition.filter_id
+                    for below in node.probe.walk()
+                    for applied in below.applied_bitvectors
+                )
+            ):
+                absorbable.add(node.node_id)
+        children = node.children()
+        if children:
+            above = above | {alias for alias, _ in _node_references(node, {})}
+            for child in children:
+                visit(child, above)
+
+    if isinstance(plan, (AggregateNode, TopKNode)):
+        visit(plan, frozenset())
+    return frozenset(absorbable)

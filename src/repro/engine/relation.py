@@ -319,17 +319,27 @@ class Relation:
         ``np.unique`` factorization does, so those keys stay on the
         value paths.
         """
-        source = self.base_source(alias, name)
-        if source is None:
+        dictionary = self.column_dictionary(database, alias, name)
+        if dictionary is None:
             return None
-        table_name, column_name, selection = source
-        if database.table(table_name).column(column_name).dtype.kind in "fc":
-            return None
-        dictionary = database.dictionary(table_name, column_name)
+        selection = self.base_source(alias, name)[2]
         codes = dictionary.codes
         if selection is not None:
             codes = codes[selection]
         return dictionary, codes
+
+    def column_dictionary(self, database, alias: str, name: str):
+        """The dictionary :meth:`dictionary_codes` would read a column
+        through, or ``None`` on its terms — answered from provenance
+        alone: no row is gathered and no selection decoded."""
+        key = (alias, name)
+        source = self._group_of(key).sources.get(key)
+        if source is None:
+            return None
+        table_name, column_name = source[0], source[1]
+        if database.table(table_name).column(column_name).dtype.kind in "fc":
+            return None
+        return database.dictionary(table_name, column_name)
 
     def _group_of(self, key: tuple[str, str]) -> _ColumnGroup:
         for group in self._groups:

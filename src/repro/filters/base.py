@@ -160,6 +160,15 @@ class BitvectorFilter(abc.ABC):
         """Estimated probability a non-member passes the filter."""
         return 0.0
 
+    @property
+    def has_distinct_keys(self) -> bool:
+        """Whether the inserted key tuples are known to be pairwise
+        distinct — a unique build side.  Together with
+        ``may_have_false_positives`` being False it makes the filter a
+        complete stand-in for its join: a probe row that passes has
+        exactly one match.  False when the kind does not track it."""
+        return False
+
     def key_bounds(self) -> list[tuple | None] | None:
         """Per-key-column ``(min, max)`` of the inserted keys, or None.
 

@@ -68,47 +68,121 @@ class ExactFilter(BitvectorFilter):
 
     supports_partitioned_build = True
 
+    # Per-instance state; the defaults are what an indexed-mode filter
+    # assembled field by field (``merge``, ``from_dictionary_codes``)
+    # starts from.
+    _mode = "indexed"
+    _key_columns: list[np.ndarray] | None = None  # fallback modes only
+    _dictionaries: list[ColumnDictionary] | None = None
+    _code_set: np.ndarray | None = None
+    _member_table: Bitvector | None = None
+    _probe_view: np.ndarray | None = None
+    # (build table dictionary, its bool presence table): single-column
+    # filters built from stored codes, see ``from_dictionary_codes``.
+    _presence: tuple[ColumnDictionary, np.ndarray] | None = None
+
     def __init__(self, key_columns: list[np.ndarray]) -> None:
         key_columns = [np.asarray(c) for c in key_columns]
         self._num_keys = validate_key_columns(key_columns)
-        self._key_columns: list[np.ndarray] | None = None
-        self._dictionaries: list[ColumnDictionary] | None = None
-        self._code_set: np.ndarray | None = None
-        self._member_table: Bitvector | None = None
-        self._probe_view: np.ndarray | None = None
         self._code_memos = _new_code_memos(len(key_columns))
-        self._mode = "indexed"
-
         if any(column.dtype.kind in "fc" for column in key_columns):
             # Float keys: stay on joint factorization for NaN parity
             # with the engine's fallback join path (see module doc).
             self._key_columns = key_columns
             self._mode = "float-fallback"
-            return
-        dictionaries = [ColumnDictionary.build(c) for c in key_columns]
-        radices = [d.num_values for d in dictionaries]
-        combined = combine_codes([d.codes for d in dictionaries], radices)
-        if combined is None:
+        elif not self._index(
+            [ColumnDictionary.build(c) for c in key_columns]
+        ):
             # Mixed-radix overflow (astronomically wide keys): keep the
             # raw columns and fall back to joint factorization probes.
             self._key_columns = key_columns
             self._mode = "overflow-fallback"
-            return
-        self._dictionaries = dictionaries
-        self._code_set = np.unique(combined)
-        domain = code_domain(radices)
-        if _packed_table_worthwhile(domain, len(self._code_set)):
-            # Packed membership bitvector over the combined key domain:
-            # repeated probes become one word gather + shift per element
-            # at 1 bit per domain slot (8x smaller than the bool table
-            # this replaces).
-            self._member_table = Bitvector.from_positions(
-                self._code_set, domain
-            )
         # The raw build columns are not retained in indexed mode: the
         # dictionaries' (values, codes) pair reconstructs them exactly
         # (values[codes]) and is never larger — codes are int64 while
         # string columns are object arrays.
+
+    def _index(self, dictionaries: list[ColumnDictionary]) -> bool:
+        """Enter indexed mode over per-column *private* dictionaries
+        (sorted distinct build values + each build row's code), or
+        return False when their radix product overflows.
+
+        The sorted set of combined codes needs no sort: a single-column
+        key uses every private code, and a compact multi-column domain
+        reads the set off a presence bitmap; only sparse wide domains
+        pay ``np.unique`` (over int64 codes, never values).
+        """
+        radices = [d.num_values for d in dictionaries]
+        combined = combine_codes([d.codes for d in dictionaries], radices)
+        if combined is None:
+            return False
+        domain = code_domain(radices)
+        member: Bitvector | None = None
+        if len(dictionaries) == 1:
+            code_set = np.arange(radices[0], dtype=np.int64)
+        elif _packed_table_worthwhile(domain, len(combined)):
+            member = Bitvector.from_positions(combined, domain)
+            code_set = member.positions()
+        else:
+            code_set = np.unique(combined)
+        self._dictionaries = dictionaries
+        self._code_set = code_set
+        if _packed_table_worthwhile(domain, len(code_set)):
+            # Packed membership bitvector over the combined key domain:
+            # repeated probes become one word gather + shift per element
+            # at 1 bit per domain slot.
+            if member is None:
+                member = Bitvector.from_positions(code_set, domain)
+            self._member_table = member
+        return True
+
+    @classmethod
+    def from_dictionary_codes(
+        cls,
+        dictionaries: list[ColumnDictionary],
+        code_columns: list[np.ndarray],
+    ) -> "ExactFilter | None":
+        """The filter over build rows given as stored dictionary codes.
+
+        ``code_columns[i]`` holds each build row's code in
+        ``dictionaries[i]``, the build column's table-resident
+        dictionary (see :meth:`repro.engine.relation.Relation.
+        dictionary_codes`).  Field for field the filter
+        ``ExactFilter(values)`` over the same rows, with nothing
+        factorized: per column a presence scatter over the table
+        dictionary picks the private domain (``values[present]``, still
+        sorted) and its running count re-numbers the row codes.
+
+        A single-column filter keeps its presence table — the only thing
+        that outlives construction — so its first probe per probe
+        dictionary translates that dictionary into the build table's (a
+        dense lookup for integer keys) instead of searching every
+        distinct probe value in the sparse private domain.
+
+        ``None`` when the private radix product overflows: the caller
+        builds from values and lands in the overflow fallback.
+        """
+        private: list[ColumnDictionary] = []
+        present = None
+        for dictionary, codes in zip(dictionaries, code_columns):
+            # One slot past the domain stays False: where a probe value
+            # absent from the build table (translated code -1) lands.
+            present = np.zeros(dictionary.num_values + 1, dtype=bool)
+            present[codes] = True
+            renumber = np.cumsum(present[:-1]) - 1
+            private.append(
+                ColumnDictionary(
+                    dictionary.values[present[:-1]], renumber[codes]
+                )
+            )
+        built = cls.__new__(cls)
+        built._num_keys = len(code_columns[0])
+        built._code_memos = _new_code_memos(len(private))
+        if not built._index(private):
+            return None
+        if len(private) == 1:
+            built._presence = (dictionaries[0], present)
+        return built
 
     @classmethod
     def build(cls, key_columns: list[np.ndarray], **options) -> "ExactFilter":
@@ -217,8 +291,6 @@ class ExactFilter(BitvectorFilter):
                 code_set = np.unique(np.concatenate(translated))
         merged = cls.__new__(cls)
         merged._num_keys = int(num_keys)
-        merged._key_columns = None
-        merged._mode = "indexed"
         # Dictionary codes decode the code set: values[codes] per column
         # yields the distinct key tuples — the faithful build-column
         # set the legacy probe path reconstructs (it only needs the key
@@ -231,7 +303,6 @@ class ExactFilter(BitvectorFilter):
         ]
         merged._code_set = code_set
         merged._member_table = member_table
-        merged._probe_view = None
         merged._code_memos = _new_code_memos(num_columns)
         return merged
 
@@ -329,9 +400,10 @@ class ExactFilter(BitvectorFilter):
         ``contains([d.values[c] for d, c in zip(...)])`` without ever
         materializing or searching the values: per probe dictionary the
         filter memoizes, in O(distinct values), a bool ``probe code ->
-        member`` table (single-column keys; one gather per probe) or a
-        ``probe code -> build code`` translation per column (multi-column
-        keys; combined mixed-radix, then :meth:`contains_codes`).
+        member`` table (single-column keys; one gather per probe — see
+        :meth:`_probe_members`) or a ``probe code -> build code``
+        translation per column (multi-column keys; combined mixed-radix,
+        then :meth:`contains_codes`).
 
         Memos are keyed weakly by the dictionary *object*: a dictionary
         rebuilt after ``Database.invalidate_dictionaries`` is a new
@@ -348,13 +420,7 @@ class ExactFilter(BitvectorFilter):
             return None
         assert self._dictionaries is not None
         if len(self._dictionaries) == 1:
-            memo, probe_dictionary = self._code_memos[0], dictionaries[0]
-            member = memo.get(probe_dictionary)
-            if member is None:
-                member = memo[probe_dictionary] = self.contains(
-                    [probe_dictionary.values]
-                )
-            return member[code_columns[0]]
+            return self._probe_members(dictionaries[0])[code_columns[0]]
         translated = []
         for memo, build_dictionary, probe_dictionary, codes in zip(
             self._code_memos, self._dictionaries, dictionaries, code_columns
@@ -370,6 +436,25 @@ class ExactFilter(BitvectorFilter):
         )
         assert combined is not None  # radices fit at construction time
         return self.contains_codes(combined)
+
+    def _probe_members(self, probe_dictionary: ColumnDictionary) -> np.ndarray:
+        """Single-column keys: the bool ``probe code -> member`` table of
+        one probe dictionary.  A code-built filter probed through its
+        own build dictionary answers from the presence table itself;
+        any other dictionary is translated once and memoized."""
+        presence = self._presence
+        if presence is not None and probe_dictionary is presence[0]:
+            return presence[1]
+        memo = self._code_memos[0]
+        member = memo.get(probe_dictionary)
+        if member is None:
+            if presence is None:
+                member = self.contains([probe_dictionary.values])
+            else:
+                build_dictionary, present = presence
+                member = present[probe_dictionary.translate_to(build_dictionary)]
+            memo[probe_dictionary] = member
+        return member
 
     def contains_codes(self, combined: np.ndarray) -> np.ndarray:
         """Membership of precomputed combined codes (see :meth:`encode`).
@@ -428,6 +513,10 @@ class ExactFilter(BitvectorFilter):
             total += self._member_table.resident_bytes
         if self._probe_view is not None:
             total += self._probe_view.nbytes
+        if self._presence is not None:
+            # The presence table only; the table dictionary it indexes
+            # belongs to the database.
+            total += self._presence[1].nbytes
         for memo in self._code_memos:
             # keyrefs() snapshots atomically; iterating the live mapping
             # could race a morsel worker memoizing a new table.
@@ -485,6 +574,13 @@ class ExactFilter(BitvectorFilter):
 
     def false_positive_rate(self) -> float:
         return 0.0
+
+    @property
+    def has_distinct_keys(self) -> bool:
+        return (
+            self._code_set is not None
+            and len(self._code_set) == self._num_keys
+        )
 
     def __repr__(self) -> str:
         return f"ExactFilter(keys={self._num_keys})"

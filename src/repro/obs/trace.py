@@ -212,6 +212,14 @@ class Tracer:
         state.append(span)
         return span
 
+    def annotate(self, **attributes) -> None:
+        """Attach attributes to this thread's innermost open span — for
+        code that runs inside a span some caller opened (an operator
+        marking its plan-node span)."""
+        stack = self._state().stack
+        if stack:
+            stack[-1].attributes.update(attributes)
+
     def current_span_id(self) -> int | None:
         """Id of this thread's innermost open span (fan-out linkage)."""
         stack = self._state().stack

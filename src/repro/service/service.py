@@ -774,6 +774,13 @@ class QueryService:
             CardinalityEstimator(self._database, spec.alias_tables)
         )
         executed = {node.node_id: node for node in result.metrics.nodes}
+        # Joins the executor skipped because their own exact filter had
+        # already done their work (the node span says which filter).
+        elided = {
+            span.attributes["node_id"]: span.attributes["absorbed_by"]
+            for span in tracer.spans("node")
+            if span.attributes.get("elided")
+        }
         annotations: dict[int, str] = {}
         for node in entry.plan.walk():
             record = executed.get(node.node_id)
@@ -789,6 +796,10 @@ class QueryService:
                 f"{record.wall_seconds * 1e3:.2f} ms"
                 f" (cpu {record.cpu():.0f}, est {estimate} rows)"
             )
+            if node.node_id in elided:
+                annotations[node.node_id] += (
+                    f" [elided — absorbed by BV#{elided[node.node_id]}]"
+                )
 
         span_counts: dict[str, int] = {}
         for span in tracer.spans():

@@ -14,9 +14,11 @@ Registered sites (the engine's ``fault_point(site)`` calls):
                           (:func:`repro.engine.parallel.run_morsel_tasks`)
 ``"morsel.task"``         one morsel worker task, in dispatch order
                           (:meth:`repro.engine.executor.Executor._map_morsels`)
-``"filter.build_partition"``  one partition of a partitioned bitvector filter
-                          build (executor fan-out and the serial
-                          :meth:`~repro.filters.base.BitvectorFilter.build_partitioned`)
+``"filter.build_partition"``  one partition of a bitvector filter build: each
+                          fan-out task, each step of the serial
+                          :meth:`~repro.filters.base.BitvectorFilter.build_partitioned`,
+                          and the executor's code-space exact build (one
+                          partition, the whole build side)
 ``"cache.publish"``       publication of a built filter into the
                           :class:`~repro.filters.cache.BitvectorFilterCache`
 ``"service.admit"``       one admission decision in the service front-end

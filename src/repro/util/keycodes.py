@@ -86,6 +86,15 @@ def joint_codes(
     ``(left_codes, right_codes)`` — int64 arrays where equal codes mean
     equal key tuples.  The encoding is exact (no collisions).
     """
+    return joint_codes_and_domain(left_columns, right_columns)[:2]
+
+
+def joint_codes_and_domain(
+    left_columns: list[np.ndarray], right_columns: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`joint_codes` plus the size of the domain the codes live in
+    (every code is in ``[0, domain)``) — what direct-addressing
+    consumers size their tables by."""
     if len(left_columns) != len(right_columns):
         raise ValueError(
             "key column count mismatch: "
@@ -107,7 +116,7 @@ def joint_codes(
         combined_l = combined_l * next_radix + codes_l
         combined_r = combined_r * next_radix + codes_r
         radix = radix * next_radix
-    return combined_l, combined_r
+    return combined_l, combined_r, radix
 
 
 def single_table_codes(columns: list[np.ndarray]) -> np.ndarray:
@@ -200,8 +209,9 @@ def dense_table_worthwhile(span: int, count: int, cap: int = _TABLE_SPAN_CAP) ->
     off when it is not wildly sparser than its content (4x, floored at
     1024 slots so tiny domains always qualify) and stays under the
     memory ``cap``.  Used by the dictionary lookup table here and the
-    executor's counting-sort join matching, so tuning happens in one
-    place.
+    executor's code-space group-by, so tuning happens in one place.
+    (The join's match table is sized by the rows it serves, build plus
+    probe, not by its content — see ``_BuildMatcher``.)
     """
     return span <= max(4 * count, 1024) and span <= cap
 
@@ -326,12 +336,8 @@ def combine_codes(
         # Single-column keys already satisfy the contract (-1 = absent);
         # callers must not mutate the returned array.
         return code_columns[0]
-    total = 1
-    for radix in radices:
-        step = max(int(radix), 1)
-        if total > _RADIX_LIMIT // step:
-            return None
-        total *= step
+    if not radices_fit(radices):
+        return None
     combined = np.zeros(len(code_columns[0]), dtype=np.int64)
     invalid = np.zeros(len(code_columns[0]), dtype=bool)
     for codes, radix in zip(code_columns, radices):
@@ -339,6 +345,21 @@ def combine_codes(
         combined = combined * max(int(radix), 1) + np.maximum(codes, 0)
     combined[invalid] = -1
     return combined
+
+
+def radices_fit(radices: list[int]) -> bool:
+    """Whether :func:`combine_codes` can combine codes of these radices
+    (the product stays clear of int64 overflow; one column needs no
+    combining) — decidable before any code column is gathered."""
+    if len(radices) == 1:
+        return True
+    total = 1
+    for radix in radices:
+        step = max(int(radix), 1)
+        if total > _RADIX_LIMIT // step:
+            return False
+        total *= step
+    return True
 
 
 def code_domain(radices: list[int]) -> int:

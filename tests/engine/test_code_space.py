@@ -13,8 +13,9 @@ value paths they replace:
 * whole queries at ``parallelism`` 1 and 2 against a run with the code
   paths switched off;
 * a counter gate (no wall-clock): a warm pass of the 32 ``tpcds_lite``
-  statements factorizes nothing but the private dictionaries of the
-  filters it has to rebuild, and never encodes a row-length array.
+  statements, and a fresh-filter pass of the 30 ``job_lite`` ones,
+  factorize nothing, never encode a row-length array, and sort no
+  unique join build.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import gc
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor_module
 from repro.engine.executor import Executor
 from repro.engine.relation import BitmapSelection, Relation
 from repro.expr.expressions import ColumnRef
@@ -34,8 +36,7 @@ from repro.sql.binder import parse_query
 from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.util import keycodes
-from repro.util.keycodes import ColumnDictionary
-from repro.workloads import tpcds_lite
+from repro.workloads import job_lite, tpcds_lite
 
 # Above the relation layer's bitmap threshold, so ``mask`` on the full
 # view yields a BitmapSelection.
@@ -309,28 +310,47 @@ class TestFilterProbeCodes:
 class TestWarmPathNeverSorts:
     @pytest.mark.parametrize("pipeline", ["bqo", "original"])
     def test_warm_tpcds_pass_stays_in_code_space(self, monkeypatch, pipeline):
-        """After one cold pass, a second pass over the 32 statements
+        self._second_pass_stays_in_code_space(
+            monkeypatch, tpcds_lite, pipeline, clear_filters=False
+        )
 
-        * factorizes nothing except the private per-key dictionaries of
-          the filters it must rebuild (filters over joined or filtered
-          build sides are not cacheable) — no group-by or join
-          re-factorization, no table dictionary build;
-        * encodes only dictionaries' distinct values (join domain
-          translations), never a gathered, row-length column.
+    @pytest.mark.parametrize("pipeline", ["bqo", "original"])
+    def test_fresh_filter_job_pass_stays_in_code_space(
+        self, monkeypatch, pipeline
+    ):
+        self._second_pass_stays_in_code_space(
+            monkeypatch, job_lite, pipeline, clear_filters=True
+        )
+
+    @staticmethod
+    def _second_pass_stays_in_code_space(
+        monkeypatch, module, pipeline, clear_filters
+    ):
+        """After one cold pass, a second pass over the statements
+
+        * factorizes nothing at all (``factorization_count()`` is flat):
+          group-bys and joins read stored codes, and the filters it has
+          to rebuild — every filter when ``clear_filters`` empties the
+          filter cache between the passes, otherwise the uncacheable
+          ones over joined or filtered build sides — are built from
+          stored codes too;
+        * builds no table dictionary;
+        * encodes only dictionaries' distinct values (domain
+          translations), never a gathered, row-length column;
+        * sorts no build side whose key codes are distinct unless the
+          code domain is too wide for the rows the join touches (the
+          matcher's table rule — two small inputs are cheaper sorted
+          than a table of the whole domain is to fill): every other
+          unique build gets the ``code -> row`` table, nothing else.
         """
-        database = tpcds_lite.build_database(scale=0.05)
-        statements = [sql for _, sql in tpcds_lite.query_sqls()]
+        database = module.build_database(scale=0.05)
+        statements = [sql for _, sql in module.query_sqls()]
         service = QueryService(database, pipeline=pipeline)
         try:
             for sql in statements:
                 service.execute(sql)
-
-            filter_dictionaries = []
-            build = ColumnDictionary.build.__func__
-
-            def counting_build(cls, column):
-                filter_dictionaries.append(len(column))
-                return build(cls, column)
+            if clear_filters:
+                service.filter_cache.clear()
 
             encoded = []
             encode = keycodes.encode_into_domain
@@ -339,25 +359,44 @@ class TestWarmPathNeverSorts:
                 encoded.append(values)
                 return encode(values, domain)
 
-            monkeypatch.setattr(
-                ColumnDictionary, "build", classmethod(counting_build)
-            )
             monkeypatch.setattr(keycodes, "encode_into_domain", counting_encode)
+
+            # (build codes were distinct, a sort order exists, the
+            # domain earns a table for these row counts)
+            builds = []
+            matcher_init = executor_module._BuildMatcher.__init__
+
+            def recording_init(self, build_codes, domain, probe_rows):
+                matcher_init(self, build_codes, domain, probe_rows)
+                builds.append(
+                    (
+                        len(np.unique(build_codes)) == len(build_codes),
+                        self._order is not None,
+                        domain <= executor_module._DENSE_SLOTS_PER_ROW
+                        * (len(build_codes) + probe_rows),
+                    )
+                )
+
+            monkeypatch.setattr(
+                executor_module._BuildMatcher, "__init__", recording_init
+            )
             table_builds = database.dictionary_cache_info()["builds"]
             factorizations = keycodes.factorization_count()
 
             for sql in statements:
                 service.execute(sql)
 
+            assert keycodes.factorization_count() == factorizations
             assert database.dictionary_cache_info()["builds"] == table_builds
-            assert (
-                keycodes.factorization_count() - factorizations
-                == len(filter_dictionaries)
-            )
             resident = {
                 id(dictionary.values)
                 for dictionary in database._dictionaries.values()
             }
             assert all(id(values) in resident for values in encoded)
+            assert any(distinct and table for distinct, _, table in builds)
+            assert not any(
+                distinct and ordered and table
+                for distinct, ordered, table in builds
+            )
         finally:
             service.close()

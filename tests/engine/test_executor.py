@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.executor import Executor, _match_keys
+from repro.engine.executor import Executor, _BuildMatcher
 from repro.expr.expressions import Comparison, col, lit
 from repro.plan.builder import attach_aggregate, build_right_deep
 from repro.plan.pushdown import push_down_bitvectors
@@ -13,6 +13,18 @@ from repro.query.joingraph import JoinGraph
 from repro.query.spec import Aggregate, JoinPredicate, QuerySpec, RelationRef
 from repro.storage.database import Database
 from repro.storage.table import Table
+from repro.util.keycodes import joint_codes_and_domain
+
+
+def _match_keys(build_keys, probe_keys):
+    """Value-keyed join through the executor's fallback: joint
+    factorization, then the one code-space kernel."""
+    build_codes, probe_codes, domain = joint_codes_and_domain(
+        build_keys, probe_keys
+    )
+    return _BuildMatcher(build_codes, domain, len(probe_codes)).match(
+        probe_codes
+    )
 
 
 class TestMatchKeys:

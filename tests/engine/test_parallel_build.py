@@ -1,11 +1,17 @@
 """Executor-level parallel build sides: partitioned filter construction.
 
-The executor fans each join's filter build out per-morsel and merges on
-a deterministic barrier; ``parallelism=1`` must never touch the new
+The executor fans each Bloom-kind filter build out per-morsel and merges
+on a deterministic barrier; ``parallelism=1`` must never touch that
 path, and at any parallelism the results must match the serial engine
 byte for byte — for every filter kind, including build sides that are
 filtered relations (index-array selections, where the per-morsel key
 gathers happen on the workers).
+
+The exact kind over dictionary-backed keys (every key here) no longer
+partitions: it is built in one pass over the build rows' stored
+dictionary codes (``ExactFilter.from_dictionary_codes``), which costs
+less than the partitioned build's merge alone — so its assertions below
+pin "never fans out" where they used to pin "fans out".
 """
 
 import numpy as np
@@ -99,10 +105,15 @@ def test_partitioned_build_matches_serial(filter_kind, with_predicate):
             parallel_result.aggregates[label].tobytes()
             == serial_result.aggregates[label].tobytes()
         ), (filter_kind, with_predicate, label)
-    # The partitioned path actually ran (and was merged from several
-    # per-morsel partials), while the serial engine never saw it.
-    assert parallel_result.metrics.filter_builds_parallel == 1
-    assert parallel_result.metrics.filter_partials_built >= 2
+    if filter_kind == "exact":
+        # Code-space build: one serial pass at every parallelism.
+        assert parallel_result.metrics.filter_builds_parallel == 0
+        assert parallel_result.metrics.filter_partials_built == 0
+    else:
+        # The partitioned path actually ran (and was merged from several
+        # per-morsel partials), while the serial engine never saw it.
+        assert parallel_result.metrics.filter_builds_parallel == 1
+        assert parallel_result.metrics.filter_partials_built >= 2
     assert serial_result.metrics.filter_builds_parallel == 0
     assert serial_result.metrics.filter_partials_built == 0
 
@@ -124,21 +135,37 @@ def test_build_phase_is_metered():
     assert first.filter_build_seconds > 0.0
 
 
-def test_cached_filter_skips_the_build_phase():
-    """A filter-cache hit pays no build: the metered build phase stays
-    zero and no partials are constructed."""
+def _cold_then_warm(filter_kind):
     database = _database(4)
     plan = _plan(database)
-    cache = BitvectorFilterCache(8)
     executor = Executor(
-        database, filter_cache=cache, parallelism=4, morsel_rows=256
+        database, filter_kind=filter_kind,
+        filter_cache=BitvectorFilterCache(8), parallelism=4, morsel_rows=256,
     )
-    cold = executor.execute(plan).metrics
-    warm = executor.execute(plan).metrics
-    assert cold.filter_builds_parallel == 1
+    return executor.execute(plan).metrics, executor.execute(plan).metrics
+
+
+def test_cached_filter_skips_the_build_phase():
+    """A filter-cache hit pays no build: the metered build phase stays
+    zero."""
+    cold, warm = _cold_then_warm("exact")
+    # Exact builds run in code space and never partition (module doc);
+    # this used to assert 1.
+    assert cold.filter_builds_parallel == 0
     assert cold.filter_build_seconds > 0.0
     assert warm.filter_cache_hits == 1
+    assert warm.filter_build_seconds == 0.0
+
+
+def test_cached_partitioned_filter_builds_no_partials():
+    """The same for a kind that does fan out: the hit constructs no
+    partials."""
+    cold, warm = _cold_then_warm("bloom")
+    assert cold.filter_builds_parallel == 1
+    assert cold.filter_partials_built >= 2
+    assert warm.filter_cache_hits == 1
     assert warm.filter_builds_parallel == 0
+    assert warm.filter_partials_built == 0
     assert warm.filter_build_seconds == 0.0
 
 

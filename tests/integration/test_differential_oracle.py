@@ -15,6 +15,21 @@ columns with a HAVING clause: the lazy configurations group on stored
 dictionary codes (direct addressing, keys decoded from the dictionary)
 while the eager ones factorize the raw strings, so every such query
 holds code-space group-by to the value path across all sixteen.
+
+A third generator always joins one dimension *only to filter* — a
+selective local predicate, no output column — beside a grouped one.  The
+lazy configurations skip that join outright (its exact filter, applied
+at the fact scan, already is the join: semi-join elision) while the
+eager ones execute it, so every such query holds elision to the
+executed join across all sixteen; the test also checks that the skip
+really happened where it should and nowhere else.
+
+All sixteen configurations — the eager baseline's value-keyed join
+included — find their matches through the one ``_BuildMatcher`` kernel,
+so the sixteen alone could not see a bug inside it.  The join-heavy
+generators therefore also run a seventeenth reference: the eager serial
+configuration with the kernel swapped (test-only) for a brute-force
+nested-loop comparison of every probe code with every build code.
 """
 
 from __future__ import annotations
@@ -24,7 +39,9 @@ import itertools
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor_module
 from repro.engine.executor import Executor
+from repro.obs import Tracer
 from repro.optimizer.pipelines import optimize_query
 from repro.sql.binder import parse_query
 
@@ -194,6 +211,52 @@ def _generate_string_grouped_query(rng: np.random.Generator) -> str:
     )
 
 
+_FILTER_ONLY_PREDICATES = {
+    "date_dim": lambda rng: f"d.d_year = {1998 + int(rng.integers(0, 5))}",
+    "item": lambda rng: f"i.i_current_price > {int(rng.integers(50, 250))}",
+    "store": lambda rng: "s.s_state IN ('AL', 'GA')",
+    "promotion": lambda rng: "p.p_channel_email = 'Y'",
+    "time_dim": lambda rng: f"t.t_hour BETWEEN {int(rng.integers(0, 12))} AND 20",
+}
+
+
+def _generate_filter_only_join_query(rng: np.random.Generator) -> str:
+    """Star aggregate with one dimension joined only for its predicate.
+
+    The first picked dimension carries a predicate and appears nowhere
+    in the output; the second (when drawn) supplies a GROUP BY column,
+    so its join must run while the first one can be absorbed.
+    """
+    tables = list(_DIMENSIONS)
+    rng.shuffle(tables)
+    filter_only = tables[0]
+    grouped = tables[1] if rng.integers(0, 3) else None
+    froms = ["store_sales ss"]
+    joins, locals_ = [], [_FILTER_ONLY_PREDICATES[filter_only](rng)]
+    for table in (filter_only, grouped):
+        if table is None:
+            continue
+        alias, fact_col, dim_col = _DIMENSIONS[table]
+        froms.append(f"{table} {alias}")
+        joins.append(f"ss.{fact_col} = {alias}.{dim_col}")
+    if grouped is not None:
+        predicate = _random_predicate(rng, grouped)
+        if predicate:
+            locals_.append(predicate)
+    aggregates = [
+        _AGGREGATES[i]
+        for i in sorted(rng.permutation(len(_AGGREGATES))[: int(rng.integers(1, 4))])
+    ]
+    select, group_by = list(aggregates), ""
+    if grouped is not None:
+        select.insert(0, _GROUP_COLUMNS[grouped])
+        group_by = f" GROUP BY {_GROUP_COLUMNS[grouped]}"
+    return (
+        f"SELECT {', '.join(select)} FROM {', '.join(froms)}"
+        f" WHERE {' AND '.join(joins + locals_)}{group_by}"
+    )
+
+
 def _generate_projection_query(rng: np.random.Generator) -> str:
     """Single-table projection top-k (exercises the TopK relation path)."""
     if rng.integers(0, 2) == 0:
@@ -232,6 +295,41 @@ def _result_bytes(result, spec) -> tuple:
     return tuple(parts)
 
 
+class _NestedLoopMatcher:
+    """Drop-in for ``_BuildMatcher``: all-pairs equality, no table, no
+    sort — pairs in probe order, per probe row in build-row order."""
+
+    def __init__(self, build_codes, domain, probe_rows):
+        self._build_codes = build_codes
+
+    def match(self, probe_codes):
+        parts = [
+            np.nonzero(
+                probe_codes[start:start + 2048, None]
+                == self._build_codes[None, :]
+            )
+            for start in range(0, len(probe_codes), 2048)
+        ]
+        empty = np.array([], dtype=np.int64)
+        return (
+            np.concatenate([empty] + [build for _, build in parts]),
+            np.concatenate(
+                [empty]
+                + [probe + 2048 * i for i, (probe, _) in enumerate(parts)]
+            ),
+        )
+
+
+def _nested_loop_reference(database, plan, spec) -> tuple:
+    """Result bytes of the eager serial run joined by nested loops."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor_module, "_BuildMatcher", _NestedLoopMatcher)
+        result = Executor(
+            database, eager_materialization=True, zone_maps=False
+        ).execute(plan)
+    return _result_bytes(result, spec)
+
+
 @pytest.fixture(scope="module")
 def tpcds_db(tpcds_tiny):
     return tpcds_tiny[0]
@@ -252,6 +350,7 @@ class TestDifferentialOracle:
                 assert result.metrics.morsels_pruned == 0, sql
                 assert result.metrics.rows_skipped == 0, sql
         distinct = set(outputs.values())
+        distinct.add(_nested_loop_reference(tpcds_db, plan, spec))
         assert len(distinct) == 1, f"configs disagree on: {sql}"
 
     @pytest.mark.parametrize("seed", _SEEDS)
@@ -264,6 +363,28 @@ class TestDifferentialOracle:
         for config in _CONFIGS:
             result = Executor(tpcds_db, **config).execute(plan)
             outputs.add(_result_bytes(result, spec))
+        assert len(outputs) == 1, f"configs disagree on: {sql}"
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_filter_only_join_identical_across_configs(self, tpcds_db, seed):
+        rng = np.random.default_rng(4000 + seed)
+        sql = _generate_filter_only_join_query(rng)
+        spec = parse_query(tpcds_db, sql, f"diff_filter_only_{seed}")
+        plan = optimize_query(tpcds_db, spec, "bqo").plan
+        outputs = set()
+        for config in _CONFIGS:
+            tracer = Tracer()
+            result = Executor(tpcds_db, **config).execute(plan, tracer=tracer)
+            outputs.add(_result_bytes(result, spec))
+            elided = [
+                span for span in tracer.spans("node")
+                if span.attributes.get("elided")
+            ]
+            if config["eager_materialization"]:
+                assert not elided, sql
+            else:
+                assert elided, f"no join elided in {config}: {sql}"
+        outputs.add(_nested_loop_reference(tpcds_db, plan, spec))
         assert len(outputs) == 1, f"configs disagree on: {sql}"
 
     @pytest.mark.parametrize("seed", _SEEDS)

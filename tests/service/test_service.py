@@ -186,8 +186,18 @@ def test_pipeline_override_is_part_of_cache_key(service):
 
 
 def test_service_metrics_expose_zero_copy_counters(service, star_db):
-    first = service.execute(_count_sql(3))
-    second = service.execute(_count_sql(6))
+    # SUM(f.m), not COUNT(*): the count query's only column copy used to
+    # be the filter build gathering d1.id values; filters are now built
+    # from stored dictionary codes, so that query copies nothing at all.
+    # The measure column gathered for the aggregate still counts.
+    def sum_sql(threshold: int) -> str:
+        return (
+            "SELECT SUM(f.m) AS total FROM fact f, dim1 d1 "
+            f"WHERE f.fk1 = d1.id AND d1.v < {threshold}"
+        )
+
+    first = service.execute(sum_sql(3))
+    second = service.execute(sum_sql(6))
     for result in (first, second):
         assert result.metrics.dictionary_hits >= 1  # fk1 = id join
         assert result.metrics.dictionary_misses == 0
