@@ -2,11 +2,15 @@
 degradations actually happen, recovery is clean.
 
 Runs :func:`repro.bench.robustness.run_robustness` at a small scale
-and asserts the acceptance bar with CI-noise-tolerant thresholds:
+and asserts what does not depend on the clock:
 
-* deadline-check overhead on the warm path stays small (< 15% here;
-  the committed ``BENCH_robustness.json`` artifact, generated on a
-  quiet machine at the default scale, carries the tight < 2% number);
+* answers with a deadline armed are checksum-identical to answers
+  without; the deadline-check overhead on the warm path is printed and
+  recorded, not asserted (the < 15% gate that used to sit here is a
+  wall-clock ratio over a ~20 ms pass and failed 1 standalone run in 12
+  on a busy 2-core box, ROADMAP 6b; the committed
+  ``BENCH_robustness.json`` artifact, generated on a quiet machine at
+  the default scale, carries the tight < 2% number);
 * the stress scenario records a non-zero enforced-timeout count and a
   non-zero graceful-degradation count, with zero failures in degrade
   mode (every budget breach still produced an answer);
@@ -26,10 +30,14 @@ def payload():
     return run_robustness(scale=0.04, rounds=3, chaos_rounds=3)
 
 
-def test_deadline_overhead_is_small_and_answers_identical(payload):
+def test_deadline_overhead_is_small_and_answers_identical(
+    payload, record_property
+):
     overhead = payload["deadline_overhead"]
     assert overhead["checksums_identical"]
-    assert overhead["overhead_fraction"] < 0.15
+    fraction = overhead["overhead_fraction"]
+    record_property("deadline_overhead_fraction", round(fraction, 4))
+    print(f"deadline-check overhead: {fraction:+.1%} (reported, not gated)")
 
 
 def test_stress_records_sheds_and_degradations(payload):

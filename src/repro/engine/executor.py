@@ -26,7 +26,11 @@ from repro.engine.parallel import run_morsel_tasks
 from repro.engine.relation import Relation
 from repro.errors import ExecutionError, MorselTaskError, ResilienceError
 from repro.testing.faults import fault_point
-from repro.expr.eval import evaluate_predicate
+from repro.expr.eval import (
+    DictionaryLookup,
+    evaluate_predicate,
+    lower_to_dictionaries,
+)
 from repro.expr.expressions import ColumnRef, referenced_columns
 from repro.filters.base import BitvectorFilter, compute_key_bounds
 from repro.filters.registry import FILTER_KINDS, create_filter
@@ -1037,53 +1041,89 @@ class Executor:
 
         predicate = overrides.get(node.alias, node.predicate)
         if predicate is not None:
-            def mask_fn(view, predicate=predicate):
-                return evaluate_predicate(
-                    predicate, view.provider, view.num_rows
-                )
-
-            band = self._scan_band_search(
-                node.alias, table, predicate, metrics
+            relation = self._scan_predicate(
+                node.alias, table, predicate, relation, metrics
             )
-            pruning = (
-                None
-                if band is not None
-                else self._scan_zone_pruning(node.alias, table, predicate)
-            )
-            if band is not None:
-                # The whole predicate is answered by the band: the
-                # survivors are rows [lo, hi) of the base table, held
-                # as a zero-copy slice view.
-                relation = self._settle(relation.narrow(*band))
-            elif pruning is not None:
-                # Zone maps proved some morsels empty (pruned) or full
-                # (accepted): evaluate the predicate only over the
-                # undecided morsels, keep accepted morsels whole, and
-                # interleave everything in morsel order — exactly the
-                # unpruned selection.
-                ranges, pruned, accepted = pruning
-                selection = self._scan_selection_with_zones(
-                    relation, ranges, pruned, accepted, metrics, mask_fn
-                )
-                relation = self._settle(relation.select_sorted(selection))
-            else:
-                selection = self._parallel_selection(
-                    relation, metrics, mask_fn,
-                    ranges=self._scan_ranges(table),
-                )
-                if selection is not None:
-                    relation = self._settle(relation.select_sorted(selection))
-                else:
-                    mask = evaluate_predicate(
-                        predicate, relation.provider, relation.num_rows
-                    )
-                    relation = self._settle(relation.mask(mask))
 
         relation = self._apply_bitvectors(
             node.applied_bitvectors, relation, record, filters, metrics
         )
         record.rows_out = relation.num_rows
         return relation
+
+    def _scan_predicate(
+        self,
+        alias: str,
+        table,
+        predicate,
+        relation: Relation,
+        metrics: ExecutionMetrics,
+    ) -> Relation:
+        """The rows of a base-table scan that satisfy its predicate.
+
+        Cheapest answer first: a value band on a sorted column is two
+        binary searches; otherwise zone maps decide whole morsels where
+        they can, and the undecided rows are evaluated — subtrees over
+        one stored text column through their dictionary's truth table
+        (:func:`lower_to_dictionaries`; one gather of stored codes per
+        row), everything else over row values.  The node span records
+        which: ``predicate=band|zones|dictionary|rows`` and, when a
+        truth table was read, ``truth_table=built|hit``.
+        """
+        band = self._scan_band_search(alias, table, predicate, metrics)
+        if band is not None:
+            # The whole predicate is answered by the band: the
+            # survivors are rows [lo, hi) of the base table, held
+            # as a zero-copy slice view.
+            if metrics.tracer is not None:
+                metrics.tracer.annotate(predicate="band")
+            return self._settle(relation.narrow(*band))
+
+        database = self._database
+        lowered = predicate if self._eager else lower_to_dictionaries(
+            predicate,
+            lambda alias, column: relation.column_dictionary(
+                database, alias, column, text_only=True
+            ),
+        )
+
+        def mask_fn(view):
+            return evaluate_predicate(
+                lowered, view.provider, view.num_rows, view.stored_codes
+            )
+
+        pruning = self._scan_zone_pruning(alias, table, predicate)
+        if metrics.tracer is not None:
+            lookups = [
+                part for part in lowered.walk()
+                if isinstance(part, DictionaryLookup)
+            ]
+            answered = {
+                "predicate": "zones" if pruning is not None
+                else "dictionary" if lookups else "rows"
+            }
+            if lookups:
+                answered["truth_table"] = (
+                    "built" if any(part.built for part in lookups) else "hit"
+                )
+            metrics.tracer.annotate(**answered)
+        if pruning is not None:
+            # Zone maps proved some morsels empty (pruned) or full
+            # (accepted): evaluate the predicate only over the
+            # undecided morsels, keep accepted morsels whole, and
+            # interleave everything in morsel order — exactly the
+            # unpruned selection.
+            ranges, pruned, accepted = pruning
+            selection = self._scan_selection_with_zones(
+                relation, ranges, pruned, accepted, metrics, mask_fn
+            )
+            return self._settle(relation.select_sorted(selection))
+        selection = self._parallel_selection(
+            relation, metrics, mask_fn, ranges=self._scan_ranges(table),
+        )
+        if selection is not None:
+            return self._settle(relation.select_sorted(selection))
+        return self._settle(relation.mask(mask_fn(relation)))
 
     def _settle(self, relation: Relation) -> Relation:
         """Eager baseline hook: copy every column now, like the seed
@@ -1322,33 +1362,30 @@ class Executor:
         every morsel, which is the "per-partition dictionary reuse" the
         partitioned storage layer is built around.
         """
-        database = self._database
-        # Re-express probe codes in the build column's domain; values
-        # absent from it become -1 (can never match).
-        translations = [
-            None if probe_dict is build_dict
-            else probe_dict.translate_to(build_dict)
-            for build_dict, probe_dict in dictionaries
-        ]
         radices = [build_dict.num_values for build_dict, _ in dictionaries]
         build_combined = combine_codes(
             [
-                build_rel.dictionary_codes(database, alias, column)[1]
-                for alias, column in node.build_keys
+                build_rel.stored_codes(build_dict, alias, column)
+                for (alias, column), (build_dict, _) in zip(
+                    node.build_keys, dictionaries
+                )
             ],
             radices,
         )
         domain = code_domain(radices)
 
         def encode_probe(view: Relation) -> np.ndarray:
-            probe_code_columns: list[np.ndarray] = []
-            for (p_alias, p_col), translate in zip(
-                node.probe_keys, translations
-            ):
-                _, codes = view.dictionary_codes(database, p_alias, p_col)
-                if translate is not None:
-                    codes = translate[codes]
-                probe_code_columns.append(codes)
+            # Probe codes re-expressed in the build column's domain;
+            # values absent from it become -1 (can never match).
+            probe_code_columns = [
+                probe_dict.translate_codes(
+                    build_dict,
+                    view.stored_codes(probe_dict, p_alias, p_col),
+                )
+                for (p_alias, p_col), (build_dict, probe_dict) in zip(
+                    node.probe_keys, dictionaries
+                )
+            ]
             # Same radices as the build side: cannot overflow here.
             return combine_codes(probe_code_columns, radices)
 

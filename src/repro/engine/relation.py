@@ -322,22 +322,35 @@ class Relation:
         dictionary = self.column_dictionary(database, alias, name)
         if dictionary is None:
             return None
+        return dictionary, self.stored_codes(dictionary, alias, name)
+
+    def stored_codes(self, dictionary, alias: str, name: str) -> np.ndarray:
+        """This view's rows of ``dictionary.codes`` — ``dictionary``
+        being the one :meth:`column_dictionary` returned for the column."""
         selection = self.base_source(alias, name)[2]
         codes = dictionary.codes
         if selection is not None:
             codes = codes[selection]
-        return dictionary, codes
+        return codes
 
-    def column_dictionary(self, database, alias: str, name: str):
+    def column_dictionary(
+        self, database, alias: str, name: str, text_only: bool = False
+    ):
         """The dictionary :meth:`dictionary_codes` would read a column
         through, or ``None`` on its terms — answered from provenance
-        alone: no row is gathered and no selection decoded."""
+        alone: no row is gathered and no selection decoded.
+
+        ``text_only`` also declines numeric columns: what a predicate
+        asks, since one vectorized compare over their rows already
+        beats a dictionary, while every per-row operation on a stored
+        string is a Python-object operation."""
         key = (alias, name)
         source = self._group_of(key).sources.get(key)
         if source is None:
             return None
         table_name, column_name = source[0], source[1]
-        if database.table(table_name).column(column_name).dtype.kind in "fc":
+        kind = database.table(table_name).column(column_name).dtype.kind
+        if kind in "fc" or (text_only and kind not in "OU"):
             return None
         return database.dictionary(table_name, column_name)
 

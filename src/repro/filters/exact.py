@@ -84,7 +84,7 @@ class ExactFilter(BitvectorFilter):
     def __init__(self, key_columns: list[np.ndarray]) -> None:
         key_columns = [np.asarray(c) for c in key_columns]
         self._num_keys = validate_key_columns(key_columns)
-        self._code_memos = _new_code_memos(len(key_columns))
+        self._member_memo = weakref.WeakKeyDictionary()
         if any(column.dtype.kind in "fc" for column in key_columns):
             # Float keys: stay on joint factorization for NaN parity
             # with the engine's fallback join path (see module doc).
@@ -177,7 +177,7 @@ class ExactFilter(BitvectorFilter):
             )
         built = cls.__new__(cls)
         built._num_keys = len(code_columns[0])
-        built._code_memos = _new_code_memos(len(private))
+        built._member_memo = weakref.WeakKeyDictionary()
         if not built._index(private):
             return None
         if len(private) == 1:
@@ -303,7 +303,7 @@ class ExactFilter(BitvectorFilter):
         ]
         merged._code_set = code_set
         merged._member_table = member_table
-        merged._code_memos = _new_code_memos(num_columns)
+        merged._member_memo = weakref.WeakKeyDictionary()
         return merged
 
     @classmethod
@@ -398,18 +398,20 @@ class ExactFilter(BitvectorFilter):
         ``dictionaries[i]`` — the table-resident dictionary of the
         probed column, not this filter's build dictionary.  Equal to
         ``contains([d.values[c] for d, c in zip(...)])`` without ever
-        materializing or searching the values: per probe dictionary the
-        filter memoizes, in O(distinct values), a bool ``probe code ->
-        member`` table (single-column keys; one gather per probe — see
-        :meth:`_probe_members`) or a ``probe code -> build code``
-        translation per column (multi-column keys; combined mixed-radix,
-        then :meth:`contains_codes`).
+        materializing or searching the values.  Single-column keys
+        answer with one gather through a bool ``probe code -> member``
+        table memoized per probe dictionary (:meth:`_probe_members`);
+        multi-column keys translate each column's codes into the
+        filter's own dictionary (``ColumnDictionary.translate_to``,
+        memoized on the probe dictionary), combine them mixed-radix and
+        ask :meth:`contains_codes`.
 
-        Memos are keyed weakly by the dictionary *object*: a dictionary
-        rebuilt after ``Database.invalidate_dictionaries`` is a new
-        object and starts a fresh entry, and entries die with their
-        dictionary.  Filters are shared across morsel workers; a racing
-        first probe computes the same table twice, which is benign.
+        Member tables are keyed weakly by the dictionary *object*: a
+        dictionary rebuilt after ``Database.invalidate_dictionaries`` is
+        a new object and starts a fresh entry, and entries die with
+        their dictionary.  Filters are shared across morsel workers; a
+        racing first probe computes the same table twice, which is
+        benign.
 
         Returns ``None`` in the fallback modes (float keys, radix
         overflow), where only value probes are defined.
@@ -421,16 +423,12 @@ class ExactFilter(BitvectorFilter):
         assert self._dictionaries is not None
         if len(self._dictionaries) == 1:
             return self._probe_members(dictionaries[0])[code_columns[0]]
-        translated = []
-        for memo, build_dictionary, probe_dictionary, codes in zip(
-            self._code_memos, self._dictionaries, dictionaries, code_columns
-        ):
-            translate = memo.get(probe_dictionary)
-            if translate is None:
-                translate = memo[probe_dictionary] = (
-                    probe_dictionary.translate_to(build_dictionary)
-                )
-            translated.append(translate[codes])
+        translated = [
+            probe_dictionary.translate_codes(build_dictionary, codes)
+            for build_dictionary, probe_dictionary, codes in zip(
+                self._dictionaries, dictionaries, code_columns
+            )
+        ]
         combined = combine_codes(
             translated, [d.num_values for d in self._dictionaries]
         )
@@ -441,19 +439,22 @@ class ExactFilter(BitvectorFilter):
         """Single-column keys: the bool ``probe code -> member`` table of
         one probe dictionary.  A code-built filter probed through its
         own build dictionary answers from the presence table itself;
-        any other dictionary is translated once and memoized."""
+        any other dictionary is translated (once per pair of
+        dictionaries, see ``translate_to``) and its table memoized."""
         presence = self._presence
         if presence is not None and probe_dictionary is presence[0]:
             return presence[1]
-        memo = self._code_memos[0]
-        member = memo.get(probe_dictionary)
+        member = self._member_memo.get(probe_dictionary)
         if member is None:
             if presence is None:
                 member = self.contains([probe_dictionary.values])
             else:
                 build_dictionary, present = presence
-                member = present[probe_dictionary.translate_to(build_dictionary)]
-            memo[probe_dictionary] = member
+                translate = probe_dictionary.translate_to(build_dictionary)
+                member = (
+                    present[:-1] if translate is None else present[translate]
+                )
+            self._member_memo[probe_dictionary] = member
         return member
 
     def contains_codes(self, combined: np.ndarray) -> np.ndarray:
@@ -517,14 +518,14 @@ class ExactFilter(BitvectorFilter):
             # The presence table only; the table dictionary it indexes
             # belongs to the database.
             total += self._presence[1].nbytes
-        for memo in self._code_memos:
-            # keyrefs() snapshots atomically; iterating the live mapping
-            # could race a morsel worker memoizing a new table.
-            for keyref in memo.keyrefs():
-                dictionary = keyref()
-                table = None if dictionary is None else memo.get(dictionary)
-                if table is not None:
-                    total += table.nbytes
+        memo = self._member_memo
+        # keyrefs() snapshots atomically; iterating the live mapping
+        # could race a morsel worker memoizing a new table.
+        for keyref in memo.keyrefs():
+            dictionary = keyref()
+            table = None if dictionary is None else memo.get(dictionary)
+            if table is not None:
+                total += table.nbytes
         if self._key_columns is not None:
             for column in self._key_columns:
                 total += column.nbytes
@@ -584,12 +585,6 @@ class ExactFilter(BitvectorFilter):
 
     def __repr__(self) -> str:
         return f"ExactFilter(keys={self._num_keys})"
-
-
-def _new_code_memos(num_columns: int) -> list[weakref.WeakKeyDictionary]:
-    """One ``probe dictionary -> table`` memo per key column (see
-    :meth:`ExactFilter.contains_dictionary_codes`)."""
-    return [weakref.WeakKeyDictionary() for _ in range(num_columns)]
 
 
 def _merge_sorted_domains(

@@ -781,6 +781,17 @@ class QueryService:
             for span in tracer.spans("node")
             if span.attributes.get("elided")
         }
+        # How each scan answered its predicate (band search, zone maps,
+        # dictionary truth tables or row values), also off the node span.
+        answered = {
+            span.attributes["node_id"]: ", ".join(
+                f"{key}={span.attributes[key]}"
+                for key in ("predicate", "truth_table")
+                if key in span.attributes
+            )
+            for span in tracer.spans("node")
+            if "predicate" in span.attributes
+        }
         annotations: dict[int, str] = {}
         for node in entry.plan.walk():
             record = executed.get(node.node_id)
@@ -800,6 +811,8 @@ class QueryService:
                 annotations[node.node_id] += (
                     f" [elided — absorbed by BV#{elided[node.node_id]}]"
                 )
+            if node.node_id in answered:
+                annotations[node.node_id] += f" [{answered[node.node_id]}]"
 
         span_counts: dict[str, int] = {}
         for span in tracer.spans():

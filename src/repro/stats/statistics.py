@@ -9,6 +9,7 @@ import numpy as np
 from repro.stats.histogram import EquiDepthHistogram
 from repro.storage.table import Table
 from repro.storage.types import ColumnType
+from repro.util.keycodes import count_distinct
 
 _SAMPLE_ROWS = 2000
 _SAMPLE_SEED = 0x5EED
@@ -36,7 +37,7 @@ class ColumnStatistics:
     def collect(cls, name: str, values: np.ndarray, column_type: ColumnType,
                 rng: np.random.Generator) -> "ColumnStatistics":
         num_rows = len(values)
-        num_distinct = int(len(np.unique(values))) if num_rows else 0
+        num_distinct = count_distinct(values) if num_rows else 0
         if column_type.is_numeric and num_rows:
             as_float = values.astype(np.float64)
             min_value = float(as_float.min())

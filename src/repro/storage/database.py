@@ -116,12 +116,13 @@ class Database:
     def dictionary(self, table_name: str, column_name: str) -> ColumnDictionary:
         """Cached factorization of one stored column.
 
-        The first call factorizes the column (one ``np.unique`` pass);
-        every later call — any hash join, exact-filter probe, or
-        group-by that touches the column, from any thread — reuses the
-        sorted distinct values and per-row codes.  All three reach it
-        through :meth:`repro.engine.relation.Relation.dictionary_codes`
-        and work on the stored codes; float columns and columns without
+        The first call factorizes the column (one pass: ``np.unique``,
+        or hashing for text); every later call — any hash join,
+        exact-filter probe, group-by or text predicate that touches the
+        column, from any thread — reuses the sorted distinct values and
+        per-row codes.  All of them reach it through
+        :meth:`repro.engine.relation.Relation.column_dictionary` and
+        work on the stored codes; float columns and columns without
         table provenance never get here.  Tables are immutable and cannot be
         re-registered (the catalog rejects duplicates), so entries never
         go stale in-place; a data reload that swaps databases or tables

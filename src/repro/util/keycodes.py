@@ -23,12 +23,18 @@ operators: joins, group-bys and exact-filter probes gather
 ``dictionary.codes[selection]`` (see
 :meth:`repro.engine.relation.Relation.dictionary_codes`) and combine /
 translate codes (:func:`combine_codes`, :func:`split_codes`,
-:meth:`ColumnDictionary.translate_to`) without touching raw values.
+:meth:`ColumnDictionary.translate_to`) without touching raw values, and
+predicates over a stored text column are answered per distinct value
+(:meth:`ColumnDictionary.truth_table`) and gathered through the codes.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
+
+from repro.util.lru import LruCache
 
 # Mixed-radix combinations stay below 2**62 so intermediate products
 # cannot wrap int64; past that the callers re-densify (or bail out).
@@ -46,11 +52,35 @@ def factorization_count() -> int:
 
 
 def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counted ``np.unique(..., return_inverse=True)``."""
+    """Counted ``np.unique(..., return_inverse=True)``.
+
+    Object columns (Python strings) are factorized by hashing instead:
+    ``np.unique`` would sort every row with Python comparisons, while
+    only the distinct values need ordering.  Same ``values``, same
+    ``codes``.
+    """
     global _factorizations
     _factorizations += 1
+    if values.dtype.kind == "O":
+        items = values.tolist()
+        ordered = sorted(set(items))
+        uniques = np.empty(len(ordered), dtype=object)
+        uniques[:] = ordered
+        rank = dict(zip(ordered, range(len(ordered))))
+        inverse = np.fromiter(
+            map(rank.__getitem__, items), dtype=np.int64, count=len(items)
+        )
+        return uniques, inverse
     uniques, inverse = np.unique(values, return_inverse=True)
     return uniques, inverse.astype(np.int64, copy=False)
+
+
+def count_distinct(values: np.ndarray) -> int:
+    """``len(np.unique(values))``, by hashing for object columns (the
+    same route, and reason, as :func:`_unique_inverse`)."""
+    if values.dtype.kind == "O":
+        return len(set(values.tolist()))
+    return len(np.unique(values))
 
 
 def _factorize_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -216,6 +246,14 @@ def dense_table_worthwhile(span: int, count: int, cap: int = _TABLE_SPAN_CAP) ->
     return span <= max(4 * count, 1024) and span <= cap
 
 
+# Sentinel stored for a translation between equal domains: nothing to
+# retain and no gather.
+_IDENTITY = object()
+
+# Predicate truth tables kept per dictionary (see ``truth_table``).
+_TRUTH_TABLE_BOUND = 64
+
+
 class ColumnDictionary:
     """Cached factorization of one stored column.
 
@@ -226,10 +264,14 @@ class ColumnDictionary:
     code order *is* value order — grouping or comparing by code yields
     the same order as grouping or comparing by value.
 
-    Instances are weak-referenceable so per-dictionary memos (the exact
-    filter's code-space member tables) are keyed by the dictionary
-    *object* and die with it: a rebuilt dictionary is a new object and
-    can never hit an entry derived from the old one.
+    Anything that is a function of the dictionary alone is computed
+    once per dictionary *object* and dies with it, so a rebuilt
+    dictionary (a new object) can never hit an entry derived from the
+    old one: predicate truth tables (:meth:`truth_table`, a bounded LRU
+    held here) and code translations into another dictionary
+    (:meth:`translate_to`, held here weakly per target).  Instances are
+    weak-referenceable so that holders of their own per-dictionary
+    tables (the exact filter's member tables) can key them the same way.
 
     For compact integer domains a dense value->code lookup table is
     built lazily, turning :meth:`encode` into one O(1)-per-element
@@ -237,13 +279,19 @@ class ColumnDictionary:
     that is nearly an order of magnitude slower at probe sizes).
     """
 
-    __slots__ = ("values", "codes", "_table", "_table_base", "__weakref__")
+    __slots__ = (
+        "values", "codes", "_table", "_table_base",
+        "_translations", "_truth_tables", "__weakref__",
+    )
 
     def __init__(self, values: np.ndarray, codes: np.ndarray) -> None:
         self.values = values
         self.codes = codes
         self._table: np.ndarray | None | bool = None  # False = not viable
         self._table_base = 0
+        # target dictionary -> mapping array, or _IDENTITY.
+        self._translations = weakref.WeakKeyDictionary()
+        self._truth_tables = LruCache(_TRUTH_TABLE_BOUND)
 
     @classmethod
     def build(cls, column: np.ndarray) -> "ColumnDictionary":
@@ -301,15 +349,65 @@ class ColumnDictionary:
                 )
         return encode_into_domain(values, self.values)
 
-    def translate_to(self, other: "ColumnDictionary") -> np.ndarray:
+    def translate_to(self, other: "ColumnDictionary") -> np.ndarray | None:
         """Per-code mapping from this dictionary into ``other``.
 
         ``mapping[self_code]`` is the corresponding code in ``other``,
-        or -1 when the value does not occur there.  Cost is
-        ``O(u log u')`` over the two distinct-value counts — independent
-        of row counts.
+        or -1 when the value does not occur there; ``None`` when the
+        two hold the same sorted domain, so codes are already
+        ``other``'s and the caller skips the gather.  Cost is
+        ``O(u log u')`` over the two distinct-value counts, paid once
+        per pair of dictionary objects: the result is kept, read-only
+        and as int32 (half the bytes to hold and to gather through; a
+        dictionary of 2**31 values would not fit in memory), for as
+        long as both are alive.  (Racing first callers compute the same
+        mapping twice, which is benign.)
         """
-        return other.encode(self.values)
+        if other is self:
+            return None
+        mapping = self._translations.get(other)
+        if mapping is None:
+            mapping = other.encode(self.values)
+            if len(mapping) == other.num_values and np.array_equal(
+                mapping, np.arange(len(mapping))
+            ):
+                mapping = _IDENTITY
+            else:
+                mapping = mapping.astype(np.int32)
+                mapping.setflags(write=False)
+            self._translations[other] = mapping
+        return None if mapping is _IDENTITY else mapping
+
+    def translate_codes(
+        self, other: "ColumnDictionary", codes: np.ndarray
+    ) -> np.ndarray:
+        """Rows given as codes in this dictionary, as int64 codes in
+        ``other`` (-1 where the value does not occur there); ``codes``
+        itself when the domains are equal.  The widening is explicit
+        because an int32 array used as an index downstream is cast on
+        a slower path than this ``astype``."""
+        mapping = self.translate_to(other)
+        if mapping is None:
+            return codes
+        return mapping[codes].astype(np.int64)
+
+    def truth_table(self, key: object, evaluate) -> tuple[np.ndarray, bool]:
+        """The bool table ``evaluate(self.values)`` memoized under ``key``.
+
+        ``table[code]`` answers a predicate for every row holding that
+        code; ``key`` identifies the predicate (constants included).
+        Returns ``(table, built)``: ``built`` is False on a memo hit.
+        At most ``_TRUTH_TABLE_BOUND`` tables are kept per dictionary,
+        least recently used first out.  Threads racing the first
+        evaluation each compute the (same) table.
+        """
+        table = self._truth_tables.get(key)
+        if table is not None:
+            return table, False
+        table = np.asarray(evaluate(self.values), dtype=bool)
+        table.setflags(write=False)
+        self._truth_tables.put(key, table)
+        return table, True
 
     def __repr__(self) -> str:
         return f"ColumnDictionary(values={self.num_values}, rows={len(self.codes)})"

@@ -15,20 +15,30 @@ value paths they replace:
 * a counter gate (no wall-clock): a warm pass of the 32 ``tpcds_lite``
   statements, and a fresh-filter pass of the 30 ``job_lite`` ones,
   factorize nothing, never encode a row-length array, and sort no
-  unique join build.
+  unique join build;
+* predicates over stored text columns are answered per dictionary, not
+  per row: a LIKE scan matches each distinct value at most once and a
+  repeat matches nothing, and the per-dictionary tables (truth tables,
+  translations) are bounded, follow the dictionary object across a data
+  reload, and agree under racing threads.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro.engine.executor as executor_module
+import repro.expr.eval as eval_module
 from repro.engine.executor import Executor
 from repro.engine.relation import BitmapSelection, Relation
-from repro.expr.expressions import ColumnRef
+from repro.expr.eval import evaluate_predicate, lower_to_dictionaries
+from repro.expr.expressions import ColumnRef, Comparison, Like, Or, col, lit
+from repro.obs.trace import Tracer
 from repro.filters.registry import create_filter
 from repro.optimizer.pipelines import optimize_query
 from repro.service import QueryService
@@ -282,7 +292,7 @@ class TestFilterProbeCodes:
         assert np.array_equal(
             executor._contains_by_codes(bitvector, [("f", "k_int")], scan), want
         )
-        assert list(bitvector._code_memos[0]) == [first]
+        assert list(bitvector._member_memo) == [first]
         database.invalidate_dictionaries()
         assert np.array_equal(
             executor._contains_by_codes(bitvector, [("f", "k_int")], scan), want
@@ -291,7 +301,7 @@ class TestFilterProbeCodes:
         assert rebuilt is not first
         del first
         gc.collect()
-        assert list(bitvector._code_memos[0]) == [rebuilt]
+        assert list(bitvector._member_memo) == [rebuilt]
 
     def test_one_filter_probed_through_two_databases(self):
         """Same table and column names, different data: entries are keyed
@@ -400,3 +410,232 @@ class TestWarmPathNeverSorts:
             )
         finally:
             service.close()
+
+
+class _CountingPattern:
+    """Stands in for a compiled LIKE pattern, counting ``match`` calls."""
+
+    def __init__(self, pattern, calls: list) -> None:
+        self._pattern = pattern
+        self._calls = calls
+
+    def match(self, value):
+        self._calls.append(value)
+        return self._pattern.match(value)
+
+
+def _reloadable_database(shift: int) -> tuple[Database, int]:
+    """``fact.k_text`` joins ``dim.d_text``; ``dim.d_name LIKE '%1%'``
+    picks dim rows.  ``shift`` moves both domains, so dictionaries,
+    translations and truth tables of one shift are all wrong for
+    another.  Returns the database and the query's true answer."""
+    rng = np.random.default_rng(shift)
+    keys = range(shift, shift + 15)
+    d_text = np.array([f"k{value:02d}" for value in keys], dtype=object)
+    d_name = np.array([f"name{value * 7 % 23}" for value in keys], dtype=object)
+    k_text = np.array(
+        [f"k{value:02d}" for value in rng.integers(shift + 5, shift + 25, 4_000)],
+        dtype=object,
+    )
+    database = Database("reload")
+    database.add_table(
+        Table.from_arrays("dim", {"d_text": d_text, "d_name": d_name})
+    )
+    database.add_table(Table.from_arrays("fact", {"k_text": k_text}))
+    picked = {text for text, name in zip(d_text, d_name) if "1" in name}
+    return database, sum(value in picked for value in k_text.tolist())
+
+
+_RELOAD_SQL = (
+    "SELECT COUNT(*) AS cnt FROM fact f, dim d "
+    "WHERE f.k_text = d.d_text AND d.d_name LIKE '%1%'"
+)
+
+
+class TestDictionaryPredicates:
+    def test_like_scan_matches_distinct_values_once_then_never(
+        self, monkeypatch
+    ):
+        database = job_lite.build_database(scale=0.05)
+        sql = next(
+            sql for _, sql in job_lite.query_sqls()
+            if "t.t_title LIKE" in sql and "k.k_keyword LIKE" in sql
+        )
+        plan = optimize_query(
+            database, parse_query(database, sql, "like"), "bqo"
+        ).plan
+        distinct = sum(
+            database.dictionary(table, column).num_values
+            for table, column in (("title", "t_title"), ("keyword", "k_keyword"))
+        )
+        rows = sum(
+            database.table(table).num_rows for table in ("title", "keyword")
+        )
+        assert distinct < rows / 10  # what makes the dictionary pay
+
+        calls: list = []
+        compile_like = eval_module.like_to_regex
+        monkeypatch.setattr(
+            eval_module,
+            "like_to_regex",
+            lambda pattern: _CountingPattern(compile_like(pattern), calls),
+        )
+        executor = Executor(database)
+        first = executor.execute(plan)
+        assert 0 < len(calls) <= distinct
+        del calls[:]
+        tracer = Tracer()
+        second = executor.execute(plan, tracer=tracer)
+        assert calls == []
+        assert second.aggregates["cnt"].tolist() == first.aggregates["cnt"].tolist()
+        # ... and the trace says how each scan was answered.
+        answered = sorted(
+            (span.attributes["label"], span.attributes["predicate"],
+             span.attributes["truth_table"])
+            for span in tracer.spans("node")
+            if "predicate" in span.attributes
+        )
+        assert [entry[1:] for entry in answered] == [("dictionary", "hit")] * 2
+
+    def test_numeric_predicates_build_no_dictionary(self):
+        """Row path for numeric columns: the scan neither builds a
+        dictionary nor says it used one."""
+        database = _database(3, rows=5_000)
+        plan = optimize_query(
+            database,
+            parse_query(
+                database,
+                "SELECT COUNT(*) AS cnt FROM fact f "
+                "WHERE f.k_int > 3 AND f.k_float < 2.0",
+                "numeric",
+            ),
+            "bqo",
+        ).plan
+        tracer = Tracer()
+        Executor(database, zone_maps=False).execute(plan, tracer=tracer)
+        assert database.dictionary_cache_info()["builds"] == 0
+        (scan,) = [
+            span for span in tracer.spans("node")
+            if "predicate" in span.attributes
+        ]
+        assert scan.attributes["predicate"] == "rows"
+        assert "truth_table" not in scan.attributes
+
+    def test_reloaded_data_never_meets_an_old_table(self):
+        """A reload swaps tables and invalidates dictionaries: the new
+        dictionary objects start with no truth table and no translation,
+        so the same statement answers for the new data."""
+        database, want = _reloadable_database(0)
+        plan = optimize_query(
+            database, parse_query(database, _RELOAD_SQL, "reload"), "bqo"
+        ).plan
+
+        def run():
+            tracer = Tracer()
+            result = Executor(database).execute(plan, tracer=tracer)
+            tables = [
+                span.attributes["truth_table"]
+                for span in tracer.spans("node")
+                if "truth_table" in span.attributes
+            ]
+            return int(result.aggregates["cnt"][0]), tables
+
+        assert run() == (want, ["built"])
+        assert run() == (want, ["hit"])
+        old_fact = database.dictionary("fact", "k_text")
+        old_dim = database.dictionary("dim", "d_text")
+        assert old_fact._translations.get(old_dim) is not None
+
+        reloaded, want_reloaded = _reloadable_database(3)
+        assert want_reloaded != want
+        for name in ("fact", "dim"):
+            database._tables[name] = reloaded.table(name)
+        database.invalidate_dictionaries()
+        assert run() == (want_reloaded, ["built"])
+        assert run() == (want_reloaded, ["hit"])
+        new_fact = database.dictionary("fact", "k_text")
+        assert new_fact is not old_fact
+        assert old_dim not in new_fact._translations
+
+    def test_truth_tables_stay_bounded_under_fresh_literals(self):
+        """One cached plan, 1 000 substituted constants: every answer is
+        that constant's (tables are keyed after substitution) and the
+        dictionary keeps at most its bound of them."""
+        database = _database(5, rows=3_000)
+        column = database.table("fact").column("k_text")
+        counts = dict(zip(*np.unique(column, return_counts=True)))
+        service = QueryService(database)
+        try:
+            for index in range(1_000):
+                literal = f"s{index % 40:02d}" if index % 3 else f"x{index}"
+                outcome = service.execute(
+                    "SELECT COUNT(*) AS cnt FROM fact f "
+                    f"WHERE f.k_text = '{literal}'"
+                )
+                assert outcome.result.aggregates["cnt"][0] == counts.get(
+                    literal, 0
+                ), literal
+            assert service.stats().plan_cache_hits >= 999
+        finally:
+            service.close()
+        tables = database.dictionary("fact", "k_text")._truth_tables
+        assert 0 < len(tables) <= keycodes._TRUTH_TABLE_BOUND
+
+    def test_racing_threads_agree(self):
+        """More threads than cores lower and evaluate the same stream of
+        predicates — more of them than the memo keeps, so first
+        evaluations, hits and evictions all interleave — over one
+        dictionary: every mask equals row evaluation."""
+        database = _database(9, rows=2_000)
+        scan = _scan(database)
+        values = scan.column("f", "k_text")
+        predicates = [
+            Or((
+                Like(col("f", "k_text"), f"s{index % 7}%"),
+                Comparison("=", col("f", "k_text"), lit(f"s{index:02d}")),
+            ))
+            for index in range(keycodes._TRUTH_TABLE_BOUND + 30)
+        ]
+        want = [
+            evaluate_predicate(
+                predicate, lambda alias, column: values, len(values)
+            )
+            for predicate in predicates
+        ]
+        database.dictionary("fact", "k_text")  # built; the race is the memo
+        start = threading.Barrier(4)
+        wrong: list = []
+
+        def worker(offset: int) -> None:
+            start.wait(timeout=30)
+            for step in range(3 * len(predicates)):
+                index = (offset + step) % len(predicates)
+                lowered = lower_to_dictionaries(
+                    predicates[index],
+                    lambda alias, column: scan.column_dictionary(
+                        database, alias, column, text_only=True
+                    ),
+                )
+                got = evaluate_predicate(
+                    lowered, scan.provider, scan.num_rows, scan.stored_codes
+                )
+                if not np.array_equal(got, want[index]):
+                    wrong.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset * 17,))
+                for offset in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        tables = database.dictionary("fact", "k_text")._truth_tables
+        assert len(tables) <= keycodes._TRUTH_TABLE_BOUND

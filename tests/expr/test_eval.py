@@ -88,6 +88,23 @@ class TestLike:
         # no % => exact match only
         assert evaluate(Like(col("t", "s"), "apple")) == [True, False, False, False]
 
+    def test_newlines_are_ordinary_characters(self):
+        values = np.array(["a\nb", "abc\n", "abc", "a\n"], dtype=object)
+
+        def like(pattern):
+            return evaluate_predicate(
+                Like(col("t", "s"), pattern), lambda alias, name: values, 4
+            ).tolist()
+
+        # % spans a newline ...
+        assert like("a%b") == [True, False, False, False]
+        # ... a trailing newline is not ignored by the end anchor ...
+        assert like("abc") == [False, False, True, False]
+        assert like("abc_") == [False, True, False, False]
+        # ... and _ matches one.
+        assert like("a_b") == [True, False, False, False]
+        assert like("a_") == [False, False, False, True]
+
 
 class TestInListPromotionGuard:
     def test_huge_literal_does_not_match_via_float_rounding(self):

@@ -212,7 +212,9 @@ class TestProbes:
     ):
         """A single-column code-built filter answers its first probe per
         probe dictionary through the build *table* dictionary — it never
-        encodes the probe domain into its sparse private one."""
+        encodes the probe domain into its sparse private one.  The
+        translation is memoized per pair of table dictionaries, so an
+        earlier probe of the pair may already have paid the encode."""
         from_codes, _ = _pair(database, build_views["array"], ["k_int"])
         private = from_codes._dictionaries[0]
         table_dictionary = database.dictionary("dim", "k_int")
@@ -228,7 +230,7 @@ class TestProbes:
         Executor(database)._contains_by_codes(
             from_codes, [("f", "fk_int")], fact
         )
-        assert encoded_into == [table_dictionary]
+        assert encoded_into in ([], [table_dictionary])
         assert private not in encoded_into
 
     def test_probe_after_dictionaries_are_rebuilt(self, database, build_views):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.util.keycodes import (
     ColumnDictionary,
     combine_codes,
+    count_distinct,
     encode_into_domain,
     joint_codes,
     single_table_codes,
@@ -168,3 +169,85 @@ class TestCombineCodes:
     def test_overflow_returns_none(self):
         columns = [np.array([0])] * 3
         assert combine_codes(columns, [2**31, 2**31, 2**31]) is None
+
+
+class TestObjectColumnsFactorizeByHashing:
+    """Object columns skip ``np.unique``'s row sort; nothing else moves."""
+
+    @staticmethod
+    def _same(dictionary: ColumnDictionary, column: np.ndarray) -> None:
+        values, codes = np.unique(column, return_inverse=True)
+        assert dictionary.values.dtype == values.dtype == object
+        assert dictionary.values.tolist() == values.tolist()
+        assert dictionary.codes.dtype == np.int64
+        assert dictionary.codes.tolist() == codes.tolist()
+        assert count_distinct(column) == len(values)
+
+    @given(st.lists(st.text(alphabet="ab%_\n", max_size=3), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_property_equals_np_unique(self, strings):
+        column = np.array(strings, dtype=object)
+        self._same(ColumnDictionary.build(column), column)
+
+    def test_job_lite_text_columns(self):
+        from repro.workloads import job_lite
+
+        database = job_lite.build_database(scale=0.05)
+        checked = 0
+        for name in database.table_names:
+            table = database.table(name)
+            for column_name in table.column_names:
+                column = table.column(column_name)
+                if column.dtype.kind == "O":
+                    self._same(database.dictionary(name, column_name), column)
+                    checked += 1
+        assert checked >= 6
+
+    def test_numeric_distinct_counts(self):
+        assert count_distinct(np.array([3, 1, 3, 2])) == 3
+        assert count_distinct(np.array([], dtype=object)) == 0
+
+
+class TestTranslationMemo:
+    def test_translation_is_computed_once_and_read_only(self):
+        source = ColumnDictionary.build(np.array(["a", "c", "d"], dtype=object))
+        target = ColumnDictionary.build(np.array(["b", "c", "d", "e"], dtype=object))
+        mapping = source.translate_to(target)
+        assert mapping.tolist() == [-1, 1, 2]
+        assert source.translate_to(target) is mapping
+        assert not mapping.flags.writeable
+
+    def test_equal_domains_translate_to_none(self):
+        keys = ColumnDictionary.build(np.array([5, 7, 9]))
+        foreign = ColumnDictionary.build(np.array([9, 9, 5, 7, 5]))
+        subset = ColumnDictionary.build(np.array([5, 9]))
+        assert keys.translate_to(keys) is None
+        assert foreign.translate_to(keys) is None
+        assert keys.translate_to(foreign) is None
+        # Same length is not enough, nor is being fully contained.
+        assert ColumnDictionary.build(np.array([5, 7, 8])).translate_to(
+            keys
+        ).tolist() == [0, 1, -1]
+        assert subset.translate_to(keys).tolist() == [0, 2]
+
+    def test_translate_codes_hands_int64_downstream(self):
+        source = ColumnDictionary.build(np.array([1, 2, 3]))
+        target = ColumnDictionary.build(np.array([2, 3, 4]))
+        rows = np.array([2, 0, 1, 1])
+        assert source.translate_to(target).dtype == np.int32
+        translated = source.translate_codes(target, rows)
+        assert translated.dtype == np.int64
+        assert translated.tolist() == [1, -1, 0, 0]
+        same = ColumnDictionary.build(np.array([3, 1, 2, 2]))
+        assert source.translate_codes(same, rows) is rows
+
+    def test_memo_dies_with_the_target(self):
+        import gc
+
+        source = ColumnDictionary.build(np.array([1, 2, 3]))
+        target = ColumnDictionary.build(np.array([2, 3, 4]))
+        source.translate_to(target)
+        assert len(source._translations) == 1
+        del target
+        gc.collect()
+        assert len(source._translations) == 0
