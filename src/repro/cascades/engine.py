@@ -30,14 +30,12 @@ from __future__ import annotations
 
 from repro.cascades.memo import LogicalGet, Memo
 from repro.cascades.rules import DEFAULT_RULES, Rule
-from repro.cost.cout import EstimatedCardModel, cout
+from repro.cost.cout import bitvector_costing, cout
 from repro.errors import OptimizerError
 from repro.optimizer.blindcard import BlindCardModel
 from repro.optimizer.multifact import optimize_join_graph
 from repro.plan.builder import join_nodes, scan_for
-from repro.plan.clone import clone_plan
 from repro.plan.nodes import PlanNode
-from repro.plan.pushdown import push_down_bitvectors
 from repro.query.joingraph import JoinGraph
 from repro.query.spec import QuerySpec
 from repro.stats.estimator import CardinalityEstimator
@@ -217,9 +215,8 @@ class CascadesOptimizer:
 
     @staticmethod
     def _aware_cost(plan: PlanNode, estimator: CardinalityEstimator) -> float:
-        copy, _ = clone_plan(plan)
-        pushed = push_down_bitvectors(copy)
-        return cout(pushed, EstimatedCardModel(estimator))
+        with bitvector_costing(plan, estimator) as (pushed, model):
+            return cout(pushed, model)
 
 
 def _connected_order(graph: JoinGraph) -> list[str]:

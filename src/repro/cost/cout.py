@@ -14,7 +14,8 @@ cardinalities (planning) or true cardinalities (theorem validation).
 
 from __future__ import annotations
 
-from typing import Protocol
+import contextlib
+from typing import Iterator, Protocol
 
 from repro.errors import PlanError
 from repro.plan.nodes import (
@@ -26,6 +27,7 @@ from repro.plan.nodes import (
     ScanNode,
     TopKNode,
 )
+from repro.plan.pushdown import push_down_bitvectors, strip_bitvectors
 from repro.stats.estimator import CardinalityEstimator
 
 
@@ -180,3 +182,23 @@ class EstimatedCardModel:
             ndv_probe = min(ndv_probe_raw, max(probe_rows, 1.0))
             survival *= min(1.0, ndv_build / max(ndv_probe, 1.0))
         return max(1e-9, survival)
+
+
+@contextlib.contextmanager
+def bitvector_costing(
+    plan: PlanNode, estimator: CardinalityEstimator, bitvector_aware: bool = True
+) -> Iterator[tuple[PlanNode, EstimatedCardModel]]:
+    """Cost a bare plan as Algorithm 1 would leave it, then put it back.
+
+    The one answer to "what would this not-yet-final plan cost once its
+    filters are placed": push-down runs on ``plan`` itself (no copy —
+    candidates share their collapsed-snowflake subplans), the block
+    sees ``(pushed plan, fresh model)``, and on exit every filter and
+    residual :class:`FilterNode` is stripped, so the plan leaves as it
+    came.  ``creates_bitvector`` flags are read, never written.
+    """
+    pushed = push_down_bitvectors(plan)
+    try:
+        yield pushed, EstimatedCardModel(estimator, bitvector_aware)
+    finally:
+        strip_bitvectors(pushed)

@@ -15,10 +15,8 @@ every join of a plan; the caller then runs push-down once.
 from __future__ import annotations
 
 from repro.cost.constants import DEFAULT_COSTS, DEFAULT_LAMBDA_THRESH
-from repro.cost.cout import EstimatedCardModel
-from repro.plan.clone import clone_plan
+from repro.cost.cout import EstimatedCardModel, bitvector_costing
 from repro.plan.nodes import HashJoinNode, PlanNode
-from repro.plan.pushdown import push_down_bitvectors
 from repro.stats.estimator import CardinalityEstimator
 
 # The creation threshold never drops below this fraction of the
@@ -65,28 +63,22 @@ def apply_cost_based_filters(
     across workers the optimizer can afford filters on large dimensions
     it previously rejected.
     """
-    copy, mapping = clone_plan(plan)
-    push_down_bitvectors(copy)
-    model = EstimatedCardModel(estimator)
-
-    clone_by_original: dict[int, HashJoinNode] = {}
-    for original in plan.walk():
-        if isinstance(original, HashJoinNode):
-            clone = mapping[original.node_id]
-            assert isinstance(clone, HashJoinNode)
-            clone_by_original[original.node_id] = clone
-
-    for original in plan.walk():
-        if not isinstance(original, HashJoinNode):
-            continue
-        clone = clone_by_original[original.node_id]
-        elimination = _estimated_elimination(clone, model, estimator)
-        if zone_aware:
-            elimination = _residual_elimination(clone, estimator, elimination)
-        threshold = _parallel_build_threshold(
-            clone, model, estimator, lambda_thresh, build_parallelism
-        )
-        original.creates_bitvector = elimination >= threshold
+    # Every decision is taken against the plan with *all* its flags as
+    # they came in, so the flags are written only after costing ends.
+    decisions: list[tuple[HashJoinNode, bool]] = []
+    with bitvector_costing(plan, estimator) as (pushed, model):
+        for join in pushed.walk():
+            if not isinstance(join, HashJoinNode):
+                continue
+            elimination = _estimated_elimination(join, model, estimator)
+            if zone_aware:
+                elimination = _residual_elimination(join, estimator, elimination)
+            threshold = _parallel_build_threshold(
+                join, model, estimator, lambda_thresh, build_parallelism
+            )
+            decisions.append((join, elimination >= threshold))
+    for join, creates in decisions:
+        join.creates_bitvector = creates
     return plan
 
 

@@ -14,13 +14,11 @@ Alternates two stages until the whole graph is one unit:
 
 from __future__ import annotations
 
-from repro.cost.cout import EstimatedCardModel
+from repro.cost.cout import bitvector_costing
 from repro.errors import OptimizerError
-from repro.optimizer.snowflake import optimize_snowflake
+from repro.optimizer.snowflake import SearchStats, optimize_snowflake
 from repro.optimizer.units import UnitGraph
-from repro.plan.clone import clone_plan
 from repro.plan.nodes import PlanNode
-from repro.plan.pushdown import push_down_bitvectors
 from repro.query.joingraph import JoinGraph
 from repro.stats.estimator import CardinalityEstimator
 
@@ -30,6 +28,7 @@ def optimize_join_graph(
     estimator: CardinalityEstimator,
     bitvector_aware: bool = True,
     context=None,
+    search: SearchStats | None = None,
 ) -> PlanNode:
     """Produce a join order for an arbitrary connected join graph.
 
@@ -40,7 +39,8 @@ def optimize_join_graph(
     ``context`` arms a deadline/cancel check per extraction round (and,
     inside :func:`~repro.optimizer.snowflake.optimize_snowflake`, per
     enumerated candidate), so plan search on a pathological graph stays
-    abortable.
+    abortable.  ``search``, when given, counts extraction rounds and
+    costed candidates.
     """
     if not graph.aliases:
         raise OptimizerError("query has no relations")
@@ -57,8 +57,11 @@ def optimize_join_graph(
             return ugraph.unit_plan(only)
 
         fact_id, scope = _extract_snowflake(ugraph, unit_ids)
+        if search is not None:
+            search.snowflakes += 1
         plan = optimize_snowflake(
-            ugraph, fact_id, scope, bitvector_aware, context=context
+            ugraph, fact_id, scope, bitvector_aware, context=context,
+            search=search,
         )
         if scope == unit_ids:
             return plan
@@ -91,7 +94,5 @@ def _extract_snowflake(
 
 def _estimate_plan_rows(plan: PlanNode, estimator: CardinalityEstimator) -> float:
     """Estimated output cardinality of a subplan (bitvector-aware)."""
-    copy, _ = clone_plan(plan)
-    pushed = push_down_bitvectors(copy)
-    model = EstimatedCardModel(estimator)
-    return model.rows_out(pushed)
+    with bitvector_costing(plan, estimator) as (pushed, model):
+        return model.rows_out(pushed)

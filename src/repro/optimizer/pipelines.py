@@ -39,6 +39,7 @@ from repro.errors import OptimizerError
 from repro.optimizer.baseline import optimize_baseline
 from repro.optimizer.filter_selection import apply_cost_based_filters
 from repro.optimizer.multifact import optimize_join_graph
+from repro.optimizer.snowflake import SearchStats
 from repro.plan.builder import attach_aggregate
 from repro.plan.nodes import HashJoinNode, PlanNode
 from repro.plan.properties import plan_signature
@@ -61,6 +62,10 @@ class OptimizedPlan:
     # Wall-clock planning time; what a plan-cache hit saves
     # (see repro.service).
     optimize_seconds: float = 0.0
+    # Candidate plans costed and Algorithm 3 extraction rounds (both 0
+    # for the ``dp`` pipelines, which search by dynamic programming).
+    candidates: int = 0
+    snowflakes: int = 0
 
     @property
     def name(self) -> str:
@@ -75,6 +80,7 @@ def _finalize(
     use_bitvectors: bool,
     cost_based: bool,
     lambda_thresh: float,
+    search: SearchStats,
     build_parallelism: int = 1,
 ) -> OptimizedPlan:
     if use_bitvectors:
@@ -97,6 +103,8 @@ def _finalize(
         plan=plan,
         estimated_cout=estimated,
         signature=plan_signature(plan),
+        candidates=search.candidates,
+        snowflakes=search.snowflakes,
     )
 
 
@@ -113,14 +121,17 @@ def _run_pipeline(
     spec.validate_against(database)
     graph = JoinGraph(spec, database.catalog)
     estimator = CardinalityEstimator(database, spec.alias_tables)
+    search = SearchStats()
 
     if pipeline in ("original", "original_nobv", "original_allfilters"):
         plan = optimize_join_graph(
-            graph, estimator, bitvector_aware=False, context=context
+            graph, estimator, bitvector_aware=False, context=context,
+            search=search,
         )
     elif pipeline in ("bqo", "bqo_allfilters"):
         plan = optimize_join_graph(
-            graph, estimator, bitvector_aware=True, context=context
+            graph, estimator, bitvector_aware=True, context=context,
+            search=search,
         )
     elif pipeline in ("dp", "dp_nobv"):
         plan = optimize_baseline(graph, estimator)
@@ -131,7 +142,7 @@ def _run_pipeline(
     cost_based = pipeline in ("original", "bqo", "dp")
     return _finalize(
         pipeline, spec, plan, estimator, use_bitvectors, cost_based,
-        lambda_thresh, build_parallelism=build_parallelism,
+        lambda_thresh, search, build_parallelism=build_parallelism,
     )
 
 
@@ -178,8 +189,10 @@ def optimize_query(
     before execution even starts.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) wraps the pipeline run in
-    an ``optimize`` span carrying the pipeline name and the resulting
-    plan's estimated cout; ``None`` is the zero-overhead default.
+    an ``optimize`` span carrying the pipeline name, the resulting
+    plan's estimated cout and what the search did (``candidates``
+    costed, ``snowflakes`` extracted); ``None`` is the zero-overhead
+    default.
 
     >>> # doctest-style sketch; see examples/quickstart.py for a runnable one
     """
@@ -203,6 +216,10 @@ def optimize_query(
                 database, spec, lambda_thresh,
                 build_parallelism=build_parallelism, context=context,
             )
-            span.set(estimated_cout=optimized.estimated_cout)
+            span.set(
+                estimated_cout=optimized.estimated_cout,
+                candidates=optimized.candidates,
+                snowflakes=optimized.snowflakes,
+            )
     optimized.optimize_seconds = time.perf_counter() - started
     return optimized

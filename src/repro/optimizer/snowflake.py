@@ -20,21 +20,31 @@ Two candidate families are then costed with bitvector-aware estimated
 ``Cout`` (paper Section 5's linear candidate result): the fact-first
 plan, and for each single-root branch, one plan per starting relation
 in which that branch leads (Theorem 5.3 orders).  The cheapest wins.
+Each candidate is built, costed in place and dropped unless it is the
+new incumbent, so the search holds one candidate at a time and costs
+each in time proportional to its size.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable, Iterator
 
-from repro.cost.cout import EstimatedCardModel
+from repro.cost.cout import bitvector_costing
 from repro.cost.physical import estimated_cpu
 from repro.errors import OptimizerError
 from repro.optimizer.candidates import leading_order
 from repro.optimizer.units import UnitGraph
 from repro.plan.builder import join_nodes
-from repro.plan.clone import clone_plan
 from repro.plan.nodes import PlanNode
-from repro.plan.pushdown import push_down_bitvectors
+
+
+@dataclasses.dataclass
+class SearchStats:
+    """What one plan search did; reported on the ``optimize`` span."""
+
+    candidates: int = 0   # plans built, pushed down and costed
+    snowflakes: int = 0   # Algorithm 3 extraction rounds
 
 
 @dataclasses.dataclass
@@ -58,6 +68,7 @@ def optimize_snowflake(
     scope: set[str] | None = None,
     bitvector_aware: bool = True,
     context=None,
+    search: SearchStats | None = None,
 ) -> PlanNode:
     """Construct the join order for a single-fact (general) snowflake.
 
@@ -71,6 +82,8 @@ def optimize_snowflake(
     this reproduces the paper's baseline: the host optimizer's
     snowflake heuristics, which "neglect the impact of bitvector
     filters" (Section 7.2).
+
+    ``search``, when given, is told how many candidates were costed.
     """
     scope = set(ugraph.unit_ids) if scope is None else set(scope)
     if fact_id not in scope:
@@ -84,11 +97,25 @@ def optimize_snowflake(
     else:
         # A blind optimizer sees the raw (predicate-filtered) fact size.
         spine_rows = ugraph.unit(fact_id).rows
+    candidates = _candidates(
+        ugraph, fact_id, scope, branches, spine_rows, context
+    )
+    return _cheapest(candidates, ugraph, bitvector_aware, search)
 
-    candidates: list[PlanNode] = [
-        _join_branches(ugraph, fact_id, branches, prefix=None,
-                       spine_rows=spine_rows)
-    ]
+
+def _candidates(
+    ugraph: UnitGraph,
+    fact_id: str,
+    scope: set[str],
+    branches: list[_Branch],
+    spine_rows: float,
+    context,
+) -> Iterator[PlanNode]:
+    """The fact-first plan, then one plan per (single-root branch,
+    starting unit) — built lazily, one at a time."""
+    yield _join_branches(ugraph, fact_id, branches, prefix=None,
+                         spine_rows=spine_rows)
+    dimensions = scope - {fact_id}
     for index, branch in enumerate(branches):
         if branch.group_size != 1:
             continue  # interconnected branches cannot cleanly lead
@@ -103,7 +130,7 @@ def optimize_snowflake(
                 branch.unit_set,
                 start,
                 roots=[branch.root],
-                neighbors=lambda uid: ugraph.neighbors(uid, scope - {fact_id}),
+                neighbors=lambda uid: ugraph.neighbors(uid, dimensions),
             )
             prefix = ugraph.unit_plan(order[0])
             for unit_id in order[1:]:
@@ -113,12 +140,8 @@ def optimize_snowflake(
             prefix = join_nodes(
                 ugraph.graph, build=ugraph.unit_plan(fact_id), probe=prefix
             )
-            candidates.append(
-                _join_branches(ugraph, fact_id, rest, prefix=prefix,
-                               spine_rows=spine_rows)
-            )
-
-    return _cheapest(candidates, ugraph, bitvector_aware)
+            yield _join_branches(ugraph, fact_id, rest, prefix=prefix,
+                                 spine_rows=spine_rows)
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +243,12 @@ def _bfs_order(ugraph: UnitGraph, members: set[str], root: str) -> list[str]:
                     next_frontier.append(neighbor)
         frontier = next_frontier
     if len(order) != len(members):
-        # members assigned to another root connect through it; append in
-        # any adjacency-respecting order
-        for node in sorted(members - seen):
-            order.append(node)
+        # _assign_members hands a unit to a root only through a neighbour
+        # that root already owns, so this means the partition is broken.
+        raise OptimizerError(
+            f"units {sorted(members - seen)} of branch {root!r} are not "
+            "connected to it"
+        )
     return order
 
 
@@ -344,7 +369,10 @@ def _join_branches(
 
 
 def _cheapest(
-    candidates: list[PlanNode], ugraph: UnitGraph, bitvector_aware: bool
+    candidates: Iterable[PlanNode],
+    ugraph: UnitGraph,
+    bitvector_aware: bool,
+    search: SearchStats | None,
 ) -> PlanNode:
     """Pick the candidate with the cheapest estimated physical cost.
 
@@ -357,15 +385,18 @@ def _cheapest(
 
     In blind mode the filters' cardinality effects are ignored during
     scoring (the paper's Figure 2: the blind optimizer prefers P1, the
-    aware one P2).
+    aware one P2).  Ties keep the earlier candidate.
     """
+    estimator = ugraph.estimator
     best_plan: PlanNode | None = None
     best_cost = float("inf")
     for candidate in candidates:
-        copy, _ = clone_plan(candidate)
-        pushed = push_down_bitvectors(copy)
-        model = EstimatedCardModel(ugraph.estimator, bitvector_aware)
-        cost = estimated_cpu(pushed, model, ugraph.estimator)
+        with bitvector_costing(candidate, estimator, bitvector_aware) as (
+            pushed, model,
+        ):
+            cost = estimated_cpu(pushed, model, estimator)
+        if search is not None:
+            search.candidates += 1
         if cost < best_cost:
             best_cost = cost
             best_plan = candidate

@@ -56,6 +56,7 @@ class UnitGraph:
                 rows=rows,
                 key_member=alias,
             )
+        self._rebuild_adjacency()
 
     # ------------------------------------------------------------------
     # Unit access
@@ -85,23 +86,30 @@ class UnitGraph:
     # Topology
     # ------------------------------------------------------------------
 
-    def neighbors(self, unit_id: str, within: set[str] | None = None) -> set[str]:
-        unit = self.unit(unit_id)
-        found: set[str] = set()
-        for candidate_id, candidate in self._units.items():
-            if candidate_id == unit_id:
-                continue
-            if within is not None and candidate_id not in within:
-                continue
-            if self._units_adjacent(unit, candidate):
-                found.add(candidate_id)
-        return found
+    def neighbors(
+        self, unit_id: str, within: set[str] | None = None
+    ) -> frozenset[str]:
+        try:
+            adjacent = self._adjacency[unit_id]
+        except KeyError:
+            raise OptimizerError(f"unknown unit {unit_id!r}") from None
+        return adjacent if within is None else adjacent & within
 
-    def _units_adjacent(self, a: Unit, b: Unit) -> bool:
-        for alias in a.members:
-            if self.graph.neighbors(alias) & b.members:
-                return True
-        return False
+    def _rebuild_adjacency(self) -> None:
+        """Unit-level adjacency; units only change in :meth:`collapse`."""
+        owner = {
+            alias: unit_id
+            for unit_id, unit in self._units.items()
+            for alias in unit.members
+        }
+        self._adjacency: dict[str, frozenset[str]] = {
+            unit_id: frozenset(
+                owner[neighbor]
+                for alias in unit.members
+                for neighbor in self.graph.neighbors(alias)
+            ) - {unit_id}
+            for unit_id, unit in self._units.items()
+        }
 
     def join_column_pairs(
         self, from_id: str, to_id: str
@@ -216,4 +224,5 @@ class UnitGraph:
             plan=plan,
         )
         self._units[fact_id] = composite
+        self._rebuild_adjacency()
         return fact_id

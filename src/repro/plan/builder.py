@@ -43,18 +43,22 @@ def join_nodes(
     """
     build_aliases = build.output_aliases
     probe_aliases = probe.output_aliases
+    # Connecting alias pairs, found from the adjacency of the smaller
+    # side (one side of a spine join is a single unit) and emitted in
+    # (build alias, probe alias) order.
+    near, far = sorted((build_aliases, probe_aliases), key=len)
+    pairs = [(a, b) for a in near for b in graph.neighbors(a) if b in far]
+    if near is not build_aliases:
+        pairs = [(build_alias, probe_alias) for probe_alias, build_alias in pairs]
     build_keys: list[tuple[str, str]] = []
     probe_keys: list[tuple[str, str]] = []
-    for build_alias in sorted(build_aliases):
-        for probe_alias in sorted(probe_aliases):
-            edge = graph.edge_between(build_alias, probe_alias)
-            if edge is None:
-                continue
-            for build_col, probe_col in zip(
-                edge.columns_of(build_alias), edge.columns_of(probe_alias)
-            ):
-                build_keys.append((build_alias, build_col))
-                probe_keys.append((probe_alias, probe_col))
+    for build_alias, probe_alias in sorted(pairs):
+        edge = graph.edge_between(build_alias, probe_alias)
+        for build_col, probe_col in zip(
+            edge.columns_of(build_alias), edge.columns_of(probe_alias)
+        ):
+            build_keys.append((build_alias, build_col))
+            probe_keys.append((probe_alias, probe_col))
     if not build_keys:
         if not allow_cross_product:
             raise OptimizerError(

@@ -52,10 +52,7 @@ class BitvectorDef:
         self.source_join = source_join
         self.build_keys = build_keys
         self.probe_keys = probe_keys
-
-    @property
-    def probe_aliases(self) -> frozenset[str]:
-        return frozenset(alias for alias, _ in self.probe_keys)
+        self.probe_aliases = frozenset(alias for alias, _ in probe_keys)
 
     def __repr__(self) -> str:
         keys = ", ".join(f"{a}.{c}" for a, c in self.probe_keys)
@@ -68,6 +65,12 @@ class PlanNode:
     ``applied_bitvectors`` lists the filters applied at this node (set
     by push-down); ``output_aliases`` is the set of base relation
     aliases whose columns the node's output carries.
+
+    Alias-set invariant: a scan and a join fix their alias set at
+    construction, and every other node reads its child's.  Nothing may
+    re-assign a join's ``build`` / ``probe`` to a subplan with a
+    different alias set — push-down and ``strip_bitvectors`` only wrap
+    a child in a :class:`FilterNode` or unwrap it, which preserves it.
     """
 
     def __init__(self) -> None:
@@ -82,10 +85,12 @@ class PlanNode:
         return ()
 
     def walk(self):
-        """Pre-order traversal."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Pre-order traversal (iterative: plans are 30-deep spines)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     @property
     def label(self) -> str:
@@ -102,10 +107,11 @@ class ScanNode(PlanNode):
         self.alias = alias
         self.table_name = table_name
         self.predicate = predicate
+        self._aliases = frozenset({alias})
 
     @property
     def output_aliases(self) -> frozenset[str]:
-        return frozenset({self.alias})
+        return self._aliases
 
     @property
     def label(self) -> str:
@@ -143,6 +149,7 @@ class HashJoinNode(PlanNode):
             raise PlanError("join children share relation aliases")
         self.build = build
         self.probe = probe
+        self._aliases = build_aliases | probe_aliases
         self.build_keys = build_keys
         self.probe_keys = probe_keys
         self.creates_bitvector = creates_bitvector
@@ -151,7 +158,7 @@ class HashJoinNode(PlanNode):
 
     @property
     def output_aliases(self) -> frozenset[str]:
-        return self.build.output_aliases | self.probe.output_aliases
+        return self._aliases
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.build, self.probe)

@@ -76,9 +76,15 @@ class JoinGraph:
         self.aliases: tuple[str, ...] = spec.aliases
         self._alias_tables = spec.alias_tables
         self._edges: dict[tuple[str, str], JoinEdge] = {}
-        self._adjacency: dict[str, set[str]] = {alias: set() for alias in self.aliases}
         for predicate in spec.join_predicates:
             self._merge_predicate(predicate)
+        adjacency: dict[str, set[str]] = {alias: set() for alias in self.aliases}
+        for left, right in self._edges:
+            adjacency[left].add(right)
+            adjacency[right].add(left)
+        self._adjacency: dict[str, frozenset[str]] = {
+            alias: frozenset(found) for alias, found in adjacency.items()
+        }
 
     def _merge_predicate(self, predicate: JoinPredicate) -> None:
         pair = tuple(sorted((predicate.left_alias, predicate.right_alias)))
@@ -100,8 +106,6 @@ class JoinGraph:
                 existing.right_columns + predicate.right_columns,
             )
         self._edges[pair] = edge  # type: ignore[index]
-        self._adjacency[predicate.left_alias].add(predicate.right_alias)
-        self._adjacency[predicate.right_alias].add(predicate.left_alias)
 
     # ------------------------------------------------------------------
     # Basic topology
@@ -110,8 +114,8 @@ class JoinGraph:
     def table_of(self, alias: str) -> str:
         return self._alias_tables[alias]
 
-    def neighbors(self, alias: str) -> set[str]:
-        return set(self._adjacency[alias])
+    def neighbors(self, alias: str) -> frozenset[str]:
+        return self._adjacency[alias]
 
     def edge_between(self, a: str, b: str) -> JoinEdge | None:
         return self._edges.get(tuple(sorted((a, b))))  # type: ignore[arg-type]

@@ -751,10 +751,12 @@ class QueryService:
         The plan tree is annotated per node with *actual* rows,
         inclusive wall time, and metered CPU next to the optimizer's
         cardinality estimate — the standard EXPLAIN ANALYZE contract.
-        The header summarizes the call (wall/optimize/execute split,
-        plan-cache outcome, pruning and filter-build counters) and the
-        trace (span count per name).  Tracing is armed for this call
-        only; results are byte-identical to a plain :meth:`execute`.
+        The header summarizes the call (wall/optimize/execute split —
+        with the candidates costed and snowflakes extracted when the
+        call planned — plan-cache outcome, pruning and filter-build
+        counters) and the trace (span count per name).  Tracing is
+        armed for this call only; results are byte-identical to a plain
+        :meth:`execute`.
         """
         pipeline = pipeline or self._pipeline
         tracer = Tracer(telemetry=self.telemetry)
@@ -818,11 +820,18 @@ class QueryService:
         for span in tracer.spans():
             span_counts[span.name] = span_counts.get(span.name, 0) + 1
         morsels = tracer.spans("morsel")
+        # What plan search did, when this call planned (a cache hit has
+        # no ``optimize`` span and searched nothing).
+        searched = "".join(
+            f" ({span.attributes['candidates']} candidates, "
+            f"{span.attributes['snowflakes']} snowflakes)"
+            for span in tracer.spans("optimize")
+        )
         header = [
             f"-- EXPLAIN ANALYZE {metrics.query}  pipeline {pipeline}"
             f"  plan cache {'HIT' if metrics.plan_cache_hit else 'MISS'}",
             f"-- wall {metrics.wall_seconds * 1e3:.2f} ms = optimize "
-            f"{metrics.optimize_seconds * 1e3:.2f} ms + execute "
+            f"{metrics.optimize_seconds * 1e3:.2f} ms{searched} + execute "
             f"{metrics.execute_seconds * 1e3:.2f} ms; "
             f"{metrics.output_rows} rows out",
             f"-- pruning: {metrics.morsels_pruned} morsels pruned, "

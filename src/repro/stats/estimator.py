@@ -50,11 +50,20 @@ class CardinalityEstimator:
     alias_tables:
         Maps query aliases to table names, so expressions over aliases
         can be resolved to statistics.
+
+    An estimator lives for one ``optimize_query`` call and memoizes,
+    for that long only, each alias's filtered base cardinality and each
+    column's distinct count.  The zone-map estimates read synopses the
+    engine builds between calls and are always computed afresh.
     """
 
     def __init__(self, database: Database, alias_tables: dict[str, str]) -> None:
         self._database = database
         self._alias_tables = dict(alias_tables)
+        # (alias, id(predicate)) -> (predicate, rows); holding the
+        # predicate keeps its id from being reused while the entry lives.
+        self._base_rows: dict[tuple[str, int], tuple[object, float]] = {}
+        self._distinct: dict[tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
     # Base tables
@@ -66,10 +75,16 @@ class CardinalityEstimator:
 
     def base_cardinality(self, alias: str, predicate: Expression | None) -> float:
         """Estimated rows of ``alias`` after its local predicate."""
+        key = (alias, id(predicate))
+        known = self._base_rows.get(key)
+        if known is not None:
+            return known[1]
         rows = self.table_rows(alias)
-        if predicate is None:
-            return max(_MIN_ROWS, rows)
-        return max(_MIN_ROWS, rows * self.predicate_selectivity(predicate))
+        if predicate is not None:
+            rows *= self.predicate_selectivity(predicate)
+        rows = max(_MIN_ROWS, rows)
+        self._base_rows[key] = (predicate, rows)
+        return rows
 
     # ------------------------------------------------------------------
     # Predicate selectivity
@@ -202,8 +217,13 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
 
     def column_distinct(self, alias: str, column: str) -> float:
-        stats = self._table_stats(alias)
-        return float(max(1, stats.column(column).num_distinct))
+        key = (alias, column)
+        distinct = self._distinct.get(key)
+        if distinct is None:
+            stats = self._table_stats(alias)
+            distinct = float(max(1, stats.column(column).num_distinct))
+            self._distinct[key] = distinct
+        return distinct
 
     def join_selectivity(
         self,

@@ -78,15 +78,13 @@ class TestIntegrationModes:
         """Full integration scores every plan bitvector-aware, so its
         chosen plan's aware-cost is <= the blind plan's aware-cost."""
         from repro.cost.cout import EstimatedCardModel, cout
-        from repro.plan.clone import clone_plan
         from repro.stats.estimator import CardinalityEstimator
 
         optimizer = CascadesOptimizer(star_db)
         estimator = CardinalityEstimator(star_db, star_spec.alias_tables)
 
         def aware(plan):
-            copy, _ = clone_plan(plan)
-            return cout(push_down_bitvectors(copy), EstimatedCardModel(estimator))
+            return cout(push_down_bitvectors(plan), EstimatedCardModel(estimator))
 
         full_cost = aware(optimizer.optimize(star_spec, "full"))
         blind_cost = aware(optimizer.optimize(star_spec, "blind"))
@@ -94,15 +92,13 @@ class TestIntegrationModes:
 
     def test_alternative_never_worse_than_blind(self, star_db, star_spec):
         from repro.cost.cout import EstimatedCardModel, cout
-        from repro.plan.clone import clone_plan
         from repro.stats.estimator import CardinalityEstimator
 
         optimizer = CascadesOptimizer(star_db)
         estimator = CardinalityEstimator(star_db, star_spec.alias_tables)
 
         def aware(plan):
-            copy, _ = clone_plan(plan)
-            return cout(push_down_bitvectors(copy), EstimatedCardModel(estimator))
+            return cout(push_down_bitvectors(plan), EstimatedCardModel(estimator))
 
         alt = aware(optimizer.optimize(star_spec, "alternative"))
         blind = aware(optimizer.optimize(star_spec, "blind"))

@@ -67,6 +67,27 @@ def star_spec() -> QuerySpec:
 
 
 @pytest.fixture(scope="session")
+def residual_spec() -> QuerySpec:
+    """Three relations over ``star_db`` where ``c`` joins both ``a`` and
+    ``b``: in ``T(a, b, c)`` c's filter references two aliases, cannot
+    descend past the join that combines them, and stays above it as a
+    residual ``FilterNode``."""
+    return QuerySpec(
+        name="residual_q",
+        relations=(
+            RelationRef("a", "fact"),
+            RelationRef("b", "dim1"),
+            RelationRef("c", "fact"),
+        ),
+        join_predicates=(
+            JoinPredicate("a", ("fk1",), "b", ("id",)),
+            JoinPredicate("c", ("fk1",), "a", ("fk2",)),
+            JoinPredicate("c", ("fk2",), "b", ("id",)),
+        ),
+    )
+
+
+@pytest.fixture(scope="session")
 def star_expected_count(star_db: Database) -> int:
     """Reference answer for ``star_spec`` computed without the engine."""
     dim1 = star_db.table("dim1")

@@ -67,6 +67,23 @@ def test_explain_analyze_annotates_actuals_beside_estimates(service):
     assert "spans:" in rendered
 
 
+def test_optimize_span_and_header_say_what_the_search_did(service):
+    # A 2-dimension star is one snowflake with 1 fact-first + 2
+    # dimension-led candidates (Theorem 4.1: n + 1).
+    tracer = Tracer()
+    service.execute(_JOIN_SQL, name="searched", tracer=tracer)
+    (optimize,) = tracer.spans("optimize")
+    assert optimize.attributes["candidates"] == 3
+    assert optimize.attributes["snowflakes"] == 1
+
+    service.invalidate()
+    cold = service.explain_analyze(_JOIN_SQL)
+    assert "plan cache MISS" in cold
+    assert "ms (3 candidates, 1 snowflakes) + execute" in cold
+    warm = service.explain_analyze(_JOIN_SQL)
+    assert "plan cache HIT" in warm and "candidates" not in warm
+
+
 def test_explain_analyze_on_tpcds_join(tpcds_tiny):
     database, _specs = tpcds_tiny
     service = QueryService(database)

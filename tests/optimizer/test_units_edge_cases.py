@@ -107,3 +107,75 @@ class TestBlindMode:
         from repro.plan.properties import is_right_deep
 
         assert is_right_deep(blind)
+
+
+class TestMultiRootBranchGroups:
+    """Algorithm 2's group P2: fact-adjacent branches that also join
+    each other share one component and split it between their roots."""
+
+    @staticmethod
+    def spec():
+        from repro.query.spec import JoinPredicate, QuerySpec, RelationRef
+
+        # f -> d1, f -> d2 (two roots); d1 - d2 joined to each other;
+        # x hangs off d2 only; y hangs off both roots (tie -> d1);
+        # z hangs off y, two hops from either root.
+        return QuerySpec(
+            name="p2",
+            relations=(
+                RelationRef("f", "fact"),
+                RelationRef("d1", "dim1"),
+                RelationRef("d2", "dim2"),
+                RelationRef("x", "dim1"),
+                RelationRef("y", "dim2"),
+                RelationRef("z", "dim1"),
+            ),
+            join_predicates=(
+                JoinPredicate("f", ("fk1",), "d1", ("id",)),
+                JoinPredicate("f", ("fk2",), "d2", ("id",)),
+                JoinPredicate("d1", ("v",), "d2", ("w",)),
+                JoinPredicate("d2", ("w",), "x", ("id",)),
+                JoinPredicate("d1", ("v",), "y", ("id",)),
+                JoinPredicate("d2", ("id",), "y", ("w",)),
+                JoinPredicate("y", ("w",), "z", ("id",)),
+            ),
+        )
+
+    def test_members_partition_the_component(self, star_db):
+        from repro.optimizer.snowflake import _assign_members
+
+        graph, estimator = setup(star_db, self.spec())
+        ugraph = UnitGraph(graph, estimator)
+        component = {"d1", "d2", "x", "y", "z"}
+        members = _assign_members(ugraph, component, ["d1", "d2"])
+        assert members == {"d1": {"d1", "y", "z"}, "d2": {"d2", "x"}}
+
+    def test_branch_orders_are_prefix_connected(self, star_db):
+        from repro.optimizer.snowflake import _assign_members, _bfs_order
+
+        graph, estimator = setup(star_db, self.spec())
+        ugraph = UnitGraph(graph, estimator)
+        members = _assign_members(
+            ugraph, {"d1", "d2", "x", "y", "z"}, ["d1", "d2"]
+        )
+        for root, owned in members.items():
+            order = _bfs_order(ugraph, owned, root)
+            assert order[0] == root and set(order) == owned
+            for index in range(1, len(order)):
+                assert ugraph.neighbors(order[index], set(order[:index]))
+
+    def test_unreachable_members_are_named(self, star_db):
+        from repro.optimizer.snowflake import _bfs_order
+
+        graph, estimator = setup(star_db, self.spec())
+        ugraph = UnitGraph(graph, estimator)
+        # z reaches d2 only through y, which this member set leaves out.
+        with pytest.raises(OptimizerError, match=r"\['z'\].*'d2'"):
+            _bfs_order(ugraph, {"d2", "x", "z"}, "d2")
+
+    @pytest.mark.parametrize("aware", (True, False))
+    def test_plan_covers_every_relation(self, star_db, aware):
+        spec = self.spec()
+        graph, estimator = setup(star_db, spec)
+        plan = optimize_join_graph(graph, estimator, bitvector_aware=aware)
+        assert base_aliases(plan) == frozenset(spec.aliases)

@@ -99,23 +99,10 @@ class TestPushdown:
         assert len(chain_filters) == 1
         assert chain_filters[0].probe_keys[0][0] == "b0_0"
 
-    def test_residual_filter_for_multi_alias_keys(self, star_db):
+    def test_residual_filter_for_multi_alias_keys(self, star_db, residual_spec):
         # build side joins BOTH probe relations => its filter references
         # two aliases and cannot descend past the join that combines them
-        spec = QuerySpec(
-            name="q",
-            relations=(
-                RelationRef("a", "fact"),
-                RelationRef("b", "dim1"),
-                RelationRef("c", "fact"),
-            ),
-            join_predicates=(
-                JoinPredicate("a", ("fk1",), "b", ("id",)),
-                JoinPredicate("c", ("fk1",), "a", ("fk2",)),
-                JoinPredicate("c", ("fk2",), "b", ("id",)),
-            ),
-        )
-        graph = JoinGraph(spec, star_db.catalog)
+        graph = JoinGraph(residual_spec, star_db.catalog)
         plan = push_down_bitvectors(build_right_deep(graph, ["a", "b", "c"]))
         assert any(isinstance(node, FilterNode) for node in plan.walk())
 
@@ -140,3 +127,87 @@ class TestPushdown:
         a = plan_signature(build_right_deep(star_graph, ["f", "d1", "d2"]))
         b = plan_signature(build_right_deep(star_graph, ["f", "d2", "d1"]))
         assert a != b
+
+
+def _recursive_walk(node):
+    """Pre-order by definition: the node, then each child's subtree."""
+    yield node
+    for child in node.children():
+        yield from _recursive_walk(child)
+
+
+def _recomputed_aliases(node):
+    if isinstance(node, ScanNode):
+        return frozenset({node.alias})
+    return frozenset().union(
+        *(_recomputed_aliases(child) for child in node.children())
+    )
+
+
+def _assert_alias_sets_hold(plan):
+    for node in plan.walk():
+        assert node.output_aliases == _recomputed_aliases(node), node.label
+
+
+class TestAliasSetInvariant:
+    """A join fixes its alias set at construction; push-down and strip
+    only wrap / unwrap children, so it must still equal the union
+    recomputed from whatever the children are now."""
+
+    @pytest.fixture()
+    def residual_graph(self, star_db, residual_spec):
+        return JoinGraph(residual_spec, star_db.catalog)
+
+    @pytest.fixture()
+    def residual_plan(self, residual_graph):
+        return build_right_deep(residual_graph, ["a", "b", "c"])
+
+    @staticmethod
+    def bushy_plan():
+        db, spec = random_snowflake(3, branch_lengths=(2, 2))
+        graph = JoinGraph(spec, db.catalog)
+        left = build_right_deep(graph, ["b0_0", "b0_1"])
+        right = build_right_deep(graph, ["f", "b1_0", "b1_1"])
+        return join_nodes(graph, build=left, probe=right)
+
+    def test_holds_through_pushdown_with_residuals_and_strip(self, residual_plan):
+        plan = residual_plan
+        _assert_alias_sets_hold(plan)
+        pushed = push_down_bitvectors(plan)
+        assert any(isinstance(node, FilterNode) for node in pushed.walk())
+        _assert_alias_sets_hold(pushed)
+        stripped = strip_bitvectors(pushed)
+        assert not any(isinstance(node, FilterNode) for node in stripped.walk())
+        _assert_alias_sets_hold(stripped)
+
+    def test_holds_on_a_bushy_tree(self):
+        plan = self.bushy_plan()
+        assert not is_right_deep(plan)
+        _assert_alias_sets_hold(push_down_bitvectors(plan))
+        _assert_alias_sets_hold(strip_bitvectors(plan))
+
+    def test_walk_order_is_the_recursive_preorder(self, residual_plan):
+        deep_db, deep_spec = random_snowflake(4, branch_lengths=(3, 2, 1))
+        deep_graph = JoinGraph(deep_spec, deep_db.catalog)
+        right_deep = build_right_deep(
+            deep_graph, ["f", "b0_0", "b0_1", "b0_2", "b1_0", "b1_1", "b2_0"]
+        )
+        for plan in (right_deep, self.bushy_plan(), residual_plan):
+            assert list(plan.walk()) == list(_recursive_walk(plan))
+            pushed = push_down_bitvectors(plan)
+            assert list(pushed.walk()) == list(_recursive_walk(pushed))
+
+    def test_join_keys_keep_build_then_probe_alias_order(
+        self, residual_graph, residual_plan
+    ):
+        # c joins both a and b: keys come out sorted by (build alias,
+        # probe alias) whichever side the adjacency is read from.
+        assert residual_plan.build_keys == (("c", "fk1"), ("c", "fk2"))
+        assert residual_plan.probe_keys == (("a", "fk2"), ("b", "id"))
+        flipped = join_nodes(
+            residual_graph,
+            build=build_right_deep(residual_graph, ["a", "b"]),
+            probe=scan_for(residual_graph.spec, "c"),
+        )
+        assert flipped.build_keys == (("a", "fk2"), ("b", "id"))
+        assert flipped.probe_keys == (("c", "fk1"), ("c", "fk2"))

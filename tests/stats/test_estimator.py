@@ -227,3 +227,57 @@ class TestEdgeCases:
             "a", ("id",), "b", ("id",)
         )
         assert sel == 0.0
+
+
+class TestPerQueryMemos:
+    """An estimator remembers base cardinalities and distinct counts
+    for its own lifetime — one ``optimize_query`` call — and nothing
+    about zone maps, which the engine builds between calls."""
+
+    def test_base_cardinality_evaluates_a_predicate_once(self, db, monkeypatch):
+        estimator = CardinalityEstimator(db, {"a": "t", "b": "t"})
+        calls = []
+        evaluate = CardinalityEstimator.predicate_selectivity
+        monkeypatch.setattr(
+            CardinalityEstimator, "predicate_selectivity",
+            lambda self, expression: calls.append(expression)
+            or evaluate(self, expression),
+        )
+        predicate = Comparison("<", col("a", "price"), lit(250.0))
+        first = estimator.base_cardinality("a", predicate)
+        assert estimator.base_cardinality("a", predicate) == first
+        assert calls == [predicate]
+        assert first == pytest.approx(2500, rel=0.1)
+
+    def test_memo_is_keyed_by_alias_and_predicate_object(self, db):
+        estimator = CardinalityEstimator(db, {"a": "t", "b": "t"})
+        narrow = Comparison("<", col("a", "price"), lit(100.0))
+        wide = Comparison("<", col("a", "price"), lit(900.0))
+        assert estimator.base_cardinality("a", narrow) < estimator.base_cardinality(
+            "a", wide
+        )
+        assert estimator.base_cardinality("a", None) == 10_000
+        assert estimator.base_cardinality("b", None) == 10_000
+        # and it agrees with an estimator that has remembered nothing
+        fresh = CardinalityEstimator(db, {"a": "t", "b": "t"})
+        assert fresh.base_cardinality("a", wide) == estimator.base_cardinality(
+            "a", wide
+        )
+
+    def test_zone_skip_sees_synopses_built_after_first_use(self):
+        # Clustered keys: once the engine has built the probe column's
+        # zone map, the same estimator must see it on its next call.
+        database = Database("zones")
+        database.add_table(
+            Table.from_arrays("probe", {"k": np.arange(40_000)})
+        )
+        database.add_table(
+            Table.from_arrays("build", {"k": np.arange(100)}, key=("k",))
+        )
+        estimator = CardinalityEstimator(
+            database, {"p": "probe", "b": "build"}
+        )
+        args = ("p", ("k",), "b", ("k",))
+        assert estimator.bitvector_zone_skip_fraction(*args) == 0.0
+        database.zone_map("probe", "k", morsel_rows=1000)
+        assert estimator.bitvector_zone_skip_fraction(*args) > 0.5
