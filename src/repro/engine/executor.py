@@ -22,6 +22,7 @@ from repro.engine.metrics import (
     OPERATOR_KIND_OTHER,
 )
 from repro.engine.context import ExecutionContext
+from repro.engine.join_kernel import identity_to_none, join_codes, join_matcher
 from repro.engine.parallel import run_morsel_tasks
 from repro.engine.relation import Relation
 from repro.errors import ExecutionError, MorselTaskError, ResilienceError
@@ -281,14 +282,7 @@ class Executor:
             metrics.morsel_sizer = AdaptiveMorselSizer(self._morsel_rows)
         filters: dict[int, BitvectorFilter] = {}
         overrides = predicate_overrides or {}
-        facts = _PlanFacts(
-            _needed_columns(plan, overrides),
-            # The eager baseline reproduces the seed engine: every join
-            # runs.
-            frozenset()
-            if self._eager
-            else _absorbable_joins(plan),
-        )
+        facts = _plan_facts(plan, overrides, self._eager)
         aggregates: dict[str, np.ndarray] | None = None
         if isinstance(plan, TopKNode):
             inner = plan.child
@@ -1219,12 +1213,27 @@ class Executor:
                         absorbed_by=node.created_bitvector.filter_id,
                     )
                 return probe_rel
-        build_idx, probe_idx = self._join_matches(
+        build_idx, probe_idx, indexes_probe = self._join_matches(
             node, build_rel, probe_rel, filters, metrics
         )
         result = self._settle(
-            probe_rel.merged_with(build_rel, probe_idx, build_idx)
+            probe_rel.merged_with(
+                build_rel, probe_idx, build_idx, facts.live.get(node.node_id)
+            )
         )
+        if metrics.tracer is not None:
+            # "Why did this join take 10 ms": the side the matcher
+            # indexed, the sides merged as they were, the aliases
+            # nothing above reads.
+            dropped = (build_rel.aliases() | probe_rel.aliases()) - result.aliases()
+            metrics.tracer.annotate(
+                indexed="probe" if indexes_probe else "build",
+                identity={
+                    (True, True): "both", (True, False): "build",
+                    (False, True): "probe", (False, False): "none",
+                }[build_idx is None, probe_idx is None],
+                dropped=",".join(sorted(dropped)) or "-",
+            )
         record.add("output", result.num_rows)
         record.rows_out = result.num_rows
         return result
@@ -1236,20 +1245,22 @@ class Executor:
         probe_rel: Relation,
         filters: dict[int, BitvectorFilter],
         metrics: ExecutionMetrics,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Matching ``(build_row, probe_row)`` pairs of one hash join.
+    ) -> tuple[np.ndarray | None, np.ndarray | None, bool]:
+        """Matching row pairs of one hash join, as ``(build_idx,
+        probe_idx, indexes_probe)``; an index of ``None`` is the identity.
 
         Keys are compared as int64 codes (equal codes <=> equal key
-        tuples).  Every key column that still carries base-table
+        tuples) by :mod:`repro.engine.join_kernel`, which also decides
+        from the codes alone which side the match structure indexes
+        (``indexes_probe``) and which streams through it.  Every key column that still carries base-table
         provenance is read as stored dictionary codes — an O(rows) code
         gather plus an O(distinct) domain translation, see
-        :meth:`_dictionary_join_context` — and the build side's
-        :class:`_BuildMatcher` is built once and shared by whichever
-        probe shape applies: the kept morsels after zone pruning
-        (skipped morsels were proven matchless), adaptive morsels on the
-        pool, or the whole probe relation inline.  Morsel results
-        concatenate in morsel order (probe offsets rebased), so all
-        three emit the identical pair sequence.
+        :meth:`_dictionary_join_context` — and the matcher is built once
+        and shared by whichever shape the streamed side takes: the kept
+        probe morsels after zone pruning (skipped morsels were proven
+        matchless), adaptive morsels on the pool, or the whole side
+        inline.  Morsel results concatenate in morsel order (streamed
+        offsets rebased), so all three emit the identical pair sequence.
 
         Without provenance (derived columns, float keys, mixed-radix
         overflow, the eager baseline) both sides are factorized jointly,
@@ -1257,7 +1268,7 @@ class Executor:
         """
         if build_rel.num_rows == 0 or probe_rel.num_rows == 0:
             empty = np.array([], dtype=np.int64)
-            return empty, empty
+            return empty, empty, False
         dictionaries = (
             None
             if self._eager
@@ -1266,28 +1277,50 @@ class Executor:
         if dictionaries is None:
             if not self._eager:
                 metrics.dictionary_misses += len(node.build_keys)
-            build_codes, probe_codes, domain = joint_codes_and_domain(
-                [build_rel.column(a, c) for a, c in node.build_keys],
-                [probe_rel.column(a, c) for a, c in node.probe_keys],
+            return join_codes(
+                *joint_codes_and_domain(
+                    [build_rel.column(a, c) for a, c in node.build_keys],
+                    [probe_rel.column(a, c) for a, c in node.probe_keys],
+                )
             )
-            return _BuildMatcher(
-                build_codes, domain, len(probe_codes)
-            ).match(probe_codes)
         metrics.dictionary_hits += len(node.build_keys)
         build_codes, encode_probe, domain = self._dictionary_join_context(
             node, build_rel, probe_rel, dictionaries
         )
-        matcher = _BuildMatcher(build_codes, domain, probe_rel.num_rows)
+        pruning = self._join_zone_pruning(node, build_rel, probe_rel, filters)
+        kept = None if pruning is None else self._split_pruned(metrics, *pruning)
+
+        def probe_codes() -> np.ndarray:
+            if kept is None:
+                return encode_probe(probe_rel)
+            # Pruned morsels were proven matchless: absent, never read.
+            codes = np.full(probe_rel.num_rows, -1, dtype=np.int64)
+            for start, stop in kept:
+                codes[start:stop] = encode_probe(
+                    probe_rel.range_view(start, stop, counters=metrics)
+                )
+            return codes
+
+        matcher, indexes_probe = join_matcher(
+            build_codes, domain, probe_rel.num_rows, probe_codes
+        )
+        indexed_rel, streamed_rel = build_rel, probe_rel
+        if indexes_probe:
+            # The build side streams whole; pruning went into the index.
+            indexed_rel, streamed_rel, kept = probe_rel, build_rel, None
 
         def task(start: int, stop: int, worker: ExecutionMetrics):
-            view = probe_rel.range_view(start, stop, counters=worker)
-            build_idx, probe_idx = matcher.match(encode_probe(view))
-            return build_idx, probe_idx + start
+            indexed_idx, streamed_idx = matcher.match(
+                build_codes[start:stop] if indexes_probe else encode_probe(
+                    probe_rel.range_view(start, stop, counters=worker)
+                )
+            )
+            if streamed_idx is None:
+                return indexed_idx, np.arange(start, stop, dtype=np.int64)
+            return indexed_idx, streamed_idx + start
 
         parts = None
-        pruning = self._join_zone_pruning(node, build_rel, probe_rel, filters)
-        if pruning is not None:
-            kept = self._split_pruned(metrics, *pruning)
+        if kept is not None:
             if (
                 self._parallel
                 and len(kept) >= 2
@@ -1299,22 +1332,28 @@ class Executor:
             else:
                 # Too little survived pruning to be worth the pool.
                 parts = [task(start, stop, metrics) for start, stop in kept]
-        elif self._parallel and probe_rel.num_rows >= _MIN_PARALLEL_ROWS:
-            probe_rel.settle_selections()
+        elif self._parallel and streamed_rel.num_rows >= _MIN_PARALLEL_ROWS:
+            streamed_rel.settle_selections()
             # Match-output counts feed the sizer's selectivity signal.
             parts = self._adaptive_map(
-                metrics, probe_rel.num_rows, task,
+                metrics, streamed_rel.num_rows, task,
                 out_rows=lambda part: len(part[1]),
             )
         if parts is None:
-            return matcher.match(encode_probe(probe_rel))
-        if not parts:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty
-        return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-        )
+            indexed_idx, streamed_idx = matcher.match(
+                build_codes if indexes_probe else encode_probe(probe_rel)
+            )
+        else:
+            empty = [np.array([], dtype=np.int64)]
+            indexed_idx = np.concatenate(empty + [part[0] for part in parts])
+            streamed_idx = identity_to_none(
+                np.concatenate(empty + [part[1] for part in parts]),
+                streamed_rel.num_rows,
+            )
+        indexed_idx = identity_to_none(indexed_idx, indexed_rel.num_rows)
+        if indexes_probe:
+            return streamed_idx, indexed_idx, True
+        return indexed_idx, streamed_idx, False
 
     def _join_dictionaries(
         self,
@@ -2072,127 +2111,19 @@ def _pool_threshold(pool_parts: list[np.ndarray], limit: int, ascending: bool):
     return ordered[len(ordered) - limit]
 
 
-# When a join's combined code domain is served by direct addressing (a
-# ``code -> build row`` table or counting-sort offsets, one int64 slot
-# per code).  Allocating and filling the table costs per *slot* what
-# sorting and binary-searching costs per *row* about 16 times over
-# (measured: ~7 ns a slot against ~110 ns a build-or-probe row), so the
-# table is used while the domain stays within that many slots per row
-# the join touches — a 200-row dimension probed by 450 k fact rows
-# qualifies, two small inputs over a wide key domain sort instead —
-# and never past the cap (8 MiB a table).
-_DENSE_SLOTS_PER_ROW = 16
-_DENSE_DOMAIN_CAP = 1 << 20
-
-
-class _BuildMatcher:
-    """Immutable code-space match structure of one join's build side.
-
-    Built once from the build rows' combined key codes (all in
-    ``[0, domain)``), then probed by every morsel worker lock-free —
-    the single-build-then-shared contract the parallel hash join relies
-    on.  Three shapes, chosen from what the codes themselves show:
-
-    * **unique build** (the PK side of a PK-FK join; one ``bincount``
-      proves it): a ``code -> build row`` table of ``domain + 1`` slots
-      whose last slot holds ``-1``, so an absent probe code (``-1``)
-      indexes the sentinel directly.  A probe is one gather and a
-      ``>= 0`` mask — no sort, no search, no expansion.
-    * **duplicate build codes, dense domain**: counting-sort offsets
-      (per-code count and start, same sentinel slot) over a stable
-      radix-sorted row order; probes gather their match ranges.
-    * **domain too wide for the rows involved** (more than
-      ``_DENSE_SLOTS_PER_ROW`` slots per build-plus-probe row, or past
-      ``_DENSE_DOMAIN_CAP``): stable sort plus two binary searches per
-      probe.
-
-    Every shape emits pairs in the same order: ``probe_idx`` ascending,
-    and per probe row its build matches in build-row order — so
-    concatenating morsel results equals one whole-relation call.
-    """
-
-    __slots__ = ("_rows", "_order", "_counts", "_starts", "_sorted")
-
-    def __init__(
-        self, build_codes: np.ndarray, domain: int, probe_rows: int
-    ) -> None:
-        self._rows = self._order = self._counts = None
-        self._starts = self._sorted = None
-        rows = len(build_codes) + probe_rows
-        if domain > min(_DENSE_DOMAIN_CAP, _DENSE_SLOTS_PER_ROW * rows):
-            self._order = _stable_code_order(build_codes, domain)
-            self._sorted = build_codes[self._order]
-            return
-        # One extra slot no build code reaches: the count-0 sentinel.
-        counts = np.bincount(build_codes, minlength=domain + 1)
-        if counts.max() <= 1:
-            rows = np.full(domain + 1, -1, dtype=np.int64)
-            rows[build_codes] = np.arange(len(build_codes), dtype=np.int64)
-            self._rows = rows
-            return
-        self._order = _stable_code_order(build_codes, domain)
-        self._counts = counts
-        self._starts = np.cumsum(counts) - counts
-
-    def match(self, probe_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All matching ``(build_row, probe_row)`` pairs for these probes.
-
-        A unique build whose every probe row hit returns the gathered
-        build rows themselves (no compaction copy).
-        """
-        if self._rows is not None:
-            build_idx = self._rows[probe_codes]
-            hit = build_idx >= 0
-            if hit.all():
-                return build_idx, np.arange(len(build_idx), dtype=np.int64)
-            probe_idx = np.flatnonzero(hit)
-            return build_idx[probe_idx], probe_idx
-        if self._sorted is None:
-            counts = self._counts[probe_codes]
-            starts = self._starts[probe_codes]
-        else:
-            starts = np.searchsorted(self._sorted, probe_codes, side="left")
-            counts = (
-                np.searchsorted(self._sorted, probe_codes, side="right")
-                - starts
-            )
-        probe_idx = np.repeat(
-            np.arange(len(probe_codes), dtype=np.int64), counts
-        )
-        # Output slot t belongs to probe row p = probe_idx[t] and reads
-        # sorted build position starts[p] + (t - first slot of p).
-        firsts = np.cumsum(counts) - counts
-        positions = np.arange(len(probe_idx), dtype=np.int64) + np.repeat(
-            starts - firsts, counts
-        )
-        return self._order[positions], probe_idx
-
-
-def _stable_code_order(codes: np.ndarray, domain: int) -> np.ndarray:
-    """``np.argsort(codes, kind="stable")`` for codes in ``[0, domain)``.
-
-    NumPy's stable sort is an O(n) radix sort only for keys of 16 bits
-    or fewer (timsort above), so the key is narrowed: one ``uint16``
-    pass when the domain fits, two (low half, then high half of the
-    already-ordered rows — LSD radix) up to 2**32.
-    """
-    if domain <= 1 << 16:
-        return np.argsort(codes.astype(np.uint16), kind="stable")
-    if domain <= 1 << 32:
-        order = np.argsort((codes & 0xFFFF).astype(np.uint16), kind="stable")
-        high = (codes >> 16).astype(np.uint16)[order]
-        return order[np.argsort(high, kind="stable")]
-    return np.argsort(codes, kind="stable")
-
-
 class _PlanFacts(NamedTuple):
-    """Per-execution facts derived from the plan tree before it runs."""
+    """Per-execution facts derived from the plan tree before it runs —
+    all three by the one sweep of :func:`_plan_facts`."""
 
     #: Columns each alias's scan must carry (anything any node reads).
     needed: dict[str, set[str]]
     #: ``node_id`` of every join the plan's shape lets its own
-    #: pushed-down filter stand in for (see :func:`_absorbable_joins`).
+    #: pushed-down filter stand in for.
     absorbable: frozenset[int]
+    #: Per join ``node_id``, the aliases some ancestor still reads; the
+    #: join's output carries no column group without one.  A join with
+    #: no entry keeps every group.
+    live: dict[int, frozenset[str]]
 
 
 def _node_references(node: PlanNode, overrides: dict[str, object]):
@@ -2204,6 +2135,8 @@ def _node_references(node: PlanNode, overrides: dict[str, object]):
     if isinstance(node, HashJoinNode):
         yield from node.build_keys
         yield from node.probe_keys
+        if node.created_bitvector is not None:
+            yield from node.created_bitvector.build_keys
     for definition in node.applied_bitvectors:
         yield from definition.probe_keys
     if isinstance(node, AggregateNode):
@@ -2221,62 +2154,68 @@ def _node_references(node: PlanNode, overrides: dict[str, object]):
             yield ref.alias, ref.column
 
 
-def _needed_columns(
-    plan: PlanNode, overrides: dict[str, object] | None = None
-) -> dict[str, set[str]]:
-    """Columns each alias must materialize for this plan."""
+def _plan_facts(
+    plan: PlanNode, overrides: dict[str, object], eager: bool = False
+) -> _PlanFacts:
+    """One sweep of the plan: what to scan, skip and stop carrying.
+
+    Top-down it accumulates the aliases the nodes *above* each node
+    read — later join keys, residual filters, aggregates, GROUP BY,
+    ORDER BY and projection columns; only ancestors can read a join's
+    output, every other node sits in a subtree that does not carry its
+    aliases — and bottom-up the filters each subtree applies.  From
+    those:
+
+    * ``needed``: every column any node reads, per alias.
+    * ``live``: for each join, the aliases read above it.
+    * ``absorbable``: joins whose pushed-down filter may stand in for
+      the join itself — the paper's absorption property: once a PK-FK
+      join's filter has been applied below it, the join neither adds
+      nor removes a probe row.  This is the plan-shape half of that
+      test (:meth:`Executor._hash_join` adds the run-time half — the
+      filter is exact and its build keys came out distinct): the join
+      created a filter over exactly its own key pairs, some node of its
+      probe subtree applies it (cost-based selection may have dropped
+      it), and no build-side alias is live above the join.
+
+    A plan rooted at a bare relation outputs every scanned column, so
+    nothing in it is absorbable or dropped; neither is anything in the
+    eager baseline, which reproduces the seed engine.
+    """
     needed: dict[str, set[str]] = {}
-    overrides = overrides or {}
-    for node in plan.walk():
-        for alias, column in _node_references(node, overrides):
+    absorbable: set[int] = set()
+    live: dict[int, frozenset[str]] = {}
+    prunes = isinstance(plan, (AggregateNode, TopKNode)) and not eager
+
+    def visit(node: PlanNode, above: frozenset[str]) -> set[int]:
+        """Ids of the filters applied in ``node``'s subtree."""
+        references = list(_node_references(node, overrides))
+        for alias, column in references:
             needed.setdefault(alias, set()).add(column)
         if isinstance(node, ScanNode):
             needed.setdefault(node.alias, set())
-    return needed
-
-
-def _absorbable_joins(plan: PlanNode) -> frozenset[int]:
-    """Joins whose pushed-down filter may stand in for the join itself.
-
-    The paper's absorption property: once a PK-FK join's filter has
-    been applied below it, the join neither adds nor removes a probe
-    row.  This is the plan-shape half of that test, decided once per
-    execution; :meth:`Executor._hash_join` adds the run-time half (the
-    filter is exact and its build keys came out distinct):
-
-    * the join created a filter over exactly its own key pairs, and
-      some node of its probe subtree applies it (cost-based selection
-      may have dropped it);
-    * no node above the join reads any build-side alias — later join
-      keys, residual filters, aggregates, GROUP BY, ORDER BY or
-      projection columns.  Only ancestors can: every other node sits in
-      a subtree that does not carry those aliases.  A plan rooted at a
-      bare relation outputs every scanned column, so nothing in it is
-      absorbable.
-    """
-    absorbable: set[int] = set()
-
-    def visit(node: PlanNode, above: frozenset[str]) -> None:
-        if isinstance(node, HashJoinNode):
+        applied = {
+            definition.filter_id for definition in node.applied_bitvectors
+        }
+        below = above | {alias for alias, _ in references}
+        if not isinstance(node, HashJoinNode):
+            for child in node.children():
+                applied |= visit(child, below)
+            return applied
+        applied |= visit(node.build, below)
+        applied_in_probe = visit(node.probe, below)
+        if prunes:
+            live[node.node_id] = above
             definition = node.created_bitvector
             if (
                 definition is not None
                 and definition.build_keys == node.build_keys
                 and definition.probe_keys == node.probe_keys
+                and definition.filter_id in applied_in_probe
                 and node.build.output_aliases.isdisjoint(above)
-                and any(
-                    applied.filter_id == definition.filter_id
-                    for below in node.probe.walk()
-                    for applied in below.applied_bitvectors
-                )
             ):
                 absorbable.add(node.node_id)
-        children = node.children()
-        if children:
-            above = above | {alias for alias, _ in _node_references(node, {})}
-            for child in children:
-                visit(child, above)
+        return applied | applied_in_probe
 
-    if isinstance(plan, (AggregateNode, TopKNode)):
-        visit(plan, frozenset())
-    return frozenset(absorbable)
+    visit(plan, frozenset())
+    return _PlanFacts(needed, frozenset(absorbable), live)

@@ -32,11 +32,16 @@ from repro.succinct import Bitvector
 # representation.  Below this, an int64 position vector is at worst a
 # few hundred KiB and the numpy fixed costs of packing/decoding words
 # (packbits + unpackbits + flatnonzero vs one flatnonzero) outweigh the
-# memory win — measured on the 20-query star hot path, packing every
-# 18k-row scan selection costs ~4% end to end.  Above it, selection
-# state starts competing for cache between operators and the 64x
-# smaller words win.  Chosen representation never changes results:
-# decoded positions are identical either way.
+# memory win.  The floor was set when the decode scanned uint8 bytes
+# (an 18k-row selection at 30 % set: 66 us packed-and-decoded against
+# 12.5 us for the one flatnonzero, ~4 % of the 20-query star hot path
+# end to end); with the bool-view decode the same selection costs
+# 19.5 us (53 vs 42 us at 65,536 rows, 327 vs 271 us at 400 k), so the
+# floor now guards a ~7 us fixed cost per selection and has not been
+# re-tuned.  Above it, selection state starts competing for cache
+# between operators and the 64x smaller words win.  Chosen
+# representation never changes results: decoded positions are
+# identical either way.
 _BITMAP_MIN_ROWS = 1 << 16
 
 
@@ -221,6 +226,9 @@ class Relation:
 
     def column_keys(self) -> list[tuple[str, str]]:
         return sorted(key for group in self._groups for key in group.base)
+
+    def aliases(self) -> set[str]:
+        return {alias for group in self._groups for alias, _ in group.base}
 
     def column(self, alias: str, name: str) -> np.ndarray:
         """The column's values at this view, materializing lazily.
@@ -537,21 +545,41 @@ class Relation:
             groups, stop - start, counters or self._counters
         )
 
-    def merged_with(self, other: "Relation", self_idx: np.ndarray,
-                    other_idx: np.ndarray) -> "Relation":
+    def merged_with(
+        self,
+        other: "Relation",
+        self_idx: np.ndarray | None,
+        other_idx: np.ndarray | None,
+        live: frozenset[str] | None = None,
+    ) -> "Relation":
         """Join-style merge: view self through ``self_idx`` and other
-        through ``other_idx``, concatenating the column sets."""
+        through ``other_idx``, concatenating the column sets.
+
+        An index of ``None`` is the identity — every row of that side,
+        in order — and that side's column groups are carried as they
+        are (an undecoded :class:`BitmapSelection` stays undecoded)
+        instead of being composed with an ``arange``.  ``live`` names
+        the aliases something downstream still reads: a group with none
+        of them is not carried at all (``None`` keeps every group).
+        """
         mine = set(key for group in self._groups for key in group.base)
         for group in other._groups:
             for key in group.base:
                 if key in mine:
                     raise ExecutionError(f"duplicate column {key} in join")
-        self_idx = np.asarray(self_idx, dtype=np.int64)
-        other_idx = np.asarray(other_idx, dtype=np.int64)
-        groups = [group.compose(self_idx) for group in self._groups]
-        groups.extend(group.compose(other_idx) for group in other._groups)
+        groups = []
+        for relation, idx in ((self, self_idx), (other, other_idx)):
+            if idx is not None:
+                idx = np.asarray(idx, dtype=np.int64)
+            for group in relation._groups:
+                if live is not None and live.isdisjoint(
+                    alias for alias, _ in group.base
+                ):
+                    continue
+                groups.append(group if idx is None else group.compose(idx))
+        num_rows = self.num_rows if self_idx is None else len(self_idx)
         return Relation._from_groups(
-            groups, int(len(self_idx)), self._counters or other._counters,
+            groups, int(num_rows), self._counters or other._counters,
             self._parallel_gather or other._parallel_gather,
         )
 

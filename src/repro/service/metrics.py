@@ -55,11 +55,9 @@ class ServiceMetrics:
     morsels_band_searched: int = 0
     # Succinct selection state (repro.engine.relation): bytes of
     # selection structures created during execution vs. the dense
-    # int64 position vectors they replace, and the bytes resident in
-    # the shared filter cache after this query.
+    # int64 position vectors they replace.
     selection_bytes: int = 0
     selection_bytes_dense: int = 0
-    filter_bytes_resident: int = 0
     # Parallel build-side pipeline (repro.engine.executor): filters
     # constructed via partition-build-then-merge, and the wall-clock
     # the query spent building filters (cache hits cost nothing).
@@ -100,8 +98,9 @@ class ServiceStats:
     total_morsels_band_searched: int = 0
     total_selection_bytes: int = 0
     total_selection_bytes_dense: int = 0
-    # Point-in-time, not a sum: the filter cache footprint after the
-    # most recently folded query.
+    # Point-in-time, not a sum: the shared filter cache's footprint,
+    # walked when QueryService.stats() takes the snapshot — never per
+    # statement (it visits every cached filter and each of its memos).
     filter_bytes_resident: int = 0
     total_filter_builds_parallel: int = 0
     total_filter_build_seconds: float = 0.0
@@ -140,7 +139,6 @@ class ServiceStats:
         self.total_morsels_band_searched += metrics.morsels_band_searched
         self.total_selection_bytes += metrics.selection_bytes
         self.total_selection_bytes_dense += metrics.selection_bytes_dense
-        self.filter_bytes_resident = metrics.filter_bytes_resident
         self.total_filter_builds_parallel += metrics.filter_builds_parallel
         self.total_filter_build_seconds += metrics.filter_build_seconds
         if metrics.degraded:

@@ -417,7 +417,6 @@ class QueryService:
             morsels_band_searched=result.metrics.morsels_band_searched,
             selection_bytes=result.metrics.selection_bytes,
             selection_bytes_dense=result.metrics.selection_bytes_dense,
-            filter_bytes_resident=self.filter_cache.resident_bytes(),
             filter_builds_parallel=result.metrics.filter_builds_parallel,
             filter_build_seconds=result.metrics.filter_build_seconds,
             degraded=degraded,
@@ -665,7 +664,7 @@ class QueryService:
             f"{self.filter_cache.size_bits()} bits, "
             f"{self.filter_cache.build_seconds_saved * 1e3:.2f} ms build amortized, "
             f"{self.filter_cache.builds_deduped} builds deduped",
-            f"-- filter residency: {self.filter_cache.resident_bytes()} bytes "
+            f"-- filter residency: {stats.filter_bytes_resident} bytes "
             + "("
             + (
                 ", ".join(
@@ -729,6 +728,7 @@ class QueryService:
         """
         with self._lock:
             snapshot = self._stats.snapshot()
+        snapshot.filter_bytes_resident = self.filter_cache.resident_bytes()
         snapshot.telemetry = self.telemetry.snapshot()
         return snapshot
 
@@ -784,15 +784,20 @@ class QueryService:
             if span.attributes.get("elided")
         }
         # How each scan answered its predicate (band search, zone maps,
-        # dictionary truth tables or row values), also off the node span.
+        # dictionary truth tables or row values) and how each executed
+        # join ran (the side its match structure indexed, the sides
+        # that came back as the identity, the aliases it stopped
+        # carrying), also off the node span.
         answered = {
             span.attributes["node_id"]: ", ".join(
                 f"{key}={span.attributes[key]}"
-                for key in ("predicate", "truth_table")
+                for key in (
+                    "predicate", "truth_table", "indexed", "identity", "dropped"
+                )
                 if key in span.attributes
             )
             for span in tracer.spans("node")
-            if "predicate" in span.attributes
+            if "predicate" in span.attributes or "indexed" in span.attributes
         }
         annotations: dict[int, str] = {}
         for node in entry.plan.walk():

@@ -32,7 +32,7 @@ import threading
 import numpy as np
 import pytest
 
-import repro.engine.executor as executor_module
+import repro.engine.join_kernel as join_kernel
 import repro.expr.eval as eval_module
 from repro.engine.executor import Executor
 from repro.engine.relation import BitmapSelection, Relation
@@ -347,11 +347,12 @@ class TestWarmPathNeverSorts:
         * builds no table dictionary;
         * encodes only dictionaries' distinct values (domain
           translations), never a gathered, row-length column;
-        * sorts no build side whose key codes are distinct unless the
+        * sorts no indexed side whose key codes are distinct unless the
           code domain is too wide for the rows the join touches (the
           matcher's table rule — two small inputs are cheaper sorted
           than a table of the whole domain is to fill): every other
-          unique build gets the ``code -> row`` table, nothing else.
+          distinct-code side gets the ``code -> row`` table, nothing
+          else.
         """
         database = module.build_database(scale=0.05)
         statements = [sql for _, sql in module.query_sqls()]
@@ -371,24 +372,25 @@ class TestWarmPathNeverSorts:
 
             monkeypatch.setattr(keycodes, "encode_into_domain", counting_encode)
 
-            # (build codes were distinct, a sort order exists, the
+            # (indexed codes were distinct, a sort order exists, the
             # domain earns a table for these row counts)
             builds = []
-            matcher_init = executor_module._BuildMatcher.__init__
+            matcher_init = join_kernel.CodeMatcher.__init__
 
-            def recording_init(self, build_codes, domain, probe_rows):
-                matcher_init(self, build_codes, domain, probe_rows)
+            def recording_init(self, codes, domain, streamed_rows, **kwargs):
+                matcher_init(self, codes, domain, streamed_rows, **kwargs)
+                assert self.unique == (len(np.unique(codes)) == len(codes))
                 builds.append(
                     (
-                        len(np.unique(build_codes)) == len(build_codes),
+                        self.unique,
                         self._order is not None,
-                        domain <= executor_module._DENSE_SLOTS_PER_ROW
-                        * (len(build_codes) + probe_rows),
+                        domain <= join_kernel.DENSE_SLOTS_PER_ROW
+                        * (len(codes) + streamed_rows),
                     )
                 )
 
             monkeypatch.setattr(
-                executor_module._BuildMatcher, "__init__", recording_init
+                join_kernel.CodeMatcher, "__init__", recording_init
             )
             table_builds = database.dictionary_cache_info()["builds"]
             factorizations = keycodes.factorization_count()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.executor import Executor, _BuildMatcher
+from repro.engine.executor import Executor
+from repro.engine.join_kernel import join_codes
 from repro.expr.expressions import Comparison, col, lit
 from repro.plan.builder import attach_aggregate, build_right_deep
 from repro.plan.pushdown import push_down_bitvectors
@@ -22,9 +23,13 @@ def _match_keys(build_keys, probe_keys):
     build_codes, probe_codes, domain = joint_codes_and_domain(
         build_keys, probe_keys
     )
-    return _BuildMatcher(build_codes, domain, len(probe_codes)).match(
-        probe_codes
-    )
+    build_idx, probe_idx, _ = join_codes(build_codes, probe_codes, domain)
+    # ``None`` is the kernel's "every row of this side, in order".
+    if build_idx is None:
+        build_idx = np.arange(len(build_codes))
+    if probe_idx is None:
+        probe_idx = np.arange(len(probe_codes))
+    return build_idx, probe_idx
 
 
 class TestMatchKeys:

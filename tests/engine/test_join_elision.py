@@ -6,14 +6,24 @@ adds and removes no probe row (the paper's absorption property of PK-FK
 bitvector filters).  The executor returns its probe input unchanged and
 meters it as the executed join would have been — so results, every
 per-node metrics record and every flat counter must equal a run with
-elision defeated (a test-only monkeypatch of the plan-shape test, not a
-product flag).  The negative cases pin each precondition: drop one and
-the join runs.
+elision defeated (a test-only monkeypatch of the plan sweep's result,
+not a product flag).  The negative cases pin each precondition: drop
+one and the join runs.
+
+The executed joins' own shortcuts are held to the same twin-run
+standard: a side every row of which survived in order is merged as it
+is (no ``arange`` composed through its selections), and column groups
+nothing above the join reads are not carried.  With both defeated the
+answers, node records and metered CPU are equal; only the copy counters
+may be lower, and the zone-pruning counters higher (an identity side
+still is the whole base table, so it stays prunable).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +31,7 @@ import pytest
 import repro.engine.executor as executor_module
 from repro.bench.scaling import star_workload_sqls
 from repro.engine.executor import Executor
+from repro.engine.relation import Relation
 from repro.obs import Tracer
 from repro.optimizer.pipelines import optimize_query
 from repro.plan.builder import attach_aggregate, build_right_deep
@@ -51,6 +62,46 @@ def _elided_joins(executor: Executor, plan) -> tuple[set[int], object]:
         for span in tracer.spans("node")
         if span.attributes.get("elided")
     }, result
+
+
+def _defeat_elision(patch: pytest.MonkeyPatch) -> None:
+    """Every join runs: the plan sweep reports nothing absorbable."""
+    plan_facts = executor_module._plan_facts
+    patch.setattr(
+        executor_module, "_plan_facts",
+        lambda *args: plan_facts(*args)._replace(absorbable=frozenset()),
+    )
+
+
+def _defeat_merge_shortcuts(patch: pytest.MonkeyPatch, defeated: list) -> None:
+    """Every merge composes both sides and carries every group;
+    ``defeated`` collects what each merge was asked to skip."""
+    merged_with = Relation.merged_with
+
+    def composing(self, other, self_idx, other_idx, live=None):
+        defeated.append((self_idx is None, other_idx is None, live is not None))
+        if self_idx is None:
+            self_idx = np.arange(self.num_rows, dtype=np.int64)
+        if other_idx is None:
+            other_idx = np.arange(other.num_rows, dtype=np.int64)
+        return merged_with(self, other, self_idx, other_idx)
+
+    patch.setattr(Relation, "merged_with", composing)
+
+
+def _twin_runs(workload: str, pipeline: str, defeat):
+    """Per statement ``(sql, (elided, result), (elided, result))``: a
+    plain run and one under the ``defeat`` monkeypatch."""
+    build_database, statements = _WORKLOADS[workload]
+    database = build_database()
+    for index, sql in enumerate(statements()):
+        spec = parse_query(database, sql, f"{workload}_{index}")
+        plan = optimize_query(database, spec, pipeline).plan
+        plain = _elided_joins(Executor(database), plan)
+        with pytest.MonkeyPatch.context() as patch:
+            defeat(patch)
+            defeated = _elided_joins(Executor(database), plan)
+        yield sql, plain, defeated
 
 
 def _joins(plan) -> list[HashJoinNode]:
@@ -95,20 +146,11 @@ class TestElisionIsUnobservable:
     def test_every_statement_equals_the_run_with_every_join_executed(
         self, workload, pipeline
     ):
-        build_database, statements = _WORKLOADS[workload]
-        database = build_database()
         elided_total = 0
-        for index, sql in enumerate(statements()):
-            spec = parse_query(database, sql, f"{workload}_{index}")
-            plan = optimize_query(database, spec, pipeline).plan
-            elided, with_elision = _elided_joins(Executor(database), plan)
+        for sql, (elided, with_elision), (none_elided, executed) in _twin_runs(
+            workload, pipeline, _defeat_elision
+        ):
             elided_total += len(elided)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(
-                    executor_module, "_absorbable_joins",
-                    lambda plan: frozenset(),
-                )
-                none_elided, executed = _elided_joins(Executor(database), plan)
             assert none_elided == set()
             assert _result_bytes(with_elision) == _result_bytes(executed), sql
             assert _node_records(with_elision.metrics) == _node_records(
@@ -122,6 +164,36 @@ class TestElisionIsUnobservable:
                 executed.metrics.metered_cpu()
             )
         assert elided_total > 0, "no statement exercised elision"
+
+    @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+    def test_every_statement_equals_the_run_with_merge_shortcuts_defeated(
+        self, workload
+    ):
+        defeated: list[tuple[bool, bool, bool]] = []
+        defeat = functools.partial(_defeat_merge_shortcuts, defeated=defeated)
+        for sql, (elided, shortcut), (same_elided, composed) in itertools.chain(
+            _twin_runs(workload, "bqo", defeat),
+            _twin_runs(workload, "original", defeat),
+        ):
+            assert elided == same_elided
+            assert _result_bytes(shortcut) == _result_bytes(composed), sql
+            assert _node_records(shortcut.metrics) == _node_records(
+                composed.metrics
+            ), sql
+            assert shortcut.metrics.metered_cpu() == composed.metrics.metered_cpu()
+            for counter in _FLAT_COUNTERS:
+                ours = getattr(shortcut.metrics, counter)
+                theirs = getattr(composed.metrics, counter)
+                if counter in ("rows_copied", "bytes_gathered"):
+                    assert ours <= theirs, (counter, sql)
+                elif counter in ("morsels_pruned", "rows_skipped"):
+                    assert ours >= theirs, (counter, sql)
+                else:
+                    assert ours == theirs, (counter, sql)
+        # Both shortcuts were there to defeat: an identity side and a
+        # live-alias set.
+        assert any(self_id or other_id for self_id, other_id, _ in defeated)
+        assert any(live for _, _, live in defeated)
 
     def test_elided_join_never_touches_the_kernel(self, star_db, monkeypatch):
         sql = (
@@ -252,7 +324,7 @@ class TestPreconditions:
         )
         plan = _bqo_plan(database, sql)
         (join,) = _joins(plan)
-        assert join.node_id in executor_module._absorbable_joins(plan)
+        assert join.node_id in executor_module._plan_facts(plan, {}).absorbable
         elided, result = _elided_joins(Executor(database), plan)
         assert elided == set()
         assert result.metrics.dictionary_misses == 1
@@ -317,10 +389,7 @@ class TestPreconditions:
         assert by_build["m"].node_id not in elided
         assert by_build["l"].node_id in elided
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                executor_module, "_absorbable_joins",
-                lambda plan: frozenset(),
-            )
+            _defeat_elision(patch)
             executed = Executor(database).execute(plan)
         assert result.scalar("cnt") == executed.scalar("cnt")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.relation import Relation
+from repro.engine.relation import _BITMAP_MIN_ROWS, BitmapSelection, Relation
 from repro.errors import ExecutionError
 
 
@@ -112,6 +112,67 @@ class TestMerge:
         assert metrics.rows_copied == 0
         assert merged.column("u", "c").tolist() == [59, 58, 57]
         assert metrics.rows_copied == 3
+
+
+    def test_identity_side_keeps_its_groups_and_bitmaps_untouched(self):
+        """``merged_with(None, idx)``: the identity side's groups are
+        carried as they are — the very objects, an undecoded bitmap
+        selection still undecoded — and nothing is copied."""
+        metrics = ExecutionMetrics()
+        rows = _BITMAP_MIN_ROWS + 7
+        left = Relation(
+            {("t", "a"): np.arange(rows)}, rows,
+            sources={("t", "a"): ("base", "a")}, counters=metrics,
+        ).mask(np.arange(rows) % 3 == 0)
+        (group,) = left._groups
+        assert isinstance(group.selection, BitmapSelection)
+        right = Relation({("u", "c"): np.arange(50, 60)}, 10, counters=metrics)
+        idx = np.arange(left.num_rows) % 10
+        merged = left.merged_with(right, None, idx)
+        assert merged.num_rows == left.num_rows
+        assert merged._groups[0] is group
+        assert group.selection._base_positions is None  # never decoded
+        assert metrics.rows_copied == 0
+        assert merged.column("u", "c").tolist() == (50 + idx).tolist()
+        assert merged.column("t", "a").tolist() == list(range(0, rows, 3))
+        # The other way round, and both sides at once.
+        flipped = right.merged_with(left, idx, None)
+        assert flipped._groups[1] is group
+        assert flipped.num_rows == left.num_rows
+        both = left.merged_with(
+            Relation({("v", "d"): np.arange(left.num_rows)}, left.num_rows),
+            None, None,
+        )
+        assert both.num_rows == left.num_rows
+        assert both._groups[0] is group
+        assert both.base_source("v", "d") is None  # no provenance, as before
+
+    def test_identity_merge_equals_the_arange_merge(self):
+        left, right = make_relation(), Relation(
+            {("u", "c"): np.arange(50, 60)}, 10
+        )
+        idx = np.array([9, 0, 0, 4, 4, 4, 1, 2, 3, 5])
+        by_none = left.merged_with(right, None, idx)
+        by_arange = left.merged_with(right, np.arange(10), idx)
+        assert by_none.column_keys() == by_arange.column_keys()
+        for key in by_none.column_keys():
+            assert by_none.column(*key).tolist() == by_arange.column(*key).tolist()
+
+    def test_dead_groups_are_not_carried(self):
+        """``live`` names the aliases still read downstream: a group
+        with none of them is dropped whole, others are kept whole."""
+        left = make_relation()
+        right = Relation({("u", "c"): np.arange(50, 60)}, 10)
+        idx = np.array([3, 1])
+        merged = left.merged_with(right, idx, idx, live=frozenset({"t"}))
+        assert merged.column_keys() == [("t", "a"), ("t", "b")]
+        assert merged.aliases() == {"t"}
+        merged = left.merged_with(right, None, None, live=frozenset({"u", "x"}))
+        assert merged.column_keys() == [("u", "c")]
+        nothing = left.merged_with(right, idx, idx, live=frozenset())
+        assert nothing.column_keys() == [] and nothing.num_rows == 2
+        everything = left.merged_with(right, idx, idx)
+        assert everything.aliases() == {"t", "u"}
 
 
 class TestMaterialized:

@@ -25,11 +25,14 @@ executed join across all sixteen; the test also checks that the skip
 really happened where it should and nowhere else.
 
 All sixteen configurations — the eager baseline's value-keyed join
-included — find their matches through the one ``_BuildMatcher`` kernel,
+included — find their matches through the one ``CodeMatcher`` kernel,
 so the sixteen alone could not see a bug inside it.  The join-heavy
 generators therefore also run a seventeenth reference: the eager serial
-configuration with the kernel swapped (test-only) for a brute-force
-nested-loop comparison of every probe code with every build code.
+configuration with the match structure swapped (test-only) for a
+brute-force nested-loop comparison of every streamed code with every
+indexed code.  The side-choice rule around it (``join_matcher``) stays —
+pair order is part of the answer's bytes — and is itself held to the
+nested loop in ``tests/engine/test_join_kernel.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import itertools
 import numpy as np
 import pytest
 
-import repro.engine.executor as executor_module
+import repro.engine.join_kernel as join_kernel
 from repro.engine.executor import Executor
 from repro.obs import Tracer
 from repro.optimizer.pipelines import optimize_query
@@ -296,26 +299,32 @@ def _result_bytes(result, spec) -> tuple:
 
 
 class _NestedLoopMatcher:
-    """Drop-in for ``_BuildMatcher``: all-pairs equality, no table, no
-    sort — pairs in probe order, per probe row in build-row order."""
+    """Drop-in for ``CodeMatcher``: all-pairs equality, no table, no
+    sort — pairs in streamed-row order, per streamed row in indexed-row
+    order; never claims an identity."""
 
-    def __init__(self, build_codes, domain, probe_rows):
-        self._build_codes = build_codes
+    def __init__(self, codes, domain, streamed_rows, rows=None,
+                 unique_only=False):
+        self._codes = codes
+        self._rows = np.arange(len(codes)) if rows is None else rows
+        self.unique = len(np.unique(codes)) == len(codes)
 
-    def match(self, probe_codes):
+    def match(self, streamed_codes):
         parts = [
             np.nonzero(
-                probe_codes[start:start + 2048, None]
-                == self._build_codes[None, :]
+                streamed_codes[start:start + 2048, None]
+                == self._codes[None, :]
             )
-            for start in range(0, len(probe_codes), 2048)
+            for start in range(0, len(streamed_codes), 2048)
         ]
         empty = np.array([], dtype=np.int64)
         return (
-            np.concatenate([empty] + [build for _, build in parts]),
+            self._rows[
+                np.concatenate([empty] + [indexed for _, indexed in parts])
+            ],
             np.concatenate(
                 [empty]
-                + [probe + 2048 * i for i, (probe, _) in enumerate(parts)]
+                + [streamed + 2048 * i for i, (streamed, _) in enumerate(parts)]
             ),
         )
 
@@ -323,7 +332,7 @@ class _NestedLoopMatcher:
 def _nested_loop_reference(database, plan, spec) -> tuple:
     """Result bytes of the eager serial run joined by nested loops."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(executor_module, "_BuildMatcher", _NestedLoopMatcher)
+        patch.setattr(join_kernel, "CodeMatcher", _NestedLoopMatcher)
         result = Executor(
             database, eager_materialization=True, zone_maps=False
         ).execute(plan)

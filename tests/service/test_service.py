@@ -62,6 +62,24 @@ def test_stats_expose_cache_counters(service):
     assert service.plan_cache.misses == 1
 
 
+def test_filter_residency_is_read_with_stats_not_per_statement(
+    service, monkeypatch
+):
+    """Walking every cached filter and its memos is snapshot work."""
+    walks = []
+    resident_bytes = service.filter_cache.resident_bytes
+    monkeypatch.setattr(
+        service.filter_cache, "resident_bytes",
+        lambda: walks.append(1) or resident_bytes(),
+    )
+    service.execute(_count_sql(3))
+    service.execute(_count_sql(5))
+    assert walks == []
+    assert service.stats().filter_bytes_resident == resident_bytes() > 0
+    assert "filter residency:" in service.explain(_count_sql(3))
+    assert len(walks) == 2
+
+
 def test_lru_eviction_bound_under_churn(star_db):
     service = QueryService(star_db, plan_cache_size=2)
     statements = [

@@ -55,6 +55,27 @@ def test_rank_select_against_numpy_oracles(length, density):
         assert np.array_equal(vector.get(probes), mask[probes])
 
 
+@pytest.mark.parametrize("length", [*range(0, 75), 127, 1001, 65541])
+def test_bulk_decode_equals_the_packed_mask_at_every_width(length):
+    """``positions()`` / ``to_mask()`` go through a bool view of the
+    unpacked bytes: exactly the mask that was packed — last bit set,
+    nothing read past it — for widths that fill neither their last byte
+    nor their last word, as a bool / int64 array the caller may write to
+    without touching the vector."""
+    rng = np.random.default_rng(length)
+    mask = rng.random(length) < 0.4
+    mask[-1:] = True
+    vector = Bitvector.from_mask(mask)
+    decoded, positions = vector.to_mask(), vector.positions()
+    assert decoded.dtype == np.bool_ and positions.dtype == np.int64
+    assert np.array_equal(decoded, mask)
+    assert np.array_equal(positions, np.flatnonzero(mask))
+    decoded[:] = False
+    positions += 5
+    assert np.array_equal(vector.to_mask(), mask)
+    assert np.array_equal(vector.positions(), np.flatnonzero(mask))
+
+
 @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 129, 1000, 65537])
 def test_word_level_combination(length):
     rng = np.random.default_rng(length + 7)
