@@ -11,8 +11,7 @@ The tentpole claims of the succinct-bitvector PR, asserted on
   throughput (the 8x memory win must not cost meaningful probe speed
   where the packed representation is actually used);
 * **byte-identity** — a workload large enough to take the
-  bitmap-selection path answers identically on the lazy engine
-  (serial and parallel) and the eager baseline;
+  bitmap-selection path answers identically serial and parallel;
 * **selection state** — the bitmap selections created during that
   workload hold strictly fewer resident bytes than the dense int64
   position vectors they replaced.

@@ -16,10 +16,9 @@ Four measurements, one artifact (``BENCH_succinct_filters.json``):
   fit a fixed memory budget in each representation; the succinct form
   keeps ~8x more filters hot in the cross-query filter cache.
 * **engine identity** — a selective workload large enough to take the
-  bitmap-selection path runs on the lazy engine (serial and parallel)
-  and on the eager baseline; checksums must be identical, and the run
-  reports the selection-state bytes actually created vs. the dense
-  int64 vectors they replace.
+  bitmap-selection path runs serial and parallel; checksums must be
+  identical, and the run reports the selection-state bytes actually
+  created vs. the dense int64 vectors they replace.
 
 CLI::
 
@@ -185,8 +184,8 @@ def _checksum(results) -> float:
 
 
 def _engine_identity(rows: int, morsel_rows: int) -> dict:
-    """Lazy (serial + parallel) vs. eager baseline: byte identity plus
-    the selection-state accounting of the succinct path."""
+    """Serial vs. parallel: byte identity plus the selection-state
+    accounting of the succinct path."""
     database, sqls = _identity_database(rows)
     plans = [
         optimize_query(
@@ -197,7 +196,6 @@ def _engine_identity(rows: int, morsel_rows: int) -> dict:
     configs = {
         "lazy_serial": dict(parallelism=1),
         "lazy_parallel": dict(parallelism=4),
-        "eager_baseline": dict(parallelism=1, eager_materialization=True),
     }
     checksums: dict[str, float] = {}
     accounting: dict[str, dict] = {}

@@ -118,13 +118,6 @@ class Executor:
         Optional :class:`~repro.filters.cache.BitvectorFilterCache`
         shared across executions; joins whose build side is a bare scan
         reuse previously built filters instead of rebuilding them.
-    eager_materialization:
-        When True, reproduce the seed engine's memory model: every
-        mask/gather copies every column immediately, and join keys are
-        re-factorized per join instead of encoded through the
-        table-resident dictionary indexes.  Exists as the measured
-        baseline for the zero-copy hot path (see
-        ``benchmarks/test_exec_hot_path.py``).
     parallelism:
         Worker count for morsel-driven intra-query parallelism.  The
         default 1 keeps execution on the calling thread with exactly
@@ -156,8 +149,7 @@ class Executor:
         probes skip whole morsels whose value bounds provably cannot
         qualify.  Pruning is conservative, so output stays
         byte-identical at every parallelism level; ``zone_maps=False``
-        preserves the exact unpruned code path (and the eager baseline
-        never prunes, mirroring the seed engine).
+        preserves the exact unpruned code path.
     """
 
     def __init__(
@@ -167,7 +159,6 @@ class Executor:
         filter_options: dict | None = None,
         adaptive_filter_order: bool = False,
         filter_cache=None,
-        eager_materialization: bool = False,
         parallelism: int = 1,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
         adaptive_morsels: bool = True,
@@ -180,14 +171,11 @@ class Executor:
         # repro.engine.lip); off by default to match the paper's engine.
         self._adaptive_filter_order = adaptive_filter_order
         self._filter_cache = filter_cache
-        self._eager = eager_materialization
         self._parallelism = max(int(parallelism), 1)
         self._morsel_rows = max(int(morsel_rows), 1)
-        # The eager baseline exists to reproduce the seed engine, so it
-        # never takes a parallel path and never prunes.
-        self._parallel = self._parallelism > 1 and not self._eager
+        self._parallel = self._parallelism > 1
         self._adaptive_morsels = bool(adaptive_morsels) and self._parallel
-        self._zone_maps = bool(zone_maps) and not self._eager
+        self._zone_maps = bool(zone_maps)
 
     @property
     def parallelism(self) -> int:
@@ -282,7 +270,7 @@ class Executor:
             metrics.morsel_sizer = AdaptiveMorselSizer(self._morsel_rows)
         filters: dict[int, BitvectorFilter] = {}
         overrides = predicate_overrides or {}
-        facts = _plan_facts(plan, overrides, self._eager)
+        facts = _plan_facts(plan, overrides)
         aggregates: dict[str, np.ndarray] | None = None
         if isinstance(plan, TopKNode):
             inner = plan.child
@@ -1071,10 +1059,10 @@ class Executor:
             # as a zero-copy slice view.
             if metrics.tracer is not None:
                 metrics.tracer.annotate(predicate="band")
-            return self._settle(relation.narrow(*band))
+            return relation.narrow(*band)
 
         database = self._database
-        lowered = predicate if self._eager else lower_to_dictionaries(
+        lowered = lower_to_dictionaries(
             predicate,
             lambda alias, column: relation.column_dictionary(
                 database, alias, column, text_only=True
@@ -1111,20 +1099,13 @@ class Executor:
             selection = self._scan_selection_with_zones(
                 relation, ranges, pruned, accepted, metrics, mask_fn
             )
-            return self._settle(relation.select_sorted(selection))
+            return relation.select_sorted(selection)
         selection = self._parallel_selection(
             relation, metrics, mask_fn, ranges=self._scan_ranges(table),
         )
         if selection is not None:
-            return self._settle(relation.select_sorted(selection))
-        return self._settle(relation.mask(mask_fn(relation)))
-
-    def _settle(self, relation: Relation) -> Relation:
-        """Eager baseline hook: copy every column now, like the seed
-        engine did, instead of deferring to first read."""
-        if self._eager:
-            return relation.materialized()
-        return relation
+            return relation.select_sorted(selection)
+        return relation.mask(mask_fn(relation))
 
     def _hash_join(
         self,
@@ -1216,10 +1197,8 @@ class Executor:
         build_idx, probe_idx, indexes_probe = self._join_matches(
             node, build_rel, probe_rel, filters, metrics
         )
-        result = self._settle(
-            probe_rel.merged_with(
-                build_rel, probe_idx, build_idx, facts.live.get(node.node_id)
-            )
+        result = probe_rel.merged_with(
+            build_rel, probe_idx, build_idx, facts.live.get(node.node_id)
         )
         if metrics.tracer is not None:
             # "Why did this join take 10 ms": the side the matcher
@@ -1263,20 +1242,15 @@ class Executor:
         offsets rebased), so all three emit the identical pair sequence.
 
         Without provenance (derived columns, float keys, mixed-radix
-        overflow, the eager baseline) both sides are factorized jointly,
-        which needs them whole and therefore stays serial.
+        overflow) both sides are factorized jointly, which needs them
+        whole and therefore stays serial.
         """
         if build_rel.num_rows == 0 or probe_rel.num_rows == 0:
             empty = np.array([], dtype=np.int64)
             return empty, empty, False
-        dictionaries = (
-            None
-            if self._eager
-            else self._join_dictionaries(node, build_rel, probe_rel)
-        )
+        dictionaries = self._join_dictionaries(node, build_rel, probe_rel)
         if dictionaries is None:
-            if not self._eager:
-                metrics.dictionary_misses += len(node.build_keys)
+            metrics.dictionary_misses += len(node.build_keys)
             return join_codes(
                 *joint_codes_and_domain(
                     [build_rel.column(a, c) for a, c in node.build_keys],
@@ -1441,11 +1415,13 @@ class Executor:
         A kind that can be built from stored dictionary codes (the
         exact kind, ``from_dictionary_codes``) is, whenever every build
         key still carries table provenance: one serial pass with no key
-        values gathered and nothing factorized, at every parallelism —
-        it costs less than merging partials would.
+        values gathered and nothing factorized, at every parallelism.
+        Its value build (float keys, radix overflow, keys without
+        provenance) is serial too.
 
-        Otherwise, at ``parallelism > 1`` with a big enough build side,
-        the build runs per-morsel on the shared pool: each worker
+        Kinds with a partitioned build (the Bloom kinds), at
+        ``parallelism > 1`` with a big enough build side, build
+        per-morsel on the shared pool: each worker
         gathers its slice of the build key columns (zero-copy range
         views over the build relation's selection), factorizes/hashes
         it, and returns a partial filter under the shared geometry; the
@@ -1606,26 +1582,15 @@ class Executor:
                     relation, pending_ranges, metrics, mask_fn
                 )
                 pending_ranges = None
-                relation = self._settle(relation.select_sorted(selection))
+                relation = relation.select_sorted(selection)
                 continue
             # Filters are immutable after construction, so per-morsel
             # probes are lock-free reads of one shared structure.
             selection = self._parallel_selection(relation, metrics, mask_fn)
             if selection is not None:
-                relation = self._settle(relation.select_sorted(selection))
+                relation = relation.select_sorted(selection)
                 continue
-            if self._eager and hasattr(bitvector, "contains_legacy"):
-                # Baseline mode: the seed engine's per-probe joint
-                # re-factorization instead of the indexed probe.
-                mask = bitvector.contains_legacy(
-                    [
-                        relation.column(alias, column)
-                        for alias, column in definition.probe_keys
-                    ]
-                )
-            else:
-                mask = mask_fn(relation)
-            relation = self._settle(relation.mask(mask))
+            relation = relation.mask(mask_fn(relation))
         return relation
 
     def _contains_by_codes(
@@ -1639,9 +1604,8 @@ class Executor:
         Filters that can answer in code space (the exact kind) take the
         view's stored dictionary codes — one gather through the filter's
         memoized ``probe code -> member`` table, no value column
-        materialized, no per-row search.  ``None`` for Bloom kinds, for
-        keys without table provenance or of float dtype, and in the
-        eager baseline (which reproduces the seed engine's probes).
+        materialized, no per-row search.  ``None`` for Bloom kinds and
+        for keys without table provenance or of float dtype.
         """
         probe = getattr(bitvector, "contains_dictionary_codes", None)
         coded = None if probe is None else self._key_codes(view, probe_keys)
@@ -1655,10 +1619,7 @@ class Executor:
         """Stored dictionary codes of the ``(alias, column)`` key columns
         of one view, as ``(dictionaries, code_columns)`` — or None when
         any of them must stay on the value path (no table provenance,
-        float dtype: see :meth:`Relation.dictionary_codes`) and in the
-        eager baseline."""
-        if self._eager:
-            return None
+        float dtype: see :meth:`Relation.dictionary_codes`)."""
         dictionaries, code_columns = [], []
         for alias, column in keys:
             coded = view.dictionary_codes(self._database, alias, column)
@@ -1763,8 +1724,8 @@ class Executor:
         the dictionaries, so no value column is materialized.
 
         ``None`` when a grouping column has no table provenance or is
-        float (see :meth:`Relation.dictionary_codes`), when the radix
-        product overflows, and in the eager baseline.
+        float (see :meth:`Relation.dictionary_codes`) and when the radix
+        product overflows.
         """
         coded = self._key_codes(
             relation, [(ref.alias, ref.column) for ref in group_by]
@@ -1880,13 +1841,11 @@ class Executor:
             selected = np.arange(
                 min(limit, relation.num_rows), dtype=np.int64
             )
-            result = self._settle(relation.gather(selected))
+            result = relation.gather(selected)
             record.rows_out = result.num_rows
             return result
         if limit == 0:
-            result = self._settle(
-                relation.gather(np.array([], dtype=np.int64))
-            )
+            result = relation.gather(np.array([], dtype=np.int64))
             record.rows_out = 0
             return result
         candidates = None
@@ -1904,7 +1863,7 @@ class Executor:
         selected = candidates[order]
         if limit is not None:
             selected = selected[:limit]
-        result = self._settle(relation.gather(selected))
+        result = relation.gather(selected)
         record.rows_out = result.num_rows
         return result
 
@@ -2154,9 +2113,7 @@ def _node_references(node: PlanNode, overrides: dict[str, object]):
             yield ref.alias, ref.column
 
 
-def _plan_facts(
-    plan: PlanNode, overrides: dict[str, object], eager: bool = False
-) -> _PlanFacts:
+def _plan_facts(plan: PlanNode, overrides: dict[str, object]) -> _PlanFacts:
     """One sweep of the plan: what to scan, skip and stop carrying.
 
     Top-down it accumulates the aliases the nodes *above* each node
@@ -2179,13 +2136,12 @@ def _plan_facts(
       it), and no build-side alias is live above the join.
 
     A plan rooted at a bare relation outputs every scanned column, so
-    nothing in it is absorbable or dropped; neither is anything in the
-    eager baseline, which reproduces the seed engine.
+    nothing in it is absorbable or dropped.
     """
     needed: dict[str, set[str]] = {}
     absorbable: set[int] = set()
     live: dict[int, frozenset[str]] = {}
-    prunes = isinstance(plan, (AggregateNode, TopKNode)) and not eager
+    prunes = isinstance(plan, (AggregateNode, TopKNode))
 
     def visit(node: PlanNode, above: frozenset[str]) -> set[int]:
         """Ids of the filters applied in ``node``'s subtree."""

@@ -71,9 +71,8 @@ class ExecutionMetrics:
         self.filter_cache_hits = 0
         self.filter_cache_misses = 0
         # Zero-copy accounting (see repro.engine.relation): how many
-        # rows/bytes were actually gathered into materialized columns.
-        # The eager baseline copies every column at every row-set
-        # operation; the lazy path only pays for columns that are read.
+        # rows/bytes were actually gathered into materialized columns;
+        # only columns that something reads are ever paid for.
         self.rows_copied = 0
         self.bytes_gathered = 0
         # Join-key encodings answered from table-resident dictionary

@@ -322,7 +322,7 @@ class Relation:
         shared by the hash join, group-by and exact-filter probes.
 
         ``None`` when the column has no table provenance (derived
-        columns, eagerly materialized relations) or is float/complex:
+        columns, relations built from bare arrays) or is float/complex:
         ordered dictionaries cannot equate NaN with NaN the way
         ``np.unique`` factorization does, so those keys stay on the
         value paths.
@@ -582,30 +582,6 @@ class Relation:
             groups, int(num_rows), self._counters or other._counters,
             self._parallel_gather or other._parallel_gather,
         )
-
-    # ------------------------------------------------------------------
-    # Eager compatibility
-    # ------------------------------------------------------------------
-
-    def materialized(self) -> "Relation":
-        """Fully materialized copy — the seed engine's behaviour.
-
-        Every column is gathered now (and counted); the result is a
-        single identity group.  The executor's eager-materialization
-        baseline mode calls this after every row-set operation, which
-        restores the O(columns x rows) per-filter cost the lazy path
-        exists to avoid.
-        """
-        columns: dict[tuple[str, str], np.ndarray] = {}
-        sources: dict[tuple[str, str], tuple[str, str]] = {}
-        for group in self._groups:
-            for key in group.base:
-                columns[key] = self.column(*key)
-                source = group.sources.get(key)
-                if source is not None and group.selection is None:
-                    sources[key] = source
-        return Relation(columns, self.num_rows, sources=sources,
-                        counters=self._counters)
 
     @property
     def columns(self) -> dict[tuple[str, str], np.ndarray]:

@@ -22,15 +22,16 @@ class BitvectorFilter(abc.ABC):
 
     Partitioned builds
     ------------------
-    Every registry filter kind additionally supports a
-    *partition-build-then-merge* protocol so the executor can construct
-    one filter from per-morsel build-side partitions on the worker pool
+    A filter kind may additionally support a
+    *partition-build-then-merge* protocol (the Bloom kinds do; the exact
+    kind always builds serially) so the executor can construct one
+    filter from per-morsel build-side partitions on the worker pool
     without breaking the single-build-then-shared probe contract:
 
     1. :meth:`build_geometry` fixes the shared shape of the filter from
        the *total* key count (Bloom variants: bit-array size and hash
        count — every partial must agree or the merged words would be
-       meaningless; the exact filter needs none);
+       meaningless);
     2. :meth:`build_partial` constructs an intermediate filter over one
        partition of the build rows under that geometry (safe to run
        concurrently, one call per partition);
@@ -64,7 +65,7 @@ class BitvectorFilter(abc.ABC):
     def build_geometry(cls, num_keys: int, **options) -> dict:
         """Shared shape parameters for partition builds over ``num_keys``
         total keys.  The default empty geometry suits filters whose
-        partials need no coordination (the exact filter)."""
+        partials need no coordination."""
         return {}
 
     @classmethod

@@ -15,11 +15,17 @@ Probes of stored columns skip even the per-row encode:
 codes in the probe columns' table-resident dictionaries and answers
 with one gather through a memoized ``probe code -> member`` table.
 
-Float key columns take the legacy joint-factorization path instead:
-``np.unique`` treats NaN as equal to NaN while ordered dictionary
-lookups cannot, and the engine's join fallback factorizes jointly — the
-filter must agree with it on NaN keys.  Decision-support join keys are
-integers and strings, so this costs nothing in practice.
+Float key columns keep their raw build values and probe by joint
+factorization instead: ``np.unique`` treats NaN as equal to NaN while
+ordered dictionary lookups cannot, and the engine's join fallback
+factorizes jointly — the filter must agree with it on NaN keys.  So do
+keys whose mixed-radix code product overflows int64.  Decision-support
+join keys are integers and strings, so this costs nothing in practice.
+
+Builds are always serial: the executor builds from stored dictionary
+codes (:meth:`ExactFilter.from_dictionary_codes`) when every key has
+table provenance, and from the gathered values otherwise.  The class
+keeps the base default ``supports_partitioned_build = False``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from repro.util.keycodes import (
     code_domain,
     combine_codes,
     joint_codes,
-    split_codes,
 )
 
 # Largest combined key domain for which a packed membership bitvector
@@ -66,11 +71,8 @@ _PROBE_VIEW_CAP = 1 << 17
 class ExactFilter(BitvectorFilter):
     """Collision-free membership filter (a sorted code-set over key tuples)."""
 
-    supports_partitioned_build = True
-
     # Per-instance state; the defaults are what an indexed-mode filter
-    # assembled field by field (``merge``, ``from_dictionary_codes``)
-    # starts from.
+    # assembled field by field (``from_dictionary_codes``) starts from.
     _mode = "indexed"
     _key_columns: list[np.ndarray] | None = None  # fallback modes only
     _dictionaries: list[ColumnDictionary] | None = None
@@ -188,187 +190,17 @@ class ExactFilter(BitvectorFilter):
     def build(cls, key_columns: list[np.ndarray], **options) -> "ExactFilter":
         return cls(key_columns)
 
-    # ------------------------------------------------------------------
-    # Partitioned build (see BitvectorFilter's partitioned-build docs)
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def build_partial(
-        cls, key_columns: list[np.ndarray], geometry: dict, **options
-    ) -> "ExactFilter":
-        """One partition's partial is just an exact filter over its rows:
-        the expensive ``np.unique`` sorts run on the partition slice,
-        which is exactly the work the parallel build fans out."""
-        return cls(key_columns)
-
-    @classmethod
-    def merge(
-        cls, partials: list["ExactFilter"], num_keys: int, **options
-    ) -> "ExactFilter":
-        """Merge per-partition sorted-unique key sets into one filter.
-
-        The point of partitioning the build is that the expensive
-        factorization sorts ran per-partition *in parallel*; the merge
-        therefore never re-sorts rows.  Per key column, the partials'
-        sorted dictionary domains fold into one sorted union with a
-        stable sort over already-sorted runs (radix sort for integers,
-        run-detecting timsort for strings) that simultaneously yields
-        each partial's old-code → merged-code translation; the
-        partials' code sets are then translated into the merged domain
-        and unioned.  Single-column keys skip even that: every
-        dictionary value occurs in some key, so the merged code set is
-        ``arange(num_values)`` — exactly what the serial build's
-        ``np.unique`` over per-row codes collapses to, for free.
-
-        The result is indistinguishable from a serial build over the
-        concatenated partitions: identical sorted domains, code set,
-        membership table, ``key_bounds``, and — via the ``num_keys``
-        override, so deduplication cannot hide the true inserted-row
-        count — ``size_bits``.  Partials in a fallback mode (float keys
-        for NaN parity, mixed-radix overflow) concatenate their raw key
-        columns, which in partition order *are* the serial build's
-        input, and rebuild.
-        """
-        if not partials:
-            raise ValueError("merge requires at least one partial")
-        if any(partial._code_set is None for partial in partials):
-            return cls._merge_rebuild(partials, num_keys)
-        num_columns = len(partials[0]._dictionaries)
-        merged_domains: list[np.ndarray] = []
-        translations: list[list[np.ndarray]] = []
-        for index in range(num_columns):
-            merged_values, partial_codes = _merge_sorted_domains(
-                [p._dictionaries[index].values for p in partials]
-            )
-            merged_domains.append(merged_values)
-            translations.append(partial_codes)
-        radices = [len(domain) for domain in merged_domains]
-        domain = code_domain(radices)
-        member_table: Bitvector | None = None
-        if num_columns == 1:
-            # Every dictionary value occurs in some key, so the merged
-            # set is the full domain — and its membership bitvector is
-            # all-ones words, no scatter at all.
-            code_set = np.arange(radices[0], dtype=np.int64)
-            if _packed_table_worthwhile(domain, len(code_set)):
-                member_table = Bitvector.ones(domain)
-        else:
-            upper_count = sum(len(p._code_set) for p in partials)
-            scatter = _packed_table_worthwhile(domain, upper_count)
-            member_words: Bitvector | None = (
-                Bitvector.zeros(domain) if scatter else None
-            )
-            translated: list[np.ndarray] = []
-            for i, partial in enumerate(partials):
-                decoded = partial._decode_code_set()
-                combined = combine_codes(
-                    [
-                        translations[index][i][decoded[index]]
-                        for index in range(num_columns)
-                    ],
-                    radices,
-                )
-                if combined is None:
-                    # The union's radix product overflows even though
-                    # each partial's fit: rebuild — the serial
-                    # constructor reaches the same fallback mode.
-                    return cls._merge_rebuild(partials, num_keys)
-                if member_words is not None:
-                    # Per-partition packed bitmap, OR-merged word by
-                    # word like Bloom partials — no sorted union pass.
-                    member_words.ior_words(
-                        Bitvector.from_positions(combined, domain)
-                    )
-                else:
-                    translated.append(combined)
-            if member_words is not None:
-                # The sorted unique union falls out of the bitmap for
-                # free: select over the merged words.
-                code_set = member_words.positions()
-                if _packed_table_worthwhile(domain, len(code_set)):
-                    member_table = member_words
-            else:
-                code_set = np.unique(np.concatenate(translated))
-        merged = cls.__new__(cls)
-        merged._num_keys = int(num_keys)
-        # Dictionary codes decode the code set: values[codes] per column
-        # yields the distinct key tuples — the faithful build-column
-        # set the legacy probe path reconstructs (it only needs the key
-        # *set*), never larger than one entry per distinct tuple.
-        merged._dictionaries = [
-            ColumnDictionary(domain, codes)
-            for domain, codes in zip(
-                merged_domains, split_codes(code_set, radices)
-            )
-        ]
-        merged._code_set = code_set
-        merged._member_table = member_table
-        merged._member_memo = weakref.WeakKeyDictionary()
-        return merged
-
-    @classmethod
-    def _merge_rebuild(
-        cls, partials: list["ExactFilter"], num_keys: int
-    ) -> "ExactFilter":
-        """Fallback merge: concatenate raw build columns and rebuild.
-
-        Partition order equals row order, so the concatenation is the
-        serial build's input byte for byte — correctness over speed for
-        the rare fallback modes.
-        """
-        parts = [partial._build_columns() for partial in partials]
-        merged = cls(
-            [
-                np.concatenate([part[index] for part in parts])
-                for index in range(len(parts[0]))
-            ]
-        )
-        merged._num_keys = int(num_keys)
-        return merged
-
-    def _decode_code_set(self) -> list[np.ndarray]:
-        """The code set split into per-column dictionary codes
-        (mixed-radix decode, last column fastest-varying).  Indexed
-        mode only."""
-        assert self._code_set is not None and self._dictionaries is not None
-        return split_codes(
-            self._code_set, [d.num_values for d in self._dictionaries]
-        )
-
-    def _build_columns(self) -> list[np.ndarray]:
-        """The original build key columns, whichever mode we are in."""
-        if self._key_columns is not None:
-            return self._key_columns
-        assert self._dictionaries is not None
-        return [d.values[d.codes] for d in self._dictionaries]
-
     def contains(self, key_columns: list[np.ndarray]) -> np.ndarray:
         validate_key_columns(key_columns)
         if self._num_keys == 0:
             return np.zeros(len(key_columns[0]), dtype=bool)
         if self._code_set is None:
+            # Fallback modes keep the raw build columns.
             build_codes, probe_codes = joint_codes(
-                self._build_columns(), key_columns
+                self._key_columns, key_columns
             )
             return np.isin(probe_codes, build_codes)
         return self.contains_codes(self.encode(key_columns))
-
-    def contains_legacy(self, key_columns: list[np.ndarray]) -> np.ndarray:
-        """Seed-engine probe: joint factorization on every call.
-
-        Re-runs ``np.unique`` over build+probe values per probe — the
-        O((n+m) log(n+m)) behaviour the indexed path replaces.  Kept as
-        the measured baseline for ``benchmarks/test_exec_hot_path.py``
-        (the executor's ``eager_materialization`` mode probes through
-        it).
-        """
-        validate_key_columns(key_columns)
-        if self._num_keys == 0:
-            return np.zeros(len(key_columns[0]), dtype=bool)
-        build_codes, probe_codes = joint_codes(
-            self._build_columns(), key_columns
-        )
-        return np.isin(probe_codes, build_codes)
 
     def encode(self, key_columns: list[np.ndarray]) -> np.ndarray:
         """Combined build-domain codes for probe tuples (-1 = no match).
@@ -553,7 +385,7 @@ class ExactFilter(BitvectorFilter):
         """Bounds straight off the sorted per-column dictionaries.
 
         Free in indexed mode — ``values`` is sorted, so the bounds are
-        its first and last entries.  The legacy float path keeps no
+        its first and last entries.  The float fallback keeps no
         dictionaries and reports ``None`` (NaN keys forbid interval
         reasoning anyway; see the base-class contract).
         """
@@ -586,33 +418,3 @@ class ExactFilter(BitvectorFilter):
     def __repr__(self) -> str:
         return f"ExactFilter(keys={self._num_keys})"
 
-
-def _merge_sorted_domains(
-    parts: list[np.ndarray],
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sorted union of sorted distinct-value arrays, plus translations.
-
-    Returns ``(merged_values, codes_per_part)`` where
-    ``codes_per_part[i][j]`` is the merged-domain code of ``parts[i][j]``
-    — i.e. ``merged_values[codes_per_part[i]] == parts[i]``.  One stable
-    argsort over the concatenation (already p sorted runs: radix sort
-    for integers is O(n), timsort detects the runs for strings) plus
-    O(n) group labelling; no per-element binary searches.
-    """
-    lengths = [len(part) for part in parts]
-    concat = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
-    if len(concat) == 0:
-        empty = np.array([], dtype=np.int64)
-        return concat, [empty[:0].copy() for _ in parts]
-    order = np.argsort(concat, kind="stable")
-    ranked = concat[order]
-    is_new = np.empty(len(ranked), dtype=bool)
-    is_new[0] = True
-    is_new[1:] = ranked[1:] != ranked[:-1]
-    merged_values = ranked[is_new]
-    codes = np.empty(len(concat), dtype=np.int64)
-    codes[order] = np.cumsum(is_new) - 1
-    split_points = np.cumsum(lengths)[:-1]
-    return merged_values, [
-        part.astype(np.int64, copy=False) for part in np.split(codes, split_points)
-    ]

@@ -380,7 +380,7 @@ class QueryService:
                 if context.deadline is not None
                 else None
             )
-            result = self._fallback(  # serial, eager-off
+            result = self._fallback(  # serial
             ).execute(
                 entry.plan, predicate_overrides=overrides,
                 context=fallback_context, tracer=tracer,

@@ -90,7 +90,7 @@ class Bitvector:
     rank/select/membership and word-level combination.
 
     Construction never builds the rank directory — a bitvector used
-    purely as a selection mask or an OR-merge target costs exactly its
+    purely as a selection mask or a membership table costs exactly its
     words.  The directory materializes on the first ``rank1``/``select1``
     and is then cached; ``resident_bytes`` reports whatever is actually
     allocated.
@@ -131,11 +131,6 @@ class Bitvector:
     def zeros(cls, num_bits: int) -> "Bitvector":
         num_words = (num_bits + WORD_BITS - 1) // WORD_BITS
         return cls(np.zeros(num_words, dtype=np.uint64), num_bits)
-
-    @classmethod
-    def ones(cls, num_bits: int) -> "Bitvector":
-        num_words = (num_bits + WORD_BITS - 1) // WORD_BITS
-        return cls(np.full(num_words, _FULL_WORD, dtype=np.uint64), num_bits)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Bitvector":
@@ -331,19 +326,6 @@ class Bitvector:
 
     def invert(self) -> "Bitvector":
         return Bitvector(~self.words, self.num_bits)
-
-    def ior_words(self, other: "Bitvector") -> None:
-        """In-place word-level OR (the partitioned-merge primitive).
-
-        Invalidates nothing: merge targets are built before any
-        rank/select use, mirroring how Bloom partials OR their words.
-        """
-        self._check_length(other)
-        self.words |= other.words
-        self._count = None
-        self._super_cum = None
-        self._block_rel = None
-        self._padded = None
 
     # ------------------------------------------------------------------
     # Accounting

@@ -47,6 +47,7 @@ from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.util import keycodes
 from repro.workloads import job_lite, tpcds_lite
+from sqlite_reference import assert_matches_sqlite
 
 # Above the relation layer's bitmap threshold, so ``mask`` on the full
 # view yields a BitmapSelection.
@@ -155,8 +156,6 @@ class TestGroupByCodes:
             {("f", "k_int"): database.table("fact").column("k_int")}, _ROWS
         )
         assert executor._group_by_codes([ColumnRef("f", "k_int")], derived) is None
-        eager = Executor(database, eager_materialization=True)
-        assert eager._group_by_codes([ColumnRef("f", "k_int")], scan) is None
 
     def test_radix_overflow_falls_back(self, monkeypatch):
         database = _database(0)
@@ -195,21 +194,21 @@ class TestAggregateAnswers:
     def test_queries_equal_the_value_paths(self, monkeypatch, parallelism):
         """Whole aggregate output — keys, every aggregate, HAVING — is
         byte-identical with the code paths on and off, serial and over
-        morsel views.  The radix-overflow round forces the multi-column
-        fallback inside a real query."""
+        morsel views, and the value paths answer as sqlite does.  The
+        radix-overflow round forces the multi-column fallback inside a
+        real query."""
         database = _database(7)
-        plans = [
-            optimize_query(
-                database, parse_query(database, sql, f"q{index}"), "bqo"
-            ).plan
+        specs = [
+            parse_query(database, sql, f"q{index}")
             for index, sql in enumerate(_QUERIES)
         ]
+        plans = [optimize_query(database, spec, "bqo").plan for spec in specs]
         executor = Executor(
             database, parallelism=parallelism, morsel_rows=8_192
         )
 
         def answers():
-            return [executor.execute(plan).aggregates for plan in plans]
+            return [executor.execute(plan) for plan in plans]
 
         coded = answers()
         with monkeypatch.context() as patch:
@@ -220,11 +219,62 @@ class TestAggregateAnswers:
                 Relation, "dictionary_codes", lambda self, *args: None
             )
             valued = answers()
-        for sql, got, overflow, want in zip(_QUERIES, coded, overflowed, valued):
+        for sql, spec, got, overflow, want in zip(
+            _QUERIES, specs, coded, overflowed, valued
+        ):
+            assert_matches_sqlite(database, sql, want, spec)
+            got, overflow, want = (
+                got.aggregates, overflow.aggregates, want.aggregates
+            )
             assert list(got) == list(want), sql
             for label in want:
                 assert _same_array(got[label], want[label]), (sql, label)
                 assert _same_array(overflow[label], want[label]), (sql, label)
+
+
+class TestFloatKeysAgainstSqlite:
+    """Float keys take the value paths for real — no test hook: the
+    joint-factorization join (and its float-fallback exact filter) and
+    the value group-by, each held to sqlite's answer."""
+
+    def test_float_key_join(self, tpcds_tiny):
+        database = tpcds_tiny[0]
+        sql = (
+            "SELECT COUNT(*) AS cnt, SUM(ss.ss_net_paid) AS paid"
+            " FROM store_sales ss, store_sales s2"
+            " WHERE ss.ss_sales_price = s2.ss_sales_price"
+            " AND s2.ss_quantity < 20"
+        )
+        spec = parse_query(database, sql, "float_join")
+        result = Executor(database).execute(
+            optimize_query(database, spec, "bqo").plan
+        )
+        assert result.metrics.dictionary_misses == 1
+        assert result.scalar("cnt") > 0
+        assert_matches_sqlite(database, sql, result, spec)
+
+    def test_float_group_by(self, tpcds_tiny, monkeypatch):
+        database = tpcds_tiny[0]
+        sql = (
+            "SELECT ss.ss_sales_price, COUNT(*) AS cnt,"
+            " SUM(ss.ss_net_paid) AS paid FROM store_sales ss, date_dim d"
+            " WHERE ss.ss_sold_date_sk = d.d_date_sk AND d.d_year = 2000"
+            " GROUP BY ss.ss_sales_price"
+        )
+        spec = parse_query(database, sql, "float_group")
+        calls = []
+        by_values = Executor._group_by_values
+
+        def counting(group_by, relation):
+            calls.append(len(group_by))
+            return by_values(group_by, relation)
+
+        monkeypatch.setattr(Executor, "_group_by_values", staticmethod(counting))
+        result = Executor(database).execute(
+            optimize_query(database, spec, "bqo").plan
+        )
+        assert calls == [1] and result.num_rows > 1
+        assert_matches_sqlite(database, sql, result, spec)
 
 
 def _exact(*columns):
@@ -269,16 +319,18 @@ class TestFilterProbeCodes:
         executor = Executor(database)
         scan = _scan(database)
         ints = _exact(np.arange(5))
-        # Float probe column, float build keys, Bloom kinds, the eager
-        # baseline: all stay on contains(values).
+        # Float probe column, float build keys, Bloom kinds, a probe
+        # column without table provenance: all stay on contains(values).
         assert executor._contains_by_codes(ints, [("f", "k_float")], scan) is None
         floats = _exact(np.array([1.0, np.nan]))
         assert executor._contains_by_codes(floats, [("f", "k_int")], scan) is None
         for kind in ("bloom", "blocked_bloom"):
             bloom = create_filter(kind, [np.arange(5)])
             assert executor._contains_by_codes(bloom, [("f", "k_int")], scan) is None
-        eager = Executor(database, eager_materialization=True)
-        assert eager._contains_by_codes(ints, [("f", "k_int")], scan) is None
+        derived = Relation(
+            {("f", "k_int"): database.table("fact").column("k_int")}, _ROWS
+        )
+        assert executor._contains_by_codes(ints, [("f", "k_int")], derived) is None
 
     def test_memo_follows_the_dictionary_object(self):
         """A rebuilt dictionary is a new object: it gets a fresh member

@@ -44,6 +44,7 @@ from repro.storage.database import Database
 from repro.storage.schema import ForeignKey
 from repro.storage.table import Table
 from repro.workloads import job_lite, star, tpcds_lite
+from sqlite_reference import assert_matches_sqlite
 
 _FLAT_COUNTERS = (
     "dictionary_hits", "dictionary_misses", "filter_cache_hits",
@@ -255,12 +256,16 @@ class TestPreconditions:
         _, exact = _elided_joins(Executor(star_db), plan)
         assert result.scalar("cnt") == exact.scalar("cnt")
 
-    def test_eager_baseline_executes_the_join(self, star_db):
-        plan = _bqo_plan(star_db, _filter_only_sql())
-        elided, _ = _elided_joins(
-            Executor(star_db, eager_materialization=True), plan
-        )
-        assert elided == set()
+    def test_elided_join_answers_as_sqlite_executes_it(self, star_db):
+        for sql in (
+            _filter_only_sql(),
+            _filter_only_sql("COUNT(*) AS cnt, SUM(f.m) AS total"),
+        ):
+            spec = parse_query(star_db, sql, "q")
+            plan = optimize_query(star_db, spec, "bqo").plan
+            elided, result = _elided_joins(Executor(star_db), plan)
+            assert len(elided) == 1
+            assert_matches_sqlite(star_db, sql, result, spec)
 
     def test_non_unique_build_executes_the_join(self):
         """Duplicate build keys multiply probe rows: the filter cannot

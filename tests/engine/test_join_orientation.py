@@ -4,10 +4,11 @@
 PK-FK join with ``customer`` — the shape the paper's plan space produces
 whenever a snowflake branch is joined first.  The build side is larger
 and repeats keys, so the kernel indexes the customers and streams the
-sales through them.  Whatever the configuration — eager or lazy, serial
-or morsel-parallel, probe morsels zone-pruned or not, filter pushed down
-or not — the join must orient the same way and emit the same rows in the
-same order: the double loop's pairs, build-row major.
+sales through them.  Whatever the configuration — serial or
+morsel-parallel, probe morsels zone-pruned or not, filter pushed down or
+not — the join must orient the same way and emit the same rows in the
+same order: the double loop's pairs, build-row major.  The answers are
+also held to stdlib ``sqlite3`` (``tests/sqlite_reference.py``).
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from repro.sql.binder import parse_query
 from repro.storage.database import Database
 from repro.storage.schema import ForeignKey
 from repro.storage.table import Table
+from sqlite_reference import assert_matches_sqlite
 
 _CUSTOMERS, _SALES = 30_000, 40_000
 _MORSEL_ROWS = 2_048
 
 _CONFIGS = [
-    dict(eager_materialization=eager, parallelism=parallelism, zone_maps=zones)
-    for eager, parallelism, zones in itertools.product(
-        (False, True), (1, 4), (True, False)
-    )
+    dict(parallelism=parallelism, zone_maps=zones)
+    for parallelism, zones in itertools.product((1, 4), (True, False))
 ]
 
 
@@ -107,6 +107,9 @@ def test_rows_come_out_build_major_under_every_configuration(database, filters):
         relation = result.relation
         assert relation.column("s", "paid").tobytes() == want_paid.tobytes()
         assert relation.column("c", "seg").tobytes() == want_seg.tobytes()
+    assert_matches_sqlite(
+        database, sql, result, parse_query(database, sql, "fact_on_build")
+    )
 
 
 def test_pruned_probe_morsels_stay_pruned_when_the_probe_is_indexed(database):
@@ -128,7 +131,7 @@ def test_pruned_probe_morsels_stay_pruned_when_the_probe_is_indexed(database):
                 for label, values in sorted(result.aggregates.items())
             )
         )
-        prunes = config["zone_maps"] and not config["eager_materialization"]
+        prunes = config["zone_maps"]
         assert (result.metrics.morsels_pruned > 0) == prunes, config
         if prunes:
             assert result.metrics.rows_skipped > _CUSTOMERS // 2
@@ -138,6 +141,9 @@ def test_pruned_probe_morsels_stay_pruned_when_the_probe_is_indexed(database):
     assert len(answers) == 1
     (answer,) = answers
     assert dict(answer)["cnt"] == np.int64(_SALES).tobytes()
+    assert_matches_sqlite(
+        database, sql, result, parse_query(database, sql, "fact_on_build")
+    )
 
 
 def test_explain_analyze_says_how_each_join_ran(database):

@@ -176,13 +176,6 @@ class TestMerge:
 
 
 class TestMaterialized:
-    def test_materialized_copies_every_column(self):
-        metrics = ExecutionMetrics()
-        relation = make_relation(metrics).mask(np.arange(10) < 4)
-        eager = relation.materialized()
-        assert metrics.rows_copied == 8  # 2 columns x 4 rows
-        assert eager.column("t", "b").tolist() == [0.0, 2.0, 4.0, 6.0]
-
     def test_columns_property_matches_seed_shape(self):
         relation = make_relation().mask(np.arange(10) < 2)
         columns = relation.columns

@@ -229,14 +229,3 @@ def test_clustered_band_search_replaces_morsel_checks():
             banded.aggregates[label], plain.aggregates[label]
         )
         assert banded.aggregates[label].dtype == plain.aggregates[label].dtype
-
-
-def test_eager_baseline_never_prunes():
-    database = _build_database("clustered")
-    results = _run_all(
-        database,
-        ["SELECT COUNT(*) AS c FROM fact f WHERE f.k > 5000"],
-        zone_maps=True, eager_materialization=True,
-    )
-    assert results[0].metrics.rows_skipped == 0
-    assert results[0].scalar("c") == 0

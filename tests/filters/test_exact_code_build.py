@@ -325,8 +325,11 @@ class TestFallbacks:
             )
             assert built._mode == "float-fallback"
         assert calls == [1, 1]
-        eager = Executor(database, eager_materialization=True)
-        built = eager._build_join_filter(
-            Definition("k_int"), scan.materialized(), ExecutionMetrics()
+        # A key without table provenance (a derived column) has no
+        # stored codes: the value constructor builds it.
+        derived = Relation({("d", "k_int"): scan.column("d", "k_int")}, 500)
+        built = Executor(database)._build_join_filter(
+            Definition("k_int"), derived, ExecutionMetrics()
         )
-        assert built._presence is None and calls == [1, 1]
+        assert built._mode == "indexed" and built._presence is None
+        assert calls == [1, 1]

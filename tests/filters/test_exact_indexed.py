@@ -1,9 +1,8 @@
 """The indexed ExactFilter: no factorization at probe time.
 
-Acceptance test for the zero-copy execution core: the seed
-``ExactFilter.contains`` re-ran ``np.unique`` joint factorization over
-the build keys on every probe; the indexed filter factorizes once at
-construction and probes via dictionary lookups.
+The indexed filter factorizes once at construction and probes via
+dictionary lookups; only the float fallback still factorizes per probe.
+Answers are held to a brute-force Python set of the build key tuples.
 """
 
 import numpy as np
@@ -14,6 +13,20 @@ from repro.util import keycodes
 
 def int_col(values):
     return np.array(values, dtype=np.int64)
+
+
+def brute_force(build, probes):
+    """Membership of each probe tuple in the set of build tuples, NaN
+    equal to NaN (the semantics of ``np.unique`` factorization)."""
+
+    def key(row):
+        return tuple("nan" if value != value else value for value in row)
+
+    members = {key(row) for row in zip(*(c.tolist() for c in build))}
+    return np.array(
+        [key(row) in members for row in zip(*(c.tolist() for c in probes))],
+        dtype=bool,
+    )
 
 
 class TestNoProbeTimeFactorization:
@@ -36,23 +49,22 @@ class TestNoProbeTimeFactorization:
         after = keycodes.factorization_count()
         assert after - before == 2
 
-    def test_legacy_probe_refactorizes(self):
-        """The seed baseline path still factorizes per probe (that is
-        the behaviour the benchmark measures against)."""
-        f = ExactFilter.build([int_col([1, 5, 9])])
+    def test_float_fallback_probe_refactorizes(self):
+        """Float keys probe by joint factorization, once per probe."""
+        f = ExactFilter.build([np.array([1.0, 5.0, 9.0])])
         before = keycodes.factorization_count()
-        f.contains_legacy([int_col([1, 2, 3])])
-        f.contains_legacy([int_col([1, 2, 3])])
+        f.contains([np.array([1.0, 2.0, 3.0])])
+        f.contains([np.array([1.0, 2.0, 3.0])])
         assert keycodes.factorization_count() - before == 2
 
-    def test_legacy_and_indexed_agree(self):
+    def test_indexed_agrees_with_brute_force(self):
         rng = np.random.default_rng(11)
         build = [int_col(rng.integers(0, 50, 200)),
                  int_col(rng.integers(0, 7, 200))]
         probes = [int_col(rng.integers(-5, 60, 500)),
                   int_col(rng.integers(-2, 9, 500))]
         f = ExactFilter.build(build)
-        assert np.array_equal(f.contains(probes), f.contains_legacy(probes))
+        assert np.array_equal(f.contains(probes), brute_force(build, probes))
 
 
 class TestIndexedEdgeCases:
@@ -101,20 +113,19 @@ class TestIndexedEdgeCases:
     def test_empty_build_side(self):
         f = ExactFilter.build([int_col([])])
         assert not f.contains([int_col([1, 2])]).any()
-        assert not f.contains_legacy([int_col([1, 2])]).any()
 
 
 class TestFloatAndExtremeDomains:
-    def test_nan_keys_match_legacy_semantics(self):
-        """np.unique treats NaN == NaN; float keys must take the joint
-        factorization path so indexed and legacy probes agree."""
+    def test_nan_keys_match_nan(self):
+        """np.unique treats NaN == NaN, and so does the engine's join
+        fallback; float keys take the joint factorization path so the
+        filter agrees with it."""
         build = [np.array([1.0, np.nan, 3.0])]
         probes = [np.array([np.nan, 3.0, 2.0])]
         f = ExactFilter.build(build)
-        indexed = f.contains(probes)
-        legacy = f.contains_legacy(probes)
-        assert np.array_equal(indexed, legacy)
-        assert indexed.tolist() == [True, True, False]
+        found = f.contains(probes)
+        assert np.array_equal(found, brute_force(build, probes))
+        assert found.tolist() == [True, True, False]
 
     def test_uint64_beyond_int64_does_not_crash(self):
         big = np.array([2**63 + 5, 2**63 + 7], dtype=np.uint64)
@@ -137,5 +148,4 @@ class TestFloatAndExtremeDomains:
         f = ExactFilter.build([int_col([1, 2, 3])])
         assert f._key_columns is None
         assert f._code_set is not None
-        # legacy probes still work via dictionary reconstruction
-        assert f.contains_legacy([int_col([2, 9])]).tolist() == [True, False]
+        assert f.contains([int_col([2, 9])]).tolist() == [True, False]

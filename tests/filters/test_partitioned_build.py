@@ -1,22 +1,28 @@
-"""Partition-build-then-merge equivalence for every filter kind.
+"""Partition-build-then-merge equivalence for the Bloom kinds.
 
 The contract (see :class:`repro.filters.base.BitvectorFilter`): a
 filter assembled from per-partition partials under a shared geometry
 must be indistinguishable from a serial build over the concatenated
-partitions — identical membership answers for the exact filter (plus
-identical sorted domains, code set, and dense membership table), and
-*bit-identical* word arrays for the hashed kinds.  The parallel
-executor's build pipeline rests entirely on this property.
+partitions — *bit-identical* word arrays for the hashed kinds.  The
+parallel executor's build pipeline rests entirely on this property.
+
+The exact kind has no partitioned build: the executor builds it from
+stored dictionary codes, or serially from the gathered values.
 """
 
 import numpy as np
 import pytest
 
+from repro.engine.executor import Executor
 from repro.filters import FILTER_KINDS
 from repro.filters.base import BitvectorFilter, merge_key_bounds
 from repro.filters.blocked import BlockedBloomFilter
 from repro.filters.bloom import BloomFilter
 from repro.filters.exact import ExactFilter
+from repro.optimizer.pipelines import optimize_query
+from repro.sql.binder import parse_query
+from repro.storage.database import Database
+from repro.storage.table import Table
 
 
 def _partition(columns, num_partitions):
@@ -71,7 +77,10 @@ def _probe_for(columns, rng):
 
 @pytest.mark.parametrize("num_partitions", [1, 4])
 @pytest.mark.parametrize("layout", _LAYOUTS)
-@pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+@pytest.mark.parametrize(
+    "kind",
+    sorted(k for k, c in FILTER_KINDS.items() if c.supports_partitioned_build),
+)
 def test_partitioned_build_matches_serial(kind, layout, num_partitions):
     rng = np.random.default_rng(hash((kind, layout)) % (2**32))
     columns = _layout_columns(layout, rng)
@@ -106,77 +115,46 @@ def test_bloom_variants_merge_bit_identical(layout, num_partitions):
     assert np.array_equal(serial_blocked._blocks, merged_blocked._blocks)
 
 
-@pytest.mark.parametrize("num_partitions", [1, 4])
-def test_exact_merge_internals_match_serial(num_partitions):
-    rng = np.random.default_rng(9)
-    columns = _layout_columns("shuffled", rng)
-    serial = ExactFilter.build(columns)
-    merged = ExactFilter.build_partitioned(
-        _partition(columns, num_partitions)
+def test_exact_float_keys_build_serially_at_parallelism_four():
+    """Float build keys have no stored codes, so the exact filter is
+    built from the gathered values; at parallelism 4 that build stays
+    serial and answers as the serial executor does."""
+    assert ExactFilter.supports_partitioned_build is False
+    rng = np.random.default_rng(23)
+    database = Database("float_keys")
+    database.add_table(Table.from_arrays(
+        "dim",
+        {"k": np.arange(20_000) * 0.5, "w": rng.integers(0, 10, 20_000)},
+    ))
+    keys = rng.integers(0, 40_000, 30_000) * 0.5
+    keys[::41] = np.nan
+    database.add_table(Table.from_arrays(
+        "fact", {"k": keys, "v": rng.integers(0, 100, 30_000)},
+    ))
+    sql = (
+        "SELECT COUNT(*) AS cnt, SUM(f.v) AS total FROM fact f, dim d"
+        " WHERE f.k = d.k AND d.w < 7"
     )
-    assert np.array_equal(serial._code_set, merged._code_set)
-    for serial_dict, merged_dict in zip(
-        serial._dictionaries, merged._dictionaries
-    ):
-        assert np.array_equal(serial_dict.values, merged_dict.values)
-    assert (serial._member_table is None) == (merged._member_table is None)
-    if serial._member_table is not None:
-        # The merge OR-combines per-partition packed bitmaps; the words
-        # must come out bit-identical to the serial build's scatter.
-        assert serial._member_table.num_bits == merged._member_table.num_bits
-        assert np.array_equal(
-            serial._member_table.words, merged._member_table.words
-        )
-
-
-@pytest.mark.parametrize("num_partitions", [2, 4])
-def test_exact_multi_column_or_merge_is_word_identical(num_partitions):
-    """Multi-column merge takes the packed OR path: each partial's
-    translated codes scatter into a per-partition bitvector and the
-    words OR together — no sorted-union pass.  The dense two-column
-    geometry here (256 x 256 domain, ~30k distinct tuples) is required:
-    the sparse layouts of the parametrized suite never build a packed
-    member table, so this is the only coverage of ``ior_words`` inside
-    the exact merge."""
-    rng = np.random.default_rng(17)
-    columns = [
-        rng.integers(0, 256, 40_000),
-        rng.integers(0, 256, 40_000),
-    ]
-    serial = ExactFilter.build(columns)
-    assert serial._member_table is not None, (
-        "geometry no longer builds a packed member table; "
-        "the OR-merge path is untested"
+    plan = optimize_query(
+        database, parse_query(database, sql, "float_keys"), "bqo"
+    ).plan
+    serial = Executor(database).execute(plan)
+    parallel = Executor(database, parallelism=4, morsel_rows=2_048).execute(
+        plan
     )
-    merged = ExactFilter.build_partitioned(
-        _partition(columns, num_partitions)
-    )
-    assert merged._member_table is not None
-    assert np.array_equal(
-        serial._member_table.words, merged._member_table.words
-    )
-    # The merged sorted code set falls out of the OR'd words via
-    # select: it must be both internally consistent and serial-equal.
-    assert np.array_equal(
-        merged._code_set, merged._member_table.positions()
-    )
-    assert np.array_equal(serial._code_set, merged._code_set)
-    probe = [rng.integers(-10, 300, 8_000) for _ in range(2)]
-    assert np.array_equal(serial.contains(probe), merged.contains(probe))
-
-
-def test_exact_float_nan_fallback_matches_serial():
-    """Float keys (NaN parity mode) merge by raw-column concatenation —
-    the serial build's exact input."""
-    rng = np.random.default_rng(3)
-    keys = rng.integers(0, 900, 12_000).astype(float)
-    keys[::37] = np.nan
-    probe = [rng.integers(-5, 1000, 5_000).astype(float)]
-    probe[0][::17] = np.nan
-    serial = ExactFilter.build([keys])
-    merged = ExactFilter.build_partitioned(_partition([keys], 4))
-    assert np.array_equal(serial.contains(probe), merged.contains(probe))
-    assert serial.key_bounds() is None and merged.key_bounds() is None
+    # The build side is big enough to partition: a Bloom kind does.
+    bloom = Executor(
+        database, filter_kind="bloom", parallelism=4, morsel_rows=2_048
+    ).execute(plan)
+    assert bloom.metrics.filter_builds_parallel == 1
+    assert parallel.metrics.filter_builds_parallel == 0
+    assert parallel.metrics.filter_partials_built == 0
+    assert serial.scalar("cnt") > 0
+    for label in serial.aggregates:
+        assert (
+            parallel.aggregates[label].tobytes()
+            == serial.aggregates[label].tobytes()
+        ), label
 
 
 def test_bloom_geometry_is_total_key_count():

@@ -3,36 +3,40 @@
 A seeded generator produces TPC-DS-shaped queries — star joins with
 random predicates, aggregates, GROUP BY / HAVING, ORDER BY ... LIMIT,
 and single-table projection top-k scans — and each query executes under
-every combination of {eager, lazy} x {parallelism 1, 4} x {zone maps
-on, off} x {adaptive morsels on, off}.  All sixteen configurations must
-return byte-identical answers: every one of these features is an
-execution strategy, never a semantics change, so any divergence is an
-executor bug.  The runs' metrics must also be sane (a configuration
-without zone maps can never report pruning).
+every combination of {parallelism 1, 4} x {zone maps on, off} x
+{adaptive morsels on, off}.  All eight configurations must return
+byte-identical answers: every one of these features is an execution
+strategy, never a semantics change, so any divergence is an executor
+bug.  The runs' metrics must also be sane (a configuration without zone
+maps can never report pruning).
+
+Agreement among configurations cannot see a bug they all share, so
+every generated statement is also answered by stdlib ``sqlite3`` and
+compared under the row-multiset comparator of
+``tests/sqlite_reference.py`` — the engine held to an engine the
+repository did not write.
 
 A second generator always groups by one or two *string* dimension
-columns with a HAVING clause: the lazy configurations group on stored
-dictionary codes (direct addressing, keys decoded from the dictionary)
-while the eager ones factorize the raw strings, so every such query
-holds code-space group-by to the value path across all sixteen.
+columns with a HAVING clause: the engine groups on stored dictionary
+codes (direct addressing, keys decoded from the dictionary), so every
+such query holds code-space group-by to sqlite's grouping of the raw
+strings.
 
 A third generator always joins one dimension *only to filter* — a
-selective local predicate, no output column — beside a grouped one.  The
-lazy configurations skip that join outright (its exact filter, applied
-at the fact scan, already is the join: semi-join elision) while the
-eager ones execute it, so every such query holds elision to the
-executed join across all sixteen; the test also checks that the skip
-really happened where it should and nowhere else.
+selective local predicate, no output column — beside a grouped one.
+Every configuration skips that join outright (its exact filter, applied
+at the fact scan, already is the join: semi-join elision), so every
+such query holds elision to sqlite's executed join; the test also
+checks that the skip really happened.
 
-All sixteen configurations — the eager baseline's value-keyed join
-included — find their matches through the one ``CodeMatcher`` kernel,
-so the sixteen alone could not see a bug inside it.  The join-heavy
-generators therefore also run a seventeenth reference: the eager serial
-configuration with the match structure swapped (test-only) for a
-brute-force nested-loop comparison of every streamed code with every
-indexed code.  The side-choice rule around it (``join_matcher``) stays —
-pair order is part of the answer's bytes — and is itself held to the
-nested loop in ``tests/engine/test_join_kernel.py``.
+All eight configurations find their matches through the one
+``CodeMatcher`` kernel.  The join-heavy generators therefore also run a
+ninth, in-repo reference: the serial configuration without zone maps,
+with the match structure swapped (test-only) for a brute-force
+nested-loop comparison of every streamed code with every indexed code.
+The side-choice rule around it (``join_matcher``) stays — pair order is
+part of the answer's bytes — and is itself held to the nested loop in
+``tests/engine/test_join_kernel.py``.
 """
 
 from __future__ import annotations
@@ -47,18 +51,18 @@ from repro.engine.executor import Executor
 from repro.obs import Tracer
 from repro.optimizer.pipelines import optimize_query
 from repro.sql.binder import parse_query
+from sqlite_reference import assert_matches_sqlite
 
 _SEEDS = range(12)
 
 _CONFIGS = [
     {
-        "eager_materialization": eager,
         "parallelism": parallelism,
         "zone_maps": zone_maps,
         "adaptive_morsels": adaptive,
     }
-    for eager, parallelism, zone_maps, adaptive in itertools.product(
-        (False, True), (1, 4), (True, False), (True, False)
+    for parallelism, zone_maps, adaptive in itertools.product(
+        (1, 4), (True, False), (True, False)
     )
 ]
 
@@ -330,12 +334,10 @@ class _NestedLoopMatcher:
 
 
 def _nested_loop_reference(database, plan, spec) -> tuple:
-    """Result bytes of the eager serial run joined by nested loops."""
+    """Result bytes of the serial unpruned run joined by nested loops."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(join_kernel, "CodeMatcher", _NestedLoopMatcher)
-        result = Executor(
-            database, eager_materialization=True, zone_maps=False
-        ).execute(plan)
+        result = Executor(database, zone_maps=False).execute(plan)
     return _result_bytes(result, spec)
 
 
@@ -351,16 +353,16 @@ class TestDifferentialOracle:
         sql = _generate_star_query(rng)
         spec = parse_query(tpcds_db, sql, f"diff_star_{seed}")
         plan = optimize_query(tpcds_db, spec, "bqo").plan
-        outputs = {}
+        outputs = set()
         for config in _CONFIGS:
             result = Executor(tpcds_db, **config).execute(plan)
-            outputs[tuple(sorted(config.items()))] = _result_bytes(result, spec)
-            if not config["zone_maps"] or config["eager_materialization"]:
+            outputs.add(_result_bytes(result, spec))
+            if not config["zone_maps"]:
                 assert result.metrics.morsels_pruned == 0, sql
                 assert result.metrics.rows_skipped == 0, sql
-        distinct = set(outputs.values())
-        distinct.add(_nested_loop_reference(tpcds_db, plan, spec))
-        assert len(distinct) == 1, f"configs disagree on: {sql}"
+        outputs.add(_nested_loop_reference(tpcds_db, plan, spec))
+        assert len(outputs) == 1, f"configs disagree on: {sql}"
+        assert_matches_sqlite(tpcds_db, sql, result, spec)
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_string_group_by_identical_across_configs(self, tpcds_db, seed):
@@ -373,6 +375,7 @@ class TestDifferentialOracle:
             result = Executor(tpcds_db, **config).execute(plan)
             outputs.add(_result_bytes(result, spec))
         assert len(outputs) == 1, f"configs disagree on: {sql}"
+        assert_matches_sqlite(tpcds_db, sql, result, spec)
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_filter_only_join_identical_across_configs(self, tpcds_db, seed):
@@ -389,12 +392,10 @@ class TestDifferentialOracle:
                 span for span in tracer.spans("node")
                 if span.attributes.get("elided")
             ]
-            if config["eager_materialization"]:
-                assert not elided, sql
-            else:
-                assert elided, f"no join elided in {config}: {sql}"
+            assert elided, f"no join elided in {config}: {sql}"
         outputs.add(_nested_loop_reference(tpcds_db, plan, spec))
         assert len(outputs) == 1, f"configs disagree on: {sql}"
+        assert_matches_sqlite(tpcds_db, sql, result, spec)
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_projection_topk_identical_across_configs(self, tpcds_db, seed):
@@ -407,9 +408,10 @@ class TestDifferentialOracle:
             result = Executor(tpcds_db, **config).execute(plan)
             assert result.relation.num_rows <= spec.limit
             outputs.add(_result_bytes(result, spec))
-            if not config["zone_maps"] or config["eager_materialization"]:
+            if not config["zone_maps"]:
                 assert result.metrics.morsels_pruned == 0, sql
         assert len(outputs) == 1, f"configs disagree on: {sql}"
+        assert_matches_sqlite(tpcds_db, sql, result, spec)
 
     def test_generator_is_deterministic(self):
         first = _generate_star_query(np.random.default_rng(7))

@@ -3,7 +3,10 @@
 The strongest integration guarantee in the suite: for each workload, a
 sample of queries (and all of tpcds) is optimized by each pipeline and
 executed; all pipelines must return identical answers.  With exact
-filters any divergence is a planner or executor bug.
+filters any divergence is a planner or executor bug.  Every
+``tpcds_lite`` and ``job_lite`` statement is also answered by stdlib
+``sqlite3`` and held to it (``tests/sqlite_reference.py``), so a bug
+every pipeline shares cannot hide behind their agreement.
 """
 
 import numpy as np
@@ -11,6 +14,8 @@ import pytest
 
 from repro.engine.executor import Executor
 from repro.optimizer.pipelines import optimize_query
+from repro.workloads import job_lite, tpcds_lite
+from sqlite_reference import assert_matches_sqlite
 
 _PIPELINES = ("original", "bqo", "dp", "original_nobv", "bqo_allfilters")
 
@@ -52,6 +57,30 @@ class TestCrossPipelineConsistency:
                 optimized = optimize_query(db, spec, pipeline)
                 values.add(round(_checksum(executor.execute(optimized.plan)), 6))
             assert len(values) == 1, f"{spec.name}: pipelines disagree"
+
+
+_SQLITE_CASES = [
+    pytest.param("tpcds_tiny", name, sql, id=f"tpcds_lite-{name}")
+    for name, sql in tpcds_lite.query_sqls()
+] + [
+    pytest.param("job_tiny", name, sql, id=f"job_lite-{name}")
+    for name, sql in job_lite.query_sqls()
+]
+
+
+class TestSqliteReference:
+    def test_statement_lists_match_the_specs(self, tpcds_tiny, job_tiny):
+        for workload, (_, queries) in ((tpcds_lite, tpcds_tiny), (job_lite, job_tiny)):
+            assert [name for name, _ in workload.query_sqls()] == [
+                spec.name for spec in queries
+            ]
+
+    @pytest.mark.parametrize("fixture, name, sql", _SQLITE_CASES)
+    def test_statement_matches_sqlite(self, request, fixture, name, sql):
+        db, queries = request.getfixturevalue(fixture)
+        spec = next(spec for spec in queries if spec.name == name)
+        result = Executor(db).execute(optimize_query(db, spec, "bqo").plan)
+        assert_matches_sqlite(db, sql, result, spec)
 
 
 class TestFilterKindConsistency:

@@ -1,5 +1,5 @@
 """Resource budgets: hard caps on materialized work, with optional
-graceful degradation to the serial eager-off path.
+graceful degradation to the serial path.
 
 Budgets meter the engine's real ``rows_copied`` / ``bytes_gathered``
 counters (the zero-copy accounting), checked after every parallel
