@@ -6,7 +6,7 @@ barrier.  The exact kind used to as well, and this file used to gate
 its build-phase speedup (>= 1.8x at 4 workers, > 0.5x below 4 cores).
 Exact filters over dictionary-backed keys are now built in one pass
 over the build rows' stored dictionary codes
-(``ExactFilter.from_dictionary_codes``: presence scatter + cumsum, no
+(``ExactFilter.from_dictionary_codes``: one presence scatter, no
 factorization), which is cheaper than the partitioned build's merge
 alone — so at every parallelism level they stay on one thread, and a
 "parallel / serial" ratio for them measures two runs of the same code.

@@ -282,48 +282,6 @@ def run_robustness(args) -> None:
     print(f"wrote {path}")
 
 
-def run_succinct(args) -> None:
-    from repro.bench.succinct import (
-        run_succinct_filters,
-        write_succinct_report,
-    )
-
-    payload = run_succinct_filters(morsel_rows=args.morsel_rows)
-    footprint = payload["membership_footprint"]
-    throughput = payload["probe_throughput"]
-    residency = payload["cache_residency"]
-    print(render_table(
-        [
-            {
-                "section": "membership footprint",
-                "packed": footprint["packed_bytes"],
-                "dense": footprint["dense_bool_bytes"],
-                "ratio": payload["footprint_ratio"],
-            },
-            {
-                "section": "cache residency",
-                "packed": residency["filters_resident_packed"],
-                "dense": residency["filters_resident_dense"],
-                "ratio": residency["residency_ratio"],
-            },
-        ],
-        "\n=== succinct filters — packed vs. dense ===",
-    ))
-    print(
-        f"probe throughput: packed {throughput['packed_probes_per_second']}/s "
-        f"vs bool {throughput['bool_probes_per_second']}/s "
-        f"(ratio {payload['probe_throughput_ratio']}x at "
-        f"2^{throughput['domain_bits'].bit_length() - 1} bits)"
-    )
-    print(
-        f"selection state: {payload['selection_bytes']} bytes resident vs "
-        f"{payload['selection_bytes_dense']} dense int64"
-    )
-    print(f"checksums identical: {payload['checksums_identical']}")
-    path = write_succinct_report(payload, _artifact_path(args))
-    print(f"wrote {path}")
-
-
 def run_trace_overhead(args) -> None:
     from repro.bench.trace_overhead import (
         DEFAULT_PARALLELISM,
@@ -465,11 +423,6 @@ EXPERIMENTS: dict[str, _Experiment] = {
         "closed-loop load beyond capacity: shed rate, goodput, latency",
         "BENCH_overload.json",
         run_overload,
-    ),
-    "succinct-filters": _Experiment(
-        "packed rank/select member tables and bitmap selections vs. dense",
-        "BENCH_succinct_filters.json",
-        run_succinct,
     ),
 }
 

@@ -209,9 +209,9 @@ class BitvectorFilterCache(LruCache):
 
     def resident_bytes(self) -> int:
         """Total bytes actually resident across cached filters —
-        payloads plus auxiliary structures (membership bitvectors,
-        dictionaries, fallback raw columns).  This is the working-set
-        number the succinct representations exist to shrink."""
+        payloads plus auxiliary structures (presence tables, code sets,
+        probe member tables, private dictionaries, fallback raw
+        columns)."""
         return sum(entry.resident_bytes for entry in self.values())
 
     def mode_summary(self) -> dict[str, int]:

@@ -222,6 +222,7 @@ class QueryService:
             tracer.telemetry = self.telemetry
         self._lock = threading.Lock()
         self._schema_version = database.schema_version
+        self._dictionary_generation = database.dictionary_generation
         # Persistent run_many pool: created lazily on the first batch,
         # grown when a batch asks for more workers, reused until
         # close().  Hot-path batches stop paying pool startup/teardown.
@@ -878,6 +879,7 @@ class QueryService:
             self.filter_cache.clear()
             self._stats.invalidations += 1
             self._schema_version = self._database.schema_version
+            self._dictionary_generation = self._database.dictionary_generation
 
     # ------------------------------------------------------------------
     # Cache machinery
@@ -977,10 +979,17 @@ class QueryService:
         )
 
     def _check_schema_version(self) -> None:
-        """Drop both caches when the catalog has changed underneath us."""
+        """Drop both caches when the catalog has changed underneath us,
+        and the filter cache when the database dropped its dictionaries:
+        a cached filter holds the build table's dictionary it was built
+        over, which would otherwise outlive the database's copy."""
         with self._lock:
             if self._database.schema_version != self._schema_version:
                 self.plan_cache.clear()
                 self.filter_cache.clear()
                 self._schema_version = self._database.schema_version
                 self._stats.invalidations += 1
+            generation = self._database.dictionary_generation
+            if generation != self._dictionary_generation:
+                self.filter_cache.clear()
+                self._dictionary_generation = generation

@@ -38,6 +38,7 @@ class Database:
         self._dictionary_pending: dict[tuple[str, str], threading.Event] = {}
         self.dictionary_builds = 0
         self.dictionary_lookups = 0
+        self._dictionary_generation = 0
         # Zone maps: per-(table, column, morsel shape) min/max synopses
         # (see repro.storage.zonemaps), built lazily with the same
         # single-flight discipline as dictionaries and invalidated
@@ -183,10 +184,21 @@ class Database:
                 "lookups": self.dictionary_lookups,
             }
 
+    @property
+    def dictionary_generation(self) -> int:
+        """Monotonic counter bumped by every :meth:`invalidate_dictionaries`.
+
+        Consumers that cache artifacts holding dictionaries (the
+        service's bitvector filters, built over the build table's
+        dictionary) compare generations to release them.
+        """
+        return self._dictionary_generation
+
     def invalidate_dictionaries(self, table_name: str | None = None) -> None:
         """Drop cached dictionaries (and the zone maps derived from the
         same columns — both synopses share one invalidation lifecycle)."""
         with self._dictionary_lock:
+            self._dictionary_generation += 1
             if table_name is None:
                 self._dictionaries.clear()
             else:

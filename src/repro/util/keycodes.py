@@ -15,8 +15,9 @@ row), and later probes encode through the dictionary with
 ``searchsorted`` — ``O(m log u)`` for ``m`` probe values over ``u``
 distinct build values, with no re-factorization.  The executor keeps one
 dictionary per ``(table, column)`` in :class:`repro.storage.database.
-Database`; :class:`repro.filters.exact.ExactFilter` builds a private one
-per key column at construction.
+Database`; :class:`repro.filters.exact.ExactFilter` holds those, and
+builds one of its own per key column only for keys without a stored
+column behind them.
 
 Stored codes are also the engine's key representation *between*
 operators: joins, group-bys and exact-filter probes gather

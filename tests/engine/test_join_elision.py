@@ -300,6 +300,55 @@ class TestPreconditions:
         fact_keys = database.table("fact").column("fk1")
         assert result.scalar("cnt") == 2 * int((fact_keys < 50).sum())
 
+    @pytest.mark.parametrize(
+        "kept, elides",
+        [((0, 2, 4, 6), True), ((0, 1, 2, 4, 6), False)],
+        ids=["one-row-per-key", "two-rows-of-one-key"],
+    )
+    def test_distinct_keys_are_the_build_rows_not_the_table(self, kept, elides):
+        """The table stores every ``id`` twice (rows ``2k`` and
+        ``2k + 1``; ``v`` numbers the rows), so only the predicate's
+        surviving rows can say whether the build keys are distinct.
+        Checked with the filter built fresh and served from the
+        service's filter cache."""
+        rng = np.random.default_rng(4)
+        database = Database("repeating_dim")
+        database.add_table(
+            Table.from_arrays(
+                "dim1",
+                {"id": np.repeat(np.arange(50), 2), "v": np.arange(100)},
+                key=("id",),
+            ),
+            validate_key=False,
+        )
+        database.add_table(
+            Table.from_arrays(
+                "fact", {"fk1": rng.integers(0, 80, 2_000), "m": rng.random(2_000)}
+            )
+        )
+        database.add_foreign_key(ForeignKey("fact", ("fk1",), "dim1", ("id",)))
+        sql = (
+            "SELECT COUNT(*) AS cnt, SUM(f.m) AS total FROM fact f, dim1 d1 "
+            f"WHERE f.fk1 = d1.id AND d1.v IN ({', '.join(map(str, kept))})"
+        )
+        spec = parse_query(database, sql, "q")
+        fact_keys = database.table("fact").column("fk1")
+        # One output row per fact row and matching dimension row.
+        matches = sum(int((fact_keys == v // 2).sum()) for v in kept)
+        service = QueryService(database)
+        for cached in (False, True):
+            tracer = Tracer()
+            outcome = service.execute(sql, tracer=tracer)
+            assert outcome.metrics.filter_cache_hits == int(cached)
+            assert outcome.metrics.filter_cache_misses == int(not cached)
+            elided = [
+                span for span in tracer.spans("node")
+                if span.attributes.get("elided")
+            ]
+            assert len(elided) == int(elides)
+            assert outcome.scalar("cnt") == matches
+            assert_matches_sqlite(database, sql, outcome.result, spec)
+
     def test_value_compared_keys_execute_the_join(self):
         """A float probe key has no stored dictionary: the executed join
         compares values and counts a dictionary *miss*.  An elided join

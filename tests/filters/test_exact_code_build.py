@@ -1,14 +1,12 @@
-"""``ExactFilter.from_dictionary_codes`` builds the value-built filter.
+"""``ExactFilter.from_dictionary_codes`` answers as the value-built filter.
 
 The executor builds exact filters from the build rows' *stored
-dictionary codes* (presence scatter + cumsum over the build column's
-table dictionary) instead of factorizing the gathered values.  The
-result must be field for field the filter ``ExactFilter(values)`` is —
-same private dictionaries, code set, member-table words, bounds and
-sizes — and must answer every probe identically, including the first
-probe per probe dictionary, which a single-column code-built filter
-answers by translating that dictionary into the build table's.  No
-factorization may happen on the way.
+dictionary codes* (one presence scatter over the build column's table
+dictionary) instead of factorizing the gathered values.  The result
+must answer every probe as ``ExactFilter(values)`` and a brute-force
+Python set of the build key tuples do — value probes, code probes
+through another table's dictionary, bounds, distinctness, sizes — and
+no factorization may happen on the way.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import pytest
 
 from repro.engine.executor import Executor
 from repro.engine.relation import BitmapSelection, Relation
-from repro.filters import exact as exact_module
+from repro.filters.base import compute_key_bounds
 from repro.filters.exact import ExactFilter
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -71,6 +69,9 @@ def _scan(database: Database, table_name: str, alias: str) -> Relation:
     )
 
 
+_VIEWS = ["array", "slice", "bitmap", "identity", "empty"]
+
+
 def _build_views(database: Database) -> dict[str, Relation]:
     rng = np.random.default_rng(5)
     scan = _scan(database, "dim", "d")
@@ -85,14 +86,6 @@ def _build_views(database: Database) -> dict[str, Relation]:
     }
 
 
-def _same_array(left, right) -> bool:
-    if left.dtype != right.dtype or left.shape != right.shape:
-        return False
-    if left.dtype.kind == "O":
-        return left.tolist() == right.tolist()
-    return left.tobytes() == right.tobytes()
-
-
 def _pair(database, view, keys):
     """(code-built, value-built) filters over one view's key columns."""
     executor = Executor(database)
@@ -105,6 +98,15 @@ def _pair(database, view, keys):
     return from_codes, from_values
 
 
+def _brute_force(build, probes) -> np.ndarray:
+    """Membership of each probe tuple in the set of build tuples."""
+    members = set(zip(*(column.tolist() for column in build)))
+    return np.array(
+        [row in members for row in zip(*(c.tolist() for c in probes))],
+        dtype=bool,
+    )
+
+
 _KEYS = [
     ["k_int"],
     ["k_text"],
@@ -113,6 +115,13 @@ _KEYS = [
     ["k_bool", "k_text"],
 ]
 _PROBE_OF = {"k_int": "fk_int", "k_text": "fk_text", "k_bool": "fk_bool"}
+# Probe values outside every build domain (and, for ints, outside the
+# dense lookup span of the build dictionary).
+_OUTSIDE = {
+    "k_int": np.array([-10**9, -51, 4_000, 10**12], dtype=np.int64),
+    "k_text": np.array(["", "t", "t0000", "zzzz"], dtype=object),
+    "k_bool": np.array([True, False, False, True]),
+}
 
 
 @pytest.fixture(scope="module")
@@ -125,52 +134,50 @@ def build_views(database):
     return _build_views(database)
 
 
-class TestFieldForField:
+class TestBehaviour:
     @pytest.mark.parametrize("keys", _KEYS, ids="+".join)
-    @pytest.mark.parametrize(
-        "view_name", ["array", "slice", "bitmap", "identity", "empty"]
-    )
-    def test_equals_the_value_built_filter(
+    @pytest.mark.parametrize("view_name", _VIEWS)
+    def test_matches_value_build_and_brute_force(
         self, database, build_views, view_name, keys
     ):
-        from_codes, from_values = _pair(database, build_views[view_name], keys)
+        view = build_views[view_name]
+        from_codes, from_values = _pair(database, view, keys)
         where = f"{view_name} {keys}"
-        assert from_codes._mode == from_values._mode == "indexed", where
-        assert from_codes._key_columns is None
-        for mine, theirs in zip(
-            from_codes._dictionaries, from_values._dictionaries
-        ):
-            assert _same_array(mine.values, theirs.values), where
-            assert _same_array(mine.codes, theirs.codes), where
-        assert _same_array(from_codes._code_set, from_values._code_set), where
-        assert (from_codes._member_table is None) == (
-            from_values._member_table is None
-        ), where
-        if from_codes._member_table is not None:
-            assert from_codes._member_table.num_bits == (
-                from_values._member_table.num_bits
-            )
-            assert _same_array(
-                from_codes._member_table.words, from_values._member_table.words
-            ), where
-        assert from_codes.num_keys == from_values.num_keys
-        assert from_codes.size_bits == from_values.size_bits
-        assert from_codes.has_distinct_keys == from_values.has_distinct_keys
-        assert str(from_codes.key_bounds()) == str(from_values.key_bounds())
+        build = [view.column("d", key) for key in keys]
 
-    def test_sparse_multi_column_domain_takes_the_unique_branch(
-        self, database, build_views, monkeypatch
-    ):
-        """Past the packed-table cost model the code set is sorted out of
-        the combined codes; still equal to the value build."""
-        monkeypatch.setattr(
-            exact_module, "_packed_table_worthwhile", lambda domain, count: False
+        # Value probes: the fact table's values plus values outside
+        # every build domain.
+        fact = _scan(database, "fact", "f")
+        probe_keys = [("f", _PROBE_OF[key]) for key in keys]
+        values = [
+            np.concatenate([fact.column(alias, column), _OUTSIDE[key]])
+            for (alias, column), key in zip(probe_keys, keys)
+        ]
+        want = _brute_force(build, values)
+        for bitvector in (from_codes, from_values):
+            assert np.array_equal(bitvector.contains(values), want), where
+
+        # Code probes through the fact table's dictionaries, which are
+        # not the build's.
+        want = _brute_force(
+            build, [fact.column(alias, column) for alias, column in probe_keys]
         )
-        from_codes, from_values = _pair(
-            database, build_views["array"], ["k_text", "k_int"]
-        )
-        assert from_codes._member_table is None
-        assert _same_array(from_codes._code_set, from_values._code_set)
+        executor = Executor(database)
+        for bitvector in (from_codes, from_values):
+            got = executor._contains_by_codes(bitvector, probe_keys, fact)
+            assert got is not None and got.dtype == np.bool_
+            assert np.array_equal(got, want), where
+
+        bounds = compute_key_bounds(build)
+        distinct = len(set(zip(*(column.tolist() for column in build))))
+        for bitvector in (from_codes, from_values):
+            assert bitvector.key_bounds() == bounds, where
+            assert bitvector.num_keys == view.num_rows
+            assert bitvector.has_distinct_keys == (distinct == view.num_rows)
+            assert bitvector.size_bits == 64 * view.num_rows
+        if view_name == "empty":
+            assert bounds == [None] * len(keys)
+            assert not from_codes.contains(values).any()
 
     def test_distinct_keys_reflect_the_build_rows(self, database):
         table = database.table("dim")
@@ -180,6 +187,28 @@ class TestFieldForField:
         assert unique_build.has_distinct_keys
         repeated, _ = _pair(database, scan, ["k_int"])
         assert not repeated.has_distinct_keys
+
+    @pytest.mark.parametrize("key", ["k_int", "k_text", "k_bool"])
+    def test_single_column_code_build_neither_factorizes_nor_sorts(
+        self, database, build_views, monkeypatch, key
+    ):
+        """A single-column code build is a scatter: it never builds a
+        dictionary of its own and never sorts codes."""
+        executor = Executor(database)
+        coded = [
+            executor._key_codes(build_views[name], [("d", key)])
+            for name in _VIEWS
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("single-column code build factorized")
+
+        monkeypatch.setattr(keycodes.ColumnDictionary, "build", forbidden)
+        monkeypatch.setattr(np, "unique", forbidden)
+        for dictionaries, code_columns in coded:
+            built = ExactFilter.from_dictionary_codes(dictionaries, code_columns)
+            assert built is not None
+            assert built.num_keys == len(code_columns[0])
 
 
 class TestProbes:
@@ -211,27 +240,34 @@ class TestProbes:
         self, database, build_views, monkeypatch
     ):
         """A single-column code-built filter answers its first probe per
-        probe dictionary through the build *table* dictionary — it never
-        encodes the probe domain into its sparse private one.  The
+        probe dictionary by encoding that dictionary's *distinct* values
+        into the build table's dictionary — never the probe rows — and
+        later probes through the same dictionary encode nothing.  The
         translation is memoized per pair of table dictionaries, so an
         earlier probe of the pair may already have paid the encode."""
         from_codes, _ = _pair(database, build_views["array"], ["k_int"])
-        private = from_codes._dictionaries[0]
         table_dictionary = database.dictionary("dim", "k_int")
-        encoded_into = []
+        probe_dictionary = database.dictionary("fact", "fk_int")
+        encoded = []
         encode = keycodes.ColumnDictionary.encode
 
         def spying_encode(self, values):
-            encoded_into.append(self)
+            encoded.append((self, len(values)))
             return encode(self, values)
 
         monkeypatch.setattr(keycodes.ColumnDictionary, "encode", spying_encode)
         fact = _scan(database, "fact", "f")
-        Executor(database)._contains_by_codes(
-            from_codes, [("f", "fk_int")], fact
+        executor = Executor(database)
+        first = executor._contains_by_codes(from_codes, [("f", "fk_int")], fact)
+        assert encoded in ([], [(table_dictionary, probe_dictionary.num_values)])
+        encoded.clear()
+        again = executor._contains_by_codes(from_codes, [("f", "fk_int")], fact)
+        assert encoded == []
+        want = _brute_force(
+            [build_views["array"].column("d", "k_int")],
+            [fact.column("f", "fk_int")],
         )
-        assert encoded_into in ([], [table_dictionary])
-        assert private not in encoded_into
+        assert np.array_equal(first, want) and np.array_equal(again, want)
 
     def test_probe_after_dictionaries_are_rebuilt(self, database, build_views):
         """``invalidate_dictionaries`` hands out new dictionary objects;
@@ -259,17 +295,25 @@ class TestProbes:
         )
 
     def test_resident_bytes_count_the_presence_table(self, database, build_views):
-        from_codes, from_values = _pair(database, build_views["array"], ["k_int"])
+        view = build_views["array"]
+        from_codes, _ = _pair(database, view, ["k_int"])
         table_values = database.dictionary("dim", "k_int").num_values
-        assert (
-            from_codes.resident_bytes
-            == from_values.resident_bytes + table_values + 1
+        # One bool per table-dictionary code plus the absent slot; the
+        # table dictionary itself belongs to the database.
+        assert from_codes.resident_bytes == table_values + 1
+        # A probe through another dictionary memoizes one bool per code
+        # of that dictionary.
+        fact = _scan(database, "fact", "f")
+        Executor(database)._contains_by_codes(from_codes, [("f", "fk_int")], fact)
+        probe_values = database.dictionary("fact", "fk_int").num_values
+        assert from_codes.resident_bytes == table_values + 1 + probe_values
+        # Several columns hold one int64 combined code per distinct tuple.
+        from_codes, _ = _pair(database, view, ["k_text", "k_int"])
+        distinct = len(
+            set(zip(view.column("d", "k_text").tolist(),
+                    view.column("d", "k_int").tolist()))
         )
-        # Multi-column filters retain nothing extra.
-        from_codes, from_values = _pair(
-            database, build_views["array"], ["k_text", "k_int"]
-        )
-        assert from_codes.resident_bytes == from_values.resident_bytes
+        assert from_codes.resident_bytes == 8 * distinct
 
 
 class TestFallbacks:
@@ -314,22 +358,26 @@ class TestFallbacks:
         from repro.engine.metrics import ExecutionMetrics
 
         scan = _scan(database, "dim", "d").narrow(0, 500)
+        table_values = database.dictionary("dim", "k_int").num_values
         for parallelism in (1, 4):
             executor = Executor(database, parallelism=parallelism)
             built = executor._build_join_filter(
                 Definition("k_int"), scan, ExecutionMetrics()
             )
-            assert built._mode == "indexed" and built._presence is not None
+            # Presence over the table dictionary's domain.
+            assert built.describe()["presence_slots"] == table_values + 1
             built = executor._build_join_filter(
                 Definition("k_float"), scan, ExecutionMetrics()
             )
             assert built._mode == "float-fallback"
         assert calls == [1, 1]
         # A key without table provenance (a derived column) has no
-        # stored codes: the value constructor builds it.
+        # stored codes: the value constructor builds it, over its own
+        # dictionary of the 500 rows' values.
         derived = Relation({("d", "k_int"): scan.column("d", "k_int")}, 500)
         built = Executor(database)._build_join_filter(
             Definition("k_int"), derived, ExecutionMetrics()
         )
-        assert built._mode == "indexed" and built._presence is None
+        distinct = len(set(scan.column("d", "k_int").tolist()))
+        assert built.describe()["presence_slots"] == distinct + 1
         assert calls == [1, 1]

@@ -80,19 +80,15 @@ class TestIndexedEdgeCases:
         result = f.contains([int_col([-1000, 10, 25, 10**9])])
         assert result.tolist() == [False, True, False, False]
 
-    def test_packed_member_table_used_for_compact_domains(self):
-        f = ExactFilter.build([int_col(range(100))])
-        assert f._member_table is not None
-        assert f._member_table.count() == 100
-        # 1 bit per domain slot, not the bool table's 8.
-        assert f._member_table.nbytes <= 100 // 8 + 8
-
     def test_describe_reports_geometry_in_every_mode(self):
         indexed = ExactFilter.build([int_col(range(100))])
         info = indexed.describe()
         assert info["mode"] == "indexed"
-        assert info["member_table_bits"] == 100
+        assert info["presence_slots"] == 101
         assert info["resident_bytes"] > 0
+
+        pairs = ExactFilter.build([int_col([1, 1, 2]), int_col([5, 5, 6])])
+        assert pairs.describe()["code_set"] == 2
 
         floats = ExactFilter.build([np.array([1.0, np.nan])])
         info = floats.describe()
@@ -147,5 +143,4 @@ class TestFloatAndExtremeDomains:
     def test_indexed_mode_does_not_retain_raw_columns(self):
         f = ExactFilter.build([int_col([1, 2, 3])])
         assert f._key_columns is None
-        assert f._code_set is not None
         assert f.contains([int_col([2, 9])]).tolist() == [True, False]

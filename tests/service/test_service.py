@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,26 @@ def test_schema_change_invalidates_caches():
     assert not result.metrics.plan_cache_hit
     assert service.stats().invalidations == 1
     assert result.scalar("cnt") == _expected_count(db, 3)
+
+
+def test_dropped_dictionaries_release_cached_filters():
+    """A cached exact filter is built over the build table's dictionary;
+    once the database drops that dictionary, the service's filter cache
+    must not keep it alive.  The plan cache is untouched."""
+    db = _fresh_db()
+    service = QueryService(db)
+    first = service.execute(_count_sql(3))
+    assert first.metrics.filter_cache_misses == 1
+    dropped = weakref.ref(db.dictionary("dim1", "id"))
+
+    db.invalidate_dictionaries("dim1")
+    second = service.execute(_count_sql(3))
+    assert second.metrics.plan_cache_hit
+    assert second.metrics.filter_cache_misses == 1
+    assert second.scalar("cnt") == first.scalar("cnt") == _expected_count(db, 3)
+    gc.collect()
+    assert dropped() is None
+    assert service.stats().invalidations == 0
 
 
 def test_manual_invalidate_clears_both_caches():
