@@ -26,14 +26,17 @@ lookups, and each predicate's selectivity derived once per
 
 from __future__ import annotations
 
+import sys
 import time
 
 from repro.bench.reporting import render_table
 from repro.cascades.engine import CascadesOptimizer
+from repro.optimizer import pipelines
 from repro.optimizer.baseline import optimize_baseline
 from repro.optimizer.multifact import optimize_join_graph
 from repro.optimizer.pipelines import optimize_query
-from repro.plan.nodes import PlanNode
+from repro.plan.nodes import BitvectorDef, FilterNode, PlanNode
+from repro.plan.pushdown import push_down_bitvectors
 from repro.query.joingraph import JoinGraph
 from repro.stats.estimator import CardinalityEstimator
 from repro.workloads.synthetic import random_star
@@ -66,10 +69,14 @@ def _time_planners(db, specs) -> list[dict]:
 
 
 def _count_work(monkeypatch) -> dict[str, int]:
-    """Arm counters on the three things plan search must not repeat:
+    """Arm counters on what plan search must not repeat or do at all:
     plan nodes constructed, predicate selectivities derived, join-graph
-    edge lookups."""
-    work = {"nodes": 0, "selectivities": 0, "edge_lookups": 0}
+    edge lookups, push-downs run, and filter records or residual filter
+    nodes made while searching (pricing is read-only)."""
+    work = {
+        "nodes": 0, "selectivities": 0, "edge_lookups": 0, "push_downs": 0,
+        "filter_objects": 0, "search_filter_objects": 0,
+    }
 
     def counting(owner, name, key):
         original = getattr(owner, name)
@@ -83,16 +90,34 @@ def _count_work(monkeypatch) -> dict[str, int]:
     counting(PlanNode, "__init__", "nodes")
     counting(CardinalityEstimator, "predicate_selectivity", "selectivities")
     counting(JoinGraph, "edge_between", "edge_lookups")
+    counting(BitvectorDef, "__init__", "filter_objects")
+    counting(FilterNode, "__init__", "filter_objects")
+    # Wherever a module imported push-down, count the calls made there.
+    for module in list(sys.modules.values()):
+        if getattr(module, "push_down_bitvectors", None) is push_down_bitvectors:
+            counting(module, "push_down_bitvectors", "push_downs")
+
+    def searching(*args, **kwargs):
+        before = work["filter_objects"]
+        try:
+            return optimize_join_graph(*args, **kwargs)
+        finally:
+            work["search_filter_objects"] += work["filter_objects"] - before
+
+    monkeypatch.setattr(pipelines, "optimize_join_graph", searching)
     return work
 
 
 def _assert_linear_per_candidate(work, candidates: int, relations: int) -> None:
-    # A candidate is ~n scans + n joins (+ residual filter nodes); its
-    # keys take ~1.5 lookups per relation.  The quadratic helpers this
-    # guards against (a clone per candidate, a build x probe alias cross
-    # product per join) measured 4.0 n and 15 n on the 31-relation spec.
-    assert work["nodes"] <= 3 * relations * candidates
+    # A candidate adds one join per spine step over scans built once per
+    # optimize_query; the final push-down adds at most one residual
+    # filter per join.  Fresh scans per candidate measured 2 n per
+    # candidate; a clone per candidate and a build x probe alias cross
+    # product per join measured 4.0 n and 15 n on the 31-relation spec.
+    assert work["nodes"] <= relations * candidates + 2 * relations
     assert work["edge_lookups"] <= 2 * relations * candidates
+    assert work["search_filter_objects"] == 0
+    assert work["push_downs"] == 1  # the final plan's, in _finalize
 
 
 def test_abl05_optimization_time(tpcds_workload, customer_workload, benchmark):

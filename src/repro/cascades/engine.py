@@ -15,8 +15,9 @@ Extraction then depends on the integration mode (paper Section 6.4):
     Bitvector-aware costing.  Because filter placement breaks
     substructure optimality, complete plans must be costed as wholes;
     extraction enumerates plans from the memo (capped) and scores each
-    with push-down + bitvector-aware ``Cout``.  The cap is the honest
-    price of full integration — exactly the blow-up the paper's
+    with bitvector-aware ``Cout`` under Algorithm 1's filter placement
+    (one read-only pass; the plans share subplans).  The cap is the
+    honest price of full integration — exactly the blow-up the paper's
     analysis avoids.
 ``alternative``
     The blind winner and the BQO rule's plan are both scored
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from repro.cascades.memo import LogicalGet, Memo
 from repro.cascades.rules import DEFAULT_RULES, Rule
-from repro.cost.cout import bitvector_costing, cout
+from repro.cost.physical import estimated_cpu
 from repro.errors import OptimizerError
 from repro.optimizer.blindcard import BlindCardModel
 from repro.optimizer.multifact import optimize_join_graph
@@ -215,8 +216,7 @@ class CascadesOptimizer:
 
     @staticmethod
     def _aware_cost(plan: PlanNode, estimator: CardinalityEstimator) -> float:
-        with bitvector_costing(plan, estimator) as (pushed, model):
-            return cout(pushed, model)
+        return estimated_cpu(plan, estimator).cout
 
 
 def _connected_order(graph: JoinGraph) -> list[str]:

@@ -14,8 +14,7 @@ cardinalities (planning) or true cardinalities (theorem validation).
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from repro.errors import PlanError
 from repro.plan.nodes import (
@@ -27,7 +26,6 @@ from repro.plan.nodes import (
     ScanNode,
     TopKNode,
 )
-from repro.plan.pushdown import push_down_bitvectors, strip_bitvectors
 from repro.stats.estimator import CardinalityEstimator
 
 
@@ -128,7 +126,10 @@ class EstimatedCardModel:
                     rows *= self._survival(bitvector, probe_rows=rows)
             return max(1.0, rows)
         if isinstance(node, HashJoinNode):
-            return self._join_rows(node)
+            return join_rows(
+                self._estimator, node, self.rows_out(node.build),
+                self.rows_out(node.probe), self._aware,
+            )
         if isinstance(node, AggregateNode):
             return self.rows_out(node.child)
         if isinstance(node, TopKNode):
@@ -138,67 +139,63 @@ class EstimatedCardModel:
             return max(1.0, rows)
         raise PlanError(f"cannot estimate node {node.label}")
 
-    def _join_rows(self, node: HashJoinNode) -> float:
-        build_rows = self.rows_out(node.build)
-        probe_rows = self.rows_out(node.probe)
-        if self._aware and node.creates_bitvector:
-            # The probe subtree already reflects this join's semi-join
-            # reduction (Algorithm 1 always lands the filter inside the
-            # probe side).  Each surviving probe tuple matches
-            # |B| / ndv(build key) build tuples on average, at least 1.
-            build_ndv = self._build_key_ndv(node, build_rows)
-            matches_per_tuple = max(1.0, build_rows / max(build_ndv, 1.0))
-            return max(1.0, probe_rows * matches_per_tuple)
-        selectivity = 1.0
-        for (build_alias, build_col), (probe_alias, probe_col) in zip(
-            node.build_keys, node.probe_keys
-        ):
-            ndv_build = self._estimator.column_distinct(build_alias, build_col)
-            ndv_probe = self._estimator.column_distinct(probe_alias, probe_col)
-            selectivity *= 1.0 / max(ndv_build, ndv_probe, 1.0)
-        return max(1.0, build_rows * probe_rows * selectivity)
-
-    def _build_key_ndv(self, node: HashJoinNode, build_rows: float) -> float:
-        ndv = 1.0
-        for build_alias, build_col in node.build_keys:
-            ndv *= self._estimator.column_distinct(build_alias, build_col)
-        return min(ndv, max(build_rows, 1.0))
-
     def _survival(self, bitvector: BitvectorDef, probe_rows: float) -> float:
-        """Fraction of probe tuples surviving ``bitvector``.
-
-        Distinct-value containment: the build side retains
-        ``min(raw ndv, build subplan rows)`` distinct keys; a probe
-        tuple survives with probability ``build ndv / probe ndv``.
-        """
         build_rows = self.rows_out(bitvector.source_join.build)
-        survival = 1.0
-        for (build_alias, build_col), (probe_alias, probe_col) in zip(
-            bitvector.build_keys, bitvector.probe_keys
-        ):
-            ndv_build_raw = self._estimator.column_distinct(build_alias, build_col)
-            ndv_build = min(ndv_build_raw, max(build_rows, 1.0))
-            ndv_probe_raw = self._estimator.column_distinct(probe_alias, probe_col)
-            ndv_probe = min(ndv_probe_raw, max(probe_rows, 1.0))
-            survival *= min(1.0, ndv_build / max(ndv_probe, 1.0))
-        return max(1e-9, survival)
+        return filter_survival(self._estimator, bitvector, build_rows, probe_rows)
 
 
-@contextlib.contextmanager
-def bitvector_costing(
-    plan: PlanNode, estimator: CardinalityEstimator, bitvector_aware: bool = True
-) -> Iterator[tuple[PlanNode, EstimatedCardModel]]:
-    """Cost a bare plan as Algorithm 1 would leave it, then put it back.
+# The model's formulas, shared with :func:`repro.cost.physical.estimated_cpu`.
+# A filter is a :class:`BitvectorDef` or the :class:`HashJoinNode` creating it.
 
-    The one answer to "what would this not-yet-final plan cost once its
-    filters are placed": push-down runs on ``plan`` itself (no copy —
-    candidates share their collapsed-snowflake subplans), the block
-    sees ``(pushed plan, fresh model)``, and on exit every filter and
-    residual :class:`FilterNode` is stripped, so the plan leaves as it
-    came.  ``creates_bitvector`` flags are read, never written.
+
+def filter_survival(
+    estimator: CardinalityEstimator, bitvector, build_rows: float, probe_rows: float
+) -> float:
+    """Fraction of probe tuples surviving ``bitvector``.
+
+    Distinct-value containment: the build side retains
+    ``min(raw ndv, build subplan rows)`` distinct keys; a probe tuple
+    survives with probability ``build ndv / probe ndv``.
     """
-    pushed = push_down_bitvectors(plan)
-    try:
-        yield pushed, EstimatedCardModel(estimator, bitvector_aware)
-    finally:
-        strip_bitvectors(pushed)
+    survival = 1.0
+    for (build_alias, build_col), (probe_alias, probe_col) in zip(
+        bitvector.build_keys, bitvector.probe_keys
+    ):
+        ndv_build_raw = estimator.column_distinct(build_alias, build_col)
+        ndv_build = min(ndv_build_raw, max(build_rows, 1.0))
+        ndv_probe_raw = estimator.column_distinct(probe_alias, probe_col)
+        ndv_probe = min(ndv_probe_raw, max(probe_rows, 1.0))
+        survival *= min(1.0, ndv_build / max(ndv_probe, 1.0))
+    return max(1e-9, survival)
+
+
+def join_rows(
+    estimator: CardinalityEstimator, node: HashJoinNode,
+    build_rows: float, probe_rows: float, bitvector_aware: bool,
+) -> float:
+    """Output rows of a hash join over inputs of the given sizes."""
+    if bitvector_aware and node.creates_bitvector:
+        # The probe subtree already reflects this join's semi-join
+        # reduction (Algorithm 1 always lands the filter inside the
+        # probe side).  Each surviving probe tuple matches
+        # |B| / ndv(build key) build tuples on average, at least 1.
+        build_ndv = build_key_ndv(estimator, node, build_rows)
+        matches_per_tuple = max(1.0, build_rows / max(build_ndv, 1.0))
+        return max(1.0, probe_rows * matches_per_tuple)
+    selectivity = 1.0
+    for (build_alias, build_col), (probe_alias, probe_col) in zip(
+        node.build_keys, node.probe_keys
+    ):
+        ndv_build = estimator.column_distinct(build_alias, build_col)
+        ndv_probe = estimator.column_distinct(probe_alias, probe_col)
+        selectivity *= 1.0 / max(ndv_build, ndv_probe, 1.0)
+    return max(1.0, build_rows * probe_rows * selectivity)
+
+
+def build_key_ndv(
+    estimator: CardinalityEstimator, node: HashJoinNode, build_rows: float
+) -> float:
+    ndv = 1.0
+    for build_alias, build_col in node.build_keys:
+        ndv *= estimator.column_distinct(build_alias, build_col)
+    return min(ndv, max(build_rows, 1.0))

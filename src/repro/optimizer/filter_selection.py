@@ -15,7 +15,7 @@ every join of a plan; the caller then runs push-down once.
 from __future__ import annotations
 
 from repro.cost.constants import DEFAULT_COSTS, DEFAULT_LAMBDA_THRESH
-from repro.cost.cout import EstimatedCardModel, bitvector_costing
+from repro.cost.physical import estimated_cpu
 from repro.plan.nodes import HashJoinNode, PlanNode
 from repro.stats.estimator import CardinalityEstimator
 
@@ -64,27 +64,21 @@ def apply_cost_based_filters(
     it previously rejected.
     """
     # Every decision is taken against the plan with *all* its flags as
-    # they came in, so the flags are written only after costing ends.
-    decisions: list[tuple[HashJoinNode, bool]] = []
-    with bitvector_costing(plan, estimator) as (pushed, model):
-        for join in pushed.walk():
-            if not isinstance(join, HashJoinNode):
-                continue
-            elimination = _estimated_elimination(join, model, estimator)
-            if zone_aware:
-                elimination = _residual_elimination(join, estimator, elimination)
-            threshold = _parallel_build_threshold(
-                join, model, estimator, lambda_thresh, build_parallelism
-            )
-            decisions.append((join, elimination >= threshold))
-    for join, creates in decisions:
-        join.creates_bitvector = creates
+    # they came in: the rows are priced once, before any flag is written.
+    for join, (build_rows, probe_rows) in estimated_cpu(plan, estimator).join_rows.items():
+        elimination = _estimated_elimination(join, build_rows, estimator)
+        if zone_aware:
+            elimination = _residual_elimination(join, estimator, elimination)
+        threshold = _parallel_build_threshold(
+            build_rows, probe_rows, estimator, lambda_thresh, build_parallelism
+        )
+        join.creates_bitvector = elimination >= threshold
     return plan
 
 
 def _parallel_build_threshold(
-    join: HashJoinNode,
-    model: EstimatedCardModel,
+    build_rows: float,
+    probe_rows: float,
     estimator: CardinalityEstimator,
     lambda_thresh: float,
     build_parallelism: int,
@@ -103,8 +97,6 @@ def _parallel_build_threshold(
     """
     if build_parallelism <= 1:
         return lambda_thresh
-    build_rows = model.rows_out(join.build)
-    probe_rows = model.rows_out(join.probe)
     discount = estimator.filter_build_discount(build_rows, build_parallelism)
     if discount <= 1.0:
         return lambda_thresh
@@ -144,11 +136,10 @@ def _residual_elimination(
 
 def _estimated_elimination(
     join: HashJoinNode,
-    model: EstimatedCardModel,
+    build_rows: float,
     estimator: CardinalityEstimator,
 ) -> float:
     """Estimated fraction of probe tuples the join's filter eliminates."""
-    build_rows = model.rows_out(join.build)
     survival = 1.0
     for (build_alias, build_col), (probe_alias, probe_col) in zip(
         join.build_keys, join.probe_keys

@@ -14,7 +14,7 @@ Alternates two stages until the whole graph is one unit:
 
 from __future__ import annotations
 
-from repro.cost.cout import bitvector_costing
+from repro.cost.physical import estimated_cpu
 from repro.errors import OptimizerError
 from repro.optimizer.snowflake import SearchStats, optimize_snowflake
 from repro.optimizer.units import UnitGraph
@@ -93,6 +93,6 @@ def _extract_snowflake(
 
 
 def _estimate_plan_rows(plan: PlanNode, estimator: CardinalityEstimator) -> float:
-    """Estimated output cardinality of a subplan (bitvector-aware)."""
-    with bitvector_costing(plan, estimator) as (pushed, model):
-        return model.rows_out(pushed)
+    """Estimated output cardinality of a subplan — bitvector-aware even
+    when the search itself is blind."""
+    return estimated_cpu(plan, estimator, bitvector_aware=True).rows

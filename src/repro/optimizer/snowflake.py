@@ -20,9 +20,10 @@ Two candidate families are then costed with bitvector-aware estimated
 ``Cout`` (paper Section 5's linear candidate result): the fact-first
 plan, and for each single-root branch, one plan per starting relation
 in which that branch leads (Theorem 5.3 orders).  The cheapest wins.
-Each candidate is built, costed in place and dropped unless it is the
-new incumbent, so the search holds one candidate at a time and costs
-each in time proportional to its size.
+Each candidate is built over the unit graph's shared leaf scans, priced
+by one read-only pass and dropped unless it is the new incumbent, so
+the search holds one candidate at a time and prices each in time
+proportional to its size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator
 
-from repro.cost.cout import bitvector_costing
 from repro.cost.physical import estimated_cpu
 from repro.errors import OptimizerError
 from repro.optimizer.candidates import leading_order
@@ -43,7 +43,7 @@ from repro.plan.nodes import PlanNode
 class SearchStats:
     """What one plan search did; reported on the ``optimize`` span."""
 
-    candidates: int = 0   # plans built, pushed down and costed
+    candidates: int = 0   # plans built and priced
     snowflakes: int = 0   # Algorithm 3 extraction rounds
 
 
@@ -55,6 +55,7 @@ class _Branch:
     units: list[str]          # root-first, prefix-connected order
     survival: float           # est. fraction of fact rows surviving
     group_size: int           # #branches in its connected component
+    reduces: bool             # a key-join branch whose filter pays (builds)
     priority: float = 0.0
 
     @property
@@ -170,12 +171,15 @@ def _sorted_branches(
         group = []
         for root in roots:
             units = _bfs_order(ugraph, members[root], root)
+            survival = _branch_survival(ugraph, fact_id, root, members[root])
             group.append(
                 _Branch(
                     root=root,
                     units=units,
-                    survival=_branch_survival(ugraph, fact_id, root, members[root]),
+                    survival=survival,
                     group_size=len(roots),
+                    reduces=survival < _REDUCER_SURVIVAL
+                    and ugraph.is_key_join_into(fact_id, root),
                 )
             )
         groups.append(group)
@@ -317,10 +321,7 @@ def _reduced_spine_estimate(
     """
     rows = ugraph.unit(fact_id).rows
     for branch in branches:
-        if (
-            branch.survival < _REDUCER_SURVIVAL
-            and ugraph.is_key_join_into(fact_id, branch.root)
-        ):
+        if branch.reduces:
             rows *= branch.survival
     return max(1.0, rows)
 
@@ -351,12 +352,9 @@ def _join_branches(
     """
     plan = prefix if prefix is not None else ugraph.unit_plan(fact_id)
     for branch in branches:
-        branch_reduces = branch.survival < _REDUCER_SURVIVAL and (
-            ugraph.is_key_join_into(fact_id, branch.root)
-        )
         for unit_id in branch.units:
             unit_plan = ugraph.unit_plan(unit_id)
-            if not branch_reduces and ugraph.unit(unit_id).rows > spine_rows:
+            if not branch.reduces and ugraph.unit(unit_id).rows > spine_rows:
                 plan = join_nodes(ugraph.graph, build=plan, probe=unit_plan)
             else:
                 plan = join_nodes(ugraph.graph, build=unit_plan, probe=plan)
@@ -391,10 +389,7 @@ def _cheapest(
     best_plan: PlanNode | None = None
     best_cost = float("inf")
     for candidate in candidates:
-        with bitvector_costing(candidate, estimator, bitvector_aware) as (
-            pushed, model,
-        ):
-            cost = estimated_cpu(pushed, model, estimator)
+        cost = estimated_cpu(candidate, estimator, bitvector_aware).cpu
         if search is not None:
             search.candidates += 1
         if cost < best_cost:

@@ -35,8 +35,8 @@ class Unit:
     members: frozenset[str]
     rows: float
     key_member: str | None
+    plan: PlanNode  # a base unit's scan, or a composite's subplan
     optimized: bool = False
-    plan: PlanNode | None = None
 
 
 class UnitGraph:
@@ -55,6 +55,7 @@ class UnitGraph:
                 members=frozenset({alias}),
                 rows=rows,
                 key_member=alias,
+                plan=scan_for(graph.spec, alias),
             )
         self._rebuild_adjacency()
 
@@ -76,11 +77,12 @@ class UnitGraph:
         return len(self._units)
 
     def unit_plan(self, unit_id: str) -> PlanNode:
-        """The subplan a unit contributes as a join leaf."""
-        unit = self.unit(unit_id)
-        if unit.plan is not None:
-            return unit.plan
-        return scan_for(self.graph.spec, unit.unit_id)
+        """The subplan a unit contributes as a join leaf.
+
+        Shared by every candidate that uses the unit: plan search only
+        reads plans, and push-down runs once, on the final plan.
+        """
+        return self.unit(unit_id).plan
 
     # ------------------------------------------------------------------
     # Topology

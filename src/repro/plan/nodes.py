@@ -123,7 +123,9 @@ class HashJoinNode(PlanNode):
     """Hash join: builds on ``build``, streams ``probe``.
 
     ``creates_bitvector`` is the cost-based switch from Section 6.3 —
-    when False, push-down does not generate a filter for this join.
+    when False, push-down does not generate a filter for this join.  Its
+    keys and ``probe_aliases`` mirror the :class:`BitvectorDef` it would
+    create, so the read-only costing pass routes the join as its filter.
     """
 
     def __init__(
@@ -137,19 +139,19 @@ class HashJoinNode(PlanNode):
         super().__init__()
         if len(build_keys) != len(probe_keys) or not build_keys:
             raise PlanError("hash join requires aligned, non-empty key lists")
-        build_aliases = build.output_aliases
-        probe_aliases = probe.output_aliases
+        build_side = build.output_aliases
+        probe_side = probe.output_aliases
         for alias, _ in build_keys:
-            if alias not in build_aliases:
+            if alias not in build_side:
                 raise PlanError(f"build key alias {alias!r} not in build side")
-        for alias, _ in probe_keys:
-            if alias not in probe_aliases:
-                raise PlanError(f"probe key alias {alias!r} not in probe side")
-        if build_aliases & probe_aliases:
+        self.probe_aliases = frozenset({alias for alias, _ in probe_keys})
+        if not self.probe_aliases <= probe_side:
+            raise PlanError(f"probe key aliases {sorted(self.probe_aliases)} not in probe side")
+        if build_side & probe_side:
             raise PlanError("join children share relation aliases")
         self.build = build
         self.probe = probe
-        self._aliases = build_aliases | probe_aliases
+        self._aliases = build_side | probe_side
         self.build_keys = build_keys
         self.probe_keys = probe_keys
         self.creates_bitvector = creates_bitvector

@@ -44,6 +44,29 @@ def push_down_bitvectors(plan: PlanNode) -> PlanNode:
     return _op_push_down(plan, [])
 
 
+def route_filters(join: HashJoinNode, created, incoming: list) -> tuple[list, list, list]:
+    """Algorithm 1 lines 8-23 at one join: ``(to_build, to_probe, residual)``.
+
+    ``created`` (the join's own filter, or ``None``) goes first on the
+    probe side; each incoming filter goes to the unique child carrying
+    all its ``probe_aliases``, or stays as residual.  Arrival order is
+    kept: survival applies to a running row count.
+    """
+    to_build, residual = [], []
+    to_probe = [] if created is None else [created]
+    build_side = join.build.output_aliases
+    probe_side = join.probe.output_aliases
+    for bitvector in incoming:
+        in_build = bitvector.probe_aliases <= build_side
+        if in_build == (bitvector.probe_aliases <= probe_side):
+            residual.append(bitvector)  # neither child, or both
+        elif in_build:
+            to_build.append(bitvector)
+        else:
+            to_probe.append(bitvector)
+    return to_build, to_probe, residual
+
+
 def _op_push_down(op: PlanNode, incoming: list[BitvectorDef]) -> PlanNode:
     if isinstance(op, (AggregateNode, TopKNode)):
         op.child = _op_push_down(op.child, incoming)
@@ -62,12 +85,8 @@ def _op_push_down(op: PlanNode, incoming: list[BitvectorDef]) -> PlanNode:
     if not isinstance(op, HashJoinNode):
         raise PlanError(f"unexpected node in push-down: {op.label}")
 
-    push_down_map: dict[int, list[BitvectorDef]] = {
-        id(op.build): [],
-        id(op.probe): [],
-    }
-
     # Lines 8-10: this hash join creates a filter for its probe side.
+    created = None
     if op.creates_bitvector:
         created = BitvectorDef(
             source_join=op,
@@ -75,25 +94,11 @@ def _op_push_down(op: PlanNode, incoming: list[BitvectorDef]) -> PlanNode:
             probe_keys=op.probe_keys,
         )
         op.created_bitvector = created
-        push_down_map[id(op.probe)].append(created)
-
-    # Lines 12-23: route every incoming filter to the unique child that
-    # carries all its columns, or keep it here as residual.
-    residual: list[BitvectorDef] = []
-    for bitvector in incoming:
-        eligible = [
-            child
-            for child in (op.build, op.probe)
-            if bitvector.probe_aliases <= child.output_aliases
-        ]
-        if len(eligible) == 1:
-            push_down_map[id(eligible[0])].append(bitvector)
-        else:
-            residual.append(bitvector)
+    to_build, to_probe, residual = route_filters(op, created, incoming)
 
     # Lines 30-33: recurse into children with their routed filters.
-    op.build = _op_push_down(op.build, push_down_map[id(op.build)])
-    op.probe = _op_push_down(op.probe, push_down_map[id(op.probe)])
+    op.build = _op_push_down(op.build, to_build)
+    op.probe = _op_push_down(op.probe, to_probe)
 
     # Lines 24-29: wrap with a residual filter operator if needed.
     if residual:

@@ -47,6 +47,7 @@ from repro.errors import (
 )
 from repro.expr.expressions import substitute_parameters
 from repro.filters.cache import BitvectorFilterCache
+from repro.filters.registry import FILTER_KINDS
 from repro.obs import ServiceTelemetry, Tracer
 from repro.optimizer.pipelines import PIPELINES, optimize_query
 from repro.plan.display import format_plan
@@ -113,8 +114,9 @@ class QueryService:
         and intra-query (``parallelism``, the process-wide morsel
         pool) parallelism compose, with the morsel pool bounded by the
         widest ``parallelism`` in the process.  At ``parallelism > 1``
-        bitvector filter builds run partitioned on the pool (the plan
-        cache optimizes with the matching build-cost discount), and
+        Bloom-family filter builds run partitioned on the pool (the plan
+        cache optimizes with the matching build-cost discount; exact
+        filters build serially and get none), and
         ``adaptive_morsels`` resizes morsels per pipeline from observed
         selectivity and wall time.
     zone_maps:
@@ -205,6 +207,10 @@ class QueryService:
             adaptive_morsels=adaptive_morsels,
             zone_maps=zone_maps,
         )
+        # Filter selection discounts build cost by the parallelism filters
+        # are built at: 1 for a kind that never partitions its build.
+        partitioned = getattr(FILTER_KINDS.get(filter_kind), "supports_partitioned_build", False)
+        self._build_parallelism = parallelism if partitioned else 1
         # Serial fallback for degrade="serial": same database, same
         # shared filter cache, parallelism 1 — created lazily because
         # most services never degrade.
@@ -960,10 +966,7 @@ class QueryService:
                 spec, template_spec = parse_and_bind()
         optimized = optimize_query(
             self._database, spec, pipeline, lambda_thresh=self._lambda_thresh,
-            # Filter selection discounts build cost by the executor
-            # parallelism these plans will actually run at (the
-            # partitioned build pipeline).
-            build_parallelism=self._executor.parallelism,
+            build_parallelism=self._build_parallelism,
             context=context,
             tracer=tracer,
         )

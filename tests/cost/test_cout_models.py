@@ -3,13 +3,11 @@
 import pytest
 
 from repro.cost.constants import CostConstants, DEFAULT_COSTS
-from repro.cost.cout import EstimatedCardModel, bitvector_costing, cout
+from repro.cost.cout import EstimatedCardModel, cout
 from repro.cost.physical import estimated_cpu
 from repro.cost.truecard import TrueCardModel, true_cout
 from repro.engine.executor import Executor
 from repro.plan.builder import build_right_deep
-from repro.plan.nodes import FilterNode, HashJoinNode
-from repro.plan.properties import plan_signature
 from repro.plan.pushdown import push_down_bitvectors
 from repro.query.joingraph import JoinGraph
 from repro.stats.estimator import CardinalityEstimator
@@ -75,14 +73,13 @@ class TestEstimatedModel:
 class TestPhysicalCpu:
     def test_estimated_cpu_positive_and_ordered(self, star_db, star_setup):
         graph, estimator = star_setup
-        with_bv = push_down_bitvectors(build_right_deep(graph, ["f", "d1", "d2"]))
+        with_bv = build_right_deep(graph, ["f", "d1", "d2"])
         no_bv = build_right_deep(graph, ["f", "d1", "d2"])
         for node in no_bv.walk():
             if hasattr(node, "creates_bitvector"):
                 node.creates_bitvector = False
-        no_bv = push_down_bitvectors(no_bv)
-        cpu_with = estimated_cpu(with_bv, EstimatedCardModel(estimator), estimator)
-        cpu_without = estimated_cpu(no_bv, EstimatedCardModel(estimator), estimator)
+        cpu_with = estimated_cpu(with_bv, estimator).cpu
+        cpu_without = estimated_cpu(no_bv, estimator).cpu
         assert 0 < cpu_with < cpu_without
 
     def test_metered_cpu_matches_model_semantics(self, star_db, star_setup):
@@ -112,56 +109,3 @@ class TestPhysicalCpu:
         result = Executor(star_db).execute(plan)
         doubled = CostConstants(probe=2.0)
         assert result.metrics.metered_cpu(doubled) > result.metrics.metered_cpu()
-
-
-class TestCostingInPlace:
-    """``bitvector_costing`` pushes down on the plan itself and must
-    hand it back exactly as it came."""
-
-    @pytest.fixture()
-    def residual_setup(self, star_db, residual_spec):
-        graph = JoinGraph(residual_spec, star_db.catalog)
-        estimator = CardinalityEstimator(star_db, residual_spec.alias_tables)
-        return graph, estimator
-
-    @staticmethod
-    def is_bare(plan) -> bool:
-        return all(
-            not isinstance(node, FilterNode)
-            and not node.applied_bitvectors
-            and getattr(node, "created_bitvector", None) is None
-            for node in plan.walk()
-        )
-
-    def test_cost_equals_costing_a_fresh_pushed_plan(self, residual_setup):
-        graph, estimator = residual_setup
-        fresh = push_down_bitvectors(build_right_deep(graph, ["a", "b", "c"]))
-        expected = cout(fresh, EstimatedCardModel(estimator))
-        plan = build_right_deep(graph, ["a", "b", "c"])
-        with bitvector_costing(plan, estimator) as (pushed, model):
-            assert any(isinstance(node, FilterNode) for node in pushed.walk())
-            assert cout(pushed, model) == expected
-
-    def test_plan_leaves_as_it_came(self, residual_setup):
-        graph, estimator = residual_setup
-        plan = build_right_deep(graph, ["a", "b", "c"])
-        nodes, signature = list(plan.walk()), plan_signature(plan)
-        plan.creates_bitvector = False  # flags are read, never written
-        with bitvector_costing(plan, estimator) as (pushed, _model):
-            assert pushed is plan
-        assert self.is_bare(plan)
-        assert list(plan.walk()) == nodes
-        assert plan_signature(plan) == signature
-        assert [
-            node.creates_bitvector for node in nodes
-            if isinstance(node, HashJoinNode)
-        ] == [False, True]
-
-    def test_plan_is_restored_when_costing_raises(self, residual_setup):
-        graph, estimator = residual_setup
-        plan = build_right_deep(graph, ["a", "b", "c"])
-        nodes = list(plan.walk())
-        with pytest.raises(RuntimeError):
-            with bitvector_costing(plan, estimator):
-                raise RuntimeError("costing failed")
-        assert self.is_bare(plan) and list(plan.walk()) == nodes

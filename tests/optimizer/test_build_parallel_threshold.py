@@ -9,10 +9,12 @@ must reproduce the old rule exactly.
 
 import numpy as np
 
+import repro.service.service as service_module
 from repro.cost.constants import DEFAULT_LAMBDA_THRESH
 from repro.optimizer.filter_selection import apply_cost_based_filters
 from repro.optimizer.pipelines import optimize_query
 from repro.plan.nodes import HashJoinNode
+from repro.service import QueryService
 from repro.sql.binder import parse_query
 from repro.stats.estimator import CardinalityEstimator
 from repro.storage.database import Database
@@ -125,6 +127,37 @@ class TestThresholdDiscount:
             "no cut produced a filter rejected serially but admitted "
             "under build_parallelism=4"
         )
+
+    def test_service_discounts_only_partitioned_filter_kinds(self, monkeypatch):
+        """An exact filter is built serially at any parallelism, so an
+        exact-kind service plans at ``parallelism=4`` as at 1; a Bloom
+        service keeps the discount, which flips this cut's filter."""
+        planned = []
+
+        def spy(*args, **kwargs):
+            optimized = optimize_query(*args, **kwargs)
+            planned.append(
+                (optimized.signature,
+                 [j.creates_bitvector for j in _joins(optimized.plan)])
+            )
+            return optimized
+
+        monkeypatch.setattr(service_module, "optimize_query", spy)
+        database = _database()
+        sql = (
+            "SELECT COUNT(*) AS c FROM fact f, dim d "
+            "WHERE f.fk = d.id AND d.attr < 97"
+        )
+        for kind, parallelism in (
+            ("exact", 1), ("exact", 4), ("bloom", 1), ("bloom", 4)
+        ):
+            with QueryService(
+                database, filter_kind=kind, parallelism=parallelism
+            ) as service:
+                service.explain(sql)
+        exact_1, exact_4, bloom_1, bloom_4 = planned
+        assert exact_4 == exact_1 == bloom_1
+        assert bloom_1[1] == [False] and bloom_4[1] == [True]
 
     def test_floor_keeps_worthless_filters_out(self):
         """Even infinite build parallelism cannot push the threshold

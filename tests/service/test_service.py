@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import repro.service.service as service_module
 from repro.errors import ServiceClosed
 from repro.service import QueryService
 from repro.storage.database import Database
@@ -45,11 +46,18 @@ def test_same_fingerprint_different_constants_correct_results(service, star_db):
     assert first.scalar("cnt") != second.scalar("cnt")
 
 
-def test_hit_skips_optimization_and_is_faster(service):
-    cold = service.execute(_count_sql(3))
+def test_hit_skips_optimization(service, monkeypatch):
+    optimized = []
+    real = service_module.optimize_query
+    monkeypatch.setattr(
+        service_module, "optimize_query",
+        lambda *args, **kwargs: optimized.append(args) or real(*args, **kwargs),
+    )
+    service.execute(_count_sql(3))
     warm = service.execute(_count_sql(4))
     assert warm.metrics.plan_cache_hit
-    assert warm.metrics.optimize_seconds < cold.metrics.optimize_seconds
+    assert len(optimized) == 1  # the cold call only
+    assert service.plan_cache.misses == 1
 
 
 def test_stats_expose_cache_counters(service):
