@@ -603,9 +603,6 @@ class Executor:
             view = relation.range_view(start, stop, counters=worker)
             return np.flatnonzero(mask_fn(view)) + start
 
-        # Decode bitmap selections on the main thread before fan-out:
-        # every morsel slices one shared positions array.
-        relation.settle_selections()
         if ranges is None:
             parts = self._adaptive_map(
                 metrics, relation.num_rows, task, out_rows=len
@@ -752,7 +749,6 @@ class Executor:
 
         total = sum(stop - start for start, stop in ranges)
         if self._parallel and len(ranges) >= 2 and total >= _MIN_PARALLEL_ROWS:
-            relation.settle_selections()
             return self._map_morsels(metrics, ranges, task)
         return [task(start, stop, metrics) for start, stop in ranges]
 
@@ -1301,13 +1297,11 @@ class Executor:
                 and sum(stop - start for start, stop in kept)
                 >= _MIN_PARALLEL_ROWS
             ):
-                probe_rel.settle_selections()
                 parts = self._map_morsels(metrics, kept, task)
             else:
                 # Too little survived pruning to be worth the pool.
                 parts = [task(start, stop, metrics) for start, stop in kept]
         elif self._parallel and streamed_rel.num_rows >= _MIN_PARALLEL_ROWS:
-            streamed_rel.settle_selections()
             # Match-output counts feed the sizer's selectivity signal.
             parts = self._adaptive_map(
                 metrics, streamed_rel.num_rows, task,
@@ -1465,7 +1459,6 @@ class Executor:
                     **self._filter_options,
                 )
 
-            build_rel.settle_selections()
             partials = self._map_morsels(metrics, ranges, task)
             metrics.filter_builds_parallel += 1
             metrics.filter_partials_built += len(partials)

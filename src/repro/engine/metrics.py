@@ -91,13 +91,9 @@ class ExecutionMetrics:
         # morsels answered by binary-searching a clustered column to the
         # predicate's value band instead of per-morsel min/max checks.
         self.morsels_band_searched = 0
-        # Succinct selection accounting (see repro.engine.relation):
-        # bytes of selection state actually created by row-filter
-        # operations vs. what dense int64 position vectors would have
-        # held for the same survivors.  The gap is the tentpole's
-        # resident-memory win between operators.
+        # Selection accounting (see repro.engine.relation): bytes of
+        # int64 position vectors created by row-filter operations.
         self.selection_bytes = 0
-        self.selection_bytes_dense = 0
         # Constant-morsel short-circuits: morsels whose zone map proves
         # the scan predicate *true* for every row, kept whole without a
         # single row-wise evaluation (their rows also land in
@@ -137,15 +133,16 @@ class ExecutionMetrics:
         self.rows_copied += int(rows)
         self.bytes_gathered += int(nbytes)
 
-    def count_selection(self, nbytes: int, dense_nbytes: int) -> None:
-        """Record one selection structure creation (called by Relation).
-
-        ``nbytes`` is what the chosen representation holds resident
-        (packed words for bitmaps, the index array otherwise);
-        ``dense_nbytes`` is the int64 position vector equivalent.
-        """
+    def count_selection(self, nbytes: int) -> None:
+        """Record one selection vector creation (called by Relation)."""
         self.selection_bytes += int(nbytes)
-        self.selection_bytes_dense += int(dense_nbytes)
+
+    @property
+    def selection_bytes_dense(self) -> int:
+        """Same as :attr:`selection_bytes`: every selection is an int64
+        position vector.  Kept because the benchmark's
+        ``perf/perf_workloads.py`` reads this name."""
+        return self.selection_bytes
 
     def merge_counters(self, worker: "ExecutionMetrics") -> None:
         """Fold one morsel worker's flat counters into this metrics.
@@ -166,7 +163,6 @@ class ExecutionMetrics:
         self.rows_skipped += worker.rows_skipped
         self.morsels_band_searched += worker.morsels_band_searched
         self.selection_bytes += worker.selection_bytes
-        self.selection_bytes_dense += worker.selection_bytes_dense
         self.morsels_short_circuited += worker.morsels_short_circuited
         self.filter_builds_parallel += worker.filter_builds_parallel
         self.filter_partials_built += worker.filter_partials_built

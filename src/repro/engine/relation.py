@@ -25,104 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.succinct import Bitvector
-
-
-# Minimum view width (candidate rows) for the packed bitmap selection
-# representation.  Below this, an int64 position vector is at worst a
-# few hundred KiB and the numpy fixed costs of packing/decoding words
-# (packbits + unpackbits + flatnonzero vs one flatnonzero) outweigh the
-# memory win.  The floor was set when the decode scanned uint8 bytes
-# (an 18k-row selection at 30 % set: 66 us packed-and-decoded against
-# 12.5 us for the one flatnonzero, ~4 % of the 20-query star hot path
-# end to end); with the bool-view decode the same selection costs
-# 19.5 us (53 vs 42 us at 65,536 rows, 327 vs 271 us at 400 k), so the
-# floor now guards a ~7 us fixed cost per selection and has not been
-# re-tuned.  Above it, selection state starts competing for cache
-# between operators and the 64x smaller words win.  Chosen
-# representation never changes results: decoded positions are
-# identical either way.
-_BITMAP_MIN_ROWS = 1 << 16
-
-
-class BitmapSelection:
-    """A sorted row selection held as one packed bit per candidate row.
-
-    The succinct replacement for int64 selection vectors on the
-    row-filter paths (predicate scans, bitvector filter applications):
-    64x smaller resident state per surviving row.  ``bitmap`` spans the
-    rows of the view the selection was taken *from* (its width);
-    ``offset`` rebases those rows into the base arrays when the
-    originating view was a contiguous slice.  The int64 position vector
-    is decoded lazily — ``positions()`` bulk-selects over the words at
-    the first materialization boundary and caches the result, the same
-    lifecycle as a gathered column.
-
-    Refinements (``refine``/``subset``) stay in bitmap form: the new
-    words are the old words AND the survivor scatter, so a stack of
-    filters composes at one bit per base row instead of chaining int64
-    takes.
-    """
-
-    __slots__ = ("bitmap", "offset", "_base_positions")
-
-    def __init__(
-        self,
-        bitmap: Bitvector,
-        offset: int = 0,
-        positions: np.ndarray | None = None,
-    ) -> None:
-        self.bitmap = bitmap
-        self.offset = int(offset)
-        self._base_positions = positions  # base-domain, offset applied
-
-    @property
-    def num_rows(self) -> int:
-        return self.bitmap.count()
-
-    def positions(self) -> np.ndarray:
-        """Base-domain row positions, ascending (decoded once, cached)."""
-        if self._base_positions is None:
-            local = self.bitmap.positions()
-            if self.offset:
-                local += self.offset
-            self._base_positions = local
-        return self._base_positions
-
-    def head(self, count: int) -> np.ndarray:
-        """First ``count`` base positions without a full decode —
-        ``select1`` over the leading ranks (sampling consumers)."""
-        if self._base_positions is not None:
-            return self._base_positions[:count]
-        count = min(count, self.bitmap.count())
-        local = self.bitmap.select1(np.arange(count, dtype=np.int64))
-        if self.offset:
-            local += self.offset
-        return local
-
-    def take(self, indices: np.ndarray) -> np.ndarray:
-        """Arbitrary-order gather: leaves bitmap form (joins, top-k)."""
-        return self.positions()[indices]
-
-    def refine(self, mask: np.ndarray) -> "BitmapSelection":
-        """Selection of this selection by a bool mask over its rows."""
-        survivors = self.positions()[mask]
-        local = survivors - self.offset if self.offset else survivors
-        return BitmapSelection(
-            Bitvector.from_positions(local, self.bitmap.num_bits),
-            self.offset,
-            positions=survivors,
-        )
-
-    def subset(self, indices: np.ndarray) -> "BitmapSelection":
-        """Selection of this selection by sorted row indices."""
-        survivors = self.positions()[indices]
-        local = survivors - self.offset if self.offset else survivors
-        return BitmapSelection(
-            Bitvector.from_positions(local, self.bitmap.num_bits),
-            self.offset,
-            positions=survivors,
-        )
 
 
 class _ColumnGroup:
@@ -131,9 +33,9 @@ class _ColumnGroup:
     ``base`` maps ``(alias, column)`` to a base array; ``selection`` is
     ``None`` (identity: the view is the base rows themselves), a
     contiguous ``slice`` (a morsel: the view is one row range of the
-    base, materializable as a numpy view without copying), or an int64
-    index array into the base arrays.  All groups of one relation
-    describe the same number of rows.
+    base, materializable as a numpy view without copying), or a sorted
+    or gathered int64 index array into the base arrays.  All groups of
+    one relation describe the same number of rows.
     """
 
     __slots__ = ("base", "sources", "selection")
@@ -155,8 +57,6 @@ class _ColumnGroup:
             selection = indices
         elif isinstance(self.selection, slice):
             selection = indices + self.selection.start
-        elif isinstance(self.selection, BitmapSelection):
-            selection = self.selection.take(indices)
         else:
             selection = self.selection[indices]
         return _ColumnGroup(self.base, self.sources, selection)
@@ -164,15 +64,12 @@ class _ColumnGroup:
     def compose_range(self, start: int, stop: int) -> "_ColumnGroup":
         """Group viewing rows ``[start, stop)`` of ``self`` — the morsel
         primitive.  Never copies: identity and slice selections stay
-        slices, index-array and bitmap selections are sliced position
-        vectors (numpy views of the decoded cache)."""
+        slices, index-array selections are sliced (numpy views)."""
         if self.selection is None:
             selection: np.ndarray | slice = slice(start, stop)
         elif isinstance(self.selection, slice):
             offset = self.selection.start
             selection = slice(offset + start, offset + stop)
-        elif isinstance(self.selection, BitmapSelection):
-            selection = self.selection.positions()[start:stop]
         else:
             selection = self.selection[start:stop]
         return _ColumnGroup(self.base, self.sources, selection)
@@ -248,10 +145,6 @@ class Relation:
             values = group.base[key][group.selection or slice(None)]
         else:
             selection = group.selection
-            if isinstance(selection, BitmapSelection):
-                # Materialization boundary: decode the bitmap to
-                # positions (cached on the selection) and gather.
-                selection = selection.positions()
             values = None
             if self._parallel_gather is not None:
                 values = self._parallel_gather(group.base[key], selection)
@@ -279,10 +172,6 @@ class Relation:
             start = group.selection.start
             stop = min(group.selection.stop, start + count)
             return group.base[key][start:stop]
-        if isinstance(group.selection, BitmapSelection):
-            # select1 over the leading ranks: no full position decode
-            # just to sample a prefix.
-            return group.base[key][group.selection.head(count)]
         return group.base[key][group.selection[:count]]
 
     def provider(self, alias: str, name: str) -> np.ndarray:
@@ -303,12 +192,7 @@ class Relation:
         source = group.sources.get(key)
         if source is None:
             return None
-        selection = group.selection
-        if isinstance(selection, BitmapSelection):
-            # Provenance consumers index base arrays with the returned
-            # selection; hand them the decoded positions.
-            selection = selection.positions()
-        return (source[0], source[1], selection)
+        return (source[0], source[1], group.selection)
 
     def dictionary_codes(self, database, alias: str, name: str):
         """A column at this view as stored dictionary codes, or ``None``.
@@ -346,7 +230,7 @@ class Relation:
     ):
         """The dictionary :meth:`dictionary_codes` would read a column
         through, or ``None`` on its terms — answered from provenance
-        alone: no row is gathered and no selection decoded.
+        alone: no row is gathered.
 
         ``text_only`` also declines numeric columns: what a predicate
         asks, since one vectorized compare over their rows already
@@ -383,57 +267,34 @@ class Relation:
         )
 
     def mask(self, mask: np.ndarray) -> "Relation":
-        """Row filter by bool mask — the succinct path.
+        """Row filter by bool mask.
 
-        Identity and slice views pack the mask into bitvector words
-        directly (no ``flatnonzero``, no int64 vector); bitmap views
-        refine word-wise; only index-array views fall back to position
-        composition.  Positions decode lazily at the materialization
-        boundary, so the resident selection state between operators is
-        1 bit per candidate row instead of 64 per survivor.
+        One ``flatnonzero`` per relation: identity and slice views share
+        it (rebased by the slice offset); index-array views compose
+        through it.  Only the int64 selections are built — no data
+        column is copied.
         """
         mask = np.asarray(mask)
         counters = self._counters
-        use_bitmap = self.num_rows >= _BITMAP_MIN_ROWS
-        packed: Bitvector | None = None
         flat: np.ndarray | None = None
         groups = []
         for group in self._groups:
             current = group.selection
             if current is None or isinstance(current, slice):
                 offset = 0 if current is None else current.start
-                if use_bitmap:
-                    if packed is None:
-                        packed = Bitvector.from_mask(mask)
-                        if counters is not None:
-                            counters.count_selection(
-                                packed.nbytes, packed.count() * 8
-                            )
-                    selection: object = BitmapSelection(packed, offset)
-                else:
-                    if flat is None:
-                        flat = np.flatnonzero(mask)
-                        if counters is not None:
-                            counters.count_selection(flat.nbytes, flat.nbytes)
-                    selection = flat + offset if offset else flat
-            elif isinstance(current, BitmapSelection):
-                selection = current.refine(mask)
-                if counters is not None:
-                    counters.count_selection(
-                        selection.bitmap.nbytes, selection.num_rows * 8
-                    )
+                if flat is None:
+                    flat = np.flatnonzero(mask)
+                    if counters is not None:
+                        counters.count_selection(flat.nbytes)
+                selection = flat + offset if offset else flat
             else:
                 if flat is None:
                     flat = np.flatnonzero(mask)
                 selection = current[flat]
                 if counters is not None:
-                    counters.count_selection(
-                        selection.nbytes, selection.nbytes
-                    )
+                    counters.count_selection(selection.nbytes)
             groups.append(_ColumnGroup(group.base, group.sources, selection))
-        if packed is not None:
-            num_rows = packed.count()
-        elif flat is not None:
+        if flat is not None:
             num_rows = len(flat)
         else:
             num_rows = int(np.count_nonzero(mask))
@@ -446,61 +307,28 @@ class Relation:
 
         The executor's morsel-parallel selection paths concatenate
         per-morsel ``flatnonzero`` offsets — sorted by construction —
-        and previously composed them as int64 take-chains.  Here they
-        become the same packed bitmap representation :meth:`mask`
-        produces (the position cache is seeded, since the vector is
-        already in hand), so parallel and serial executions hold
-        identical selection state.
+        so the vector in hand is the selection :meth:`mask` would have
+        built, and parallel and serial executions hold identical
+        selection state.
         """
         positions = np.asarray(positions, dtype=np.int64)
         counters = self._counters
-        use_bitmap = self.num_rows >= _BITMAP_MIN_ROWS
-        packed: Bitvector | None = None
         counted = False
         groups = []
         for group in self._groups:
             current = group.selection
             if current is None or isinstance(current, slice):
-                if not use_bitmap:
-                    if counters is not None and not counted:
-                        counters.count_selection(
-                            positions.nbytes, positions.nbytes
-                        )
-                        counted = True
-                    if current is None:
-                        selection: object = positions
-                    else:
-                        selection = positions + current.start
-                    groups.append(
-                        _ColumnGroup(group.base, group.sources, selection)
-                    )
-                    continue
-                if packed is None:
-                    packed = Bitvector.from_positions(
-                        positions, self.num_rows
-                    )
-                    if counters is not None:
-                        counters.count_selection(
-                            packed.nbytes, positions.nbytes
-                        )
+                if counters is not None and not counted:
+                    counters.count_selection(positions.nbytes)
+                    counted = True
                 if current is None:
-                    selection = BitmapSelection(
-                        packed, 0, positions=positions
-                    )
+                    selection = positions
                 else:
-                    selection = BitmapSelection(packed, current.start)
-            elif isinstance(current, BitmapSelection):
-                selection = current.subset(positions)
-                if counters is not None:
-                    counters.count_selection(
-                        selection.bitmap.nbytes, selection.num_rows * 8
-                    )
+                    selection = positions + current.start
             else:
                 selection = current[positions]
                 if counters is not None:
-                    counters.count_selection(
-                        selection.nbytes, selection.nbytes
-                    )
+                    counters.count_selection(selection.nbytes)
             groups.append(_ColumnGroup(group.base, group.sources, selection))
         return Relation._from_groups(
             groups, int(len(positions)), counters, self._parallel_gather
@@ -518,16 +346,6 @@ class Relation:
         return Relation._from_groups(
             groups, stop - start, self._counters, self._parallel_gather
         )
-
-    def settle_selections(self) -> None:
-        """Decode bitmap selection position caches now (main thread).
-
-        Called before morsel fan-out so concurrent ``range_view`` calls
-        slice one shared positions array instead of racing the decode.
-        """
-        for group in self._groups:
-            if isinstance(group.selection, BitmapSelection):
-                group.selection.positions()
 
     def range_view(self, start: int, stop: int, counters=None) -> "Relation":
         """Zero-copy view of rows ``[start, stop)`` — one morsel.
@@ -557,8 +375,7 @@ class Relation:
 
         An index of ``None`` is the identity — every row of that side,
         in order — and that side's column groups are carried as they
-        are (an undecoded :class:`BitmapSelection` stays undecoded)
-        instead of being composed with an ``arange``.  ``live`` names
+        are instead of being composed with an ``arange``.  ``live`` names
         the aliases something downstream still reads: a group with none
         of them is not carried at all (``None`` keeps every group).
         """

@@ -53,11 +53,9 @@ class ServiceMetrics:
     # sorted column to the predicate's value band (no per-morsel
     # checks, no row-wise evaluation).
     morsels_band_searched: int = 0
-    # Succinct selection state (repro.engine.relation): bytes of
-    # selection structures created during execution vs. the dense
-    # int64 position vectors they replace.
+    # Selection state (repro.engine.relation): bytes of int64 position
+    # vectors created during execution.
     selection_bytes: int = 0
-    selection_bytes_dense: int = 0
     # Parallel build-side pipeline (repro.engine.executor): filters
     # constructed via partition-build-then-merge, and the wall-clock
     # the query spent building filters (cache hits cost nothing).
@@ -97,7 +95,6 @@ class ServiceStats:
     total_morsels_short_circuited: int = 0
     total_morsels_band_searched: int = 0
     total_selection_bytes: int = 0
-    total_selection_bytes_dense: int = 0
     # Point-in-time, not a sum: the shared filter cache's footprint,
     # walked when QueryService.stats() takes the snapshot — never per
     # statement (it visits every cached filter and each of its memos).
@@ -138,7 +135,6 @@ class ServiceStats:
         self.total_morsels_short_circuited += metrics.morsels_short_circuited
         self.total_morsels_band_searched += metrics.morsels_band_searched
         self.total_selection_bytes += metrics.selection_bytes
-        self.total_selection_bytes_dense += metrics.selection_bytes_dense
         self.total_filter_builds_parallel += metrics.filter_builds_parallel
         self.total_filter_build_seconds += metrics.filter_build_seconds
         if metrics.degraded:

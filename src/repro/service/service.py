@@ -423,7 +423,6 @@ class QueryService:
             morsels_short_circuited=result.metrics.morsels_short_circuited,
             morsels_band_searched=result.metrics.morsels_band_searched,
             selection_bytes=result.metrics.selection_bytes,
-            selection_bytes_dense=result.metrics.selection_bytes_dense,
             filter_builds_parallel=result.metrics.filter_builds_parallel,
             filter_build_seconds=result.metrics.filter_build_seconds,
             degraded=degraded,
@@ -683,8 +682,7 @@ class QueryService:
                 or "empty"
             )
             + ")",
-            f"-- selections: {stats.total_selection_bytes} bytes resident "
-            f"vs {stats.total_selection_bytes_dense} dense so far"
+            f"-- selections: {stats.total_selection_bytes} bytes resident so far"
             + (
                 f", {stats.total_morsels_band_searched} morsels band-searched"
                 if stats.total_morsels_band_searched

@@ -6,7 +6,7 @@ binary-searching raw values.  These tests hold the code paths to the
 value paths they replace:
 
 * seeded differential checks over random relations — every selection
-  representation (identity, slice, unsorted index array, bitmap, morsel
+  representation (identity, slice, unsorted index array, masked, morsel
   ``range_view``), int / text / bool / NaN-bearing float keys, empty
   input, one to three grouping columns, the sorted-codes branch and the
   radix-overflow fallback — comparing group order, dtypes and bytes;
@@ -35,7 +35,7 @@ import pytest
 import repro.engine.join_kernel as join_kernel
 import repro.expr.eval as eval_module
 from repro.engine.executor import Executor
-from repro.engine.relation import BitmapSelection, Relation
+from repro.engine.relation import Relation
 from repro.expr.eval import evaluate_predicate, lower_to_dictionaries
 from repro.expr.expressions import ColumnRef, Comparison, Like, Or, col, lit
 from repro.obs.trace import Tracer
@@ -49,8 +49,8 @@ from repro.util import keycodes
 from repro.workloads import job_lite, tpcds_lite
 from sqlite_reference import assert_matches_sqlite
 
-# Above the relation layer's bitmap threshold, so ``mask`` on the full
-# view yields a BitmapSelection.
+# Wider than 65,536 rows: the widths whose selections were once
+# bit-packed keep their coverage on the one int64 path.
 _ROWS = 70_000
 _SEEDS = range(4)
 _TEXT = np.array([f"s{value:02d}" for value in range(23)], dtype=object)
@@ -94,16 +94,16 @@ def _views(database: Database, seed: int) -> dict[str, Relation]:
     rng = np.random.default_rng(100 + seed)
     scan = _scan(database)
     rows = scan.num_rows
-    bitmap = scan.mask(rng.random(rows) < 0.4)
-    assert isinstance(bitmap._groups[0].selection, BitmapSelection)
+    masked = scan.mask(rng.random(rows) < 0.4)
+    assert isinstance(masked._groups[0].selection, np.ndarray)
     return {
         "identity": scan,
         "slice": scan.narrow(1_000, 30_000),
         "array": scan.gather(rng.permutation(rows)[:5_000]),
-        "bitmap": bitmap,
-        "bitmap-refined": bitmap.mask(rng.random(bitmap.num_rows) < 0.5),
+        "masked": masked,
+        "masked-refined": masked.mask(rng.random(masked.num_rows) < 0.5),
         "morsel-of-slice": scan.range_view(8_192, 16_384),
-        "morsel-of-bitmap": bitmap.range_view(100, 9_000),
+        "morsel-of-masked": masked.range_view(100, 9_000),
         "empty": scan.gather(np.array([], dtype=np.int64)),
     }
 

@@ -50,7 +50,7 @@ _FLAT_COUNTERS = (
     "dictionary_hits", "dictionary_misses", "filter_cache_hits",
     "filter_cache_misses", "rows_copied", "bytes_gathered",
     "morsels_pruned", "rows_skipped", "morsels_band_searched",
-    "morsels_short_circuited", "selection_bytes", "selection_bytes_dense",
+    "morsels_short_circuited", "selection_bytes",
 )
 
 

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.relation import _BITMAP_MIN_ROWS, BitmapSelection, Relation
+from repro.engine.relation import Relation
 from repro.errors import ExecutionError
+
+# Wider than 65,536 rows: the widths whose selections were once
+# bit-packed keep their coverage on the one int64 path.
+_WIDE_ROWS = (1 << 16) + 1000
 
 
 def make_relation(counters=None):
@@ -114,24 +118,23 @@ class TestMerge:
         assert metrics.rows_copied == 3
 
 
-    def test_identity_side_keeps_its_groups_and_bitmaps_untouched(self):
+    def test_identity_side_keeps_its_groups_and_selections_untouched(self):
         """``merged_with(None, idx)``: the identity side's groups are
-        carried as they are — the very objects, an undecoded bitmap
-        selection still undecoded — and nothing is copied."""
+        carried as they are — the very objects, selection included —
+        and nothing is copied."""
         metrics = ExecutionMetrics()
-        rows = _BITMAP_MIN_ROWS + 7
+        rows = _WIDE_ROWS + 7
         left = Relation(
             {("t", "a"): np.arange(rows)}, rows,
             sources={("t", "a"): ("base", "a")}, counters=metrics,
         ).mask(np.arange(rows) % 3 == 0)
         (group,) = left._groups
-        assert isinstance(group.selection, BitmapSelection)
+        assert isinstance(group.selection, np.ndarray)
         right = Relation({("u", "c"): np.arange(50, 60)}, 10, counters=metrics)
         idx = np.arange(left.num_rows) % 10
         merged = left.merged_with(right, None, idx)
         assert merged.num_rows == left.num_rows
         assert merged._groups[0] is group
-        assert group.selection._base_positions is None  # never decoded
         assert metrics.rows_copied == 0
         assert merged.column("u", "c").tolist() == (50 + idx).tolist()
         assert merged.column("t", "a").tolist() == list(range(0, rows, 3))
@@ -181,3 +184,95 @@ class TestMaterialized:
         columns = relation.columns
         assert set(columns) == {("t", "a"), ("t", "b")}
         assert columns[("t", "a")].tolist() == [0, 1]
+
+
+def wide_relation(counters=None, rows=_WIDE_ROWS):
+    columns = {
+        ("t", "a"): np.arange(rows, dtype=np.int64),
+        ("t", "b"): np.arange(rows, dtype=np.float64) * 0.5,
+    }
+    sources = {("t", "a"): ("base", "a"), ("t", "b"): ("base", "b")}
+    return Relation(columns, rows, sources=sources, counters=counters)
+
+
+def selection_of(relation):
+    return relation._groups[0].selection
+
+
+class TestWideSelections:
+    """Row filters over views wider than 65,536 rows: every selection
+    is a sorted int64 position vector into the base arrays."""
+
+    def test_mask_holds_an_int64_position_vector(self):
+        view = wide_relation().mask(np.arange(_WIDE_ROWS) % 3 == 0)
+        selection = selection_of(view)
+        assert isinstance(selection, np.ndarray)
+        assert selection.dtype == np.int64
+        assert selection.tolist() == list(range(0, _WIDE_ROWS, 3))
+
+    def test_select_sorted_keeps_the_vector_in_hand(self):
+        positions = np.arange(0, _WIDE_ROWS, 7, dtype=np.int64)
+        view = wide_relation().select_sorted(positions)
+        assert selection_of(view) is positions
+
+    def test_stacked_masks(self):
+        first = wide_relation().mask(np.arange(_WIDE_ROWS) % 2 == 0)
+        second = first.mask(first.column("t", "a") % 3 == 0)
+        assert isinstance(selection_of(second), np.ndarray)
+        assert second.column("t", "a").tolist() == list(
+            range(0, _WIDE_ROWS, 6)
+        )
+
+    def test_select_sorted_of_a_masked_view(self):
+        view = wide_relation().mask(np.arange(_WIDE_ROWS) % 2 == 0)
+        narrowed = view.select_sorted(
+            np.arange(0, view.num_rows, 5, dtype=np.int64)
+        )
+        assert narrowed.column("t", "a").tolist() == list(
+            range(0, _WIDE_ROWS, 10)
+        )
+
+    def test_gather_out_of_a_masked_view(self):
+        view = wide_relation().mask(np.arange(_WIDE_ROWS) % 2 == 0)
+        taken = view.gather(np.array([5, 0, 0]))
+        assert taken.column("t", "a").tolist() == [10, 0, 0]
+
+    def test_slice_view_offset_rebases_into_base(self):
+        morsel = wide_relation().range_view(1000, _WIDE_ROWS)
+        mask = np.zeros(morsel.num_rows, dtype=bool)
+        mask[:4] = True
+        view = morsel.mask(mask)
+        assert selection_of(view).tolist() == [1000, 1001, 1002, 1003]
+        assert view.column("t", "a").tolist() == [1000, 1001, 1002, 1003]
+
+    def test_narrow_shares_memory_with_the_selection(self):
+        view = wide_relation().mask(np.arange(_WIDE_ROWS) % 2 == 0)
+        band = view.narrow(10, 14)
+        assert band.column("t", "a").tolist() == [20, 22, 24, 26]
+        assert np.shares_memory(selection_of(band), selection_of(view))
+
+    def test_column_head_reads_the_first_rows_only(self):
+        metrics = ExecutionMetrics()
+        view = wide_relation(metrics).mask(np.arange(_WIDE_ROWS) % 2 == 1)
+        assert view.column_head("t", "a", 3).tolist() == [1, 3, 5]
+        assert ("t", "a") not in view._materialized
+        assert metrics.rows_copied == 0
+
+    def test_base_source_hands_back_int64_positions(self):
+        view = wide_relation().mask(np.arange(_WIDE_ROWS) % 2 == 0)
+        table, column, selection = view.base_source("t", "a")
+        assert (table, column) == ("base", "a")
+        assert isinstance(selection, np.ndarray)
+        assert selection.dtype == np.int64
+        assert selection[:3].tolist() == [0, 2, 4]
+
+    @pytest.mark.parametrize("rows", [1000, _WIDE_ROWS])
+    def test_selection_bytes_are_eight_per_survivor(self, rows):
+        metrics = ExecutionMetrics()
+        view = wide_relation(metrics, rows=rows).mask(np.arange(rows) % 2 == 0)
+        survivors = view.num_rows
+        assert metrics.selection_bytes == metrics.selection_bytes_dense
+        assert metrics.selection_bytes == 8 * survivors
+        narrowed = view.select_sorted(np.arange(0, survivors, 3))
+        assert metrics.selection_bytes == metrics.selection_bytes_dense
+        assert metrics.selection_bytes == 8 * (survivors + narrowed.num_rows)

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from repro.engine.executor import Executor
-from repro.engine.relation import BitmapSelection, Relation
+from repro.engine.relation import Relation
 from repro.filters.base import compute_key_bounds
 from repro.filters.exact import ExactFilter
 from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.util import keycodes
 
-# Above the relation layer's bitmap threshold (see relation.py).
+# Wider than 65,536 rows: the widths whose selections were once
+# bit-packed keep their coverage on the one int64 path.
 _ROWS = 70_000
 _TEXT = np.array([f"t{value:03d}" for value in range(140)], dtype=object)
 
@@ -69,18 +70,18 @@ def _scan(database: Database, table_name: str, alias: str) -> Relation:
     )
 
 
-_VIEWS = ["array", "slice", "bitmap", "identity", "empty"]
+_VIEWS = ["array", "slice", "masked", "identity", "empty"]
 
 
 def _build_views(database: Database) -> dict[str, Relation]:
     rng = np.random.default_rng(5)
     scan = _scan(database, "dim", "d")
-    bitmap = scan.mask(rng.random(_ROWS) < 0.03)
-    assert isinstance(bitmap._groups[0].selection, BitmapSelection)
+    masked = scan.mask(rng.random(_ROWS) < 0.03)
+    assert isinstance(masked._groups[0].selection, np.ndarray)
     return {
         "array": scan.gather(rng.permutation(_ROWS)[:700]),
         "slice": scan.narrow(2_000, 2_900),
-        "bitmap": bitmap,
+        "masked": masked,
         "identity": scan,
         "empty": scan.gather(np.array([], dtype=np.int64)),
     }
@@ -213,7 +214,7 @@ class TestBehaviour:
 
 class TestProbes:
     @pytest.mark.parametrize("keys", _KEYS, ids="+".join)
-    @pytest.mark.parametrize("view_name", ["array", "bitmap", "empty"])
+    @pytest.mark.parametrize("view_name", ["array", "masked", "empty"])
     def test_value_and_code_probes_agree(
         self, database, build_views, view_name, keys
     ):
@@ -273,7 +274,7 @@ class TestProbes:
         """``invalidate_dictionaries`` hands out new dictionary objects;
         a filter built against the old ones still answers correctly."""
         from_codes, from_values = _pair(
-            database, build_views["bitmap"], ["k_text"]
+            database, build_views["masked"], ["k_text"]
         )
         fact = _scan(database, "fact", "f")
         want = from_values.contains([fact.column("f", "fk_text")])
