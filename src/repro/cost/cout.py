@@ -127,8 +127,9 @@ class EstimatedCardModel:
             return max(1.0, rows)
         if isinstance(node, HashJoinNode):
             return join_rows(
-                self._estimator, node, self.rows_out(node.build),
-                self.rows_out(node.probe), self._aware,
+                key_ndvs(self._estimator, node.build_keys, node.probe_keys),
+                self.rows_out(node.build), self.rows_out(node.probe),
+                self._aware and node.creates_bitvector,
             )
         if isinstance(node, AggregateNode):
             return self.rows_out(node.child)
@@ -141,61 +142,81 @@ class EstimatedCardModel:
 
     def _survival(self, bitvector: BitvectorDef, probe_rows: float) -> float:
         build_rows = self.rows_out(bitvector.source_join.build)
-        return filter_survival(self._estimator, bitvector, build_rows, probe_rows)
+        ndvs = key_ndvs(self._estimator, bitvector.build_keys, bitvector.probe_keys)
+        return filter_survival(ndvs, build_rows, probe_rows)
 
 
-# The model's formulas, shared with :func:`repro.cost.physical.estimated_cpu`.
-# A filter is a :class:`BitvectorDef` or the :class:`HashJoinNode` creating it.
+# The model's formulas, shared with :mod:`repro.cost.physical`.  They read
+# statistics only through ``ndvs``: the raw (build, probe) distinct counts
+# of a join's key pairs, in key order, as :func:`key_ndvs` returns them.
+# Plan search runs them once per join of every join order it prices, so
+# they spell ``min`` / ``max`` of two floats as comparisons: the same
+# values without a builtin call each.
+
+
+def key_ndvs(
+    estimator: CardinalityEstimator,
+    build_keys: tuple[tuple[str, str], ...],
+    probe_keys: tuple[tuple[str, str], ...],
+) -> tuple[tuple[float, float], ...]:
+    """Raw ``(build ndv, probe ndv)`` of each key pair of a join."""
+    return tuple(
+        (estimator.column_distinct(*build), estimator.column_distinct(*probe))
+        for build, probe in zip(build_keys, probe_keys)
+    )
 
 
 def filter_survival(
-    estimator: CardinalityEstimator, bitvector, build_rows: float, probe_rows: float
+    ndvs: tuple[tuple[float, float], ...], build_rows: float, probe_rows: float
 ) -> float:
-    """Fraction of probe tuples surviving ``bitvector``.
+    """Fraction of probe tuples surviving a filter with key ``ndvs``.
 
     Distinct-value containment: the build side retains
     ``min(raw ndv, build subplan rows)`` distinct keys; a probe tuple
     survives with probability ``build ndv / probe ndv``.
     """
+    build_cap = build_rows if build_rows > 1.0 else 1.0
+    probe_cap = probe_rows if probe_rows > 1.0 else 1.0
     survival = 1.0
-    for (build_alias, build_col), (probe_alias, probe_col) in zip(
-        bitvector.build_keys, bitvector.probe_keys
-    ):
-        ndv_build_raw = estimator.column_distinct(build_alias, build_col)
-        ndv_build = min(ndv_build_raw, max(build_rows, 1.0))
-        ndv_probe_raw = estimator.column_distinct(probe_alias, probe_col)
-        ndv_probe = min(ndv_probe_raw, max(probe_rows, 1.0))
-        survival *= min(1.0, ndv_build / max(ndv_probe, 1.0))
-    return max(1e-9, survival)
+    for ndv_build, ndv_probe in ndvs:
+        if build_cap < ndv_build:
+            ndv_build = build_cap
+        if probe_cap < ndv_probe:
+            ndv_probe = probe_cap
+        fraction = ndv_build / (ndv_probe if ndv_probe > 1.0 else 1.0)
+        if fraction < 1.0:
+            survival *= fraction
+    return survival if survival > 1e-9 else 1e-9
 
 
 def join_rows(
-    estimator: CardinalityEstimator, node: HashJoinNode,
-    build_rows: float, probe_rows: float, bitvector_aware: bool,
+    ndvs: tuple[tuple[float, float], ...],
+    build_rows: float,
+    probe_rows: float,
+    filtered: bool,
 ) -> float:
-    """Output rows of a hash join over inputs of the given sizes."""
-    if bitvector_aware and node.creates_bitvector:
-        # The probe subtree already reflects this join's semi-join
-        # reduction (Algorithm 1 always lands the filter inside the
-        # probe side).  Each surviving probe tuple matches
-        # |B| / ndv(build key) build tuples on average, at least 1.
-        build_ndv = build_key_ndv(estimator, node, build_rows)
-        matches_per_tuple = max(1.0, build_rows / max(build_ndv, 1.0))
-        return max(1.0, probe_rows * matches_per_tuple)
-    selectivity = 1.0
-    for (build_alias, build_col), (probe_alias, probe_col) in zip(
-        node.build_keys, node.probe_keys
-    ):
-        ndv_build = estimator.column_distinct(build_alias, build_col)
-        ndv_probe = estimator.column_distinct(probe_alias, probe_col)
-        selectivity *= 1.0 / max(ndv_build, ndv_probe, 1.0)
-    return max(1.0, build_rows * probe_rows * selectivity)
+    """Output rows of a hash join over inputs of the given sizes.
 
-
-def build_key_ndv(
-    estimator: CardinalityEstimator, node: HashJoinNode, build_rows: float
-) -> float:
-    ndv = 1.0
-    for build_alias, build_col in node.build_keys:
-        ndv *= estimator.column_distinct(build_alias, build_col)
-    return min(ndv, max(build_rows, 1.0))
+    ``filtered``: the model is bitvector-aware and the join creates a
+    filter, so its probe side already reflects the semi-join reduction.
+    """
+    if filtered:
+        # Algorithm 1 always lands the filter inside the probe side.
+        # Each surviving probe tuple matches |B| / ndv(build key) build
+        # tuples on average, at least 1; the build key keeps at most one
+        # distinct value per build row.
+        build_ndv = 1.0
+        for ndv_build, _ in ndvs:
+            build_ndv *= ndv_build
+        build_cap = build_rows if build_rows > 1.0 else 1.0
+        if build_cap < build_ndv:
+            build_ndv = build_cap
+        matches_per_tuple = build_rows / (build_ndv if build_ndv > 1.0 else 1.0)
+        rows = probe_rows * (matches_per_tuple if matches_per_tuple > 1.0 else 1.0)
+    else:
+        selectivity = 1.0
+        for ndv_build, ndv_probe in ndvs:
+            largest = ndv_build if ndv_build > ndv_probe else ndv_probe
+            selectivity *= 1.0 / (largest if largest > 1.0 else 1.0)
+        rows = build_rows * probe_rows * selectivity
+    return rows if rows > 1.0 else 1.0

@@ -62,7 +62,7 @@ class OptimizedPlan:
     # Wall-clock planning time; what a plan-cache hit saves
     # (see repro.service).
     optimize_seconds: float = 0.0
-    # Candidate plans costed and Algorithm 3 extraction rounds (both 0
+    # Candidate join orders priced and Algorithm 3 extraction rounds (both 0
     # for the ``dp`` pipelines, which search by dynamic programming).
     candidates: int = 0
     snowflakes: int = 0

@@ -20,10 +20,12 @@ Two candidate families are then costed with bitvector-aware estimated
 ``Cout`` (paper Section 5's linear candidate result): the fact-first
 plan, and for each single-root branch, one plan per starting relation
 in which that branch leads (Theorem 5.3 orders).  The cheapest wins.
-Each candidate is built over the unit graph's shared leaf scans, priced
-by one read-only pass and dropped unless it is the new incumbent, so
-the search holds one candidate at a time and prices each in time
-proportional to its size.
+A candidate is a join order — a bottom unit and one
+:class:`~repro.cost.physical.JoinStep` per spine join, saying which unit
+joins and which side builds — and is priced by
+:class:`~repro.cost.physical.OrderPricer` without building a plan node.
+Step constants (keys, filter routing, distinct counts) are made once per
+search; only the winning order is turned into a tree.
 """
 
 from __future__ import annotations
@@ -31,19 +33,24 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator
 
-from repro.cost.physical import estimated_cpu
+from repro.cost.cout import key_ndvs
+from repro.cost.physical import JoinStep, OrderPricer
 from repro.errors import OptimizerError
 from repro.optimizer.candidates import leading_order
 from repro.optimizer.units import UnitGraph
-from repro.plan.builder import join_nodes
+from repro.plan.builder import join_keys, join_nodes
 from repro.plan.nodes import PlanNode
+from repro.query.joingraph import JoinGraph
+
+#: A candidate: the bottom unit of the spine and the joins above it.
+Order = tuple[str, list[JoinStep]]
 
 
 @dataclasses.dataclass
 class SearchStats:
     """What one plan search did; reported on the ``optimize`` span."""
 
-    candidates: int = 0   # plans built and priced
+    candidates: int = 0   # join orders priced (one tree is built per round)
     snowflakes: int = 0   # Algorithm 3 extraction rounds
 
 
@@ -98,29 +105,36 @@ def optimize_snowflake(
     else:
         # A blind optimizer sees the raw (predicate-filtered) fact size.
         spine_rows = ugraph.unit(fact_id).rows
+    steps = _Steps(ugraph)
     candidates = _candidates(
-        ugraph, fact_id, scope, branches, spine_rows, context
+        ugraph, steps, fact_id, scope, branches, spine_rows, context
     )
     return _cheapest(candidates, ugraph, bitvector_aware, search)
 
 
 def _candidates(
     ugraph: UnitGraph,
+    steps: _Steps,
     fact_id: str,
     scope: set[str],
     branches: list[_Branch],
     spine_rows: float,
     context,
-) -> Iterator[PlanNode]:
-    """The fact-first plan, then one plan per (single-root branch,
-    starting unit) — built lazily, one at a time."""
-    yield _join_branches(ugraph, fact_id, branches, prefix=None,
-                         spine_rows=spine_rows)
+) -> Iterator[Order]:
+    """The fact-first order, then one order per (single-root branch,
+    starting unit) — made lazily, one at a time."""
+    stacked = _join_branches(ugraph, steps, {fact_id}, branches, spine_rows)
+    yield fact_id, [step for branch_steps in stacked for step in branch_steps]
     dimensions = scope - {fact_id}
     for index, branch in enumerate(branches):
         if branch.group_size != 1:
             continue  # interconnected branches cannot cleanly lead
-        rest = branches[:index] + branches[index + 1:]
+        # A leading branch is a whole component: no other branch's unit
+        # neighbours it, so the others keep their fact-first steps.
+        rest = [
+            step for branch_steps in stacked[:index] + stacked[index + 1:]
+            for step in branch_steps
+        ]
         for start in branch.units:
             if context is not None:
                 # Candidate enumeration is the optimizer's only
@@ -133,16 +147,12 @@ def _candidates(
                 roots=[branch.root],
                 neighbors=lambda uid: ugraph.neighbors(uid, dimensions),
             )
-            prefix = ugraph.unit_plan(order[0])
-            for unit_id in order[1:]:
-                prefix = join_nodes(
-                    ugraph.graph, build=ugraph.unit_plan(unit_id), probe=prefix
-                )
-            prefix = join_nodes(
-                ugraph.graph, build=ugraph.unit_plan(fact_id), probe=prefix
-            )
-            yield _join_branches(ugraph, fact_id, rest, prefix=prefix,
-                                 spine_rows=spine_rows)
+            placed = {order[0]}
+            prefix = []
+            for unit_id in order[1:] + [fact_id]:
+                prefix.append(steps.step(unit_id, placed, unit_builds=True))
+                placed.add(unit_id)
+            yield order[0], prefix + rest
 
 
 # ----------------------------------------------------------------------
@@ -328,15 +338,15 @@ def _reduced_spine_estimate(
 
 def _join_branches(
     ugraph: UnitGraph,
-    fact_id: str,
+    steps: _Steps,
+    placed: set[str],
     branches: list[_Branch],
-    prefix: PlanNode | None,
     spine_rows: float,
-) -> PlanNode:
+) -> list[list[JoinStep]]:
     """Algorithm 2's JoinBranches: stack branches onto the spine.
 
-    ``prefix`` is the already-built right-most subplan (fact scan for
-    the fact-first family; branch+fact spine for branch-led plans).
+    ``placed`` holds the units already in the spine and gains each unit
+    stacked; the result is each branch's steps.
 
     The build/probe decision is the paper's group-P3 rule ("branches
     larger than the fact table ... reorder the build and probe sides")
@@ -350,15 +360,57 @@ def _join_branches(
       scan, which is how a 600-row unfiltered dimension avoids a full
       hash-table build against a 30-row spine.
     """
-    plan = prefix if prefix is not None else ugraph.unit_plan(fact_id)
+    stacked = []
     for branch in branches:
+        branch_steps = []
         for unit_id in branch.units:
-            unit_plan = ugraph.unit_plan(unit_id)
-            if not branch.reduces and ugraph.unit(unit_id).rows > spine_rows:
-                plan = join_nodes(ugraph.graph, build=plan, probe=unit_plan)
-            else:
-                plan = join_nodes(ugraph.graph, build=unit_plan, probe=plan)
-    return plan
+            spine_builds = (
+                not branch.reduces and ugraph.unit(unit_id).rows > spine_rows
+            )
+            branch_steps.append(steps.step(unit_id, placed, not spine_builds))
+            placed.add(unit_id)
+        stacked.append(branch_steps)
+    return stacked
+
+
+class _Steps:
+    """The :class:`JoinStep` of each (unit, its neighbours already in the
+    spine, orientation) a search meets, made once per search."""
+
+    def __init__(self, ugraph: UnitGraph) -> None:
+        self._ugraph = ugraph
+        self._made: dict[tuple[str, frozenset[str], bool], JoinStep] = {}
+
+    def step(self, unit_id: str, placed: set[str], unit_builds: bool) -> JoinStep:
+        """The step joining ``unit_id`` onto a spine of ``placed`` units."""
+        ugraph = self._ugraph
+        neighbors = ugraph.neighbors(unit_id, placed)
+        key = (unit_id, neighbors, unit_builds)
+        step = self._made.get(key)
+        if step is not None:
+            return step
+        members = ugraph.unit(unit_id).members
+        spine = frozenset().union(
+            *(ugraph.unit(neighbor).members for neighbor in neighbors)
+        )
+        if unit_builds:
+            # Each neighbour joins the unit through an edge: it holds a probe key.
+            build_keys, probe_keys = join_keys(ugraph.graph, members, spine)
+            holders = neighbors
+        else:
+            build_keys, probe_keys = join_keys(ugraph.graph, spine, members)
+            holders = frozenset((unit_id,))
+        if not build_keys:
+            raise OptimizerError(
+                f"cross product between unit {unit_id!r} and units "
+                f"{sorted(placed)}"
+            )
+        step = self._made[key] = JoinStep(
+            unit_id, ugraph.unit_plan(unit_id), unit_builds,
+            frozenset(alias for alias, _ in probe_keys), holders,
+            key_ndvs(ugraph.estimator, build_keys, probe_keys),
+        )
+        return step
 
 
 # ----------------------------------------------------------------------
@@ -367,12 +419,12 @@ def _join_branches(
 
 
 def _cheapest(
-    candidates: Iterable[PlanNode],
+    candidates: Iterable[Order],
     ugraph: UnitGraph,
     bitvector_aware: bool,
     search: SearchStats | None,
 ) -> PlanNode:
-    """Pick the candidate with the cheapest estimated physical cost.
+    """Build the join order with the cheapest estimated physical cost.
 
     Candidates are scored with the physical CPU model rather than raw
     ``Cout`` — matching the paper's implementation, which plugs its
@@ -385,15 +437,26 @@ def _cheapest(
     scoring (the paper's Figure 2: the blind optimizer prefers P1, the
     aware one P2).  Ties keep the earlier candidate.
     """
-    estimator = ugraph.estimator
-    best_plan: PlanNode | None = None
+    pricer = OrderPricer(ugraph.estimator, bitvector_aware)
+    best: Order | None = None
     best_cost = float("inf")
-    for candidate in candidates:
-        cost = estimated_cpu(candidate, estimator, bitvector_aware).cpu
+    for bottom, steps in candidates:
+        cost = pricer.cpu(ugraph.unit_plan(bottom), steps)
         if search is not None:
             search.candidates += 1
         if cost < best_cost:
             best_cost = cost
-            best_plan = candidate
-    assert best_plan is not None
-    return best_plan
+            best = bottom, steps
+    assert best is not None
+    return _realize(ugraph.graph, ugraph.unit_plan(best[0]), best[1])
+
+
+def _realize(graph: JoinGraph, bottom: PlanNode, steps: Iterable[JoinStep]) -> PlanNode:
+    """The tree a join order stands for, built with ``join_nodes``."""
+    plan = bottom
+    for step in steps:
+        if step.unit_builds:
+            plan = join_nodes(graph, build=step.plan, probe=plan)
+        else:
+            plan = join_nodes(graph, build=plan, probe=step.plan)
+    return plan

@@ -27,25 +27,22 @@ def scan_for(spec: QuerySpec, alias: str) -> ScanNode:
     )
 
 
-def join_nodes(
+def join_keys(
     graph: JoinGraph,
-    build: PlanNode,
-    probe: PlanNode,
-    creates_bitvector: bool = True,
-    allow_cross_product: bool = False,
-) -> HashJoinNode:
-    """Join two subplans on every graph edge connecting them.
+    build_aliases: frozenset[str],
+    probe_aliases: frozenset[str],
+) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """``(build_keys, probe_keys)`` of a join between two alias sets.
 
     The equi-join key is the concatenation of all join-column pairs
     between any build-side alias and any probe-side alias (a join such
     as HJ1 in the paper's Figure 1, where the build relation joins two
-    probe-side relations, yields a composite key spanning both).
+    probe-side relations, yields a composite key spanning both), in
+    (build alias, probe alias) order.  Both are empty for a cross
+    product.
     """
-    build_aliases = build.output_aliases
-    probe_aliases = probe.output_aliases
     # Connecting alias pairs, found from the adjacency of the smaller
-    # side (one side of a spine join is a single unit) and emitted in
-    # (build alias, probe alias) order.
+    # side (one side of a spine join is a single unit).
     near, far = sorted((build_aliases, probe_aliases), key=len)
     pairs = [(a, b) for a in near for b in graph.neighbors(a) if b in far]
     if near is not build_aliases:
@@ -59,18 +56,33 @@ def join_nodes(
         ):
             build_keys.append((build_alias, build_col))
             probe_keys.append((probe_alias, probe_col))
+    return tuple(build_keys), tuple(probe_keys)
+
+
+def join_nodes(
+    graph: JoinGraph,
+    build: PlanNode,
+    probe: PlanNode,
+    creates_bitvector: bool = True,
+    allow_cross_product: bool = False,
+) -> HashJoinNode:
+    """Join two subplans on every graph edge connecting them
+    (:func:`join_keys`)."""
+    build_keys, probe_keys = join_keys(
+        graph, build.output_aliases, probe.output_aliases
+    )
     if not build_keys:
         if not allow_cross_product:
             raise OptimizerError(
-                f"cross product between {sorted(build_aliases)} and "
-                f"{sorted(probe_aliases)}"
+                f"cross product between {sorted(build.output_aliases)} and "
+                f"{sorted(probe.output_aliases)}"
             )
         raise PlanError("cross products are not executable by hash join")
     return HashJoinNode(
         build=build,
         probe=probe,
-        build_keys=tuple(build_keys),
-        probe_keys=tuple(probe_keys),
+        build_keys=build_keys,
+        probe_keys=probe_keys,
     )
 
 

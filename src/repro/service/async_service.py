@@ -185,6 +185,7 @@ class AsyncQueryService:
                 self._pool,
                 self._run_sync,
                 sql,
+                fingerprint,
                 name,
                 pipeline,
                 deadline,
@@ -198,7 +199,13 @@ class AsyncQueryService:
         finally:
             self._dispatch()
 
-    def _run_sync(self, sql, name, pipeline, deadline) -> ServiceResult:
+    def _run_sync(self, sql, fingerprint, name, pipeline, deadline) -> ServiceResult:
+        if isinstance(self.service, QueryService):
+            # Admission already tokenized the statement: hand the
+            # fingerprint on rather than lex it again on the worker.
+            return self.service._execute(
+                sql, name, pipeline, deadline, None, None, fingerprint
+            )
         return self.service.execute(
             sql, name=name, pipeline=pipeline, deadline_seconds=deadline
         )

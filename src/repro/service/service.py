@@ -287,6 +287,22 @@ class QueryService:
         lookup, optimize, and every engine-level span (see
         :mod:`repro.obs`).
         """
+        return self._execute(
+            sql, name, pipeline, deadline_seconds, budget, tracer, None
+        )
+
+    def _execute(
+        self,
+        sql: str,
+        name: str,
+        pipeline: str | None,
+        deadline_seconds: float | Deadline | None,
+        budget: ResourceBudget | None,
+        tracer: Tracer | None,
+        fingerprint: QueryFingerprint | None,
+    ) -> ServiceResult:
+        """:meth:`execute`, given ``sql``'s fingerprint if the caller
+        already made it (the async front door does, for admission)."""
         if self._closed:
             raise ServiceClosed(
                 f"query {name!r} refused: this QueryService is closed"
@@ -298,7 +314,7 @@ class QueryService:
             tracer = self._tracer
         try:
             return self._execute_once(
-                sql, name, pipeline, context, tracer, wall_started
+                sql, name, pipeline, context, tracer, wall_started, fingerprint
             )
         except BaseException as exc:
             with self._lock:
@@ -330,14 +346,15 @@ class QueryService:
         context: ExecutionContext | None,
         tracer: Tracer | None = None,
         wall_started: float | None = None,
+        fingerprint: QueryFingerprint | None = None,
     ) -> ServiceResult:
         if tracer is None:
             return self._execute_body(
-                sql, name, pipeline, context, None, wall_started
+                sql, name, pipeline, context, None, wall_started, fingerprint
             )
         with tracer.span("execute", query=name, pipeline=pipeline) as span:
             outcome = self._execute_body(
-                sql, name, pipeline, context, tracer, wall_started
+                sql, name, pipeline, context, tracer, wall_started, fingerprint
             )
             span.set(
                 rows=outcome.num_rows,
@@ -353,12 +370,13 @@ class QueryService:
         context: ExecutionContext | None,
         tracer: Tracer | None,
         wall_started: float | None,
+        fingerprint: QueryFingerprint | None = None,
     ) -> ServiceResult:
         if wall_started is None:
             wall_started = time.perf_counter()
         started = time.perf_counter()
         entry, fingerprint, overrides, hit = self._prepare(
-            sql, pipeline, context, tracer
+            sql, pipeline, context, tracer, fingerprint
         )
         optimize_seconds = time.perf_counter() - started
 
@@ -893,17 +911,20 @@ class QueryService:
         self, sql: str, pipeline: str,
         context: ExecutionContext | None = None,
         tracer: Tracer | None = None,
+        fingerprint: QueryFingerprint | None = None,
     ) -> tuple[CachedPlan, QueryFingerprint, dict, bool]:
         """Fingerprint ``sql`` and return an executable cached entry.
 
-        The hit path never parses: it tokenizes, looks up the plan, and
-        substitutes this query's constants into the per-alias predicate
-        templates.  ``context`` makes a cache-miss optimization
-        abortable under the query's deadline; an aborted build is never
-        published, so the cache holds only completed plans.
+        The hit path never parses: it tokenizes (unless given the
+        ``fingerprint``), looks up the plan, and substitutes this
+        query's constants into the per-alias predicate templates.
+        ``context`` makes a cache-miss optimization abortable under the
+        query's deadline; an aborted build is never published, so the
+        cache holds only completed plans.
         """
         self._check_schema_version()
-        fingerprint = fingerprint_sql(sql)
+        if fingerprint is None:
+            fingerprint = fingerprint_sql(sql)
         key = (fingerprint.text, pipeline)
         entry = self.plan_cache.get(key)
         hit = entry is not None

@@ -1,12 +1,15 @@
-"""The read-only pricing pass against push-down plus the model.
+"""The read-only pricing passes against push-down plus the model.
 
-``estimated_cpu`` prices a bare plan without placing its filters.  The
-reference it must equal *bit for bit* (``==``, never ``approx``) is what
-plan search used to do: push Algorithm 1's filters down on a fresh copy
-of the plan, cost it with :class:`EstimatedCardModel`, and sum the CPU
-terms over ``walk()``.  The corpus is every candidate ``_cheapest``
-prices over the plan-stability workloads, random stars and the residual
-fixture, each compared in aware and blind mode.
+``estimated_cpu`` prices a bare plan without placing its filters, and
+``OrderPricer`` prices a join order without building its tree.  The
+reference both must equal *bit for bit* (``==``, never ``approx``) is
+what plan search once did: push Algorithm 1's filters down on a fresh
+copy of the tree, cost it with :class:`EstimatedCardModel`, and sum the
+CPU terms over ``walk()``.  The corpus is every join order plan search
+prices over the plan-stability workloads and random stars, plus every
+order of the residual fixture; each is compared in aware and blind mode
+as three values: the order's price, ``estimated_cpu`` on the tree the
+order builds, and the reference.
 """
 
 from __future__ import annotations
@@ -20,14 +23,16 @@ import pytest
 import repro.optimizer.snowflake as snowflake
 from repro.cost.constants import CostConstants, DEFAULT_COSTS
 from repro.cost.cout import EstimatedCardModel, cout
-from repro.cost.physical import estimated_cpu
+from repro.cost.physical import OrderPricer, estimated_cpu
 from repro.errors import OptimizerError, PlanError
 from repro.optimizer.pipelines import optimize_query
+from repro.optimizer.units import UnitGraph
 from repro.plan.builder import build_right_deep
 from repro.plan.nodes import (
     AggregateNode,
     FilterNode,
     HashJoinNode,
+    PlanNode,
     ScanNode,
 )
 from repro.plan.properties import plan_signature
@@ -112,18 +117,43 @@ def _mismatches(plan, estimator, constants=DEFAULT_COSTS) -> list:
     ]
 
 
+_price_order = OrderPricer.cpu  # unpatched by ``priced``
+
+
+def _order_mismatches(
+    graph, estimator, bottom, steps, constants=DEFAULT_COSTS
+) -> list:
+    """Where an order's price, its tree's and the reference disagree."""
+    tree = snowflake._realize(graph, bottom, steps)
+    found = _mismatches(tree, estimator, constants)
+    for aware in (True, False):
+        pricer = OrderPricer(estimator, aware, constants)
+        order = _price_order(pricer, bottom, steps)
+        if not order == estimated_cpu(tree, estimator, aware, constants).cpu:
+            found.append((aware, "order", plan_signature(tree)))
+    return found
+
+
 @pytest.fixture()
 def priced(monkeypatch):
-    """Check every candidate ``_cheapest`` prices, when it prices it
-    (filter selection rewrites flags on shared nodes afterwards)."""
-    seen = {"candidates": 0, "mismatches": []}
+    """Check every join order plan search prices, when it prices it
+    (filter selection rewrites flags on shared nodes afterwards).
+    ``optimize`` runs one search with its join graph known."""
+    seen = {"candidates": 0, "mismatches": [], "graph": None}
 
-    def checked(plan, estimator, bitvector_aware=True):
+    def checked(pricer, bottom, steps):
         seen["candidates"] += 1
-        seen["mismatches"] += _mismatches(plan, estimator)
-        return estimated_cpu(plan, estimator, bitvector_aware)
+        seen["mismatches"] += _order_mismatches(
+            seen["graph"], pricer.estimator, bottom, steps
+        )
+        return _price_order(pricer, bottom, steps)
 
-    monkeypatch.setattr(snowflake, "estimated_cpu", checked)
+    def optimize(database, spec, pipeline):
+        seen["graph"] = JoinGraph(spec, database.catalog)
+        return optimize_query(database, spec, pipeline)
+
+    monkeypatch.setattr(OrderPricer, "cpu", checked)
+    seen["optimize"] = optimize
     return seen
 
 
@@ -147,7 +177,7 @@ def test_plan_stability_corpus_candidates_price_identically(
     searched = 0
     for spec in specs:
         for pipeline in ("bqo", "original", "bqo_allfilters"):
-            searched += optimize_query(database, spec, pipeline).candidates
+            searched += priced["optimize"](database, spec, pipeline).candidates
     assert priced["candidates"] == searched > 0
     assert not priced["mismatches"][:5]
 
@@ -156,7 +186,7 @@ def test_plan_stability_corpus_candidates_price_identically(
 def test_random_star_candidates_price_identically(dimensions, priced):
     database, spec = random_star(7, num_dimensions=dimensions)
     searched = sum(
-        optimize_query(database, spec, pipeline).candidates
+        priced["optimize"](database, spec, pipeline).candidates
         for pipeline in ("bqo", "original")
     )
     assert priced["candidates"] == searched > 0
@@ -201,6 +231,50 @@ class TestResidualFilters:
                 for constants in [DEFAULT_COSTS, *_UNEVEN_COSTS]:
                     assert not _mismatches(plan, estimator, constants)
         assert residuals  # the fixture does exercise residual filters
+
+    def test_every_join_order_prices_identically(self, residual_setup):
+        """Every order of the triangle, each step in both orientations:
+        a build-side step whose filter spans two units is residual."""
+        graph, estimator = residual_setup
+        ugraph = UnitGraph(graph, estimator)
+        steps = snowflake._Steps(ugraph)
+        priced = residuals = 0
+        for bottom, *rest in itertools.permutations(["a", "b", "c"]):
+            for orientations in itertools.product((True, False), repeat=2):
+                placed, order = {bottom}, []
+                for unit, unit_builds in zip(rest, orientations):
+                    order.append(steps.step(unit, placed, unit_builds))
+                    placed.add(unit)
+                tree = snowflake._realize(graph, ugraph.unit_plan(bottom), order)
+                pushed = push_down_bitvectors(_fresh_copy(tree, {}))
+                residuals += any(isinstance(n, FilterNode) for n in pushed.walk())
+                for constants in [DEFAULT_COSTS, *_UNEVEN_COSTS]:
+                    assert not _order_mismatches(
+                        graph, estimator, ugraph.unit_plan(bottom), order,
+                        constants,
+                    )
+                priced += 1
+        assert priced == 24
+        assert residuals
+
+    def test_pricing_an_order_builds_nothing(self, residual_setup, monkeypatch):
+        graph, estimator = residual_setup
+        ugraph = UnitGraph(graph, estimator)
+        steps = snowflake._Steps(ugraph)
+        order = [steps.step("b", {"a"}, True), steps.step("c", {"a", "b"}, True)]
+        built = []
+        construct = PlanNode.__init__
+
+        def counted(node, *args, **kwargs):
+            built.append(node)
+            construct(node, *args, **kwargs)
+
+        monkeypatch.setattr(PlanNode, "__init__", counted)
+        for aware in (True, False):
+            OrderPricer(estimator, aware).cpu(ugraph.unit_plan("a"), order)
+        assert built == []
+        for unit in "abc":
+            assert not ugraph.unit_plan(unit).applied_bitvectors
 
     def test_pricing_leaves_the_plan_untouched(self, residual_setup):
         graph, estimator = residual_setup

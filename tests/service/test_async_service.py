@@ -17,8 +17,12 @@ import threading
 
 import pytest
 
+import repro.sql.parameterize as parameterize
+import repro.sql.parser as parser
 from repro.errors import QueryShed, ServiceClosed, ServiceError
+from repro.obs import Tracer
 from repro.service import AdmissionConfig, AsyncQueryService, QueryService
+from repro.sql.parameterize import fingerprint_sql
 
 COUNT_SQL = (
     "SELECT COUNT(*) AS cnt FROM fact f, dim1 d1 "
@@ -102,6 +106,37 @@ def test_concurrent_async_answers_match_the_sync_service(star_db):
     assert stats.sheds == 0
     assert snapshot["queue_depth"]["count"] == len(sqls)
     assert snapshot["admission_wait_seconds"]["count"] == len(sqls)
+
+
+def test_async_execute_tokenizes_each_statement_once(star_db, monkeypatch):
+    """Admission fingerprints the statement on the event loop; the
+    service reuses that fingerprint instead of lexing the SQL again."""
+    lexed = []
+    for module in (parameterize, parser):
+        tokenize = module.tokenize
+
+        def counted(sql, _tokenize=tokenize):
+            lexed.append(sql)
+            return _tokenize(sql)
+
+        monkeypatch.setattr(module, "tokenize", counted)
+    tracer = Tracer()
+    warm, hit = COUNT_SQL.format(threshold=2), COUNT_SQL.format(threshold=6)
+
+    async def run():
+        service = QueryService(star_db, tracer=tracer)
+        async with AsyncQueryService(service=service) as svc:
+            await svc.execute(warm)  # a miss: the parser lexes it too
+            lexed.clear()
+            outcome = await svc.execute(hit)
+        service.close()
+        return outcome
+
+    outcome = asyncio.run(run())
+    assert outcome.metrics.plan_cache_hit
+    assert lexed == [hit]
+    events = tracer.spans("plan_cache")
+    assert events[-1].attributes["fingerprint"] == fingerprint_sql(hit).digest
 
 
 def test_constructor_requires_exactly_one_source(star_db):
