@@ -1,10 +1,9 @@
 """Repo-wide pytest hooks.
 
 One session-scoped guard: a test run must leave the working tree as it
-found it.  Benchmarks and tools write reports to ``tmp_path`` (committed
-``BENCH_*.json`` artifacts are regenerated only by ``python -m
-repro.bench``), so any difference in ``git status --porcelain`` between
-session start and end is a test writing into the checkout.
+found it.  Tests write any report to ``tmp_path``, so any difference in
+``git status --porcelain`` between session start and end is a test
+writing into the checkout.
 """
 
 from __future__ import annotations

@@ -16,22 +16,11 @@ them for terminal output.  The mapping to the paper:
 
 from __future__ import annotations
 
-import os
-
 from repro.bench.harness import WorkloadResult
 from repro.query.spec import QuerySpec
 from repro.storage.database import Database
 
 GROUPS = ("S", "M", "L")
-
-
-def available_cores() -> int:
-    """Usable cores for this process (the number every experiment
-    payload records, and speedup gates compare against)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux platforms
-        return os.cpu_count() or 1
 
 
 def selectivity_groups(

@@ -322,8 +322,7 @@ class Executor:
         """Cooperative resilience checkpoint (deadline, cancel, budget).
 
         Free when no context is armed: one attribute load and a None
-        test — the property the warm-path overhead bound in
-        ``BENCH_robustness.json`` is measured against.
+        test.
         """
         context = metrics.context
         if context is not None:

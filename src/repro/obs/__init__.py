@@ -16,8 +16,8 @@ Two complementary instruments, both strictly opt-in:
 The disarmed discipline matches :mod:`repro.testing.faults` and
 :class:`repro.engine.context.ExecutionContext`: with no tracer attached
 every instrumented site costs one attribute load and a ``None`` test,
-and results are byte-identical with tracing on or off (gated by
-``bench/trace_overhead.py`` → ``BENCH_trace_overhead.json``).
+and results are byte-identical with tracing on or off (``perf/run.py``
+reports the armed cost as ``obs.trace_overhead_ratio``).
 """
 
 from repro.obs.telemetry import LogHistogram, ServiceTelemetry

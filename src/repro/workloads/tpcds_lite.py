@@ -580,9 +580,9 @@ def queries(database: Database) -> list[QuerySpec]:
 def query_sqls() -> list[tuple[str, str]]:
     """The workload's ``(name, sql)`` pairs, unbound.
 
-    Service-level benchmarks (e.g. ``repro.bench.trace_overhead``) feed
-    these through :class:`repro.service.QueryService` so the measured
-    path includes parsing, plan caching, and instrumentation — not just
-    pre-bound plan execution.
+    Service-level benchmarks (e.g. the ``tpcds_warm`` workload in
+    ``perf/``) feed these through :class:`repro.service.QueryService`
+    so the measured path includes parsing, plan caching, and
+    instrumentation — not just pre-bound plan execution.
     """
     return list(_QUERIES)

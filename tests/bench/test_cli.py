@@ -9,49 +9,12 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args([])
         assert args.workload == "tpcds"
-        # Scale resolves per experiment: 0.15 for the paper figures,
-        # 1.0 for parallel-scaling.
-        assert args.scale is None
-        assert args.experiment == "paper"
+        assert args.scale == 0.15
         assert "bqo" in args.pipelines
-
-    def test_parallel_scaling_arguments(self):
-        args = build_parser().parse_args(
-            ["--experiment", "parallel-scaling", "--parallelism", "1", "4",
-             "--morsel-rows", "8192", "--output", "out.json"]
-        )
-        assert args.experiment == "parallel-scaling"
-        assert args.parallelism == [1, 4]
-        assert args.morsel_rows == 8192
-        assert args.output == "out.json"
 
     def test_workload_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--workload", "nope"])
-
-    def test_unknown_experiment_lists_valid_names(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--experiment", "nope"])
-        err = capsys.readouterr().err
-        for name in ("paper", "parallel-scaling", "zonemap-pruning"):
-            assert name in err
-
-    def test_experiment_help_enumerates_registry(self):
-        from repro.bench.cli import EXPERIMENTS
-
-        parser = build_parser()
-        help_text = parser.format_help()
-        for name in EXPERIMENTS:
-            assert name in help_text
-
-    def test_zonemap_pruning_arguments(self):
-        args = build_parser().parse_args(
-            ["--experiment", "zonemap-pruning", "--parallelism", "1",
-             "--output", "prune.json"]
-        )
-        assert args.experiment == "zonemap-pruning"
-        assert args.parallelism == [1]
-        assert args.output == "prune.json"
 
     def test_all_selects_every_workload(self):
         args = build_parser().parse_args(["--workload", "all"])
@@ -69,37 +32,6 @@ class TestMain:
         assert "Figure 9" in out
         assert "Figure 10" in out
         assert "Table 4" in out
-
-    def test_parallel_scaling_experiment(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "scaling.json"
-        exit_code = main(
-            ["--experiment", "parallel-scaling", "--scale", "0.05",
-             "--parallelism", "1", "2", "--output", str(out_path)]
-        )
-        assert exit_code == 0
-        assert "parallel scaling" in capsys.readouterr().out
-        payload = json.loads(out_path.read_text())
-        assert payload["checksums_identical"] is True
-        assert [level["parallelism"] for level in payload["levels"]] == [1, 2]
-        assert payload["levels"][0]["speedup"] == 1.0
-
-    def test_zonemap_pruning_experiment(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "pruning.json"
-        exit_code = main(
-            ["--experiment", "zonemap-pruning", "--scale", "0.02",
-             "--parallelism", "1", "--output", str(out_path)]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "zone-map pruning" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["checksums_identical"] is True
-        assert set(payload["layouts"]) == {"clustered", "shuffled"}
-        assert payload["clustered_skip_fraction"] > 0.0
 
     def test_custom_pipelines_skip_tables(self, capsys):
         exit_code = main(

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.scaling import star_workload_sqls
 from repro.engine.executor import Executor
 from repro.filters.cache import BitvectorFilterCache
 from repro.optimizer.pipelines import optimize_query
 from repro.sql.binder import parse_query
 from repro.workloads import star
 from sqlite_reference import assert_matches_sqlite
+from star_statements import star_statements
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def test_star_workload_join_keys_hit_the_dictionaries(star_database):
     pass answers as the cold one and as sqlite does."""
     specs = [
         parse_query(star_database, sql, f"star_{index}")
-        for index, sql in enumerate(star_workload_sqls())
+        for index, sql in enumerate(star_statements())
     ]
     plans = [optimize_query(star_database, spec, "bqo").plan for spec in specs]
     executor = Executor(star_database, filter_cache=BitvectorFilterCache(64))
@@ -46,7 +46,7 @@ def test_star_workload_join_keys_hit_the_dictionaries(star_database):
         assert sum(r.metrics.dictionary_misses for r in results) == 0
         assert sum(result.metrics.rows_copied for result in results) > 0
     for sql, spec, first, second in zip(
-        star_workload_sqls(), specs, cold, warm
+        star_statements(), specs, cold, warm
     ):
         for label in first.aggregates:
             assert (

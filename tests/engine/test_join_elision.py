@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 import repro.engine.executor as executor_module
-from repro.bench.scaling import star_workload_sqls
 from repro.engine.executor import Executor
 from repro.engine.relation import Relation
 from repro.obs import Tracer
@@ -45,6 +44,7 @@ from repro.storage.schema import ForeignKey
 from repro.storage.table import Table
 from repro.workloads import job_lite, star, tpcds_lite
 from sqlite_reference import assert_matches_sqlite
+from star_statements import star_statements
 
 _FLAT_COUNTERS = (
     "dictionary_hits", "dictionary_misses", "filter_cache_hits",
@@ -137,7 +137,7 @@ _WORKLOADS = {
         lambda: job_lite.build_database(scale=0.02),
         lambda: [sql for _, sql in job_lite.query_sqls()],
     ),
-    "star": (lambda: star.build_database(scale=0.1), star_workload_sqls),
+    "star": (lambda: star.build_database(scale=0.1), star_statements),
 }
 
 

@@ -145,6 +145,21 @@ def test_counters_fire_on_clustered_layout():
     assert impossible.scalar("c") == 0
 
 
+@pytest.mark.parametrize("query", [0, 8], ids=["scan_band", "join_band"])
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_clustered_key_band_skips_more_than_half_the_fact(query, parallelism):
+    """The 5 % key band, as a scan predicate and as a join-induced
+    filter, skips more than half of the clustered fact table by itself
+    (a sum over several statements would hide a join that never
+    prunes: the dimension's own band search adds skipped rows)."""
+    database = _build_database("clustered")
+    (result,) = _run_all(
+        database, [_QUERIES[query]],
+        zone_maps=True, parallelism=parallelism, morsel_rows=_MORSEL_ROWS,
+    )
+    assert result.metrics.rows_skipped > _ROWS // 2
+
+
 def test_all_null_measure_prunes_everything():
     database = _build_database("all_null")
     results = _run_all(
@@ -229,3 +244,32 @@ def test_clustered_band_search_replaces_morsel_checks():
             banded.aggregates[label], plain.aggregates[label]
         )
         assert banded.aggregates[label].dtype == plain.aggregates[label].dtype
+
+
+_TOPK_QUERIES = [
+    "SELECT f.k, f.v FROM fact f ORDER BY f.k DESC LIMIT 50",
+    "SELECT f.k, f.v FROM fact f ORDER BY f.k ASC LIMIT 80",
+    "SELECT f.k, f.v FROM fact f ORDER BY f.k DESC, f.v ASC LIMIT 30",
+]
+
+
+@pytest.mark.parametrize(
+    "sql", _TOPK_QUERIES, ids=["desc", "asc", "desc_then_asc"]
+)
+def test_topk_early_exit_prunes_and_equals_the_full_sort(sql):
+    """A clustered ``ORDER BY ... LIMIT`` scan skips morsels whose key
+    bounds cannot reach the top k, and returns the full sort's rows."""
+    database = _build_database("clustered")
+    (got,) = _run_all(
+        database, [sql], zone_maps=True, morsel_rows=_MORSEL_ROWS
+    )
+    (want,) = _run_all(
+        database, [sql], zone_maps=False, morsel_rows=_MORSEL_ROWS
+    )
+    assert got.metrics.morsels_pruned > 0
+    assert got.relation.num_rows > 0
+    for column in ("k", "v"):
+        assert np.array_equal(
+            got.relation.column("f", column),
+            want.relation.column("f", column),
+        ), column

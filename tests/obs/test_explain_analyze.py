@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor_module
 from repro.errors import QueryTimeout
 from repro.obs import Tracer
 from repro.service import QueryService
@@ -20,11 +21,22 @@ def service(star_db) -> QueryService:
     return QueryService(star_db)
 
 
-def test_results_identical_with_tracing_on_and_off(service):
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_results_identical_with_tracing_on_and_off(
+    star_db, monkeypatch, parallelism
+):
+    # Force morsel splits on the test-sized fact table so the fan-out
+    # path's instrumentation sites run too.
+    monkeypatch.setattr(executor_module, "_MIN_PARALLEL_ROWS", 64)
+    monkeypatch.setattr("repro.storage.partition.MIN_MORSEL_ROWS", 16)
+    service = QueryService(star_db, parallelism=parallelism, morsel_rows=512)
     off = service.execute(_JOIN_SQL, name="q_off")
-    on = service.execute(_JOIN_SQL, name="q_on", tracer=Tracer())
+    tracer = Tracer()
+    on = service.execute(_JOIN_SQL, name="q_on", tracer=tracer)
+    assert bool(tracer.spans("morsel")) == (parallelism > 1)
     assert off.result.aggregates.keys() == on.result.aggregates.keys()
     for label, values in off.result.aggregates.items():
+        assert values.dtype == on.result.aggregates[label].dtype
         np.testing.assert_array_equal(values, on.result.aggregates[label])
 
 
@@ -46,6 +58,7 @@ def test_traced_execute_records_the_lifecycle_spans(service):
     for span in tracer.spans():
         if span.parent_id is not None:
             assert span.parent_id in by_id
+    assert tracer.dropped == 0
 
     warm_tracer = Tracer()
     service.execute(_JOIN_SQL, name="traced_warm", tracer=warm_tracer)

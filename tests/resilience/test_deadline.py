@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor_module
 from repro import Deadline, ExecutionContext, Executor, QueryService
 from repro.engine.context import CancelToken
 from repro.engine.metrics import ExecutionMetrics
@@ -116,6 +117,35 @@ def test_armed_context_rides_on_metrics(star_db, star_spec):
     context = ExecutionContext(query="armed", deadline=60.0)
     result = Executor(star_db).execute(plan, context=context)
     assert result.metrics.context is context
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_armed_answer_is_the_unarmed_one(
+    star_db, star_spec, monkeypatch, parallelism
+):
+    """Checkpoints never change execution: with a deadline armed the
+    answer is the unarmed one, byte for byte, also when the fan-out
+    path's morsel tasks run their own checkpoints."""
+    monkeypatch.setattr(executor_module, "_MIN_PARALLEL_ROWS", 64)
+    monkeypatch.setattr("repro.storage.partition.MIN_MORSEL_ROWS", 16)
+    checks = []
+    real_check = ExecutionContext.check
+    monkeypatch.setattr(
+        ExecutionContext, "check",
+        lambda self: checks.append(self.query) or real_check(self),
+    )
+    plan = optimize_query(star_db, star_spec, "bqo").plan
+    executor = Executor(star_db, parallelism=parallelism, morsel_rows=512)
+    unarmed = executor.execute(plan)
+    assert checks == []
+    armed = executor.execute(
+        plan, context=ExecutionContext(query="armed", deadline=60.0)
+    )
+    assert len(checks) > 0
+    assert armed.aggregates.keys() == unarmed.aggregates.keys()
+    for label, values in unarmed.aggregates.items():
+        assert values.dtype == armed.aggregates[label].dtype
+        assert values.tobytes() == armed.aggregates[label].tobytes()
 
 
 # -- optimizer ---------------------------------------------------------

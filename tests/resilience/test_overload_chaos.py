@@ -79,6 +79,8 @@ def test_stalled_workers_shed_overflow_typed_then_recover(star_db):
                 for i in range(4)  # 2 stall in slots, 2 fill the queue
             ]
             await asyncio.sleep(0.1)
+            # Exactly the wedged capacity is admitted, with no shed yet.
+            before_pressure = svc.admission_stats()
             sheds = []
             for i in range(6):
                 try:
@@ -90,9 +92,11 @@ def test_stalled_workers_shed_overflow_typed_then_recover(star_db):
         recovered = await svc.execute(COUNT_SQL, "recovered")
         stats = svc.admission_stats()
         await svc.close()
-        return wedged_results, sheds, recovered, stats
+        return wedged_results, before_pressure, sheds, recovered, stats
 
-    wedged_results, sheds, recovered, stats = asyncio.run(run())
+    wedged_results, before_pressure, sheds, recovered, stats = asyncio.run(run())
+    assert before_pressure.admitted == 4  # 2 running + 2 queued
+    assert before_pressure.sheds == 0
     assert len(sheds) == 6  # capacity was wedged: all pressure refused
     assert all(s.reason == "queue" for s in sheds)
     assert all(s.retry_after is not None for s in sheds)

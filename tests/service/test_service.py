@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 
 import repro.service.service as service_module
+from repro.engine.executor import Executor
 from repro.errors import ServiceClosed
+from repro.optimizer.pipelines import optimize_query
 from repro.service import QueryService
+from repro.sql.binder import parse_query
+from repro.sql.parameterize import fingerprint_sql
 from repro.storage.database import Database
 from repro.storage.schema import ForeignKey
 from repro.storage.table import Table
+from repro.workloads import star
+from sqlite_reference import assert_matches_sqlite
+from star_statements import COLD_CONSTANTS, WARM_CONSTANTS, star_statements
 
 
 def _count_sql(threshold: int) -> str:
@@ -373,3 +380,80 @@ def test_explain_reports_parallel_configuration(star_db):
     assert "parallelism=4" in rendered
     assert "morsel_rows=8192" in rendered
     assert "(serial)" not in rendered
+
+
+@pytest.fixture(scope="module")
+def star_replay():
+    """The 20 star statements through one service, cold constants then
+    warm ones, with the optimizer searches of each pass counted."""
+    database = star.build_database(scale=0.1)
+    service = QueryService(database)
+    searches = []
+    real = service_module.optimize_query
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            service_module, "optimize_query",
+            lambda *args, **kwargs: searches.append(args) or real(*args, **kwargs),
+        )
+        cold = [
+            service.execute(sql, name=f"cold_{i}")
+            for i, sql in enumerate(star_statements(COLD_CONSTANTS))
+        ]
+        cold_searches = len(searches)
+        warm = [
+            service.execute(sql, name=f"warm_{i}")
+            for i, sql in enumerate(star_statements(WARM_CONSTANTS))
+        ]
+    return {
+        "database": database,
+        "stats": service.stats(),
+        "cold": cold,
+        "warm": warm,
+        "cold_searches": cold_searches,
+        "warm_searches": len(searches) - cold_searches,
+    }
+
+
+def test_warm_star_replay_runs_no_optimizer_search(star_replay):
+    """The 20 star statements replayed with fresh constants: the warm
+    pass is answered from the plan cache without one optimizer search,
+    and its answers match one-shot planning of the same SQL."""
+    database = star_replay["database"]
+    cold_sqls = star_statements(COLD_CONSTANTS)
+    warm_sqls = star_statements(WARM_CONSTANTS)
+    # 20 distinct shapes, and the constants do not perturb them.
+    fingerprints = {fingerprint_sql(sql).text for sql in cold_sqls}
+    assert len(fingerprints) == 20
+    assert fingerprints == {fingerprint_sql(sql).text for sql in warm_sqls}
+
+    assert star_replay["cold_searches"] == 20
+    assert star_replay["warm_searches"] == 0
+    stats = star_replay["stats"]
+    assert stats.plan_cache_misses == 20
+    assert stats.plan_cache_hits == 20
+    cold, warm = star_replay["cold"], star_replay["warm"]
+    assert sum(r.metrics.plan_cache_hit for r in cold) == 0
+    assert sum(r.metrics.plan_cache_hit for r in warm) == 20
+
+    executor = Executor(database)
+    for i in (0, 7, 19):
+        spec = parse_query(database, warm_sqls[i], f"check_{i}")
+        fresh = executor.execute(optimize_query(database, spec, "bqo").plan)
+        for label in fresh.aggregates:
+            assert float(warm[i].scalar(label)) == float(fresh.scalar(label))
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_warm_star_statement_answers_as_sqlite_from_the_cached_plan(
+    star_replay, index
+):
+    """Each warm statement reuses the plan its cold twin cached, bound
+    to the new constants, and answers as stdlib ``sqlite3`` does."""
+    database = star_replay["database"]
+    cold, warm = star_replay["cold"][index], star_replay["warm"][index]
+    sql = star_statements(WARM_CONSTANTS)[index]
+    assert not cold.metrics.plan_cache_hit
+    assert warm.metrics.plan_cache_hit
+    assert warm.metrics.fingerprint == cold.metrics.fingerprint
+    spec = parse_query(database, sql, f"warm_{index}")
+    assert_matches_sqlite(database, sql, warm.result, spec)

@@ -1,8 +1,13 @@
 """Tests for the cardinality estimator."""
 
+import statistics
+
 import numpy as np
 import pytest
 
+from repro.cascades import CascadesOptimizer
+from repro.cost.cout import EstimatedCardModel
+from repro.engine.executor import Executor
 from repro.errors import QueryError
 from repro.expr.expressions import (
     And,
@@ -15,9 +20,13 @@ from repro.expr.expressions import (
     col,
     lit,
 )
+from repro.plan.builder import attach_aggregate
+from repro.plan.nodes import FilterNode, HashJoinNode, ScanNode
+from repro.plan.pushdown import push_down_bitvectors
 from repro.stats.estimator import CardinalityEstimator
 from repro.storage.database import Database
 from repro.storage.table import Table
+from repro.workloads import tpcds_lite
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +290,56 @@ class TestPerQueryMemos:
         assert estimator.bitvector_zone_skip_fraction(*args) == 0.0
         database.zone_map("probe", "k", morsel_rows=1000)
         assert estimator.bitvector_zone_skip_fraction(*args) > 0.5
+
+
+# TPC-DS-lite statements with at most four relations (cascades ``full``
+# mode extracts up to 4000 plans per memo): stars, snowflake chains,
+# group-bys, HAVING and ORDER BY ... LIMIT shapes.
+_Q_ERROR_QUERIES = (
+    "ds_q01", "ds_q02", "ds_q03", "ds_q05", "ds_q09", "ds_q10",
+    "ds_q12", "ds_q16", "ds_q19", "ds_q26", "ds_q27", "ds_q30",
+)
+
+
+@pytest.fixture(scope="module")
+def tpcds_small():
+    database = tpcds_lite.build_database(0.1)
+    return database, {spec.name: spec for spec in tpcds_lite.queries(database)}
+
+
+@pytest.mark.parametrize("mode", ["full", "shallow"])
+def test_q_error_against_executed_plans(tpcds_small, mode):
+    """Per-operator q-error, max(est/obs, obs/est), of every scan, join
+    and residual filter in the executed cascades plans.  The estimator
+    is deliberately imperfect (Section 7.4 of the paper blames its
+    regressions on exactly this gap), so the median bound is loose; an
+    order-of-magnitude blow-up means statistics, push-down accounting
+    or the executor's row counting broke."""
+    database, specs = tpcds_small
+    executor = Executor(database)
+    optimizer = CascadesOptimizer(database)
+    errors = []
+    for name in _Q_ERROR_QUERIES:
+        spec = specs[name]
+        plan = attach_aggregate(
+            push_down_bitvectors(optimizer.optimize(spec, mode)), spec
+        )
+        observed = {
+            node.node_id: node.rows_out
+            for node in executor.execute(plan).metrics.nodes
+        }
+        model = EstimatedCardModel(
+            CardinalityEstimator(database, spec.alias_tables)
+        )
+        for node in plan.walk():
+            if (
+                isinstance(node, (ScanNode, HashJoinNode, FilterNode))
+                and node.node_id in observed
+            ):
+                estimate = max(float(model.rows_out(node)), 1.0)
+                actual = max(float(observed[node.node_id]), 1.0)
+                errors.append(max(estimate / actual, actual / estimate))
+    assert errors
+    # At least 1.0 by construction; a NaN estimate fails this too.
+    assert all(q >= 1.0 for q in errors)
+    assert statistics.median(errors) <= 8.0
