@@ -16,12 +16,12 @@ import numpy as np
 
 from repro.cost.constants import CostConstants, DEFAULT_COSTS, DEFAULT_LAMBDA_THRESH
 from repro.engine.executor import Executor
-from repro.engine.parallel import DEFAULT_MORSEL_ROWS
 from repro.errors import ExecutionError
 from repro.optimizer.pipelines import optimize_query
 from repro.plan.nodes import HashJoinNode
 from repro.query.spec import QuerySpec
 from repro.storage.database import Database
+from repro.storage.partition import DEFAULT_MORSEL_ROWS
 from repro.util.timer import CpuTimer
 
 

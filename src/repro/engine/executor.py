@@ -9,7 +9,9 @@ filter populated — the same scheduling property real engines rely on.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import os
 import time
 from typing import NamedTuple
 
@@ -49,7 +51,6 @@ from repro.storage.database import Database
 from repro.storage.partition import (
     DEFAULT_MORSEL_ROWS,
     MIN_PARALLEL_ROWS,
-    AdaptiveMorselSizer,
     morsel_ranges,
 )
 from repro.storage.zonemaps import (
@@ -73,6 +74,52 @@ from repro.util.keycodes import (
 # canonical value — the estimator's build-parallelism discount reads it
 # from there).
 _MIN_PARALLEL_ROWS = MIN_PARALLEL_ROWS
+
+# glibc mallopt parameters and the ceiling of its dynamic mmap threshold.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+_MMAP_THRESHOLD_MAX = 32 << 20
+#: glibc's own variables for the settings below; any of them set wins.
+_MALLOC_VARIABLES = (
+    "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+    "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_", "MALLOC_ARENA_MAX",
+)
+
+
+def _pin_malloc_policy() -> None:
+    """Give glibc malloc one heap with fixed thresholds.
+
+    By default glibc raises its mmap threshold to the largest mmapped
+    block freed so far and returns the heap top to the kernel once twice
+    that much is free.  A warm statement's numpy temporaries (two int64
+    columns over the fact table) land exactly on that edge, so whether
+    every execution re-faults them depended on unrelated earlier
+    allocations — the length of ``argv`` was enough to flip it.  Fixed
+    thresholds make per-statement latency independent of that history:
+    blocks under 32 MiB are reused from the heap, and the heap top is
+    trimmed once 64 MiB of it is free.  One arena keeps memory a query
+    thread frees reusable by the next query on another thread, instead
+    of parked in a per-thread arena.  Explicit malloc settings in the
+    environment win; other C libraries are left alone.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # not a POSIX libc
+        return
+    if not libc.startswith("glibc"):
+        return
+    if "glibc.malloc" in os.environ.get("GLIBC_TUNABLES", "") or any(
+        name in os.environ for name in _MALLOC_VARIABLES
+    ):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+    mallopt(_M_ARENA_MAX, 1)
+
+
+_pin_malloc_policy()
 
 
 @dataclasses.dataclass
@@ -129,19 +176,10 @@ class Executor:
         built once and shared immutably, so probes are lock-free.
     morsel_rows:
         Target rows per morsel when splitting relations for the pool.
-    adaptive_morsels:
-        Resize morsels mid-pipeline from observed per-morsel wall time
-        and selectivity (see
-        :class:`~repro.storage.partition.AdaptiveMorselSizer`): each
-        parallel region's first few morsels run at ``morsel_rows``, and
-        the remaining rows are re-split — small morsels for selective,
-        skew-prone pipelines, large ones for cheap scans.  Applies to
-        regions over intermediate relations (bitvector applications,
-        hash-join probes); base-table scans keep the configured shape
-        so zone maps stay aligned with the dispatched ranges.  Sizing
-        moves range boundaries only, never which rows a region covers,
-        so output is byte-identical either way.  Ignored (no effect)
-        at ``parallelism=1``.
+        Every parallel region — base-table scan or intermediate
+        relation — splits by the same static
+        :func:`~repro.storage.partition.morsel_ranges` shape, which is
+        also the shape zone maps are keyed by.
     zone_maps:
         Consult per-morsel min/max synopses (see
         :mod:`repro.storage.zonemaps`) before dispatching morsel work:
@@ -161,7 +199,6 @@ class Executor:
         filter_cache=None,
         parallelism: int = 1,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        adaptive_morsels: bool = True,
         zone_maps: bool = True,
     ) -> None:
         self._database = database
@@ -174,7 +211,6 @@ class Executor:
         self._parallelism = max(int(parallelism), 1)
         self._morsel_rows = max(int(morsel_rows), 1)
         self._parallel = self._parallelism > 1
-        self._adaptive_morsels = bool(adaptive_morsels) and self._parallel
         self._zone_maps = bool(zone_maps)
 
     @property
@@ -184,10 +220,6 @@ class Executor:
     @property
     def morsel_rows(self) -> int:
         return self._morsel_rows
-
-    @property
-    def adaptive_morsels(self) -> bool:
-        return self._adaptive_morsels
 
     @property
     def zone_maps(self) -> bool:
@@ -263,11 +295,6 @@ class Executor:
     ) -> ExecutionResult:
         if metrics.context is not None:
             metrics.context.check()
-        if self._adaptive_morsels:
-            # One sizer per execution (pipeline): observations from this
-            # plan's morsels resize only this plan's later regions, and
-            # concurrent executions of one executor never share state.
-            metrics.morsel_sizer = AdaptiveMorselSizer(self._morsel_rows)
         filters: dict[int, BitvectorFilter] = {}
         overrides = predicate_overrides or {}
         facts = _plan_facts(plan, overrides)
@@ -394,39 +421,55 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _ranges(self, num_rows: int) -> list[tuple[int, int]] | None:
-        """Morsel ranges for a parallel region, or None to stay serial."""
-        if not self._parallel or num_rows < _MIN_PARALLEL_ROWS:
+        """Morsels of ``[0, num_rows)`` when :meth:`_map_ranges` would
+        run them on the pool, else None — the caller then makes its one
+        whole-relation call, exactly the serial code path.
+
+        Base-table scans split here too: ``Table.morsels`` yields the
+        same :func:`morsel_ranges` shape, which zone maps are keyed by.
+        """
+        if not self._parallel:
             return None
         ranges = morsel_ranges(
             num_rows, self._morsel_rows, min_morsels=self._parallelism
         )
-        return ranges if len(ranges) >= 2 else None
+        return ranges if self._pooled(ranges) else None
 
-    def _map_morsels(self, metrics: ExecutionMetrics,
-                     ranges: list[tuple[int, int]], fn,
-                     sizer: AdaptiveMorselSizer | None = None,
-                     out_rows=None) -> list:
-        """Run ``fn(start, stop, worker_metrics)`` per morsel (barrier).
+    def _pooled(self, ranges: list[tuple[int, int]]) -> bool:
+        """The one pool-or-inline rule: several ranges, parallelism > 1,
+        and enough rows that per-morsel dispatch costs less than the
+        numpy kernels it splits."""
+        return (
+            self._parallel
+            and len(ranges) >= 2
+            and sum(stop - start for start, stop in ranges)
+            >= _MIN_PARALLEL_ROWS
+        )
 
-        Results come back in morsel order, so concatenating them
-        reproduces the serial row order exactly.  Each worker gets a
-        private :class:`ExecutionMetrics`; the flat counters are merged
-        into ``metrics`` after the barrier.
+    def _map_ranges(self, metrics: ExecutionMetrics,
+                    ranges: list[tuple[int, int]], task) -> list:
+        """Run ``task(start, stop, worker_metrics)`` per range; results
+        in range order, so concatenating them reproduces the serial row
+        order exactly.
 
-        With a ``sizer``, each task is wall-clocked on its worker and
-        the observations (rows in, seconds, ``out_rows(result)``
-        surviving rows) are folded into the sizer on the main thread
-        after the barrier — the feedback adaptive sizing runs on.
+        The dispatcher of every parallel region.  Ranges the pool does
+        not pay for (see :meth:`_pooled`) run inline on the calling
+        thread with ``metrics`` itself — also every serial executor's
+        path over zone-pruned ranges.  On the pool (a barrier), each
+        worker gets a private :class:`ExecutionMetrics`; the flat
+        counters are merged into ``metrics`` after the barrier.
 
         With an armed :class:`~repro.engine.context.ExecutionContext`
         (captured from ``metrics`` — worker metrics stay bare), every
-        task checks the deadline/cancel token before touching its
+        pool task checks the deadline/cancel token before touching its
         morsel, the region's cancel token short-circuits siblings after
         the first failure, and non-policy worker exceptions are wrapped
         as :class:`~repro.errors.MorselTaskError` with the query name
         and the morsel's row range.  The budget is re-checked against
         the merged counters after the barrier.
         """
+        if not self._pooled(ranges):
+            return [task(start, stop, metrics) for start, stop in ranges]
         workers = [ExecutionMetrics() for _ in ranges]
         context = metrics.context
         tracer = metrics.tracer
@@ -436,12 +479,12 @@ class Executor:
             # (or filter-build) span that fanned the region out.
             parent = tracer.current_span_id()
 
-            def fn(start: int, stop: int, worker: ExecutionMetrics,
-                   _fn=fn, _parent=parent):
+            def task(start: int, stop: int, worker: ExecutionMetrics,
+                     _task=task, _parent=parent):
                 with tracer.span(
                     "morsel", parent=_parent, rows_in=stop - start
                 ) as span:
-                    result = _fn(start, stop, worker)
+                    result = _task(start, stop, worker)
                     rows = _result_rows(result)
                     if rows is not None:
                         span.set(rows_out=rows)
@@ -451,82 +494,39 @@ class Executor:
                             rows_skipped=worker.rows_skipped,
                         )
                 return result
-        if sizer is None:
-            inner = fn
-        else:
-            def inner(start: int, stop: int, worker: ExecutionMetrics):
-                began = time.perf_counter()
-                result = fn(start, stop, worker)
-                return result, time.perf_counter() - began
 
-        tasks = [
-            _morsel_task(inner, start, stop, worker, context)
-            for (start, stop), worker in zip(ranges, workers)
-        ]
         results = run_morsel_tasks(
-            self._parallelism, tasks,
+            self._parallelism,
+            [
+                _morsel_task(task, start, stop, worker, context)
+                for (start, stop), worker in zip(ranges, workers)
+            ],
             cancel_token=None if context is None else context.cancel_token,
         )
-        if sizer is not None:
-            unwrapped = []
-            for (start, stop), (result, seconds) in zip(ranges, results):
-                sizer.observe(
-                    stop - start, seconds,
-                    out_rows(result) if out_rows is not None else None,
-                )
-                unwrapped.append(result)
-            results = unwrapped
         for worker in workers:
             metrics.merge_counters(worker)
         if context is not None:
             context.checkpoint(metrics)
         return results
 
-    def _adaptive_map(self, metrics: ExecutionMetrics, num_rows: int,
-                      task, out_rows=None) -> list | None:
-        """Morsel-map ``task`` over ``[0, num_rows)``, or None (serial).
+    def _selection(self, relation: Relation,
+                   ranges: list[tuple[int, int]],
+                   metrics: ExecutionMetrics, mask_fn) -> list[np.ndarray]:
+        """Surviving-row offsets of each range of ``relation``, in range
+        order.
 
-        The adaptive-sizing dispatcher for regions over *intermediate*
-        relations: when the execution carries a morsel sizer and it is
-        not yet calibrated, the first few morsels run at the configured
-        ``morsel_rows`` and the remaining rows are re-split at the size
-        their observations propose; calibrated regions split at the
-        proposal outright.  Ranges always cover ``[0, num_rows)`` in
-        order regardless of sizing, so concatenated results equal the
-        statically-sized (and the serial) computation byte for byte.
+        ``mask_fn(view)`` returns the boolean keep-mask of one range
+        view.  Rows outside ``ranges`` were proven to fail (zone-pruned
+        morsels), so the concatenated offsets equal the serial
+        ``np.flatnonzero`` over the whole relation, and the resulting
+        gather is byte-identical to the serial path.
         """
-        if not self._parallel or num_rows < _MIN_PARALLEL_ROWS:
-            return None
-        sizer = metrics.morsel_sizer
-        target = sizer.morsel_rows() if sizer is not None else self._morsel_rows
-        ranges = morsel_ranges(num_rows, target, min_morsels=self._parallelism)
-        if len(ranges) < 2:
-            return None
-        if sizer is None or sizer.calibrated:
-            return self._map_morsels(
-                metrics, ranges, task, sizer=sizer, out_rows=out_rows
-            )
-        # Calibration phase: enough morsels to feed every worker once,
-        # then resize the remainder from what they observed.
-        head = ranges[: max(self._parallelism, sizer.sample_morsels)]
-        results = self._map_morsels(
-            metrics, head, task, sizer=sizer, out_rows=out_rows
-        )
-        rest_start = head[-1][1]
-        if rest_start < num_rows:
-            rest = [
-                (start + rest_start, stop + rest_start)
-                for start, stop in morsel_ranges(
-                    num_rows - rest_start, sizer.morsel_rows(),
-                    min_morsels=self._parallelism,
-                )
-            ]
-            results.extend(
-                self._map_morsels(
-                    metrics, rest, task, sizer=sizer, out_rows=out_rows
-                )
-            )
-        return results
+
+        def task(start: int, stop: int, worker: ExecutionMetrics) -> np.ndarray:
+            view = relation.range_view(start, stop, counters=worker)
+            return np.flatnonzero(mask_fn(view)) + start
+
+        return self._map_ranges(metrics, ranges, task)
 
     def _parallel_gather(self, base: np.ndarray, selection,
                          cancel_token=None) -> np.ndarray | None:
@@ -570,54 +570,13 @@ class Executor:
             base, selection, token
         )
 
-    def _scan_ranges(self, table) -> list[tuple[int, int]] | None:
-        """Morsels of a base table, via the storage-layer partitioning
-        (cached on the immutable table) rather than an ad-hoc split.
-        Delegates to :meth:`_table_ranges` — the same shape zone maps
-        are keyed by, which the pruning soundness argument relies on."""
-        if not self._parallel or table.num_rows < _MIN_PARALLEL_ROWS:
-            return None
-        ranges = self._table_ranges(table)
-        if len(ranges) < 2:
-            return None
-        return ranges
-
-    def _parallel_selection(self, relation: Relation,
-                            metrics: ExecutionMetrics, mask_fn,
-                            ranges: list[tuple[int, int]] | None = None,
-                            ) -> np.ndarray | None:
-        """Surviving-row selection computed per morsel, or None (serial).
-
-        ``mask_fn(view)`` returns the boolean keep-mask of one morsel
-        view; the concatenated ``flatnonzero`` offsets equal the serial
-        ``np.flatnonzero(mask)`` over the whole relation, so the
-        resulting gather is byte-identical to the serial path.
-
-        Explicit ``ranges`` (base-table scans — the shape zone maps are
-        keyed by) dispatch as given; without them the region is split by
-        the adaptive dispatcher (:meth:`_adaptive_map`).
-        """
-
-        def task(start: int, stop: int, worker: ExecutionMetrics) -> np.ndarray:
-            view = relation.range_view(start, stop, counters=worker)
-            return np.flatnonzero(mask_fn(view)) + start
-
-        if ranges is None:
-            parts = self._adaptive_map(
-                metrics, relation.num_rows, task, out_rows=len
-            )
-            if parts is None:
-                return None
-            return np.concatenate(parts)
-        return np.concatenate(self._map_morsels(metrics, ranges, task))
-
     # ------------------------------------------------------------------
     # Zone-map pruning (see repro.storage.zonemaps)
     # ------------------------------------------------------------------
 
     def _table_ranges(self, table) -> list[tuple[int, int]]:
         """The morsel partitioning zone maps are keyed by: the same
-        shape the parallel scan dispatches (``_scan_ranges``)."""
+        shape :meth:`_ranges` dispatches over the whole table."""
         return [
             (part.start, part.stop)
             for part in table.morsels(
@@ -668,9 +627,9 @@ class Executor:
         constant-morsel short-circuit) contribute every offset without
         evaluating the predicate — both count their rows under
         ``rows_skipped``, because that is work the kernels never did.
-        Undecided morsels evaluate normally (on the pool when big
-        enough).  Pieces concatenate in morsel order, reproducing the
-        whole-relation ``flatnonzero`` exactly.
+        Undecided morsels evaluate through :meth:`_selection` (on the
+        pool when big enough).  Pieces concatenate in morsel order,
+        reproducing the whole-relation ``flatnonzero`` exactly.
         """
         eval_ranges = []
         pruned_count = accepted_count = skipped = 0
@@ -694,11 +653,7 @@ class Executor:
                 rows_skipped=skipped,
             )
         evaluated = iter(
-            self._selection_parts_over_ranges(
-                relation, eval_ranges, metrics, mask_fn
-            )
-            if eval_ranges
-            else ()
+            self._selection(relation, eval_ranges, metrics, mask_fn)
         )
         pieces: list[np.ndarray] = []
         for (start, stop), is_pruned, is_accepted in zip(
@@ -713,43 +668,6 @@ class Executor:
         if not pieces:
             return np.array([], dtype=np.int64)
         return np.concatenate(pieces)
-
-    def _selection_over_ranges(self, relation: Relation,
-                               ranges: list[tuple[int, int]],
-                               metrics: ExecutionMetrics,
-                               mask_fn) -> np.ndarray:
-        """Surviving-row selection evaluated over the kept morsels only.
-
-        The pruned counterpart of :meth:`_parallel_selection`: morsels
-        absent from ``ranges`` were proven empty, so concatenating the
-        kept morsels' offsets still reproduces the serial whole-relation
-        ``flatnonzero`` exactly.  Dispatches to the pool when the kept
-        work is big enough, else evaluates inline (also the serial
-        executor's path — pruning works at any parallelism).
-        """
-        if not ranges:
-            return np.array([], dtype=np.int64)
-        return np.concatenate(
-            self._selection_parts_over_ranges(relation, ranges, metrics, mask_fn)
-        )
-
-    def _selection_parts_over_ranges(self, relation: Relation,
-                                     ranges: list[tuple[int, int]],
-                                     metrics: ExecutionMetrics,
-                                     mask_fn) -> list[np.ndarray]:
-        """Per-range surviving-row offsets, in range order (the body of
-        :meth:`_selection_over_ranges`, exposed so the constant-morsel
-        short-circuit can interleave unevaluated ranges)."""
-
-        def task(start: int, stop: int,
-                 worker: ExecutionMetrics) -> np.ndarray:
-            view = relation.range_view(start, stop, counters=worker)
-            return np.flatnonzero(mask_fn(view)) + start
-
-        total = sum(stop - start for start, stop in ranges)
-        if self._parallel and len(ranges) >= 2 and total >= _MIN_PARALLEL_ROWS:
-            return self._map_morsels(metrics, ranges, task)
-        return [task(start, stop, metrics) for start, stop in ranges]
 
     def _scan_zone_pruning(
         self, alias: str, table, predicate
@@ -1095,12 +1013,12 @@ class Executor:
                 relation, ranges, pruned, accepted, metrics, mask_fn
             )
             return relation.select_sorted(selection)
-        selection = self._parallel_selection(
-            relation, metrics, mask_fn, ranges=self._scan_ranges(table),
+        ranges = self._ranges(relation.num_rows)
+        if ranges is None:
+            return relation.mask(mask_fn(relation))
+        return relation.select_sorted(
+            np.concatenate(self._selection(relation, ranges, metrics, mask_fn))
         )
-        if selection is not None:
-            return relation.select_sorted(selection)
-        return relation.mask(mask_fn(relation))
 
     def _hash_join(
         self,
@@ -1232,7 +1150,7 @@ class Executor:
         :meth:`_dictionary_join_context` — and the matcher is built once
         and shared by whichever shape the streamed side takes: the kept
         probe morsels after zone pruning (skipped morsels were proven
-        matchless), adaptive morsels on the pool, or the whole side
+        matchless), static morsels on the pool, or the whole side
         inline.  Morsel results concatenate in morsel order (streamed
         offsets rebased), so all three emit the identical pair sequence.
 
@@ -1288,24 +1206,8 @@ class Executor:
                 return indexed_idx, np.arange(start, stop, dtype=np.int64)
             return indexed_idx, streamed_idx + start
 
-        parts = None
-        if kept is not None:
-            if (
-                self._parallel
-                and len(kept) >= 2
-                and sum(stop - start for start, stop in kept)
-                >= _MIN_PARALLEL_ROWS
-            ):
-                parts = self._map_morsels(metrics, kept, task)
-            else:
-                # Too little survived pruning to be worth the pool.
-                parts = [task(start, stop, metrics) for start, stop in kept]
-        elif self._parallel and streamed_rel.num_rows >= _MIN_PARALLEL_ROWS:
-            # Match-output counts feed the sizer's selectivity signal.
-            parts = self._adaptive_map(
-                metrics, streamed_rel.num_rows, task,
-                out_rows=lambda part: len(part[1]),
-            )
+        ranges = self._ranges(streamed_rel.num_rows) if kept is None else kept
+        parts = None if ranges is None else self._map_ranges(metrics, ranges, task)
         if parts is None:
             indexed_idx, streamed_idx = matcher.match(
                 build_codes if indexes_probe else encode_probe(probe_rel)
@@ -1458,7 +1360,7 @@ class Executor:
                     **self._filter_options,
                 )
 
-            partials = self._map_morsels(metrics, ranges, task)
+            partials = self._map_ranges(metrics, ranges, task)
             metrics.filter_builds_parallel += 1
             metrics.filter_partials_built += len(partials)
             return filter_class.merge(
@@ -1569,20 +1471,21 @@ class Executor:
                     )
                 return mask
 
-            if pending_ranges is not None:
-                selection = self._selection_over_ranges(
-                    relation, pending_ranges, metrics, mask_fn
-                )
-                pending_ranges = None
-                relation = relation.select_sorted(selection)
-                continue
             # Filters are immutable after construction, so per-morsel
             # probes are lock-free reads of one shared structure.
-            selection = self._parallel_selection(relation, metrics, mask_fn)
-            if selection is not None:
-                relation = relation.select_sorted(selection)
-                continue
-            relation = relation.mask(mask_fn(relation))
+            ranges = (
+                self._ranges(relation.num_rows)
+                if pending_ranges is None else pending_ranges
+            )
+            pending_ranges = None
+            if ranges is None:
+                relation = relation.mask(mask_fn(relation))
+            else:
+                # Zone pruning may have kept no range at all.
+                empty = [np.array([], dtype=np.int64)]
+                relation = relation.select_sorted(np.concatenate(
+                    empty + self._selection(relation, ranges, metrics, mask_fn)
+                ))
         return relation
 
     def _contains_by_codes(
@@ -1976,7 +1879,7 @@ def _result_rows(result) -> int | None:
 
 def _morsel_task(fn, start: int, stop: int, worker: ExecutionMetrics,
                  context: ExecutionContext | None):
-    """One pool task for ``_map_morsels``: hook, checkpoint, wrap.
+    """One pool task for ``_map_ranges``: hook, checkpoint, wrap.
 
     The ``"morsel.task"`` fault site fires *inside* the task body so an
     injected fault travels the exact path an organic worker failure

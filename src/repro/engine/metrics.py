@@ -107,21 +107,14 @@ class ExecutionMetrics:
         self.filter_builds_parallel = 0
         self.filter_partials_built = 0
         self.filter_build_seconds = 0.0
-        # Per-execution adaptive morsel sizer (see
-        # repro.storage.partition.AdaptiveMorselSizer), attached by the
-        # executor at the top of execute() when adaptive sizing is on.
-        # Rides on the metrics object because that is the one
-        # per-execution state threaded through every operator; worker
-        # metrics keep the default None and never resize anything.
-        self.morsel_sizer = None
         # Per-query resilience context (repro.engine.context), attached
-        # by the executor at the top of execute() — same reasoning as
-        # the sizer: the metrics object is the per-execution state every
-        # operator already sees.  None (the default, and for worker
+        # by the executor at the top of execute().  Rides on the metrics
+        # object because that is the one per-execution state threaded
+        # through every operator.  None (the default, and for worker
         # metrics) keeps every checkpoint a single None test.
         self.context = None
         # Optional repro.obs.Tracer, attached by the executor when the
-        # caller opted into tracing.  Same pattern as context/sizer:
+        # caller opted into tracing.  Same pattern as context:
         # every instrumented site is guarded by `metrics.tracer is not
         # None`, so the disarmed path costs one attribute load.  Worker
         # metrics stay None; morsel spans are opened by the task

@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 
 from repro.engine.context import CancelToken
 from repro.errors import QueryCancelled
-from repro.storage.partition import DEFAULT_MORSEL_ROWS  # re-export  # noqa: F401
 from repro.testing.faults import fault_point
 
 _pool_lock = threading.Lock()

@@ -37,7 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.cost.constants import DEFAULT_LAMBDA_THRESH
 from repro.engine.context import ExecutionContext, ResourceBudget
 from repro.engine.executor import ExecutionResult, Executor
-from repro.engine.parallel import DEFAULT_MORSEL_ROWS
 from repro.engine.context import Deadline
 from repro.errors import (
     QueryTimeout,
@@ -58,6 +57,7 @@ from repro.sql.binder import bind_select
 from repro.sql.parameterize import QueryFingerprint, fingerprint_sql, parameterize_statement
 from repro.sql.parser import parse_select
 from repro.storage.database import Database
+from repro.storage.partition import DEFAULT_MORSEL_ROWS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +106,7 @@ class QueryService:
         LRU bounds for the two caches.
     max_workers:
         Default thread-pool width for :meth:`run_many`.
-    parallelism / morsel_rows / adaptive_morsels:
+    parallelism / morsel_rows:
         Morsel-driven intra-query parallelism, passed through to the
         :class:`~repro.engine.executor.Executor`.  The default 1 keeps
         each query on its serving thread (byte-identical to the serial
@@ -116,9 +116,7 @@ class QueryService:
         widest ``parallelism`` in the process.  At ``parallelism > 1``
         Bloom-family filter builds run partitioned on the pool (the plan
         cache optimizes with the matching build-cost discount; exact
-        filters build serially and get none), and
-        ``adaptive_morsels`` resizes morsels per pipeline from observed
-        selectivity and wall time.
+        filters build serially and get none).
     zone_maps:
         Morsel-level data skipping via per-column min/max synopses
         (:mod:`repro.storage.zonemaps`), on by default; pruning is
@@ -171,7 +169,6 @@ class QueryService:
         max_workers: int = 4,
         parallelism: int = 1,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        adaptive_morsels: bool = True,
         zone_maps: bool = True,
         deadline_seconds: float | None = None,
         budget: ResourceBudget | None = None,
@@ -204,7 +201,6 @@ class QueryService:
             filter_cache=self.filter_cache,
             parallelism=parallelism,
             morsel_rows=morsel_rows,
-            adaptive_morsels=adaptive_morsels,
             zone_maps=zone_maps,
         )
         # Filter selection discounts build cost by the parallelism filters
@@ -565,6 +561,9 @@ class QueryService:
         :class:`~repro.errors.QueryTimeout` immediately instead of
         burning the deadline asleep).
         """
+        # Counted as each attempt starts, so a slot whose last attempt
+        # raised (or whose retry was refused) still reports the retries
+        # it spent.
         attempts = 0
         wall_started = time.perf_counter()
         try:
@@ -575,20 +574,25 @@ class QueryService:
                 if self._deadline_seconds is not None
                 else None
             )
-            outcome, attempts = self._retry_policy.call(
-                lambda: self.execute(
+
+            def attempt() -> ServiceResult:
+                nonlocal attempts
+                attempts += 1
+                return self.execute(
                     sql, name=name, pipeline=pipeline,
                     deadline_seconds=deadline,
-                ),
-                deadline=deadline,
+                )
+
+            outcome, retries = self._retry_policy.call(
+                attempt, deadline=deadline
             )
-            if attempts:
+            if retries:
                 with self._lock:
-                    self._stats.retries += attempts
+                    self._stats.retries += retries
                 outcome = ServiceResult(
                     result=outcome.result,
                     metrics=dataclasses.replace(
-                        outcome.metrics, retries=attempts,
+                        outcome.metrics, retries=retries,
                         # The slot's wall clock covers every attempt,
                         # not just the one that answered.
                         wall_seconds=time.perf_counter() - wall_started,
@@ -597,6 +601,7 @@ class QueryService:
                 )
             return outcome
         except Exception as exc:
+            retries = max(attempts - 1, 0)
             metrics = ServiceMetrics(
                 query=name,
                 fingerprint="",
@@ -608,13 +613,13 @@ class QueryService:
                 output_rows=0,
                 filter_cache_hits=0,
                 filter_cache_misses=0,
-                retries=attempts,
+                retries=retries,
                 error=f"{type(exc).__name__}: {exc}",
                 wall_seconds=time.perf_counter() - wall_started,
             )
-            if attempts:
+            if retries:
                 with self._lock:
-                    self._stats.retries += attempts
+                    self._stats.retries += retries
             return ServiceResult(result=None, metrics=metrics, error=exc)
 
     def _ensure_batch_pool(self, workers: int) -> ThreadPoolExecutor:
@@ -711,9 +716,7 @@ class QueryService:
             f"-- parallel execution: parallelism={self._executor.parallelism} "
             f"morsel_rows={self._executor.morsel_rows}"
             + (
-                f" adaptive_morsels="
-                f"{'on' if self._executor.adaptive_morsels else 'off'} "
-                f"({stats.total_filter_builds_parallel} partitioned filter "
+                f" ({stats.total_filter_builds_parallel} partitioned filter "
                 f"builds, {stats.total_filter_build_seconds * 1e3:.2f} ms "
                 f"build phase)"
                 if self._executor.parallelism > 1

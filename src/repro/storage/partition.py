@@ -123,119 +123,3 @@ def partition_table(
         )
     )
 
-
-# Adaptive sizing aims each morsel at this much wall-clock: long enough
-# that dispatch is noise, short enough that a straggler cannot idle the
-# other workers for a visible fraction of the pipeline.
-TARGET_MORSEL_SECONDS = 0.004
-
-# Adaptation never grows a morsel beyond this multiple of the
-# configured size (under-splitting would starve the worker pool on the
-# next, possibly slower, pipeline stage).
-MAX_ADAPT_FACTOR = 8
-
-# Each new observation first decays the running totals by this factor,
-# so a pipeline's later regions are sized mostly by their own recent
-# morsels rather than by a much cheaper (or costlier) earlier operator.
-# Throughput and selectivity are ratios of the decayed totals, so the
-# decay is invisible while the workload is uniform.
-OBSERVATION_DECAY = 0.75
-
-
-class AdaptiveMorselSizer:
-    """Per-pipeline morsel sizing from observed per-morsel work.
-
-    The executor hands every parallel region's first few morsels out at
-    the configured ``morsel_rows``; each completed morsel reports its
-    row count, wall time, and surviving rows here, and later splits ask
-    :meth:`morsel_rows` for a better size.  The policy has two inputs:
-
-    * **throughput** — recency-weighted rows/second (totals decay by
-      :data:`OBSERVATION_DECAY` per observation, so a later, very
-      different operator re-anchors the proposal within a few of its
-      own morsels); the proposed size targets
-      :data:`TARGET_MORSEL_SECONDS` of work per morsel, so cheap
-      full-scan kernels get large morsels (less dispatch overhead) and
-      expensive ones get small morsels;
-    * **selectivity** — surviving-row fraction; selective pipelines are
-      scaled further down (their cost is skew-prone, and small morsels
-      load-balance the skew across workers), full scans stay at the
-      throughput target.
-
-    The result is clamped to ``[MIN_MORSEL_ROWS, MAX_ADAPT_FACTOR *
-    base]`` and then fed through :func:`morsel_ranges`, so the existing
-    ``min_morsels`` > :data:`MIN_MORSEL_ROWS` precedence is untouched.
-    Sizing only moves *where* ranges are cut, never which rows a region
-    covers, so adapted execution stays byte-identical to static
-    execution.  Instances are not thread-safe: the executor observes
-    only on the main thread, after each morsel barrier.
-    """
-
-    __slots__ = (
-        "base_morsel_rows",
-        "sample_morsels",
-        "_rows",
-        "_seconds",
-        "_rows_out",
-        "_observed",
-    )
-
-    def __init__(
-        self, base_morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        sample_morsels: int = 2,
-    ) -> None:
-        self.base_morsel_rows = max(int(base_morsel_rows), 1)
-        self.sample_morsels = max(int(sample_morsels), 1)
-        self._rows = 0
-        self._seconds = 0.0
-        self._rows_out = 0
-        self._observed = 0
-
-    def observe(
-        self, rows: int, seconds: float, rows_out: int | None = None
-    ) -> None:
-        """Record one completed morsel's work (recency-weighted)."""
-        self._rows = self._rows * OBSERVATION_DECAY + int(rows)
-        self._seconds = self._seconds * OBSERVATION_DECAY + float(seconds)
-        # Join fan-out can emit more rows than it read; selectivity is
-        # a survival fraction, so cap the contribution at the input.
-        self._rows_out = self._rows_out * OBSERVATION_DECAY + (
-            min(int(rows_out), rows) if rows_out is not None else rows
-        )
-        self._observed += 1
-
-    @property
-    def calibrated(self) -> bool:
-        """Whether enough morsels were observed to trust the proposal."""
-        return self._observed >= self.sample_morsels
-
-    @property
-    def observed_morsels(self) -> int:
-        return self._observed
-
-    def selectivity(self) -> float:
-        if self._rows <= 0:
-            return 1.0
-        return self._rows_out / self._rows
-
-    def morsel_rows(self) -> int:
-        """The current size proposal (the configured size until
-        calibrated)."""
-        if not self.calibrated or self._rows <= 0:
-            return self.base_morsel_rows
-        ceiling = self.base_morsel_rows * MAX_ADAPT_FACTOR
-        if self._seconds <= 0.0:
-            # Too fast to measure: dispatch overhead dominates, so take
-            # the largest morsels the clamp allows.
-            proposal = ceiling
-        else:
-            throughput = self._rows / self._seconds
-            proposal = throughput * TARGET_MORSEL_SECONDS
-            proposal *= 0.5 + 0.5 * self.selectivity()
-        return int(round(min(max(proposal, MIN_MORSEL_ROWS), ceiling)))
-
-    def __repr__(self) -> str:
-        return (
-            f"AdaptiveMorselSizer(base={self.base_morsel_rows}, "
-            f"observed={self._observed}, proposal={self.morsel_rows()})"
-        )

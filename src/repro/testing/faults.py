@@ -13,7 +13,7 @@ Registered sites (the engine's ``fault_point(site)`` calls):
 ``"pool.submit"``         one batch submission to the shared morsel pool
                           (:func:`repro.engine.parallel.run_morsel_tasks`)
 ``"morsel.task"``         one morsel worker task, in dispatch order
-                          (:meth:`repro.engine.executor.Executor._map_morsels`)
+                          (:meth:`repro.engine.executor.Executor._map_ranges`)
 ``"filter.build_partition"``  one partition of a bitvector filter build: each
                           fan-out task, each step of the serial
                           :meth:`~repro.filters.base.BitvectorFilter.build_partitioned`,

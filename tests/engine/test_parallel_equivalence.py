@@ -100,6 +100,42 @@ def _random_star(seed: int) -> tuple[Database, QuerySpec, list[list[str]]]:
     return database, spec, orders
 
 
+def _fact_dim(seed: int) -> tuple[Database, QuerySpec, list[list[str]]]:
+    """One fact table over one dimension: a single-join probe of
+    20 000 rows, the longest intermediate-relation region here."""
+    rng = np.random.default_rng(seed)
+    n_dim, n_fact = 400, 20_000
+    database = Database(f"fact_dim_{seed}")
+    database.add_table(
+        Table.from_arrays(
+            "dim",
+            {"id": np.arange(n_dim), "v": rng.integers(0, 10, n_dim)},
+            key=("id",),
+        )
+    )
+    database.add_table(
+        Table.from_arrays(
+            "fact",
+            {
+                "fk": rng.integers(0, n_dim, n_fact),
+                "m": np.round(rng.normal(size=n_fact), 6),
+            },
+        )
+    )
+    database.add_foreign_key(ForeignKey("fact", ("fk",), "dim", ("id",)))
+    spec = QuerySpec(
+        name="q",
+        relations=(RelationRef("f", "fact"), RelationRef("d", "dim")),
+        join_predicates=(JoinPredicate("f", ("fk",), "d", ("id",)),),
+        local_predicates={"d": Comparison("<", col("d", "v"), lit(4))},
+        aggregates=(
+            Aggregate("count", label="cnt"),
+            Aggregate("sum", col("f", "m"), label="total"),
+        ),
+    )
+    return database, spec, [["f", "d"]]
+
+
 def _relation_plans(database, spec, orders):
     graph = JoinGraph(spec, database.catalog)
     return [
@@ -136,6 +172,22 @@ def test_parallel_matches_serial_byte_identical(filter_kind, seed):
                 f"{label} diverged for filter={filter_kind} seed={seed}"
             )
         assert _checksum(parallel_result) == _checksum(serial_result)
+
+
+@pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
+@pytest.mark.parametrize("seed", range(3))
+def test_fact_dim_parallel_matches_serial_byte_identical(filter_kind, seed):
+    database, spec, orders = _fact_dim(seed)
+    (plan,) = _aggregate_plans(database, spec, orders)
+    reference = Executor(database, filter_kind=filter_kind).execute(plan)
+    result = Executor(
+        database, filter_kind=filter_kind, parallelism=4, morsel_rows=512
+    ).execute(plan)
+    for label in reference.aggregates:
+        assert (
+            result.aggregates[label].tobytes()
+            == reference.aggregates[label].tobytes()
+        ), (filter_kind, seed, label)
 
 
 @pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))

@@ -3,11 +3,10 @@
 A seeded generator produces TPC-DS-shaped queries — star joins with
 random predicates, aggregates, GROUP BY / HAVING, ORDER BY ... LIMIT,
 and single-table projection top-k scans — and each query executes under
-every combination of {parallelism 1, 4} x {zone maps on, off} x
-{adaptive morsels on, off}.  All eight configurations must return
-byte-identical answers: every one of these features is an execution
-strategy, never a semantics change, so any divergence is an executor
-bug.  The runs' metrics must also be sane (a configuration without zone
+every combination of {parallelism 1, 4} x {zone maps on, off}.  All
+four configurations must return byte-identical answers: both features
+are an execution strategy, never a semantics change, so any divergence
+is an executor bug.  The runs' metrics must also be sane (a configuration without zone
 maps can never report pruning).
 
 Agreement among configurations cannot see a bug they all share, so
@@ -29,9 +28,9 @@ at the fact scan, already is the join: semi-join elision), so every
 such query holds elision to sqlite's executed join; the test also
 checks that the skip really happened.
 
-All eight configurations find their matches through the one
+All four configurations find their matches through the one
 ``CodeMatcher`` kernel.  The join-heavy generators therefore also run a
-ninth, in-repo reference: the serial configuration without zone maps,
+fifth, in-repo reference: the serial configuration without zone maps,
 with the match structure swapped (test-only) for a brute-force
 nested-loop comparison of every streamed code with every indexed code.
 The side-choice rule around it (``join_matcher``) stays — pair order is
@@ -56,14 +55,8 @@ from sqlite_reference import assert_matches_sqlite
 _SEEDS = range(12)
 
 _CONFIGS = [
-    {
-        "parallelism": parallelism,
-        "zone_maps": zone_maps,
-        "adaptive_morsels": adaptive,
-    }
-    for parallelism, zone_maps, adaptive in itertools.product(
-        (1, 4), (True, False), (True, False)
-    )
+    {"parallelism": parallelism, "zone_maps": zone_maps}
+    for parallelism, zone_maps in itertools.product((1, 4), (True, False))
 ]
 
 _DIMENSIONS = {

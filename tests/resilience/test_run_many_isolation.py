@@ -135,6 +135,50 @@ def test_retry_policy_gives_up_after_max_attempts(star_db):
         results = service.run_many([_count_sql(3)], max_workers=1)
     assert plan.total_fired == 3  # every allowed attempt was consumed
     assert isinstance(results[0].error, TransientFault)
+    # The failed slot still reports the two retries it spent.
+    assert results[0].metrics.retries == 2
+    assert service.stats().retries == 2
+
+
+def test_refused_retry_keeps_the_retries_already_spent(star_db):
+    service = QueryService(
+        star_db,
+        retry_policy=RetryPolicy(max_attempts=3, base_seconds=0.001),
+    )
+    plan = (
+        FaultPlan()
+        .raise_at("cache.publish", invocation=0, exc_type=TransientFault)
+        .raise_at("cache.publish", invocation=1, exc_type=InjectedFault)
+    )
+    with inject(plan):
+        results = service.run_many([_count_sql(3)], max_workers=1)
+    assert plan.total_fired == 2  # the second fault is not retryable
+    assert isinstance(results[0].error, InjectedFault)
+    assert results[0].metrics.retries == 1
+    assert service.stats().retries == 1
+
+
+def test_backoff_timeout_keeps_the_retries_already_spent(star_db):
+    """Every backoff is 0.5 s under a 0.8 s slot deadline: the first
+    fits, the second cannot, so the slot times out after one retry."""
+    service = QueryService(
+        star_db,
+        deadline_seconds=0.8,
+        retry_policy=RetryPolicy(
+            max_attempts=5, base_seconds=0.5, cap_seconds=0.5
+        ),
+    )
+    plan = FaultPlan()
+    for invocation in range(2):
+        plan.raise_at(
+            "cache.publish", invocation=invocation, exc_type=TransientFault
+        )
+    with inject(plan):
+        results = service.run_many([_count_sql(3)], max_workers=1)
+    assert plan.total_fired == 2
+    assert isinstance(results[0].error, QueryTimeout)
+    assert results[0].metrics.retries == 1
+    assert service.stats().retries == 1
 
 
 def test_retry_never_applies_to_resilience_errors():
