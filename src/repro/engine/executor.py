@@ -1448,14 +1448,13 @@ class Executor:
             # later filters see the already-gathered survivors.
             ranges, pruned, _ = pruning
             pending_ranges = self._split_pruned(metrics, ranges, pruned)
+        elif relation.is_whole_table():
+            relation, definitions = self._apply_member_bits(
+                definitions, relation, record, filters, metrics
+            )
         for definition in definitions:
             self._checkpoint(metrics)
-            bitvector = filters.get(definition.filter_id)
-            if bitvector is None:
-                raise ExecutionError(
-                    f"bitvector {definition!r} applied before creation; "
-                    "plan scheduling is broken"
-                )
+            bitvector = _applied_filter(filters, definition)
             record.add("filter_check", relation.num_rows)
 
             def mask_fn(view, definition=definition, bitvector=bitvector):
@@ -1487,6 +1486,62 @@ class Executor:
                     empty + self._selection(relation, ranges, metrics, mask_fn)
                 ))
         return relation
+
+    def _apply_member_bits(
+        self,
+        definitions: list[BitvectorDef],
+        relation: Relation,
+        record,
+        filters: dict[int, BitvectorFilter],
+        metrics: ExecutionMetrics,
+    ) -> tuple[Relation, list[BitvectorDef]]:
+        """Apply the leading run of ``definitions`` whose filters keep
+        row bitmaps (:meth:`BitvectorFilter.member_bits`) of the probed
+        column: one AND of packed bitmaps, one compaction.  Returns the
+        narrowed relation and the filters left for the probe path.
+
+        ``relation`` is a whole, unpruned base table, so each filter's
+        bitmap over its probe column is row-aligned with it.  Each
+        filter is metered with the popcount of the AND before it — the
+        rows it would have probed on the probe path.  The node span
+        records ``bitmaps=built`` when a bitmap of the run was computed
+        now (a first probe of that filter over that column), else
+        ``bitmaps=hit``.
+        """
+        bits = None
+        built = False
+        taken = 0
+        for definition in definitions:
+            self._checkpoint(metrics)
+            bitvector = _applied_filter(filters, definition)
+            if (
+                not bitvector.supports_member_bits
+                or len(definition.probe_keys) != 1
+            ):
+                break
+            dictionary = relation.column_dictionary(
+                self._database, *definition.probe_keys[0]
+            )
+            if dictionary is None:
+                break
+            held = bitvector.holds_member_bits(dictionary)
+            member = bitvector.member_bits(dictionary)
+            if member is None:
+                break
+            record.add(
+                "filter_check",
+                relation.num_rows if bits is None
+                else int(np.bitwise_count(bits).sum()),
+            )
+            bits = member if bits is None else np.bitwise_and(bits, member)
+            built = built or not held
+            taken += 1
+        if bits is None:
+            return relation, definitions
+        if metrics.tracer is not None:
+            metrics.tracer.annotate(bitmaps="built" if built else "hit")
+        rows = np.unpackbits(bits, count=relation.num_rows).view(bool)
+        return relation.select_sorted(np.flatnonzero(rows)), definitions[taken:]
 
     def _contains_by_codes(
         self,
@@ -1547,31 +1602,43 @@ class Executor:
                 f"{ref.alias}.{ref.column}": keys
                 for ref, keys in zip(node.group_by, key_columns)
             }
+            counts = None
+            if any(a.function in ("count", "avg") for a in node.aggregates):
+                counts = np.bincount(group_index, minlength=num_groups)
         else:
             num_groups = 1
-            group_index = np.zeros(relation.num_rows, dtype=np.int64)
+            group_index = None
+            counts = np.array([relation.num_rows], dtype=np.int64)
             output = {}
+
+        def fold_index() -> np.ndarray:
+            # One group: its all-zeros index is built only for the folds
+            # that need one.
+            nonlocal group_index
+            if group_index is None:
+                group_index = np.zeros(relation.num_rows, dtype=np.int64)
+            return group_index
 
         for aggregate in node.aggregates:
             label = aggregate.label or str(aggregate)
             if aggregate.function == "count":
-                counts = np.bincount(group_index, minlength=num_groups)
                 output[label] = counts.astype(np.int64)
                 continue
             assert aggregate.argument is not None
-            values = relation.column(
+            column = relation.column(
                 aggregate.argument.alias, aggregate.argument.column
-            ).astype(np.float64)
+            )
+            if aggregate.function in ("sum", "avg"):
+                sums = None if node.group_by else _exact_total(column)
+                if sums is None:
+                    sums = np.bincount(
+                        fold_index(),
+                        weights=column.astype(np.float64, copy=False),
+                        minlength=num_groups,
+                    )
             if aggregate.function == "sum":
-                sums = np.bincount(
-                    group_index, weights=values, minlength=num_groups
-                )
                 output[label] = sums
             elif aggregate.function == "avg":
-                sums = np.bincount(
-                    group_index, weights=values, minlength=num_groups
-                )
-                counts = np.bincount(group_index, minlength=num_groups)
                 with np.errstate(invalid="ignore", divide="ignore"):
                     output[label] = np.where(counts > 0, sums / counts, np.nan)
             elif aggregate.function in ("min", "max"):
@@ -1579,7 +1646,10 @@ class Executor:
                 folded = np.full(num_groups, fill)
                 ufunc = np.minimum if aggregate.function == "min" else np.maximum
                 if relation.num_rows:
-                    ufunc.at(folded, group_index, values)
+                    ufunc.at(
+                        folded, fold_index(),
+                        column.astype(np.float64, copy=False),
+                    )
                 output[label] = folded
             else:
                 raise ExecutionError(
@@ -1857,6 +1927,38 @@ class Executor:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
+
+
+def _exact_total(values: np.ndarray) -> np.ndarray | None:
+    """The one-group ``SUM`` of integer ``values`` exactly as the
+    sequential float ``np.bincount`` accumulates it, or None where only
+    that accumulation gives it (float values, or sums that may leave the
+    exactly representable integers).
+
+    While ``max|v| * n < 2**53`` every partial sum of the sequential
+    float accumulation is an integer below ``2**53``, so each addition
+    is exact and the result equals the exact int64 sum — bit for bit.
+    """
+    if values.dtype.kind not in "iu":
+        return None
+    if not len(values):
+        return np.zeros(1)
+    bound = max(abs(int(values.min())), abs(int(values.max())))
+    if bound * len(values) >= 2 ** 53:
+        return None
+    return np.array([float(values.sum(dtype=np.int64))])
+
+
+def _applied_filter(
+    filters: dict[int, BitvectorFilter], definition: BitvectorDef
+) -> BitvectorFilter:
+    bitvector = filters.get(definition.filter_id)
+    if bitvector is None:
+        raise ExecutionError(
+            f"bitvector {definition!r} applied before creation; "
+            "plan scheduling is broken"
+        )
+    return bitvector
 
 
 def _result_rows(result) -> int | None:

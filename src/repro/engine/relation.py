@@ -174,6 +174,14 @@ class Relation:
             return group.base[key][start:stop]
         return group.base[key][group.selection[:count]]
 
+    def is_whole_table(self) -> bool:
+        """Whether every column of this view is its whole stored array,
+        in row order: one column group with the identity selection —
+        what a base-table scan is before anything narrows it.  Row ``i``
+        of the view is then row ``i`` of every per-row array stored for
+        its columns, dictionary codes included."""
+        return len(self._groups) == 1 and self._groups[0].selection is None
+
     def provider(self, alias: str, name: str) -> np.ndarray:
         """Column provider signature for the expression evaluator."""
         return self.column(alias, name)

@@ -52,6 +52,11 @@ class BitvectorFilter(abc.ABC):
     #: The executor falls back to a serial :meth:`build` when False.
     supports_partitioned_build = False
 
+    #: Whether :meth:`member_bits` can answer at all.  The executor asks
+    #: before resolving a probe column's dictionary, so a kind that
+    #: never answers never makes a probe column be factorized for it.
+    supports_member_bits = False
+
     @classmethod
     @abc.abstractmethod
     def build(cls, key_columns: list[np.ndarray], **options) -> "BitvectorFilter":
@@ -120,6 +125,23 @@ class BitvectorFilter(abc.ABC):
     @abc.abstractmethod
     def contains(self, key_columns: list[np.ndarray]) -> np.ndarray:
         """Boolean mask: which probe rows may match an inserted key."""
+
+    def member_bits(self, dictionary) -> np.ndarray | None:
+        """Packed membership of every stored row of one probe column.
+
+        ``dictionary`` is the probe column's table-resident
+        :class:`~repro.util.keycodes.ColumnDictionary`; the answer is
+        the read-only ``np.packbits`` of :meth:`contains` over the
+        column's rows, in row order — a bitmap index of the filter over
+        that column.  ``None`` when the kind does not keep one (the
+        default: the hashed kinds probe values).
+        """
+        return None
+
+    def holds_member_bits(self, dictionary) -> bool:
+        """Whether :meth:`member_bits` of ``dictionary`` is already
+        resident, so a call returns it without probing."""
+        return False
 
     @property
     @abc.abstractmethod

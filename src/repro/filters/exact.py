@@ -30,6 +30,16 @@ codes in the probe columns' table-resident dictionaries, and a
 single-column key answers with one gather through a memoized ``probe
 code -> member`` table.
 
+A probe of a *whole* stored column goes one step further:
+:meth:`ExactFilter.member_bits` answers it as a packed bitmap over the
+column's rows, ``np.packbits(member[dictionary.codes])``, memoized per
+probe dictionary like the member tables.  A warm filter thereby remembers
+which fact rows it passes — the bitmap index of the filter over that
+column — and the executor answers a stack of such filters on a full
+fact scan with one AND of bitmaps and one compaction instead of one
+probe and one selection per filter.  A bitmap costs
+``ceil(rows / 8)`` bytes, counted in :attr:`ExactFilter.resident_bytes`.
+
 Float key columns keep their raw build values and probe by joint
 factorization instead: ``np.unique`` treats NaN as equal to NaN while
 ordered dictionary lookups cannot, and the engine's join fallback
@@ -52,6 +62,8 @@ from repro.util.keycodes import ColumnDictionary, combine_codes, joint_codes
 class ExactFilter(BitvectorFilter):
     """Collision-free membership filter over key tuples."""
 
+    supports_member_bits = True
+
     # Per-instance state.  An indexed filter holds its dictionaries and
     # one of ``_present`` / ``_code_set``; a fallback mode holds the raw
     # ``_key_columns`` instead.
@@ -72,6 +84,7 @@ class ExactFilter(BitvectorFilter):
         key_columns = [np.asarray(c) for c in key_columns]
         self._num_keys = validate_key_columns(key_columns)
         self._member_memo = weakref.WeakKeyDictionary()
+        self._bits_memo = weakref.WeakKeyDictionary()
         if any(column.dtype.kind in "fc" for column in key_columns):
             # Float keys: stay on joint factorization for NaN parity
             # with the engine's fallback join path (see module doc).
@@ -112,6 +125,7 @@ class ExactFilter(BitvectorFilter):
         built = cls.__new__(cls)
         built._num_keys = len(code_columns[0])
         built._member_memo = weakref.WeakKeyDictionary()
+        built._bits_memo = weakref.WeakKeyDictionary()
         return built if built._hold(dictionaries, code_columns) else None
 
     def _hold(
@@ -238,6 +252,32 @@ class ExactFilter(BitvectorFilter):
             self._member_memo[probe_dictionary] = member
         return member
 
+    def member_bits(self, dictionary: ColumnDictionary) -> np.ndarray | None:
+        """Packed membership of every stored row of one probe column:
+        the read-only ``np.packbits(member[dictionary.codes])``, where
+        ``member`` is the column's :meth:`_probe_members` table.
+
+        Memoized per probe-dictionary object, exactly as the member
+        tables are (see :meth:`contains_dictionary_codes`): a dictionary
+        rebuilt after ``Database.invalidate_dictionaries`` starts a fresh
+        entry, and a filter evicted from the cache takes its bitmaps
+        with it.  A racing first call computes the same bitmap twice,
+        which is benign.  ``None`` for several key columns and in the
+        fallback modes — only a single-column presence table yields a
+        per-row answer by one gather.
+        """
+        if self._present is None:
+            return None
+        bits = self._bits_memo.get(dictionary)
+        if bits is None:
+            bits = np.packbits(self._probe_members(dictionary)[dictionary.codes])
+            bits.flags.writeable = False
+            self._bits_memo[dictionary] = bits
+        return bits
+
+    def holds_member_bits(self, dictionary: ColumnDictionary) -> bool:
+        return dictionary in self._bits_memo
+
     @property
     def size_bits(self) -> int:
         # The paper's payload: <= one 64-bit entry per build key.  What
@@ -254,21 +294,21 @@ class ExactFilter(BitvectorFilter):
 
         Counts the presence table or code set, the dictionaries a value
         build factorized for itself (a code build's belong to the
-        database), the memoized probe member tables, and the raw key
-        columns a fallback mode retains.
+        database), the memoized probe member tables and row bitmaps, and
+        the raw key columns a fallback mode retains.
         """
         total = self._private_bytes
         for table in (self._present, self._code_set):
             if table is not None:
                 total += table.nbytes
-        memo = self._member_memo
-        # keyrefs() snapshots atomically; iterating the live mapping
-        # could race a morsel worker memoizing a new table.
-        for keyref in memo.keyrefs():
-            dictionary = keyref()
-            table = None if dictionary is None else memo.get(dictionary)
-            if table is not None:
-                total += table.nbytes
+        for memo in (self._member_memo, self._bits_memo):
+            # keyrefs() snapshots atomically; iterating the live mapping
+            # could race a concurrent probe memoizing a new entry.
+            for keyref in memo.keyrefs():
+                dictionary = keyref()
+                table = None if dictionary is None else memo.get(dictionary)
+                if table is not None:
+                    total += table.nbytes
         if self._key_columns is not None:
             for column in self._key_columns:
                 total += column.nbytes

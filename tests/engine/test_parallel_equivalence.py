@@ -18,6 +18,8 @@ from repro.bench.harness import _checksum
 from repro.engine.executor import Executor
 from repro.expr.expressions import Comparison, col, lit
 from repro.filters import FILTER_KINDS
+from repro.filters.cache import BitvectorFilterCache
+from repro.obs.trace import Tracer
 from repro.plan.builder import attach_aggregate, build_right_deep
 from repro.plan.pushdown import push_down_bitvectors
 from repro.query.joingraph import JoinGraph
@@ -206,6 +208,35 @@ def test_parallel_relation_output_identical(filter_kind):
             actual = parallel_columns[key]
             assert actual.dtype == expected.dtype
             assert np.array_equal(actual, expected), f"{key} diverged"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_filter_stack_parallel_matches_serial(seed):
+    """The fact scan's stacked exact filters over cached filters: the
+    first execution builds their row bitmaps, the second ANDs the
+    memoized ones — on the main thread at every parallelism, so
+    ``parallelism=4`` answers byte-identically to serial both times."""
+    database, spec, orders = _random_star(seed + 20)
+    executors = [
+        Executor(
+            database, filter_cache=BitvectorFilterCache(), **options
+        )
+        for options in ({}, {"parallelism": 4, "morsel_rows": 512})
+    ]
+    for plan in _aggregate_plans(database, spec, orders):
+        for _ in range(2):
+            tracers = [Tracer(), Tracer()]
+            serial, parallel = (
+                executor.execute(plan, tracer=tracer).aggregates
+                for executor, tracer in zip(executors, tracers)
+            )
+            for label in serial:
+                assert parallel[label].tobytes() == serial[label].tobytes()
+        # The warm pass read memoized bitmaps on both executors.
+        for tracer in tracers:
+            assert "hit" in [
+                span.attributes.get("bitmaps") for span in tracer.spans("node")
+            ]
 
 
 @pytest.mark.parametrize("seed", range(3))
