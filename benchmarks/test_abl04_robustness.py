@@ -17,16 +17,19 @@ from __future__ import annotations
 import itertools
 
 from repro.bench.reporting import render_table
+from repro.cost.physical import estimated_cpu
 from repro.engine.executor import Executor
 from repro.plan.builder import build_right_deep
 from repro.plan.nodes import HashJoinNode
 from repro.plan.pushdown import push_down_bitvectors
 from repro.query.joingraph import JoinGraph
+from repro.stats.estimator import CardinalityEstimator
 from repro.workloads.synthetic import random_star
 
 
 def _permutation_costs(db, graph, dims, with_filters: bool):
     executor = Executor(db)
+    estimator = CardinalityEstimator(db, graph.spec.alias_tables)
     couts = []
     cpus = []
     for perm in itertools.permutations(dims):
@@ -37,10 +40,9 @@ def _permutation_costs(db, graph, dims, with_filters: bool):
                     node.creates_bitvector = False
         plan = push_down_bitvectors(plan)
         result = executor.execute(plan)
-        from repro.cost.cout import cout
-        from repro.cost.truecard import TrueCardModel
-
-        couts.append(cout(plan, TrueCardModel(result.metrics)))
+        couts.append(
+            estimated_cpu(plan, estimator, observed=result.metrics).cout
+        )
         cpus.append(result.metrics.metered_cpu())
     return couts, cpus
 

@@ -19,39 +19,38 @@ and assert the orderings that constitute the argument:
 from __future__ import annotations
 
 from repro.bench.reporting import render_table
-from repro.cost.cout import cout
-from repro.cost.truecard import TrueCardModel
+from repro.cost.physical import estimated_cpu
 from repro.engine.executor import Executor
 from repro.optimizer.pipelines import optimize_query
-from repro.plan.nodes import AggregateNode
 from repro.plan.pushdown import strip_bitvectors
 from repro.query.joingraph import JoinGraph
+from repro.stats.estimator import CardinalityEstimator
 
 from benchmarks.conftest import BENCH_SCALE
 
 
-def _measure(db, plan) -> dict:
+def _measure(db, estimator, plan) -> dict:
     result = Executor(db).execute(plan)
-    inner = plan.child if isinstance(plan, AggregateNode) else plan
     return {
-        "cout": cout(inner, TrueCardModel(result.metrics)),
+        "cout": estimated_cpu(plan, estimator, observed=result.metrics).cout,
         "cpu": result.metrics.metered_cpu(),
     }
 
 
 def _variants(db, spec) -> dict[str, dict]:
+    estimator = CardinalityEstimator(db, spec.alias_tables)
     measurements = {}
     measurements["P1_nofilters"] = _measure(
-        db, optimize_query(db, spec, "original_nobv").plan
+        db, estimator, optimize_query(db, spec, "original_nobv").plan
     )
     measurements["P1_postprocess"] = _measure(
-        db, optimize_query(db, spec, "original").plan
+        db, estimator, optimize_query(db, spec, "original").plan
     )
     measurements["P2_bqo_filters"] = _measure(
-        db, optimize_query(db, spec, "bqo").plan
+        db, estimator, optimize_query(db, spec, "bqo").plan
     )
     measurements["P2_bqo_nofilters"] = _measure(
-        db, strip_bitvectors(optimize_query(db, spec, "bqo").plan)
+        db, estimator, strip_bitvectors(optimize_query(db, spec, "bqo").plan)
     )
     return measurements
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.bench.reporting import render_table
-from repro.cost.truecard import true_cout
+from repro.cost.physical import true_cout
 from repro.optimizer.candidates import (
     snowflake_candidate_orders,
     star_candidate_orders,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.cost.truecard import true_cout
+from repro.cost.physical import true_cout
 from repro.optimizer.candidates import snowflake_candidate_orders
 from repro.optimizer.enumerate import right_deep_orders
 from repro.plan.builder import build_right_deep

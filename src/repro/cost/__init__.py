@@ -2,27 +2,21 @@
 
 * :mod:`repro.cost.constants` — per-tuple CPU weights shared by the
   executor's metered CPU and the optimizer's physical cost estimates.
-* :mod:`repro.cost.cout` — the paper's ``Cout`` (sum of intermediate
-  result sizes, Section 3.3) over a physical plan, parameterized by a
-  cardinality model (estimated or true).
-* :mod:`repro.cost.truecard` — exact cardinalities obtained by actually
-  executing the plan with exact filters; used to validate the theorems.
-* :mod:`repro.cost.physical` — ``estimated_cpu(plan, estimator,
-  bitvector_aware)``: one read-only pass pricing a *bare* plan (root
-  rows, Section 6.3 CPU, ``Cout``, per-join build/probe rows) exactly
-  as push-down plus :class:`EstimatedCardModel` would.
+* :mod:`repro.cost.physical` — the Section 6.3 model in one pricing
+  pass: ``estimated_cpu(plan, estimator, ...)`` returns a plan's root
+  rows, CPU, ``Cout`` (Section 3.3) and per-node rows, with rows
+  estimated bitvector-aware, estimated blind, or observed by an
+  execution (``true_cout``, which validates the theorems);
+  ``OrderPricer`` prices join orders during plan search.
 """
 
 from repro.cost.constants import CostConstants, DEFAULT_COSTS
-from repro.cost.cout import CardinalityModel, EstimatedCardModel, cout
-from repro.cost.physical import PlanEstimate, estimated_cpu
+from repro.cost.physical import PlanEstimate, estimated_cpu, true_cout
 
 __all__ = [
     "CostConstants",
     "DEFAULT_COSTS",
-    "CardinalityModel",
-    "EstimatedCardModel",
     "PlanEstimate",
-    "cout",
     "estimated_cpu",
+    "true_cout",
 ]

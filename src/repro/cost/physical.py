@@ -1,19 +1,27 @@
-"""Expected CPU, ``Cout`` and rows of a bare plan or a join order, read-only.
+"""The Section 6.3 cost model: CPU, ``Cout`` and rows of a plan or a join order.
 
-CPU is the Section 6.3 model: a weighted sum of per-tuple work —
-scanning, hash-table build, probe, output materialization, bitvector
-creation and checks, and the final aggregation.  The weights live in
+CPU is a weighted sum of per-tuple work: scanning, hash-table build,
+probe, output materialization, bitvector creation and checks, and the
+final aggregation.  The weights live in
 :class:`repro.cost.constants.CostConstants` and are shared with the
 executor's metered CPU, so estimated and measured costs are directly
-comparable.
+comparable.  ``Cout`` (Section 3.3) sums intermediate result sizes::
 
-:func:`estimated_cpu` prices a plan as Algorithm 1 would leave it,
-routing filters with push-down's own step
-(:func:`repro.plan.pushdown.route_filters`) and the model's formulas,
-and writes nothing to the plan, so candidates may share subplans.  It
-equals push-down plus :class:`EstimatedCardModel` bit for bit: CPU terms
-are summed in the pushed plan's ``walk()`` pre-order and ``Cout`` keeps
-:func:`~repro.cost.cout.cout`'s association.
+    Cout(T) = |T|                            if T is a base table
+    Cout(T) = |T| + Cout(T1) + Cout(T2)      if T = T1 join T2
+
+where ``|T|`` already reflects the bitvector filters applied at ``T``:
+at a scan, the filters pushed down to it; at a join, its residual
+filters.  The final aggregate is not an intermediate result.
+
+This module is the model's one implementation.  :func:`estimated_cpu`
+prices a plan in one read-only pass, routing filters with push-down's
+own step (:func:`repro.plan.pushdown.route_filters`), so a bare plan is
+priced as Algorithm 1 would leave it and candidates may share subplans.
+Its rows come from one of three sources: estimated bitvector-aware (the
+model's formulas, :func:`filter_survival` and :func:`join_rows`),
+estimated blind (filters are charged but reduce no rows), or observed
+(the per-node rows an execution recorded; :func:`true_cout`).
 
 :class:`OrderPricer` prices the tree a join order *would* build — one
 :class:`JoinStep` per spine join over a bottom unit — without building
@@ -25,13 +33,13 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from repro.cost.constants import CostConstants, DEFAULT_COSTS
-from repro.cost.cout import filter_survival, join_rows, key_ndvs
 from repro.errors import PlanError
 from repro.plan.nodes import (
     AggregateNode,
+    FilterNode,
     HashJoinNode,
     PlanNode,
     ScanNode,
@@ -39,6 +47,11 @@ from repro.plan.nodes import (
 )
 from repro.plan.pushdown import route_filters
 from repro.stats.estimator import CardinalityEstimator
+
+if TYPE_CHECKING:  # the engine imports this package
+    from repro.engine.metrics import ExecutionMetrics
+    from repro.expr.expressions import Expression
+    from repro.storage.database import Database
 
 
 class PlanEstimate(NamedTuple):
@@ -50,6 +63,9 @@ class PlanEstimate(NamedTuple):
     # Per join: (build rows, probe rows) as the join sees them, i.e.
     # after any residual filter above each child.
     join_rows: dict[HashJoinNode, tuple[float, float]]
+    # Per node_id, the node's output rows.  A join's are its rows before
+    # its residual filters; a pushed plan's FilterNode holds them after.
+    node_rows: dict[int, float]
 
 
 def estimated_cpu(
@@ -57,18 +73,47 @@ def estimated_cpu(
     estimator: CardinalityEstimator,
     bitvector_aware: bool = True,
     constants: CostConstants = DEFAULT_COSTS,
+    predicates: Mapping[str, Expression] | None = None,
+    observed: ExecutionMetrics | None = None,
 ) -> PlanEstimate:
-    """Price a bare plan (no ``FilterNode``) with its filters in place.
+    """Price a plan with its filters in place.
 
-    ``bitvector_aware=False`` is the blind model's view: filters are
-    routed and their checks charged, but rows ignore them.  Scan-level
-    checks are charged at the scan's pre-filter cardinality (a slight
-    over-estimate when several filters stack; the executor meters the
-    exact diminishing sequence).
+    The plan may be bare or pushed down: the pass routes the filters
+    itself and sees through each residual :class:`FilterNode`, so both
+    price the same.  ``bitvector_aware=False`` is the blind model's
+    view: filters are routed and their checks charged, but rows ignore
+    them.  ``observed``, the metrics of an execution of this plan,
+    replaces every node's rows with the rows it output there.
+    ``predicates`` maps an alias to the predicate its scan runs under in
+    place of the node's own, as for a cached plan executed with new
+    constants.
+
+    Scan-level checks are charged at the scan's pre-filter cardinality
+    (a slight over-estimate when several filters stack; the executor
+    meters the exact diminishing sequence).
     """
-    pricing = _Pass(estimator, bitvector_aware, constants, {})
+    pricing = _Pass(estimator, bitvector_aware, constants, {}, predicates, observed)
     rows, cost = pricing.visit(plan, [])
-    return PlanEstimate(rows, pricing.cpu(), cost, pricing.sides)
+    return PlanEstimate(rows, pricing.cpu(), cost, pricing.sides, pricing.nodes)
+
+
+def true_cout(plan: PlanNode, database: Database, filter_kind: str = "exact") -> float:
+    """Execute ``plan`` and return its exact ``Cout``.
+
+    The paper's theorems (4.1-5.4) are statements about ``Cout`` over
+    actual cardinalities with no-false-positive filters, so this prices
+    the plan with the rows an execution with exact filters observed.
+    """
+    from repro.engine.executor import Executor  # the engine imports this package
+
+    metrics = Executor(database, filter_kind=filter_kind).execute(plan).metrics
+    aliases = {
+        node.alias: node.table_name
+        for node in plan.walk()
+        if isinstance(node, ScanNode)
+    }
+    estimator = CardinalityEstimator(database, aliases)
+    return estimated_cpu(plan, estimator, observed=metrics).cout
 
 
 class JoinStep:
@@ -86,7 +131,7 @@ class JoinStep:
     :class:`HashJoinNode` does in :func:`estimated_cpu`:
     ``probe_aliases`` routes it inside a subplan, ``probe_units`` names
     the units holding those aliases, and ``ndvs`` is
-    :func:`~repro.cost.cout.key_ndvs` of the keys.
+    :func:`key_ndvs` of the keys.
     """
 
     __slots__ = ("unit", "plan", "unit_builds", "probe_aliases", "probe_units", "ndvs")
@@ -148,9 +193,11 @@ class OrderPricer:
         pricing = _Pass(
             self.estimator, self.bitvector_aware, self.constants, self._scans
         )
-        terms, built, unit, join = (
-            pricing.terms, pricing.built, pricing.rows, pricing.join
+        terms, built, unit, join, reduced = (
+            pricing.terms, pricing.built, pricing.rows, pricing.join,
+            pricing.reduced,
         )
+        aware = self.bitvector_aware
         count = len(steps)
         landed, residuals = _route(steps)
         slots = [0] * count
@@ -172,10 +219,11 @@ class OrderPricer:
                 probe_rows = unit(step.plan, landed[index])
             # Search prices every join with its filter; filter selection
             # runs on the winner afterwards.
-            rows = join(
-                slots[index], step.ndvs, True,
-                build_rows, probe_rows, residuals[index],
-            )
+            rows = join_rows(step.ndvs, build_rows, probe_rows, aware)
+            residual = residuals[index]
+            join(slots[index], True, build_rows, probe_rows, rows, residual)
+            if residual:
+                rows = reduced(rows, residual)
         return pricing.cpu()
 
 
@@ -203,12 +251,13 @@ def _route(steps: Sequence[JoinStep]) -> tuple[list[list], list[list]]:
 
 
 class _Pass:
-    """One pricing pass: the CPU term groups, one per node in pre-order,
-    and per filter (a :class:`HashJoinNode` or :class:`JoinStep`) its
-    key ndvs and build rows."""
+    """One pricing pass: the CPU term groups, one per node in pre-order;
+    per filter (a :class:`HashJoinNode` or :class:`JoinStep`) its key
+    ndvs and build rows; and the rows of each node it visits."""
 
     __slots__ = (
-        "estimator", "aware", "constants", "scans", "terms", "built", "sides",
+        "estimator", "aware", "constants", "scans", "predicates", "observed",
+        "terms", "built", "sides", "nodes",
     )
 
     def __init__(
@@ -217,6 +266,8 @@ class _Pass:
         aware: bool,
         constants: CostConstants,
         scans: dict[ScanNode, tuple[float, float, float, float]],
+        predicates: Mapping[str, Expression] | None = None,
+        observed: ExecutionMetrics | None = None,
     ) -> None:
         self.estimator = estimator
         self.aware = aware
@@ -225,9 +276,12 @@ class _Pass:
         # per filter (rows after the predicate x filter_check), and rows
         # out when no filter lands in it.
         self.scans = scans
+        self.predicates = predicates
+        self.observed = observed
         self.terms: list[Sequence[float]] = []
         self.built: dict[object, tuple[tuple, float]] = {}
         self.sides: dict[HashJoinNode, tuple[float, float]] = {}
+        self.nodes: dict[int, float] = {}
 
     def cpu(self) -> float:
         # Left to right in pre-order, one rounding per term (``sum`` may
@@ -239,17 +293,15 @@ class _Pass:
             for source in filters:
                 ndvs, build_rows = self.built[source]
                 rows *= filter_survival(ndvs, build_rows, rows)
-        return rows if rows > 1.0 else 1.0  # max(1.0, rows); see cost.cout
+        return rows if rows > 1.0 else 1.0  # max(1.0, rows)
 
     def join(
-        self, slot: int, ndvs: tuple, creates_bitvector: bool,
-        build_rows: float, probe_rows: float, residual: list,
-    ) -> float:
-        """Fill a join's term group; its rows after ``residual``."""
+        self, slot: int, creates_bitvector: bool, build_rows: float,
+        probe_rows: float, rows: float, residual: list,
+    ) -> None:
+        """Fill a join's term group; ``rows`` are its rows before
+        ``residual``."""
         constants = self.constants
-        rows = join_rows(
-            ndvs, build_rows, probe_rows, self.aware and creates_bitvector
-        )
         if creates_bitvector:
             group = (
                 build_rows * constants.build,
@@ -263,12 +315,10 @@ class _Pass:
                 probe_rows * constants.probe,
                 rows * constants.output,
             )
-        if not residual:
-            self.terms[slot] = group
-            return rows
-        # A residual FilterNode precedes its join in pre-order.
-        self.terms[slot] = (rows * constants.filter_check * len(residual),) + group
-        return self.reduced(rows, residual)
+        if residual:
+            # A residual FilterNode precedes its join in pre-order.
+            group = (rows * constants.filter_check * len(residual),) + group
+        self.terms[slot] = group
 
     def rows(self, node: PlanNode, incoming: list) -> float:
         """Rows out of a unit with ``incoming`` landed in it."""
@@ -277,9 +327,10 @@ class _Pass:
         known = self.scans.get(node)
         if known is None:
             constants = self.constants
-            after_predicate = self.estimator.base_cardinality(
-                node.alias, node.predicate
-            )
+            predicate = node.predicate
+            if self.predicates is not None:
+                predicate = self.predicates.get(node.alias, predicate)
+            after_predicate = self.estimator.base_cardinality(node.alias, predicate)
             known = self.scans[node] = (
                 self.estimator.table_rows(node.alias) * constants.scan,
                 after_predicate,
@@ -290,11 +341,24 @@ class _Pass:
         self.terms.append((scan_term, check * len(incoming)))
         return self.reduced(after_predicate, incoming) if incoming else alone
 
-    def visit(self, node: PlanNode, incoming: list) -> tuple[float, float]:
-        """``(rows out, Cout)`` of ``node`` with ``incoming`` landed in it."""
+    def visit(
+        self, node: PlanNode, incoming: list, residual: FilterNode | None = None
+    ) -> tuple[float, float]:
+        """``(rows out, Cout)`` of ``node`` with ``incoming`` landed in it.
+
+        ``residual`` is the :class:`FilterNode` a pushed plan has above
+        the join ``node``: the join routes its filters again, so the
+        node only names where the rows after them are recorded.
+        """
+        observed = self.observed
         if isinstance(node, ScanNode):
             rows = self.rows(node, incoming)
+            if observed is not None:
+                rows = float(observed.rows_out(node.node_id))
+            self.nodes[node.node_id] = rows
             return rows, rows
+        if isinstance(node, FilterNode):
+            return self.visit(node.child, incoming, node)
         slot = len(self.terms)
         self.terms.append(())
         if isinstance(node, (AggregateNode, TopKNode)):
@@ -303,10 +367,13 @@ class _Pass:
                 self.terms[slot] = (rows * self.constants.aggregate,)
             elif node.limit is not None:
                 rows = max(1.0, min(rows, float(node.limit)))
+            if observed is not None:
+                rows = float(observed.rows_out(node.node_id))
+            self.nodes[node.node_id] = rows
             return rows, cost
         if not isinstance(node, HashJoinNode):
             raise PlanError(f"cannot cost node {node.label}")
-        to_build, to_probe, residual = route_filters(
+        to_build, to_probe, filters = route_filters(
             node, node if node.creates_bitvector else None, incoming
         )
         build_rows, build_cost = self.visit(node.build, to_build)
@@ -314,7 +381,93 @@ class _Pass:
         self.built[node] = (ndvs, build_rows)
         probe_rows, probe_cost = self.visit(node.probe, to_probe)
         self.sides[node] = (build_rows, probe_rows)
-        rows = self.join(
-            slot, ndvs, node.creates_bitvector, build_rows, probe_rows, residual
-        )
+        if observed is None:
+            rows = join_rows(
+                ndvs, build_rows, probe_rows, self.aware and node.creates_bitvector
+            )
+        else:
+            rows = float(observed.rows_out(node.node_id))
+        self.join(slot, node.creates_bitvector, build_rows, probe_rows, rows, filters)
+        self.nodes[node.node_id] = rows
+        if observed is not None:
+            rows = float(observed.rows_out((residual or node).node_id))
+        elif filters:
+            rows = self.reduced(rows, filters)
+        if residual is not None:
+            self.nodes[residual.node_id] = rows
         return rows, rows + build_cost + probe_cost
+
+
+# The model's formulas.  They read statistics only through ``ndvs``: the
+# raw (build, probe) distinct counts of a join's key pairs, in key order,
+# as :func:`key_ndvs` returns them.  Plan search runs them once per join
+# of every join order it prices, so they spell ``min`` / ``max`` of two
+# floats as comparisons: the same values without a builtin call each.
+
+
+def key_ndvs(
+    estimator: CardinalityEstimator,
+    build_keys: tuple[tuple[str, str], ...],
+    probe_keys: tuple[tuple[str, str], ...],
+) -> tuple[tuple[float, float], ...]:
+    """Raw ``(build ndv, probe ndv)`` of each key pair of a join."""
+    return tuple(
+        (estimator.column_distinct(*build), estimator.column_distinct(*probe))
+        for build, probe in zip(build_keys, probe_keys)
+    )
+
+
+def filter_survival(
+    ndvs: tuple[tuple[float, float], ...], build_rows: float, probe_rows: float
+) -> float:
+    """Fraction of probe tuples surviving a filter with key ``ndvs``.
+
+    Distinct-value containment: the build side retains
+    ``min(raw ndv, build subplan rows)`` distinct keys; a probe tuple
+    survives with probability ``build ndv / probe ndv``.
+    """
+    build_cap = build_rows if build_rows > 1.0 else 1.0
+    probe_cap = probe_rows if probe_rows > 1.0 else 1.0
+    survival = 1.0
+    for ndv_build, ndv_probe in ndvs:
+        if build_cap < ndv_build:
+            ndv_build = build_cap
+        if probe_cap < ndv_probe:
+            ndv_probe = probe_cap
+        fraction = ndv_build / (ndv_probe if ndv_probe > 1.0 else 1.0)
+        if fraction < 1.0:
+            survival *= fraction
+    return survival if survival > 1e-9 else 1e-9
+
+
+def join_rows(
+    ndvs: tuple[tuple[float, float], ...],
+    build_rows: float,
+    probe_rows: float,
+    filtered: bool,
+) -> float:
+    """Output rows of a hash join over inputs of the given sizes.
+
+    ``filtered``: the model is bitvector-aware and the join creates a
+    filter, so its probe side already reflects the semi-join reduction.
+    """
+    if filtered:
+        # Algorithm 1 always lands the filter inside the probe side.
+        # Each surviving probe tuple matches |B| / ndv(build key) build
+        # tuples on average, at least 1; the build key keeps at most one
+        # distinct value per build row.
+        build_ndv = 1.0
+        for ndv_build, _ in ndvs:
+            build_ndv *= ndv_build
+        build_cap = build_rows if build_rows > 1.0 else 1.0
+        if build_cap < build_ndv:
+            build_ndv = build_cap
+        matches_per_tuple = build_rows / (build_ndv if build_ndv > 1.0 else 1.0)
+        rows = probe_rows * (matches_per_tuple if matches_per_tuple > 1.0 else 1.0)
+    else:
+        selectivity = 1.0
+        for ndv_build, ndv_probe in ndvs:
+            largest = ndv_build if ndv_build > ndv_probe else ndv_probe
+            selectivity *= 1.0 / (largest if largest > 1.0 else 1.0)
+        rows = build_rows * probe_rows * selectivity
+    return rows if rows > 1.0 else 1.0

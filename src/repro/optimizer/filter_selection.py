@@ -14,8 +14,10 @@ every join of a plan; the caller then runs push-down once.
 
 from __future__ import annotations
 
+import math
+
 from repro.cost.constants import DEFAULT_COSTS, DEFAULT_LAMBDA_THRESH
-from repro.cost.physical import estimated_cpu
+from repro.cost.physical import estimated_cpu, filter_survival, key_ndvs
 from repro.plan.nodes import HashJoinNode, PlanNode
 from repro.stats.estimator import CardinalityEstimator
 
@@ -66,7 +68,9 @@ def apply_cost_based_filters(
     # Every decision is taken against the plan with *all* its flags as
     # they came in: the rows are priced once, before any flag is written.
     for join, (build_rows, probe_rows) in estimated_cpu(plan, estimator).join_rows.items():
-        elimination = _estimated_elimination(join, build_rows, estimator)
+        # Against the probe side's raw keys: no probe row count caps them.
+        ndvs = key_ndvs(estimator, join.build_keys, join.probe_keys)
+        elimination = 1.0 - filter_survival(ndvs, build_rows, math.inf)
         if zone_aware:
             elimination = _residual_elimination(join, estimator, elimination)
         threshold = _parallel_build_threshold(
@@ -132,22 +136,3 @@ def _residual_elimination(
     if skip >= 1.0:
         return 0.0
     return max(0.0, (elimination - skip) / (1.0 - skip))
-
-
-def _estimated_elimination(
-    join: HashJoinNode,
-    build_rows: float,
-    estimator: CardinalityEstimator,
-) -> float:
-    """Estimated fraction of probe tuples the join's filter eliminates."""
-    survival = 1.0
-    for (build_alias, build_col), (probe_alias, probe_col) in zip(
-        join.build_keys, join.probe_keys
-    ):
-        ndv_build = min(
-            estimator.column_distinct(build_alias, build_col),
-            max(build_rows, 1.0),
-        )
-        ndv_probe = estimator.column_distinct(probe_alias, probe_col)
-        survival *= min(1.0, ndv_build / max(ndv_probe, 1.0))
-    return 1.0 - survival

@@ -34,7 +34,7 @@ import time
 from typing import Callable
 
 from repro.cost.constants import DEFAULT_LAMBDA_THRESH
-from repro.cost.cout import EstimatedCardModel, cout
+from repro.cost.physical import estimated_cpu
 from repro.errors import OptimizerError
 from repro.optimizer.baseline import optimize_baseline
 from repro.optimizer.filter_selection import apply_cost_based_filters
@@ -83,20 +83,17 @@ def _finalize(
     search: SearchStats,
     build_parallelism: int = 1,
 ) -> OptimizedPlan:
-    if use_bitvectors:
-        if cost_based:
-            plan = apply_cost_based_filters(
-                plan, estimator, lambda_thresh,
-                build_parallelism=build_parallelism,
-            )
-        plan = push_down_bitvectors(plan)
-    else:
+    if not use_bitvectors:
         for node in plan.walk():
             if isinstance(node, HashJoinNode):
                 node.creates_bitvector = False
-        plan = push_down_bitvectors(plan)  # no-op creation, resets state
-    estimated = cout(plan, EstimatedCardModel(estimator))
-    plan = attach_aggregate(plan, spec)
+    elif cost_based:
+        plan = apply_cost_based_filters(
+            plan, estimator, lambda_thresh,
+            build_parallelism=build_parallelism,
+        )
+    estimated = estimated_cpu(plan, estimator).cout
+    plan = attach_aggregate(push_down_bitvectors(plan), spec)
     return OptimizedPlan(
         pipeline=pipeline,
         spec=spec,

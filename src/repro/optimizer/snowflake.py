@@ -33,8 +33,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator
 
-from repro.cost.cout import key_ndvs
-from repro.cost.physical import JoinStep, OrderPricer
+from repro.cost.physical import JoinStep, OrderPricer, key_ndvs
 from repro.errors import OptimizerError
 from repro.optimizer.candidates import leading_order
 from repro.optimizer.units import UnitGraph

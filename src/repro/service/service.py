@@ -35,6 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.cost.constants import DEFAULT_LAMBDA_THRESH
+from repro.cost.physical import estimated_cpu
 from repro.engine.context import ExecutionContext, ResourceBudget
 from repro.engine.executor import ExecutionResult, Executor
 from repro.engine.context import Deadline
@@ -56,6 +57,7 @@ from repro.service.retry import RetryPolicy
 from repro.sql.binder import bind_select
 from repro.sql.parameterize import QueryFingerprint, fingerprint_sql, parameterize_statement
 from repro.sql.parser import parse_select
+from repro.stats.estimator import CardinalityEstimator
 from repro.storage.database import Database
 from repro.storage.partition import DEFAULT_MORSEL_ROWS
 
@@ -789,18 +791,19 @@ class QueryService:
         outcome = self.execute(sql, name=name, pipeline=pipeline, tracer=tracer)
         result = outcome.result
         metrics = outcome.metrics
-        entry, fingerprint, _overrides, _hit = self._prepare(sql, pipeline)
+        entry, fingerprint, overrides, _hit = self._prepare(sql, pipeline)
 
-        # Optimizer estimates, re-derived with the same model the
-        # pipelines cost plans with (cold path — one parse + bind).
-        from repro.cost.cout import EstimatedCardModel
-        from repro.stats.estimator import CardinalityEstimator
-
+        # Optimizer estimates, priced by the pass the pipelines cost
+        # plans with (cold path — one parse + bind), under this call's
+        # constants: a cached plan's scans hold those of the call that
+        # planned it.
         statement = parse_select(sql)
         spec = bind_select(self._database, statement, name)
-        model = EstimatedCardModel(
-            CardinalityEstimator(self._database, spec.alias_tables)
-        )
+        estimates = estimated_cpu(
+            entry.plan,
+            CardinalityEstimator(self._database, spec.alias_tables),
+            predicates=overrides,
+        ).node_rows
         executed = {node.node_id: node for node in result.metrics.nodes}
         # Joins the executor skipped because their own exact filter had
         # already done their work (the node span says which filter).
@@ -828,10 +831,7 @@ class QueryService:
         annotations: dict[int, str] = {}
         for node in entry.plan.walk():
             record = executed.get(node.node_id)
-            try:
-                estimate = f"{model.rows_out(node):.0f}"
-            except Exception:
-                estimate = "n/a"
+            estimate = f"{estimates[node.node_id]:.0f}"
             if record is None:
                 annotations[node.node_id] = f"(est {estimate} rows, not run)"
                 continue

@@ -77,28 +77,28 @@ class TestIntegrationModes:
     def test_full_mode_never_estimates_worse_than_blind(self, star_db, star_spec):
         """Full integration scores every plan bitvector-aware, so its
         chosen plan's aware-cost is <= the blind plan's aware-cost."""
-        from repro.cost.cout import EstimatedCardModel, cout
+        from repro.cost.physical import estimated_cpu
         from repro.stats.estimator import CardinalityEstimator
 
         optimizer = CascadesOptimizer(star_db)
         estimator = CardinalityEstimator(star_db, star_spec.alias_tables)
 
         def aware(plan):
-            return cout(push_down_bitvectors(plan), EstimatedCardModel(estimator))
+            return estimated_cpu(plan, estimator).cout
 
         full_cost = aware(optimizer.optimize(star_spec, "full"))
         blind_cost = aware(optimizer.optimize(star_spec, "blind"))
         assert full_cost <= blind_cost + 1e-6
 
     def test_alternative_never_worse_than_blind(self, star_db, star_spec):
-        from repro.cost.cout import EstimatedCardModel, cout
+        from repro.cost.physical import estimated_cpu
         from repro.stats.estimator import CardinalityEstimator
 
         optimizer = CascadesOptimizer(star_db)
         estimator = CardinalityEstimator(star_db, star_spec.alias_tables)
 
         def aware(plan):
-            return cout(push_down_bitvectors(plan), EstimatedCardModel(estimator))
+            return estimated_cpu(plan, estimator).cout
 
         alt = aware(optimizer.optimize(star_spec, "alternative"))
         blind = aware(optimizer.optimize(star_spec, "blind"))

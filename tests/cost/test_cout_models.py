@@ -1,13 +1,12 @@
-"""Tests for Cout, the estimated cardinality model, and the CPU model."""
+"""Tests for Cout and rows under each row source, and the CPU model."""
 
 import pytest
 
 from repro.cost.constants import CostConstants, DEFAULT_COSTS
-from repro.cost.cout import EstimatedCardModel, cout
-from repro.cost.physical import estimated_cpu
-from repro.cost.truecard import TrueCardModel, true_cout
+from repro.cost.physical import estimated_cpu, true_cout
 from repro.engine.executor import Executor
 from repro.plan.builder import build_right_deep
+from repro.plan.nodes import FilterNode, HashJoinNode, ScanNode
 from repro.plan.pushdown import push_down_bitvectors
 from repro.query.joingraph import JoinGraph
 from repro.stats.estimator import CardinalityEstimator
@@ -22,14 +21,40 @@ def star_setup(star_db, star_spec):
 
 class TestCoutDefinition:
     def test_cout_is_sum_of_node_sizes(self, star_db, star_setup):
-        graph, _ = star_setup
+        graph, estimator = star_setup
         plan = push_down_bitvectors(build_right_deep(graph, ["f", "d1", "d2"]))
         executor = Executor(star_db)
         result = executor.execute(plan)
-        model = TrueCardModel(result.metrics)
-        total = cout(plan, model)
+        total = estimated_cpu(plan, estimator, observed=result.metrics).cout
         by_hand = sum(m.rows_out for m in result.metrics.nodes)
         assert total == by_hand  # no residual filters in a star plan
+
+    def test_observed_cout_counts_residual_filters(
+        self, star_db, residual_spec
+    ):
+        """Observed rows on a plan with a residual FilterNode: each node
+        keeps the rows the executor recorded for it, and C_out counts a
+        wrapped join once, at its filter's rows."""
+        graph = JoinGraph(residual_spec, star_db.catalog)
+        estimator = CardinalityEstimator(star_db, residual_spec.alias_tables)
+        plan = push_down_bitvectors(build_right_deep(graph, ["a", "b", "c"]))
+        metrics = Executor(star_db).execute(plan).metrics
+        priced = estimated_cpu(plan, estimator, observed=metrics)
+        nodes = list(plan.walk())
+        residuals = [node for node in nodes if isinstance(node, FilterNode)]
+        wrapped = {node.child for node in residuals}
+        assert residuals
+        assert priced.node_rows == {
+            node.node_id: metrics.rows_out(node.node_id) for node in nodes
+        }
+        by_hand = sum(
+            metrics.rows_out(node.node_id)
+            for node in nodes
+            if isinstance(node, (ScanNode, FilterNode))
+            or (isinstance(node, HashJoinNode) and node not in wrapped)
+        )
+        assert priced.cout == by_hand
+        assert true_cout(plan, star_db) == by_hand
 
     def test_bitvectors_reduce_true_cout(self, star_db, star_setup):
         graph, _ = star_setup
@@ -45,28 +70,20 @@ class TestCoutDefinition:
 class TestEstimatedModel:
     def test_estimate_within_factor_of_truth(self, star_db, star_setup):
         graph, estimator = star_setup
-        plan = push_down_bitvectors(build_right_deep(graph, ["f", "d1", "d2"]))
-        estimate = cout(plan, EstimatedCardModel(estimator))
-        plan2 = push_down_bitvectors(build_right_deep(graph, ["f", "d1", "d2"]))
-        truth = true_cout(plan2, star_db)
+        plan = build_right_deep(graph, ["f", "d1", "d2"])
+        estimate = estimated_cpu(plan, estimator).cout
+        truth = true_cout(push_down_bitvectors(plan), star_db)
         assert estimate == pytest.approx(truth, rel=0.5)
-
-    def test_estimates_are_cached_per_node(self, star_setup):
-        graph, estimator = star_setup
-        plan = push_down_bitvectors(build_right_deep(graph, ["f", "d1", "d2"]))
-        model = EstimatedCardModel(estimator)
-        first = model.rows_out(plan)
-        assert model.rows_out(plan) == first
 
     def test_key_join_output_equals_probe_rows(self, star_setup):
         # with this join's own bitvector applied, a PKFK join passes
         # through exactly the surviving probe rows
         graph, estimator = star_setup
-        plan = push_down_bitvectors(build_right_deep(graph, ["f", "d1", "d2"]))
-        model = EstimatedCardModel(estimator)
+        plan = build_right_deep(graph, ["f", "d1", "d2"])
+        rows = estimated_cpu(plan, estimator).node_rows
         join = plan  # top join
-        assert model.rows_out(join) == pytest.approx(
-            model.rows_out(join.probe), rel=1e-6
+        assert rows[join.node_id] == pytest.approx(
+            rows[join.probe.node_id], rel=1e-6
         )
 
 

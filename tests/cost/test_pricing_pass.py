@@ -1,19 +1,22 @@
 """The read-only pricing passes against push-down plus the model.
 
-``estimated_cpu`` prices a bare plan without placing its filters, and
+``estimated_cpu`` prices a plan without placing its filters, and
 ``OrderPricer`` prices a join order without building its tree.  The
 reference both must equal *bit for bit* (``==``, never ``approx``) is
-what plan search once did: push Algorithm 1's filters down on a fresh
-copy of the tree, cost it with :class:`EstimatedCardModel`, and sum the
-CPU terms over ``walk()``.  The corpus is every join order plan search
-prices over the plan-stability workloads and random stars, plus every
-order of the residual fixture; each is compared in aware and blind mode
-as three values: the order's price, ``estimated_cpu`` on the tree the
-order builds, and the reference.
+what plan search once did, kept here as test-only helpers: push
+Algorithm 1's filters down on a fresh copy of the tree, estimate every
+node's rows from the filters placed on it (:func:`_reference_rows`),
+sum the CPU terms over ``walk()`` and ``Cout`` over the pushed tree.
+The corpus is every join order plan search prices over the
+plan-stability workloads and random stars, plus every order of the
+residual fixture; each is compared in aware and blind mode as three
+values: the order's price, ``estimated_cpu`` on the tree the order
+builds, and the reference.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -22,9 +25,15 @@ import pytest
 
 import repro.optimizer.snowflake as snowflake
 from repro.cost.constants import CostConstants, DEFAULT_COSTS
-from repro.cost.cout import EstimatedCardModel, cout
-from repro.cost.physical import OrderPricer, estimated_cpu
+from repro.cost.physical import (
+    OrderPricer,
+    estimated_cpu,
+    filter_survival,
+    join_rows,
+    key_ndvs,
+)
 from repro.errors import OptimizerError, PlanError
+from repro.expr.expressions import Comparison, col, lit
 from repro.optimizer.pipelines import optimize_query
 from repro.optimizer.units import UnitGraph
 from repro.plan.builder import build_right_deep
@@ -34,16 +43,83 @@ from repro.plan.nodes import (
     HashJoinNode,
     PlanNode,
     ScanNode,
+    TopKNode,
 )
 from repro.plan.properties import plan_signature
-from repro.plan.pushdown import push_down_bitvectors
+from repro.plan.pushdown import push_down_bitvectors, strip_bitvectors
 from repro.query.joingraph import JoinGraph
 from repro.stats.estimator import CardinalityEstimator
 from repro.workloads import star
 from repro.workloads.synthetic import random_star
 
 
-def _walk_cpu(pushed, model, estimator, constants=DEFAULT_COSTS) -> float:
+def _reference_rows(pushed, estimator, aware: bool) -> dict[int, float]:
+    """Every node's estimated rows in a pushed plan, read off the
+    filters push-down placed on it: a scan's or residual filter's rows
+    shrink by each filter's survival in turn, a join's follow
+    :func:`join_rows`."""
+    rows: dict[int, float] = {}
+
+    def survival(bitvector, probe_rows: float) -> float:
+        ndvs = key_ndvs(estimator, bitvector.build_keys, bitvector.probe_keys)
+        build_rows = rows[bitvector.source_join.build.node_id]
+        return filter_survival(ndvs, build_rows, probe_rows)
+
+    def visit(node) -> float:
+        if isinstance(node, HashJoinNode):
+            # The build side first: filters landing in the probe side
+            # read its rows.
+            build_rows, probe_rows = visit(node.build), visit(node.probe)
+            out = join_rows(
+                key_ndvs(estimator, node.build_keys, node.probe_keys),
+                build_rows, probe_rows, aware and node.creates_bitvector,
+            )
+        elif isinstance(node, (ScanNode, FilterNode)):
+            if isinstance(node, ScanNode):
+                out = estimator.base_cardinality(node.alias, node.predicate)
+            else:
+                out = visit(node.child)
+            if aware:
+                for bitvector in node.applied_bitvectors:
+                    out *= survival(bitvector, out)
+            out = max(1.0, out)
+        elif isinstance(node, AggregateNode):
+            out = visit(node.child)
+        elif isinstance(node, TopKNode):
+            out = visit(node.child)
+            if node.limit is not None:
+                out = max(1.0, min(out, float(node.limit)))
+        else:
+            raise PlanError(f"cannot estimate node {node.label}")
+        rows[node.node_id] = out
+        return out
+
+    visit(pushed)
+    return rows
+
+
+def _reference_cout(node, rows: dict[int, float]) -> float:
+    """C_out: a residual filter and the join it wraps count once, at the
+    filter's rows; the aggregate is not an intermediate result."""
+    if isinstance(node, (AggregateNode, TopKNode)):
+        return _reference_cout(node.child, rows)
+    if isinstance(node, FilterNode):
+        join = node.child
+        return (
+            rows[node.node_id]
+            + _reference_cout(join.build, rows)
+            + _reference_cout(join.probe, rows)
+        )
+    if isinstance(node, HashJoinNode):
+        return (
+            rows[node.node_id]
+            + _reference_cout(node.build, rows)
+            + _reference_cout(node.probe, rows)
+        )
+    return rows[node.node_id]
+
+
+def _walk_cpu(pushed, rows, estimator, constants=DEFAULT_COSTS) -> float:
     """The Section 6.3 CPU sum as it was computed over a pushed plan."""
     total = 0.0
     for node in pushed.walk():
@@ -57,54 +133,57 @@ def _walk_cpu(pushed, model, estimator, constants=DEFAULT_COSTS) -> float:
                 * len(node.applied_bitvectors)
             )
         elif isinstance(node, HashJoinNode):
-            build_rows = model.rows_out(node.build)
-            probe_rows = model.rows_out(node.probe)
-            output_rows = model.rows_out(node)
+            build_rows = rows[node.build.node_id]
+            probe_rows = rows[node.probe.node_id]
+            output_rows = rows[node.node_id]
             total += build_rows * constants.build
             if node.creates_bitvector:
                 total += build_rows * constants.filter_insert
             total += probe_rows * constants.probe
             total += output_rows * constants.output
         elif isinstance(node, FilterNode):
-            input_rows = model.rows_out(node.child)
+            input_rows = rows[node.child.node_id]
             total += (
                 input_rows * constants.filter_check * len(node.applied_bitvectors)
             )
         elif isinstance(node, AggregateNode):
-            total += model.rows_out(node.child) * constants.aggregate
+            total += rows[node.child.node_id] * constants.aggregate
         else:
             raise PlanError(f"cannot cost node {node.label}")
     return total
 
 
-def _fresh_copy(plan, joins: dict):
-    """The same plan built from new nodes; ``joins`` maps old → new."""
+def _fresh_copy(plan, copies: dict):
+    """The same plan built from new nodes; ``copies`` maps old → new."""
     if isinstance(plan, ScanNode):
-        return ScanNode(plan.alias, plan.table_name, plan.predicate)
-    copy = HashJoinNode(
-        _fresh_copy(plan.build, joins),
-        _fresh_copy(plan.probe, joins),
-        plan.build_keys,
-        plan.probe_keys,
-        creates_bitvector=plan.creates_bitvector,
-    )
-    joins[plan] = copy
+        copy = ScanNode(plan.alias, plan.table_name, plan.predicate)
+    else:
+        copy = HashJoinNode(
+            _fresh_copy(plan.build, copies),
+            _fresh_copy(plan.probe, copies),
+            plan.build_keys,
+            plan.probe_keys,
+            creates_bitvector=plan.creates_bitvector,
+        )
+    copies[plan] = copy
     return copy
 
 
 def _reference(plan, estimator, aware: bool, constants) -> tuple:
-    joins: dict = {}
-    pushed = push_down_bitvectors(_fresh_copy(plan, joins))
-    model = EstimatedCardModel(estimator, aware)
+    copies: dict = {}
+    pushed = push_down_bitvectors(_fresh_copy(plan, copies))
+    rows = _reference_rows(pushed, estimator, aware)
     sides = {
-        join: (model.rows_out(copy.build), model.rows_out(copy.probe))
-        for join, copy in joins.items()
+        join: (rows[copy.build.node_id], rows[copy.probe.node_id])
+        for join, copy in copies.items()
+        if isinstance(join, HashJoinNode)
     }
     return (
-        model.rows_out(pushed),
-        _walk_cpu(pushed, model, estimator, constants),
-        cout(pushed, model),
+        rows[pushed.node_id],
+        _walk_cpu(pushed, rows, estimator, constants),
+        _reference_cout(pushed, rows),
         sides,
+        {node.node_id: rows[copy.node_id] for node, copy in copies.items()},
     )
 
 
@@ -209,6 +288,17 @@ class TestResidualFilters:
         estimator = CardinalityEstimator(star_db, residual_spec.alias_tables)
         return graph, estimator
 
+    @pytest.fixture()
+    def shrinking_setup(self, star_db, residual_spec):
+        """``residual_spec`` with ``c`` cut below its keys' distinct
+        counts, so c's residual filter shrinks the rows it checks."""
+        spec = dataclasses.replace(
+            residual_spec,
+            local_predicates={"c": Comparison("<", col("c", "m"), lit(-3.0))},
+        )
+        graph = JoinGraph(spec, star_db.catalog)
+        return graph, CardinalityEstimator(star_db, spec.alias_tables)
+
     def _orders(self, graph):
         for order in itertools.permutations(["a", "b", "c"]):
             try:
@@ -216,8 +306,7 @@ class TestResidualFilters:
             except OptimizerError:
                 continue  # a cross product
 
-    def test_every_order_prices_identically(self, residual_setup):
-        graph, estimator = residual_setup
+    def _check_every_order(self, graph, estimator):
         residuals = 0
         for plan in self._orders(graph):
             pushed = push_down_bitvectors(_fresh_copy(plan, {}))
@@ -232,10 +321,25 @@ class TestResidualFilters:
                     assert not _mismatches(plan, estimator, constants)
         assert residuals  # the fixture does exercise residual filters
 
+    def test_every_order_prices_identically(self, residual_setup):
+        self._check_every_order(*residual_setup)
+
+    def test_every_order_with_a_shrinking_residual_prices_identically(
+        self, shrinking_setup
+    ):
+        self._check_every_order(*shrinking_setup)
+
     def test_every_join_order_prices_identically(self, residual_setup):
         """Every order of the triangle, each step in both orientations:
         a build-side step whose filter spans two units is residual."""
-        graph, estimator = residual_setup
+        self._check_every_join_order(*residual_setup)
+
+    def test_every_join_order_with_a_shrinking_residual_prices_identically(
+        self, shrinking_setup
+    ):
+        self._check_every_join_order(*shrinking_setup)
+
+    def _check_every_join_order(self, graph, estimator):
         ugraph = UnitGraph(graph, estimator)
         steps = snowflake._Steps(ugraph)
         priced = residuals = 0
@@ -310,8 +414,26 @@ class TestResidualFilters:
         finally:
             gc.enable()
 
-    def test_a_pushed_plan_with_residuals_is_refused(self, residual_setup):
-        graph, estimator = residual_setup
-        pushed = push_down_bitvectors(build_right_deep(graph, ["a", "b", "c"]))
-        with pytest.raises(PlanError):
-            estimated_cpu(pushed, estimator)
+    def test_a_pushed_plan_prices_as_its_bare_plan(self, shrinking_setup):
+        """The pass sees through a residual FilterNode: the join keeps its
+        rows before the residual filters, the FilterNode gets them after."""
+        graph, estimator = shrinking_setup
+        plan = build_right_deep(graph, ["a", "b", "c"])
+        for aware in (True, False):
+            bare = estimated_cpu(plan, estimator, aware)
+            pushed = push_down_bitvectors(plan)
+            (residual,) = [n for n in pushed.walk() if isinstance(n, FilterNode)]
+            priced = estimated_cpu(pushed, estimator, aware)
+            assert priced[:4] == bare[:4]
+            assert priced.node_rows == _reference_rows(pushed, estimator, aware)
+            join = residual.child
+            assert priced.node_rows[join.node_id] == bare.node_rows[join.node_id]
+            assert priced.node_rows[residual.node_id] == bare.join_rows[plan][1]
+            assert priced.node_rows.keys() - bare.node_rows.keys() == {
+                residual.node_id
+            }
+            # Only the aware model shrinks rows at the residual filter.
+            assert (
+                priced.node_rows[residual.node_id] < priced.node_rows[join.node_id]
+            ) == aware
+            plan = strip_bitvectors(pushed)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,21 @@ def test_explain_analyze_annotates_actuals_beside_estimates(service):
     for line in actual_lines:
         assert "rows in" in line and "ms" in line and "est " in line
     assert "spans:" in rendered
+
+
+def test_explain_analyze_on_a_plan_cache_hit_estimates_this_calls_constants(
+    star_db,
+):
+    """A cached plan's scans hold the constants of the call that planned
+    it; a hit's estimates are priced under this call's."""
+    narrow = _JOIN_SQL.replace("d1.v < 5", "d1.v < 3")
+    warm = QueryService(star_db)
+    warm.explain_analyze(_JOIN_SQL)
+    hit = warm.explain_analyze(narrow)
+    fresh = QueryService(star_db).explain_analyze(narrow)
+    assert "plan cache HIT" in hit and "plan cache MISS" in fresh
+    estimates = re.compile(r"est (\d+) rows")
+    assert estimates.findall(hit) == estimates.findall(fresh)
 
 
 def test_optimize_span_and_header_say_what_the_search_did(service):

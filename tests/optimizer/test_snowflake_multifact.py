@@ -1,7 +1,7 @@
 """Tests for Algorithm 2 (OptimizeSnowflake) and Algorithm 3
 (OptimizeJoinGraph)."""
 
-from repro.cost.truecard import true_cout
+from repro.cost.physical import true_cout
 from repro.optimizer.enumerate import right_deep_orders
 from repro.optimizer.multifact import optimize_join_graph
 from repro.optimizer.snowflake import optimize_snowflake

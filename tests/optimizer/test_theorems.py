@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost.truecard import true_cout
+from repro.cost.physical import true_cout
 from repro.optimizer.candidates import (
     branch_candidate_orders,
     snowflake_candidate_orders,

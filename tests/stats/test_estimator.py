@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cascades import CascadesOptimizer
-from repro.cost.cout import EstimatedCardModel
+from repro.cost.physical import estimated_cpu
 from repro.engine.executor import Executor
 from repro.errors import QueryError
 from repro.expr.expressions import (
@@ -328,15 +328,15 @@ def test_q_error_against_executed_plans(tpcds_small, mode):
             node.node_id: node.rows_out
             for node in executor.execute(plan).metrics.nodes
         }
-        model = EstimatedCardModel(
-            CardinalityEstimator(database, spec.alias_tables)
-        )
+        estimates = estimated_cpu(
+            plan, CardinalityEstimator(database, spec.alias_tables)
+        ).node_rows
         for node in plan.walk():
             if (
                 isinstance(node, (ScanNode, HashJoinNode, FilterNode))
                 and node.node_id in observed
             ):
-                estimate = max(float(model.rows_out(node)), 1.0)
+                estimate = max(estimates[node.node_id], 1.0)
                 actual = max(float(observed[node.node_id]), 1.0)
                 errors.append(max(estimate / actual, actual / estimate))
     assert errors
