@@ -5,11 +5,14 @@ support workloads re-issue structurally identical queries with
 different constants.  This package adds the serving substrate on top of
 the reproduction's sql → optimizer → plan → executor stack:
 
-* :class:`QueryService` — the facade: ``execute(sql)``,
-  ``run_many(sqls)`` (thread pool), ``explain(sql)``, ``stats()``;
+* :class:`QueryService` — the facade: ``execute(sql)`` (one attempt),
+  ``run_many(sqls)`` (a thread pool scoped to the call),
+  ``explain(sql)``, ``stats()``;
 * :class:`AsyncQueryService` — the admission-controlled ``asyncio``
   front door: awaitable ``execute``, bounded concurrency, and graceful
-  overload shedding with typed :class:`~repro.errors.QueryShed`;
+  overload shedding with typed :class:`~repro.errors.QueryShed`.  It
+  and ``run_many`` run each statement through one ``QueryService``
+  slot, which applies the :class:`RetryPolicy`;
 * :class:`~repro.service.admission.AdmissionController` — the overload
   policies behind it: bounded priority queue, per-client token-bucket
   quotas, deadline shed-on-arrival, per-fingerprint failure-rate

@@ -17,9 +17,10 @@ Event-loop discipline:
   they are pure bookkeeping (microseconds), so sheds return fast even
   while every executor thread is busy.
 * Query execution runs on a private ``ThreadPoolExecutor`` exactly
-  ``max_concurrency`` wide; the underlying (thread-safe)
-  :class:`QueryService` keeps its plan/filter caches shared across all
-  in-flight queries.
+  ``max_concurrency`` wide, through the same :class:`QueryService`
+  statement slot as ``run_many`` (the service's retry policy applies;
+  a failure comes back typed); the underlying (thread-safe) service
+  keeps its plan/filter caches shared across all in-flight queries.
 * The request's :class:`~repro.engine.context.Deadline` starts at
   *arrival*, before queueing, and is handed to the engine's cooperative
   checkpoints — a query consumes its deadline while waiting, and a
@@ -200,15 +201,13 @@ class AsyncQueryService:
             self._dispatch()
 
     def _run_sync(self, sql, fingerprint, name, pipeline, deadline) -> ServiceResult:
-        if isinstance(self.service, QueryService):
-            # Admission already tokenized the statement: hand the
-            # fingerprint on rather than lex it again on the worker.
-            return self.service._execute(
-                sql, name, pipeline, deadline, None, None, fingerprint
-            )
-        return self.service.execute(
-            sql, name=name, pipeline=pipeline, deadline_seconds=deadline
-        )
+        # The service's one statement slot: retries applied, failure
+        # returned as a record.  Admission already tokenized the
+        # statement, so the worker does not lex it again.
+        outcome = self.service._slot(sql, name, pipeline, deadline, fingerprint)
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome
 
     # ------------------------------------------------------------------
     # Dispatch

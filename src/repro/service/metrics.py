@@ -31,8 +31,8 @@ class ServiceMetrics:
     filter_cache_hits: int
     filter_cache_misses: int
     # Wall-clock for the whole service call, end to end: optimize +
-    # execute + (for run_many slots) every retry attempt.  Carried on
-    # every record — including the error records batch isolation builds
+    # execute + (for front-door slots) every retry attempt.  Carried on
+    # every record — including the error records slot isolation builds
     # — so batch telemetry never needs re-timing by callers.
     wall_seconds: float = 0.0
     # Zero-copy execution accounting (repro.engine.metrics): columns
@@ -64,9 +64,9 @@ class ServiceMetrics:
     # Resilience accounting (repro.engine.context).  ``degraded`` marks
     # a query whose parallel run breached its ResourceBudget and was
     # re-run on the serial fallback executor; ``retries`` counts the
-    # extra attempts the batch retry policy spent before this answer;
+    # extra attempts the slot's retry policy spent before this answer;
     # ``error`` is ``"TypeName: message"`` for a query that failed (set
-    # only on the error records run_many builds for isolated failures).
+    # only on the error records a front-door slot builds).
     degraded: bool = False
     retries: int = 0
     error: str | None = None

@@ -1,9 +1,11 @@
 """Bounded retry with decorrelated-jitter backoff for transient errors.
 
-The service's batch path (:meth:`repro.service.QueryService.run_many`)
-may absorb a *transient* failure — a fault the next attempt has every
-reason to survive — by re-running the statement a bounded number of
-times.  Two disciplines keep this safe in a serving tier:
+Both concurrent front doors of the service —
+:meth:`repro.service.QueryService.run_many` and
+:class:`repro.service.AsyncQueryService` — run each statement through
+one service slot, which may absorb a *transient* failure — a fault the
+next attempt has every reason to survive — by re-running the statement
+a bounded number of times.  Two disciplines keep this safe in a serving tier:
 
 * **Whitelist, not blacklist.**  Only exception types the caller
   explicitly declared transient are retried, and *policy* errors

@@ -19,16 +19,18 @@ The service owns three pieces of cross-query state:
 
 Both caches are invalidated automatically when the database's
 ``schema_version`` moves (a table or foreign key was added).  All entry
-points are thread-safe; :meth:`QueryService.run_many` executes a batch
-on a persistent per-service thread pool (created lazily, grown to the
-widest batch seen, shut down by :meth:`QueryService.close`), so
-hot-path batches do not pay pool startup/teardown.  With
-``parallelism > 1`` each query additionally runs morsel-parallel
-inside the executor (see :mod:`repro.engine.parallel`).
+points are thread-safe.  Both concurrent front doors —
+:meth:`QueryService.run_many` (on a thread pool scoped to the call) and
+:class:`~repro.service.async_service.AsyncQueryService` — run each
+statement through one slot that applies the retry policy and returns
+failures as error records.  With ``parallelism > 1`` each query
+additionally runs morsel-parallel inside the executor (see
+:mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
 import time
@@ -55,12 +57,14 @@ from repro.service.metrics import ServiceMetrics, ServiceStats
 from repro.service.plan_cache import CachedPlan, PlanCache
 from repro.service.retry import RetryPolicy
 from repro.sql.binder import bind_select
-from repro.sql.parameterize import QueryFingerprint, fingerprint_sql, parameterize_statement
-from repro.sql.parser import parse_select
+from repro.sql.parameterize import QueryFingerprint, fingerprint_sql
+from repro.sql.parser import parse_select, parse_tokens
 from repro.stats.estimator import CardinalityEstimator
 from repro.storage.database import Database
 from repro.storage.partition import DEFAULT_MORSEL_ROWS
 
+# Stands in for the ``execute`` span when no tracer is armed.
+_UNTRACED = contextlib.nullcontext()
 
 @dataclasses.dataclass(frozen=True)
 class ServiceResult:
@@ -112,7 +116,7 @@ class QueryService:
         Morsel-driven intra-query parallelism, passed through to the
         :class:`~repro.engine.executor.Executor`.  The default 1 keeps
         each query on its serving thread (byte-identical to the serial
-        engine); cross-query (``max_workers``, per-service batch pool)
+        engine); cross-query (``max_workers``, each batch's own pool)
         and intra-query (``parallelism``, the process-wide morsel
         pool) parallelism compose, with the morsel pool bounded by the
         widest ``parallelism`` in the process.  At ``parallelism > 1``
@@ -144,8 +148,10 @@ class QueryService:
         deadline still live, budget unenforced so the answer lands) and
         records the degradation in the metrics.
     retry_policy:
-        Optional :class:`~repro.service.retry.RetryPolicy` applied by
-        :meth:`run_many` to whitelisted transient failures.
+        Optional :class:`~repro.service.retry.RetryPolicy` applied to
+        whitelisted transient failures by both concurrent front doors
+        (:meth:`run_many` and ``AsyncQueryService``); :meth:`execute`
+        is always one attempt.
     tracer:
         Optional :class:`repro.obs.Tracer` armed for *every* query this
         service runs (per-call override on :meth:`execute`;
@@ -227,15 +233,8 @@ class QueryService:
         self._lock = threading.Lock()
         self._schema_version = database.schema_version
         self._dictionary_generation = database.dictionary_generation
-        # Persistent run_many pool: created lazily on the first batch,
-        # grown when a batch asks for more workers, reused until
-        # close().  Hot-path batches stop paying pool startup/teardown.
-        self._batch_pool: ThreadPoolExecutor | None = None
-        self._batch_pool_width = 0
-        self._batch_pool_lock = threading.Lock()
-        # close() is terminal: set under _batch_pool_lock, checked at
-        # every entry point so submissions against a closed service get
-        # a typed ServiceClosed instead of a dead pool's RuntimeError.
+        # close() is terminal: checked as every statement starts, so
+        # work arriving after it gets a typed ServiceClosed.
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -268,16 +267,15 @@ class QueryService:
     ) -> ServiceResult:
         """Parse (or recognize), optimize (or reuse), and execute ``sql``.
 
-        ``deadline_seconds`` / ``budget`` override the service defaults
-        for this one statement (``None`` inherits; the service default
-        of ``None`` means unenforced).  ``deadline_seconds`` also
-        accepts an already-running
-        :class:`~repro.engine.context.Deadline` — the admission tier
-        and the batch retry path pass one so queue wait and earlier
-        attempts consume the same budget.  A query that trips either limit
-        raises the matching :class:`~repro.errors.ResilienceError` —
-        unless ``degrade="serial"`` absorbs a budget breach — and the
-        failure is counted in :meth:`stats`.
+        One attempt, no retry.  ``deadline_seconds`` / ``budget``
+        override the service defaults for this one statement (``None``
+        inherits; the service default of ``None`` means unenforced).
+        ``deadline_seconds`` also accepts an already-running
+        :class:`~repro.engine.context.Deadline`.  A query that trips
+        either limit raises the matching
+        :class:`~repro.errors.ResilienceError` — unless
+        ``degrade="serial"`` absorbs a budget breach — and the failure
+        is counted in :meth:`stats`.
 
         ``tracer`` arms structured tracing for this one statement
         (``None`` inherits the service default, usually off): the call
@@ -287,7 +285,7 @@ class QueryService:
         """
         return self._execute(
             sql, name, pipeline, deadline_seconds, budget, tracer, None
-        )
+        )[0]
 
     def _execute(
         self,
@@ -298,22 +296,112 @@ class QueryService:
         budget: ResourceBudget | None,
         tracer: Tracer | None,
         fingerprint: QueryFingerprint | None,
-    ) -> ServiceResult:
-        """:meth:`execute`, given ``sql``'s fingerprint if the caller
-        already made it (the async front door does, for admission)."""
+    ) -> tuple[ServiceResult, CachedPlan, dict]:
+        """One attempt at ``sql``: the answer, the cache entry that ran
+        and this call's predicate overrides.  ``fingerprint`` is
+        ``sql``'s, when the caller already made it (the async front door
+        does, for admission)."""
         if self._closed:
             raise ServiceClosed(
                 f"query {name!r} refused: this QueryService is closed"
             )
         wall_started = time.perf_counter()
         pipeline = pipeline or self._pipeline
-        context = self._make_context(name, deadline_seconds, budget)
+        deadline = (
+            self._deadline_seconds if deadline_seconds is None
+            else deadline_seconds
+        )
+        budget = self._budget if budget is None else budget
+        context = (
+            None if deadline is None and budget is None
+            else ExecutionContext(query=name, deadline=deadline, budget=budget)
+        )
         if tracer is None:
             tracer = self._tracer
+        span = (
+            _UNTRACED if tracer is None
+            else tracer.span("execute", query=name, pipeline=pipeline)
+        )
         try:
-            return self._execute_once(
-                sql, name, pipeline, context, tracer, wall_started, fingerprint
-            )
+            with span:
+                started = time.perf_counter()
+                entry, fingerprint, overrides, hit = self._prepare(
+                    sql, pipeline, context, tracer, fingerprint
+                )
+                optimize_seconds = time.perf_counter() - started
+
+                degraded = False
+                started = time.perf_counter()
+                try:
+                    result = self._executor.execute(
+                        entry.plan, predicate_overrides=overrides,
+                        context=context, tracer=tracer,
+                    )
+                except ResourceExhausted:
+                    if self._degrade != "serial" or context is None:
+                        raise
+                    # Graceful degradation: the parallel run materialized
+                    # past its budget; answer anyway on the serial
+                    # fallback (shared filter cache, deadline still live
+                    # on a fresh token, budget unenforced so the retry
+                    # cannot trip it again).
+                    degraded = True
+                    if tracer is not None:
+                        tracer.event(
+                            "degrade", query=name, cause="ResourceExhausted",
+                            mode="serial",
+                        )
+                    fallback_context = (
+                        ExecutionContext(query=name, deadline=context.deadline)
+                        if context.deadline is not None
+                        else None
+                    )
+                    result = self._fallback().execute(
+                        entry.plan, predicate_overrides=overrides,
+                        context=fallback_context, tracer=tracer,
+                    )
+                execute_seconds = time.perf_counter() - started
+
+                telemetry = self.telemetry
+                telemetry.record("execute_seconds", execute_seconds)
+                telemetry.record("optimize_seconds", optimize_seconds)
+                if result.metrics.filter_build_seconds:
+                    telemetry.record(
+                        "filter_build_seconds",
+                        result.metrics.filter_build_seconds,
+                    )
+                telemetry.record("output_rows", result.num_rows)
+
+                metrics = ServiceMetrics(
+                    query=name,
+                    fingerprint=entry.fingerprint,
+                    pipeline=pipeline,
+                    plan_cache_hit=hit,
+                    optimize_seconds=optimize_seconds,
+                    execute_seconds=execute_seconds,
+                    metered_cpu=result.metrics.metered_cpu(),
+                    output_rows=result.num_rows,
+                    filter_cache_hits=result.metrics.filter_cache_hits,
+                    filter_cache_misses=result.metrics.filter_cache_misses,
+                    rows_copied=result.metrics.rows_copied,
+                    bytes_gathered=result.metrics.bytes_gathered,
+                    dictionary_hits=result.metrics.dictionary_hits,
+                    dictionary_misses=result.metrics.dictionary_misses,
+                    morsels_pruned=result.metrics.morsels_pruned,
+                    rows_skipped=result.metrics.rows_skipped,
+                    morsels_short_circuited=result.metrics.morsels_short_circuited,
+                    morsels_band_searched=result.metrics.morsels_band_searched,
+                    selection_bytes=result.metrics.selection_bytes,
+                    filter_builds_parallel=result.metrics.filter_builds_parallel,
+                    filter_build_seconds=result.metrics.filter_build_seconds,
+                    degraded=degraded,
+                    wall_seconds=time.perf_counter() - wall_started,
+                )
+                with self._lock:
+                    self._stats.fold(metrics)
+                if tracer is not None:
+                    span.set(rows=result.num_rows, plan_cache_hit=hit)
+                return ServiceResult(result=result, metrics=metrics), entry, overrides
         except BaseException as exc:
             with self._lock:
                 self._stats.failures += 1
@@ -321,136 +409,9 @@ class QueryService:
                     self._stats.timeouts += 1
             raise
 
-    def _make_context(
-        self,
-        name: str,
-        deadline_seconds: float | Deadline | None,
-        budget: ResourceBudget | None,
-    ) -> ExecutionContext | None:
-        deadline = (
-            self._deadline_seconds if deadline_seconds is None
-            else deadline_seconds
-        )
-        budget = self._budget if budget is None else budget
-        if deadline is None and budget is None:
-            return None
-        return ExecutionContext(query=name, deadline=deadline, budget=budget)
-
-    def _execute_once(
-        self,
-        sql: str,
-        name: str,
-        pipeline: str,
-        context: ExecutionContext | None,
-        tracer: Tracer | None = None,
-        wall_started: float | None = None,
-        fingerprint: QueryFingerprint | None = None,
-    ) -> ServiceResult:
-        if tracer is None:
-            return self._execute_body(
-                sql, name, pipeline, context, None, wall_started, fingerprint
-            )
-        with tracer.span("execute", query=name, pipeline=pipeline) as span:
-            outcome = self._execute_body(
-                sql, name, pipeline, context, tracer, wall_started, fingerprint
-            )
-            span.set(
-                rows=outcome.num_rows,
-                plan_cache_hit=outcome.metrics.plan_cache_hit,
-            )
-        return outcome
-
-    def _execute_body(
-        self,
-        sql: str,
-        name: str,
-        pipeline: str,
-        context: ExecutionContext | None,
-        tracer: Tracer | None,
-        wall_started: float | None,
-        fingerprint: QueryFingerprint | None = None,
-    ) -> ServiceResult:
-        if wall_started is None:
-            wall_started = time.perf_counter()
-        started = time.perf_counter()
-        entry, fingerprint, overrides, hit = self._prepare(
-            sql, pipeline, context, tracer, fingerprint
-        )
-        optimize_seconds = time.perf_counter() - started
-
-        degraded = False
-        started = time.perf_counter()
-        try:
-            result = self._executor.execute(
-                entry.plan, predicate_overrides=overrides, context=context,
-                tracer=tracer,
-            )
-        except ResourceExhausted:
-            if self._degrade != "serial" or context is None:
-                raise
-            # Graceful degradation: the parallel run materialized past
-            # its budget; answer anyway on the serial fallback (shared
-            # filter cache, deadline still live on a fresh token,
-            # budget unenforced so the retry cannot trip it again).
-            degraded = True
-            if tracer is not None:
-                tracer.event(
-                    "degrade", query=name, cause="ResourceExhausted",
-                    mode="serial",
-                )
-            fallback_context = (
-                ExecutionContext(query=name, deadline=context.deadline)
-                if context.deadline is not None
-                else None
-            )
-            result = self._fallback(  # serial
-            ).execute(
-                entry.plan, predicate_overrides=overrides,
-                context=fallback_context, tracer=tracer,
-            )
-        execute_seconds = time.perf_counter() - started
-
-        telemetry = self.telemetry
-        telemetry.record("execute_seconds", execute_seconds)
-        telemetry.record("optimize_seconds", optimize_seconds)
-        if result.metrics.filter_build_seconds:
-            telemetry.record(
-                "filter_build_seconds", result.metrics.filter_build_seconds
-            )
-        telemetry.record("output_rows", result.num_rows)
-
-        metrics = ServiceMetrics(
-            query=name,
-            fingerprint=entry.fingerprint,
-            pipeline=pipeline,
-            plan_cache_hit=hit,
-            optimize_seconds=optimize_seconds,
-            execute_seconds=execute_seconds,
-            metered_cpu=result.metrics.metered_cpu(),
-            output_rows=result.num_rows,
-            filter_cache_hits=result.metrics.filter_cache_hits,
-            filter_cache_misses=result.metrics.filter_cache_misses,
-            rows_copied=result.metrics.rows_copied,
-            bytes_gathered=result.metrics.bytes_gathered,
-            dictionary_hits=result.metrics.dictionary_hits,
-            dictionary_misses=result.metrics.dictionary_misses,
-            morsels_pruned=result.metrics.morsels_pruned,
-            rows_skipped=result.metrics.rows_skipped,
-            morsels_short_circuited=result.metrics.morsels_short_circuited,
-            morsels_band_searched=result.metrics.morsels_band_searched,
-            selection_bytes=result.metrics.selection_bytes,
-            filter_builds_parallel=result.metrics.filter_builds_parallel,
-            filter_build_seconds=result.metrics.filter_build_seconds,
-            degraded=degraded,
-            wall_seconds=time.perf_counter() - wall_started,
-        )
-        with self._lock:
-            self._stats.fold(metrics)
-        return ServiceResult(result=result, metrics=metrics)
-
     def _fallback(self) -> Executor:
         """The lazily-created serial fallback executor (degrade path)."""
-        with self._batch_pool_lock:
+        with self._lock:
             if self._fallback_executor is None:
                 if self._executor.parallelism == 1:
                     self._fallback_executor = self._executor
@@ -471,70 +432,92 @@ class QueryService:
     ) -> list[ServiceResult]:
         """Execute a batch concurrently; results keep input order.
 
-        Batches run on the service's persistent pool — created on the
-        first call, grown to the widest ``max_workers`` requested so
-        far, and reused across batches until :meth:`close`.
-
-        Failures are *isolated*: a statement that raises yields a
-        :class:`ServiceResult` with :attr:`ServiceResult.error` set (and
-        ``result=None``) in its slot, and every other statement's
-        result still arrives — ``run_many`` itself never raises for a
-        per-query failure.  (It previously propagated the first
-        worker's exception and silently abandoned the later futures.)
-        With a :class:`~repro.service.retry.RetryPolicy` configured,
+        The batch runs on a thread pool scoped to this call
+        (``max_workers`` wide), or inline for one worker or one
+        statement.  Failures are *isolated*: a statement that raises
+        yields a :class:`ServiceResult` with :attr:`ServiceResult.error`
+        set (and ``result=None``) in its slot, and every other
+        statement's result still arrives — ``run_many`` itself never
+        raises for a per-query failure.  With a
+        :class:`~repro.service.retry.RetryPolicy` configured,
         whitelisted transient failures are retried with decorrelated-
         jitter backoff before being reported.  A batch submitted after
         :meth:`close` raises :class:`~repro.errors.ServiceClosed`; a
-        close that lands *mid-batch* keeps every slot already submitted
-        (they drain on the retired pool) and fills the remaining slots
-        with isolated ``ServiceClosed`` error records — never a dead
-        pool's ``RuntimeError``.
+        close that lands *mid-batch* lets running slots finish and
+        fills the slots that start later with isolated
+        ``ServiceClosed`` error records.
         """
         if self._closed:
             raise ServiceClosed("run_many refused: this QueryService is closed")
         workers = max_workers or self._max_workers
+        names = [f"batch_{i}" for i in range(len(sqls))]
+        pipelines = [pipeline] * len(sqls)
         if workers <= 1 or len(sqls) <= 1:
-            return [
-                self._execute_isolated(sql, f"batch_{i}", pipeline)
-                for i, sql in enumerate(sqls)
-            ]
-        pool = self._ensure_batch_pool(workers)
-        futures = []
-        results: list[ServiceResult | None] = [None] * len(sqls)
-        for i, sql in enumerate(sqls):
-            try:
-                futures.append(
-                    (i, pool.submit(
-                        self._execute_isolated, sql, f"batch_{i}", pipeline
-                    ))
-                )
-            except RuntimeError:
-                # A concurrent wider batch (or close()) retired this
-                # pool between our lookup and this submit; queries it
-                # already accepted still run, so only this statement
-                # moves to the fresh pool — unless the service closed,
-                # in which case this and later slots get typed error
-                # records while the accepted slots still drain.
-                try:
-                    pool = self._ensure_batch_pool(workers)
-                except ServiceClosed as closed:
-                    results[i] = self._closed_slot(f"batch_{i}", pipeline, closed)
-                    continue
-                futures.append(
-                    (i, pool.submit(
-                        self._execute_isolated, sql, f"batch_{i}", pipeline
-                    ))
-                )
-        # _execute_isolated never raises, so every future resolves and
-        # no sibling result is abandoned.
-        for i, future in futures:
-            results[i] = future.result()
-        return results
+            return list(map(self._slot, sqls, names, pipelines))
+        with ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix=f"svc-{self._database.name}"
+        ) as pool:
+            return list(pool.map(self._slot, sqls, names, pipelines))
 
-    def _closed_slot(
-        self, name: str, pipeline: str | None, error: ServiceClosed
+    def _slot(
+        self,
+        sql: str,
+        name: str,
+        pipeline: str | None,
+        deadline: Deadline | None = None,
+        fingerprint: QueryFingerprint | None = None,
     ) -> ServiceResult:
-        """The isolated error record for a slot refused by close()."""
+        """One statement a concurrent front door admitted — a
+        :meth:`run_many` slot or an :class:`AsyncQueryService` request:
+        retries applied, failure returned as an error record, never
+        raised.
+
+        The slot carries one :class:`~repro.engine.context.Deadline`
+        (the caller's, else one started now from the service default)
+        across every attempt: retries consume the same budget as the
+        attempt that failed, and the policy refuses to schedule a
+        backoff sleep the remaining budget cannot cover (raising
+        :class:`~repro.errors.QueryTimeout` immediately instead of
+        burning the deadline asleep).
+        """
+        wall_started = time.perf_counter()
+        if deadline is None and self._deadline_seconds is not None:
+            deadline = Deadline.after(self._deadline_seconds)
+        # Counted as each attempt starts, so a slot whose last attempt
+        # raised (or whose retry was refused) still reports the retries
+        # it spent.
+        attempts = 0
+
+        def attempt() -> ServiceResult:
+            nonlocal attempts
+            attempts += 1
+            return self._execute(
+                sql, name, pipeline, deadline, None, None, fingerprint
+            )[0]
+
+        try:
+            if self._retry_policy is None:
+                return attempt()
+            outcome, retries = self._retry_policy.call(
+                attempt, deadline=deadline
+            )
+        except Exception as exc:
+            outcome, error, retries = None, exc, max(attempts - 1, 0)
+        if retries:
+            with self._lock:
+                self._stats.retries += retries
+        if outcome is not None:
+            if not retries:
+                return outcome
+            # The slot's wall clock covers every attempt, not just the
+            # one that answered.
+            return ServiceResult(
+                result=outcome.result,
+                metrics=dataclasses.replace(
+                    outcome.metrics, retries=retries,
+                    wall_seconds=time.perf_counter() - wall_started,
+                ),
+            )
         metrics = ServiceMetrics(
             query=name,
             fingerprint="",
@@ -546,123 +529,22 @@ class QueryService:
             output_rows=0,
             filter_cache_hits=0,
             filter_cache_misses=0,
+            retries=retries,
             error=f"{type(error).__name__}: {error}",
+            wall_seconds=time.perf_counter() - wall_started,
         )
         return ServiceResult(result=None, metrics=metrics, error=error)
-
-    def _execute_isolated(
-        self, sql: str, name: str, pipeline: str | None
-    ) -> ServiceResult:
-        """One batch statement: retries applied, failure captured.
-
-        With both a deadline and a retry policy configured, the *slot*
-        carries one :class:`~repro.engine.context.Deadline` across every
-        attempt: retries consume the same budget as the attempt that
-        failed, and the policy refuses to schedule a backoff sleep the
-        remaining budget cannot cover (raising
-        :class:`~repro.errors.QueryTimeout` immediately instead of
-        burning the deadline asleep).
-        """
-        # Counted as each attempt starts, so a slot whose last attempt
-        # raised (or whose retry was refused) still reports the retries
-        # it spent.
-        attempts = 0
-        wall_started = time.perf_counter()
-        try:
-            if self._retry_policy is None:
-                return self.execute(sql, name=name, pipeline=pipeline)
-            deadline = (
-                Deadline.after(self._deadline_seconds)
-                if self._deadline_seconds is not None
-                else None
-            )
-
-            def attempt() -> ServiceResult:
-                nonlocal attempts
-                attempts += 1
-                return self.execute(
-                    sql, name=name, pipeline=pipeline,
-                    deadline_seconds=deadline,
-                )
-
-            outcome, retries = self._retry_policy.call(
-                attempt, deadline=deadline
-            )
-            if retries:
-                with self._lock:
-                    self._stats.retries += retries
-                outcome = ServiceResult(
-                    result=outcome.result,
-                    metrics=dataclasses.replace(
-                        outcome.metrics, retries=retries,
-                        # The slot's wall clock covers every attempt,
-                        # not just the one that answered.
-                        wall_seconds=time.perf_counter() - wall_started,
-                    ),
-                    error=None,
-                )
-            return outcome
-        except Exception as exc:
-            retries = max(attempts - 1, 0)
-            metrics = ServiceMetrics(
-                query=name,
-                fingerprint="",
-                pipeline=pipeline or self._pipeline,
-                plan_cache_hit=False,
-                optimize_seconds=0.0,
-                execute_seconds=0.0,
-                metered_cpu=0.0,
-                output_rows=0,
-                filter_cache_hits=0,
-                filter_cache_misses=0,
-                retries=retries,
-                error=f"{type(exc).__name__}: {exc}",
-                wall_seconds=time.perf_counter() - wall_started,
-            )
-            if retries:
-                with self._lock:
-                    self._stats.retries += retries
-            return ServiceResult(result=None, metrics=metrics, error=exc)
-
-    def _ensure_batch_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The persistent batch pool, at least ``workers`` wide."""
-        with self._batch_pool_lock:
-            if self._closed:
-                raise ServiceClosed(
-                    "batch refused: this QueryService is closed"
-                )
-            if self._batch_pool is None or self._batch_pool_width < workers:
-                retired = self._batch_pool
-                self._batch_pool = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix=f"svc-{self._database.name}",
-                )
-                self._batch_pool_width = workers
-                if retired is not None:
-                    # In-flight batches on the narrower pool finish;
-                    # new submissions land on the wider one.
-                    retired.shutdown(wait=False)
-            return self._batch_pool
 
     def close(self) -> None:
         """Shut down the service (terminal, idempotent, concurrency-safe).
 
-        In-flight :meth:`execute` calls complete normally and batch
-        slots already submitted drain on the retired pool; everything
-        that arrives *after* close — a new ``execute``, a new batch, or
-        the unsubmitted tail of a batch racing this call — is refused
-        with a typed :class:`~repro.errors.ServiceClosed` instead of a
-        dead pool's ``RuntimeError``.  Closing twice (or from two
-        threads at once) is a no-op; the pool is shut down exactly
-        once, outside the lock, waiting for its in-flight work.
+        In-flight statements complete normally; every statement that
+        starts *after* close — a new ``execute``, a new batch, or the
+        slots of a running batch that had not started yet — is refused
+        with a typed :class:`~repro.errors.ServiceClosed`.  Nothing is
+        waited for: a batch's threads belong to its ``run_many`` call.
         """
-        with self._batch_pool_lock:
-            self._closed = True
-            retired = self._batch_pool
-            self._batch_pool = None
-            self._batch_pool_width = 0
-        if retired is not None:
-            retired.shutdown(wait=True)
+        self._closed = True
 
     def __enter__(self) -> "QueryService":
         return self
@@ -788,10 +670,11 @@ class QueryService:
         """
         pipeline = pipeline or self._pipeline
         tracer = Tracer(telemetry=self.telemetry)
-        outcome = self.execute(sql, name=name, pipeline=pipeline, tracer=tracer)
+        outcome, entry, overrides = self._execute(
+            sql, name, pipeline, None, None, tracer, None
+        )
         result = outcome.result
         metrics = outcome.metrics
-        entry, fingerprint, overrides, _hit = self._prepare(sql, pipeline)
 
         # Optimizer estimates, priced by the pass the pipelines cost
         # plans with (cold path — one parse + bind), under this call's
@@ -940,9 +823,7 @@ class QueryService:
             # invalidation lands mid-optimize, the put is dropped and
             # the possibly-stale plan serves only this one request.
             generation = self.plan_cache.generation
-            entry = self._build_entry(
-                sql, fingerprint, pipeline, context, tracer
-            )
+            entry = self._build_entry(fingerprint, pipeline, context, tracer)
             self.plan_cache.put(key, entry, generation=generation)
         if entry.num_parameters != fingerprint.num_parameters:
             raise ServiceError(
@@ -958,26 +839,21 @@ class QueryService:
 
     def _build_entry(
         self,
-        sql: str,
         fingerprint: QueryFingerprint,
         pipeline: str,
         context: ExecutionContext | None = None,
         tracer: Tracer | None = None,
     ) -> CachedPlan:
-        """Cache-miss path: full parse → bind → optimize."""
+        """Cache-miss path: parse the fingerprint's tokens (as lexed and
+        as the parameter template) → bind → optimize."""
 
         def parse_and_bind():
-            statement = parse_select(sql)
-            template_statement, parameters = parameterize_statement(statement)
-            if parameters != fingerprint.parameters:
-                raise ServiceError(
-                    "parameter extraction mismatch between token stream "
-                    f"and AST ({parameters!r} vs {fingerprint.parameters!r})"
-                )
             name = f"q_{fingerprint.digest}"
-            spec = bind_select(self._database, statement, name)
+            spec = bind_select(
+                self._database, parse_tokens(fingerprint.tokens), name
+            )
             template_spec = bind_select(
-                self._database, template_statement, name
+                self._database, parse_tokens(fingerprint.template_tokens()), name
             )
             return spec, template_spec
 

@@ -13,11 +13,7 @@ sub-expressions on a single table), and ``GROUP BY``.
 from repro.sql.lexer import tokenize, Token
 from repro.sql.parser import parse_select, SelectStatement
 from repro.sql.binder import bind_select, parse_query
-from repro.sql.parameterize import (
-    QueryFingerprint,
-    fingerprint_sql,
-    parameterize_statement,
-)
+from repro.sql.parameterize import QueryFingerprint, fingerprint_sql
 
 __all__ = [
     "tokenize",
@@ -28,5 +24,4 @@ __all__ = [
     "parse_query",
     "QueryFingerprint",
     "fingerprint_sql",
-    "parameterize_statement",
 ]

@@ -27,7 +27,7 @@ _OPERATOR_CHARS = "<>=!"
 class Token:
     """One lexical token: kind, normalized text, source offset."""
 
-    kind: str       # keyword | identifier | number | string | op | punctuation
+    kind: str       # keyword | identifier | number | string | op | punctuation | parameter
     text: str
     position: int
 

@@ -23,16 +23,14 @@ Normalization rules (documented for cache-key stability; see
   case-sensitive; ``x IN (1, 2)`` and ``x IN (1, 2, 3)`` differ (the
   marker count is part of the shape).
 
-Two views of the same extraction are produced:
-
-* :func:`fingerprint_sql` works on the token stream only — the cheap
-  path a cache *hit* takes (no recursive-descent parse, no binding);
-* :func:`parameterize_statement` rewrites a parsed
-  :class:`~repro.sql.parser.SelectStatement`, replacing literal values
-  with :class:`~repro.expr.expressions.Parameter` placeholders — the
-  path a cache *miss* takes to build the reusable plan template.
-
-Both walk literals in source order, so marker indices agree.
+This is the only place a literal becomes a parameter.  A cache *hit*
+needs nothing but :func:`fingerprint_sql`'s canonical text and
+parameters (no recursive-descent parse, no binding).  A cache *miss*
+parses the fingerprint's own tokens twice: as lexed, and as
+:meth:`QueryFingerprint.template_tokens`, where each parameterized
+literal is a ``parameter`` token the parser reads as a
+:class:`~repro.expr.expressions.Parameter` placeholder — so the plan
+template's parameters are the fingerprint's by construction.
 """
 
 from __future__ import annotations
@@ -41,19 +39,7 @@ import dataclasses
 import hashlib
 
 from repro.errors import SqlError
-from repro.expr.expressions import Parameter
 from repro.sql.lexer import Token, tokenize
-from repro.sql.parser import (
-    RawBetween,
-    RawComparison,
-    RawIn,
-    RawLike,
-    RawLiteral,
-    RawAnd,
-    RawNot,
-    RawOr,
-    SelectStatement,
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,6 +48,10 @@ class QueryFingerprint:
 
     text: str
     parameters: tuple[object, ...]
+    # The statement as lexed, and the index in it of each parameter's
+    # literal token: what a plan-cache miss parses.
+    tokens: list[Token] = dataclasses.field(repr=False, compare=False)
+    slots: list[int] = dataclasses.field(repr=False, compare=False)
 
     @property
     def digest(self) -> str:
@@ -71,6 +61,14 @@ class QueryFingerprint:
     @property
     def num_parameters(self) -> int:
         return len(self.parameters)
+
+    def template_tokens(self) -> list[Token]:
+        """The token stream with parameter ``i``'s literal replaced by
+        a ``parameter`` token ``?i``."""
+        tokens = list(self.tokens)
+        for index, slot in enumerate(self.slots):
+            tokens[slot] = Token("parameter", f"?{index}", tokens[slot].position)
+        return tokens
 
 
 def fingerprint_sql(sql: str) -> QueryFingerprint:
@@ -86,6 +84,7 @@ def fingerprint_sql(sql: str) -> QueryFingerprint:
     tokens = tokenize(sql)
     rendered: list[str] = []
     parameters: list[object] = []
+    slots: list[int] = []
     previous: Token | None = None
     in_having = False
     for token in tokens:
@@ -110,6 +109,7 @@ def fingerprint_sql(sql: str) -> QueryFingerprint:
                 else:
                     rendered.append(token.text)
             else:
+                slots.append(len(rendered))
                 rendered.append(f"?{len(parameters)}")
                 parameters.append(_literal_value(token))
         else:
@@ -117,71 +117,15 @@ def fingerprint_sql(sql: str) -> QueryFingerprint:
         previous = token
     if not rendered:
         raise SqlError("empty query")
-    return QueryFingerprint(text=" ".join(rendered), parameters=tuple(parameters))
+    return QueryFingerprint(
+        text=" ".join(rendered),
+        parameters=tuple(parameters),
+        tokens=tokens,
+        slots=slots,
+    )
 
 
 def _literal_value(token: Token) -> object:
     if token.kind == "string":
         return token.text
     return float(token.text) if "." in token.text else int(token.text)
-
-
-def parameterize_statement(
-    statement: SelectStatement,
-) -> tuple[SelectStatement, tuple[object, ...]]:
-    """Replace the literals of a parsed statement with placeholders.
-
-    Returns ``(template, parameters)`` where every literal value in the
-    template's WHERE clause is a :class:`Parameter` whose index points
-    into ``parameters``.  The walk visits literals in source order, so
-    the indices line up with :func:`fingerprint_sql` on the same query.
-    """
-    parameters: list[object] = []
-
-    def marker(value: object) -> Parameter:
-        parameter = Parameter(len(parameters))
-        parameters.append(value)
-        return parameter
-
-    def rewrite(raw: object) -> object:
-        if isinstance(raw, RawLiteral):
-            return RawLiteral(marker(raw.value))
-        if isinstance(raw, RawComparison):
-            return RawComparison(raw.op, rewrite(raw.left), rewrite(raw.right))
-        if isinstance(raw, RawBetween):
-            return RawBetween(
-                raw.operand,
-                RawLiteral(marker(raw.low.value)),
-                RawLiteral(marker(raw.high.value)),
-                raw.negated,
-            )
-        if isinstance(raw, RawIn):
-            return RawIn(
-                raw.operand,
-                tuple(marker(value) for value in raw.values),
-                raw.negated,
-            )
-        if isinstance(raw, RawLike):
-            return raw  # patterns are part of the fingerprint
-        if isinstance(raw, RawAnd):
-            return RawAnd(tuple(rewrite(operand) for operand in raw.operands))
-        if isinstance(raw, RawOr):
-            return RawOr(tuple(rewrite(operand) for operand in raw.operands))
-        if isinstance(raw, RawNot):
-            return RawNot(rewrite(raw.operand))
-        return raw  # RawColumn and anything literal-free
-
-    where = rewrite(statement.where) if statement.where is not None else None
-    # HAVING / ORDER BY / LIMIT pass through unchanged: their constants
-    # stay baked into the cached plan (see module docstring), matching
-    # fingerprint_sql, which leaves those token spans literal.
-    template = SelectStatement(
-        items=statement.items,
-        tables=statement.tables,
-        where=where,
-        group_by=statement.group_by,
-        having=statement.having,
-        order_by=statement.order_by,
-        limit=statement.limit,
-    )
-    return template, tuple(parameters)

@@ -22,6 +22,11 @@ Grammar (informal)::
                           | [NOT] IN '(' literal (',' literal)* ')'
                           | [NOT] LIKE string )
     operand    := qualified_column | literal
+    literal    := number | string | parameter
+
+A ``parameter`` token (``?i``) appears only in the template stream
+:meth:`repro.sql.parameterize.QueryFingerprint.template_tokens` builds;
+it parses to ``RawLiteral(Parameter(i))``.
 
 Inside a HAVING expression an operand may also be an aggregate call
 (``agg_call``), which refers to the aggregate-output domain.
@@ -32,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import SqlError
+from repro.expr.expressions import Parameter
 from repro.sql.lexer import Token, tokenize
 
 
@@ -423,9 +429,16 @@ class _Parser:
             return RawLiteral(value)
         if token.kind == "string":
             return RawLiteral(token.text)
+        if token.kind == "parameter":
+            return RawLiteral(Parameter(int(token.text[1:])))
         raise SqlError(f"expected literal, got {token.text!r}", token.position)
 
 
 def parse_select(sql: str) -> SelectStatement:
     """Parse SQL text into an unbound SELECT AST."""
-    return _Parser(tokenize(sql)).parse()
+    return parse_tokens(tokenize(sql))
+
+
+def parse_tokens(tokens: list[Token]) -> SelectStatement:
+    """Parse an already-lexed statement into an unbound SELECT AST."""
+    return _Parser(tokens).parse()

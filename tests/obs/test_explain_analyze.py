@@ -42,6 +42,16 @@ def test_results_identical_with_tracing_on_and_off(
         np.testing.assert_array_equal(values, on.result.aggregates[label])
 
 
+def test_explain_analyze_prepares_the_statement_once(service):
+    """The profile reads the cache entry its own execution prepared:
+    no second lookup, so the entry's hits agree with stats()."""
+    service.explain_analyze(_JOIN_SQL)
+    stats = service.stats()
+    assert (stats.plan_cache_hits, stats.plan_cache_misses) == (0, 1)
+    (entry,) = service.plan_cache.values()
+    assert entry.hits == 0
+
+
 def test_traced_execute_records_the_lifecycle_spans(service):
     tracer = Tracer()
     outcome = service.execute(_JOIN_SQL, name="traced", tracer=tracer)

@@ -15,14 +15,22 @@ from __future__ import annotations
 import asyncio
 import threading
 
+import numpy as np
 import pytest
 
 import repro.sql.parameterize as parameterize
 import repro.sql.parser as parser
 from repro.errors import QueryShed, ServiceClosed, ServiceError
 from repro.obs import Tracer
-from repro.service import AdmissionConfig, AsyncQueryService, QueryService
+from repro.service import (
+    AdmissionConfig,
+    AsyncQueryService,
+    QueryService,
+    RetryPolicy,
+    ServiceResult,
+)
 from repro.sql.parameterize import fingerprint_sql
+from repro.testing import FaultPlan, InjectedFault, TransientFault, inject
 
 COUNT_SQL = (
     "SELECT COUNT(*) AS cnt FROM fact f, dim1 d1 "
@@ -61,15 +69,18 @@ class FakeService:
         self.closed = False
         self._lock = threading.Lock()
 
-    def execute(self, sql, name=None, pipeline=None, deadline_seconds=None):
+    def _slot(self, sql, name, pipeline=None, deadline=None, fingerprint=None):
+        """The one method the facade calls: answers (the statement's
+        name) and failures both come back as records."""
         with self._lock:
             self.started.append(name)
         self.block.wait(timeout=10.0)
         if name in self.fail_names:
-            raise ValueError(f"{name} was told to fail")
+            error = ValueError(f"{name} was told to fail")
+            return ServiceResult(result=None, metrics=None, error=error)
         with self._lock:
             self.finished.append(name)
-        return name
+        return ServiceResult(result=name, metrics=None)
 
     def close(self) -> None:
         self.closed = True
@@ -126,17 +137,80 @@ def test_async_execute_tokenizes_each_statement_once(star_db, monkeypatch):
     async def run():
         service = QueryService(star_db, tracer=tracer)
         async with AsyncQueryService(service=service) as svc:
-            await svc.execute(warm)  # a miss: the parser lexes it too
+            # A miss parses the fingerprint's tokens; nothing re-lexes.
+            missed = await svc.execute(warm)
+            missed_lexed = list(lexed)
             lexed.clear()
             outcome = await svc.execute(hit)
         service.close()
-        return outcome
+        return missed, missed_lexed, outcome
 
-    outcome = asyncio.run(run())
+    missed, missed_lexed, outcome = asyncio.run(run())
+    assert not missed.metrics.plan_cache_hit
+    assert missed_lexed == [warm]
     assert outcome.metrics.plan_cache_hit
     assert lexed == [hit]
     events = tracer.spans("plan_cache")
     assert events[-1].attributes["fingerprint"] == fingerprint_sql(hit).digest
+
+
+def _expected_count(db, threshold: int) -> int:
+    dim1, fact = db.table("dim1"), db.table("fact")
+    selected = dim1.column("id")[dim1.column("v") < threshold]
+    return int(np.isin(fact.column("fk1"), selected).sum())
+
+
+def _facade_run(service, plan, sql):
+    """One statement through an AsyncQueryService over ``service``,
+    with ``plan`` armed; returns (result or raised error, admission)."""
+
+    async def run():
+        async with AsyncQueryService(service=service, max_concurrency=1) as svc:
+            with inject(plan):
+                try:
+                    outcome = await svc.execute(sql)
+                except Exception as exc:
+                    outcome = exc
+            return outcome, svc.admission_stats()
+
+    return asyncio.run(run())
+
+
+def test_async_facade_retries_whitelisted_transients(star_db):
+    service = QueryService(
+        star_db,
+        retry_policy=RetryPolicy(
+            max_attempts=3, base_seconds=0.001, cap_seconds=0.005
+        ),
+    )
+    plan = FaultPlan().raise_at(
+        "cache.publish", invocation=0, exc_type=TransientFault
+    )
+    outcome, admission = _facade_run(
+        service, plan, COUNT_SQL.format(threshold=3)
+    )
+    assert plan.total_fired == 1  # attempt 1 died, attempt 2 clean
+    assert outcome.ok
+    assert outcome.metrics.retries == 1
+    assert outcome.scalar("cnt") == _expected_count(star_db, 3)
+    assert service.stats().retries == 1
+    assert (admission.completed, admission.failures) == (1, 0)
+
+
+def test_async_facade_raises_non_retryable_faults_typed(star_db):
+    service = QueryService(
+        star_db,
+        retry_policy=RetryPolicy(max_attempts=3, base_seconds=0.001),
+    )
+    plan = FaultPlan().raise_at("cache.publish", exc_type=InjectedFault)
+    outcome, admission = _facade_run(
+        service, plan, COUNT_SQL.format(threshold=3)
+    )
+    assert plan.total_fired == 1  # exactly one attempt: not retryable
+    assert isinstance(outcome, InjectedFault)
+    assert service.stats().retries == 0
+    assert service.stats().failures == 1
+    assert (admission.completed, admission.failures) == (0, 1)
 
 
 def test_constructor_requires_exactly_one_source(star_db):
@@ -170,8 +244,8 @@ def test_queue_full_sheds_typed_with_retry_hint():
         assert excinfo.value.reason == "queue"
         assert excinfo.value.retry_after is not None
         fake.block.set()
-        assert await running == "running"
-        assert await queued == "queued"
+        assert (await running).result == "running"
+        assert (await queued).result == "queued"
         stats = svc.admission_stats()
         await svc.close()
         return stats
@@ -285,7 +359,7 @@ def test_failing_fingerprint_trips_the_breaker_and_recovers():
         return result, stats
 
     result, stats = asyncio.run(run())
-    assert result == "probe"
+    assert result.result == "probe"
     assert stats.breaker_trips == 1
     assert stats.shed_breaker == 1
 
@@ -304,7 +378,7 @@ def test_close_cancels_queued_typed_and_drains_inflight():
         with pytest.raises(ServiceClosed):
             await queued
         fake.block.set()
-        assert await inflight == "inflight"  # drained, not killed
+        assert (await inflight).result == "inflight"  # drained, not killed
         await closer
         with pytest.raises(ServiceClosed):
             await svc.execute(OTHER_SQL, "late")

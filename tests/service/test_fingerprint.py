@@ -5,8 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SqlError
-from repro.sql.parameterize import fingerprint_sql, parameterize_statement
-from repro.sql.parser import parse_select
+from repro.expr.expressions import Parameter
+from repro.sql.parameterize import fingerprint_sql
+from repro.sql.parser import (
+    RawAnd,
+    RawBetween,
+    RawComparison,
+    RawIn,
+    RawLike,
+    RawLiteral,
+    parse_select,
+    parse_tokens,
+)
 
 
 def test_constants_do_not_change_fingerprint():
@@ -66,35 +76,52 @@ def test_empty_query_rejected():
         fingerprint_sql("   -- nothing here\n")
 
 
-def test_ast_extraction_agrees_with_token_extraction():
-    sql = (
-        "SELECT COUNT(*) FROM t WHERE t.x = 5 AND t.y BETWEEN 2 AND 9 "
-        "AND t.z IN (1, 2, 3) AND t.name LIKE 'A%' AND NOT (t.w <> 0)"
-    )
-    fp = fingerprint_sql(sql)
-    _template, parameters = parameterize_statement(parse_select(sql))
-    assert parameters == fp.parameters
+def _literals(raw):
+    """Every literal value in a WHERE / HAVING tree, in source order."""
+    if isinstance(raw, RawLiteral):
+        yield raw.value
+    elif isinstance(raw, RawAnd):
+        for operand in raw.operands:
+            yield from _literals(operand)
+    elif isinstance(raw, RawComparison):
+        yield from _literals(raw.left)
+        yield from _literals(raw.right)
+    elif isinstance(raw, RawBetween):
+        yield raw.low.value
+        yield raw.high.value
+    elif isinstance(raw, RawIn):
+        yield from raw.values
+    elif isinstance(raw, RawLike):
+        yield raw.pattern
 
 
 def test_template_statement_has_no_remaining_literals():
-    sql = "SELECT COUNT(*) FROM t WHERE t.x = 5 AND t.y IN (1, 2)"
-    template, parameters = parameterize_statement(parse_select(sql))
-    assert len(parameters) == 3
-    # every literal in the template is now a Parameter marker
-    from repro.expr.expressions import Parameter
-    from repro.sql.parser import RawComparison, RawIn, RawAnd, RawLiteral
+    sql = (
+        "SELECT COUNT(*) FROM t WHERE t.x = 5 AND t.y IN (1, 2) "
+        "AND t.z BETWEEN 'a' AND 'b'"
+    )
+    fp = fingerprint_sql(sql)
+    template = parse_tokens(fp.template_tokens())
+    values = list(_literals(template.where))
+    # Every literal in the template is a Parameter marker, numbered in
+    # source order, and the fingerprint's parameters fill them.
+    assert values == [Parameter(i) for i in range(5)]
+    assert fp.parameters == (5, 1, 2, "a", "b")
+    # The tokens as lexed still parse to the statement itself.
+    assert parse_tokens(fp.tokens) == parse_select(sql)
 
-    def literals(raw):
-        if isinstance(raw, RawLiteral):
-            yield raw.value
-        elif isinstance(raw, RawAnd):
-            for operand in raw.operands:
-                yield from literals(operand)
-        elif isinstance(raw, RawComparison):
-            yield from literals(raw.left)
-            yield from literals(raw.right)
-        elif isinstance(raw, RawIn):
-            yield from raw.values
 
-    values = list(literals(template.where))
-    assert values and all(isinstance(v, Parameter) for v in values)
+def test_like_having_and_limit_literals_stay_literal_in_the_template():
+    sql = (
+        "SELECT t.g, COUNT(*) AS cnt FROM t WHERE t.x = 5 "
+        "AND t.name LIKE 'A%' GROUP BY t.g HAVING COUNT(*) > 3 "
+        "ORDER BY t.g LIMIT 7"
+    )
+    fp = fingerprint_sql(sql)
+    assert fp.parameters == (5,)
+    template = parse_tokens(fp.template_tokens())
+    statement = parse_select(sql)
+    assert list(_literals(template.where)) == [Parameter(0), "A%"]
+    assert template.having == statement.having
+    assert list(_literals(template.having)) == [3]
+    assert template.limit == statement.limit == 7

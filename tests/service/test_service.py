@@ -288,27 +288,15 @@ def test_run_many_concurrent_dictionary_builds(star_db):
     assert info["builds"] == info["entries"]
 
 
-def test_run_many_reuses_persistent_pool(star_db):
-    """Batches share one lazily created pool until close()."""
+def test_close_is_terminal_and_idempotent(star_db):
+    """After close(), batches and single statements get the typed
+    refusal; closing twice is a no-op."""
     service = QueryService(star_db)
-    assert service._batch_pool is None  # lazy: no batch yet
     sqls = [_count_sql(t) for t in (2, 3, 4, 5)]
-    service.run_many(sqls, max_workers=2)
-    pool = service._batch_pool
-    assert pool is not None
-    service.run_many(sqls, max_workers=2)
-    assert service._batch_pool is pool  # reused, not rebuilt
-    # A wider batch grows the pool once; later narrow batches keep it.
-    service.run_many(sqls, max_workers=4)
-    wider = service._batch_pool
-    assert wider is not pool
-    service.run_many(sqls, max_workers=2)
-    assert service._batch_pool is wider
+    assert all(r.ok for r in service.run_many(sqls, max_workers=2))
     service.close()
-    assert service._batch_pool is None
     service.close()  # idempotent
-    # Close is terminal: later submissions get the typed refusal, not
-    # an opaque dead-pool RuntimeError.
+    assert service.closed
     with pytest.raises(ServiceClosed):
         service.run_many(sqls, max_workers=2)
     with pytest.raises(ServiceClosed):
@@ -347,18 +335,11 @@ def test_close_racing_a_batch_yields_typed_slots_never_runtime_error(star_db):
             )
 
 
-def test_service_context_manager_closes_pool(star_db):
+def test_service_context_manager_closes_the_service(star_db):
     with QueryService(star_db) as service:
-        service.run_many([_count_sql(t) for t in (2, 3)], max_workers=2)
-        assert service._batch_pool is not None
-    assert service._batch_pool is None
-
-
-def test_serial_batches_skip_pool(star_db):
-    service = QueryService(star_db)
-    service.run_many([_count_sql(2)], max_workers=4)  # single statement
-    service.run_many([_count_sql(2), _count_sql(3)], max_workers=1)
-    assert service._batch_pool is None
+        results = service.run_many([_count_sql(t) for t in (2, 3)], max_workers=2)
+        assert all(r.ok for r in results)
+    assert service.closed
 
 
 def test_parallel_service_matches_serial(star_db):
