@@ -35,7 +35,7 @@ from repro.expr.eval import (
     lower_to_dictionaries,
 )
 from repro.expr.expressions import ColumnRef, referenced_columns
-from repro.filters.base import BitvectorFilter, compute_key_bounds
+from repro.filters.base import BitvectorFilter
 from repro.filters.registry import FILTER_KINDS, create_filter
 from repro.plan.nodes import (
     AggregateNode,
@@ -53,11 +53,7 @@ from repro.storage.partition import (
     MIN_PARALLEL_ROWS,
     morsel_ranges,
 )
-from repro.storage.zonemaps import (
-    filter_prune_flags,
-    predicate_band,
-    scan_morsel_decisions,
-)
+from repro.storage.zonemaps import predicate_band
 from repro.util.keycodes import (
     ColumnDictionary,
     code_domain,
@@ -178,16 +174,7 @@ class Executor:
         Target rows per morsel when splitting relations for the pool.
         Every parallel region — base-table scan or intermediate
         relation — splits by the same static
-        :func:`~repro.storage.partition.morsel_ranges` shape, which is
-        also the shape zone maps are keyed by.
-    zone_maps:
-        Consult per-morsel min/max synopses (see
-        :mod:`repro.storage.zonemaps`) before dispatching morsel work:
-        scan predicates, bitvector filter applications, and hash-join
-        probes skip whole morsels whose value bounds provably cannot
-        qualify.  Pruning is conservative, so output stays
-        byte-identical at every parallelism level; ``zone_maps=False``
-        preserves the exact unpruned code path.
+        :func:`~repro.storage.partition.morsel_ranges` shape.
     """
 
     def __init__(
@@ -199,7 +186,6 @@ class Executor:
         filter_cache=None,
         parallelism: int = 1,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        zone_maps: bool = True,
     ) -> None:
         self._database = database
         self._filter_kind = filter_kind
@@ -211,7 +197,6 @@ class Executor:
         self._parallelism = max(int(parallelism), 1)
         self._morsel_rows = max(int(morsel_rows), 1)
         self._parallel = self._parallelism > 1
-        self._zone_maps = bool(zone_maps)
 
     @property
     def parallelism(self) -> int:
@@ -220,10 +205,6 @@ class Executor:
     @property
     def morsel_rows(self) -> int:
         return self._morsel_rows
-
-    @property
-    def zone_maps(self) -> bool:
-        return self._zone_maps
 
     # ------------------------------------------------------------------
     # Entry point
@@ -257,8 +238,8 @@ class Executor:
         default) is the zero-overhead path.
 
         ``tracer`` arms structured tracing (see :mod:`repro.obs`): plan
-        nodes, morsel tasks, filter builds, and zone-pruning outcomes
-        record spans/events, and per-node inclusive wall time lands in
+        nodes, morsel tasks, filter builds, and band searches record
+        spans/events, and per-node inclusive wall time lands in
         ``NodeMetrics.wall_seconds``.  ``None`` (the default) keeps
         every instrumented site a single attribute test; tracing never
         changes what is computed, so results are byte-identical on or
@@ -424,9 +405,6 @@ class Executor:
         """Morsels of ``[0, num_rows)`` when :meth:`_map_ranges` would
         run them on the pool, else None — the caller then makes its one
         whole-relation call, exactly the serial code path.
-
-        Base-table scans split here too: ``Table.morsels`` yields the
-        same :func:`morsel_ranges` shape, which zone maps are keyed by.
         """
         if not self._parallel:
             return None
@@ -454,8 +432,7 @@ class Executor:
 
         The dispatcher of every parallel region.  Ranges the pool does
         not pay for (see :meth:`_pooled`) run inline on the calling
-        thread with ``metrics`` itself — also every serial executor's
-        path over zone-pruned ranges.  On the pool (a barrier), each
+        thread with ``metrics`` itself.  On the pool (a barrier), each
         worker gets a private :class:`ExecutionMetrics`; the flat
         counters are merged into ``metrics`` after the barrier.
 
@@ -488,11 +465,6 @@ class Executor:
                     rows = _result_rows(result)
                     if rows is not None:
                         span.set(rows_out=rows)
-                    if worker.morsels_pruned or worker.rows_skipped:
-                        span.set(
-                            morsels_pruned=worker.morsels_pruned,
-                            rows_skipped=worker.rows_skipped,
-                        )
                 return result
 
         results = run_morsel_tasks(
@@ -516,10 +488,10 @@ class Executor:
         order.
 
         ``mask_fn(view)`` returns the boolean keep-mask of one range
-        view.  Rows outside ``ranges`` were proven to fail (zone-pruned
-        morsels), so the concatenated offsets equal the serial
-        ``np.flatnonzero`` over the whole relation, and the resulting
-        gather is byte-identical to the serial path.
+        view.  ``ranges`` cover the relation in order, so the
+        concatenated offsets equal the serial ``np.flatnonzero`` over
+        the whole relation, and the resulting gather is byte-identical
+        to the serial path.
         """
 
         def task(start: int, stop: int, worker: ExecutionMetrics) -> np.ndarray:
@@ -571,134 +543,8 @@ class Executor:
         )
 
     # ------------------------------------------------------------------
-    # Zone-map pruning (see repro.storage.zonemaps)
+    # Zone-map band search (see repro.storage.zonemaps)
     # ------------------------------------------------------------------
-
-    def _table_ranges(self, table) -> list[tuple[int, int]]:
-        """The morsel partitioning zone maps are keyed by: the same
-        shape :meth:`_ranges` dispatches over the whole table."""
-        return [
-            (part.start, part.stop)
-            for part in table.morsels(
-                self._morsel_rows, min_morsels=self._parallelism
-            )
-        ]
-
-    def _zone_map(self, table_name: str, column: str):
-        return self._database.zone_map(
-            table_name, column, self._morsel_rows, self._parallelism
-        )
-
-    @staticmethod
-    def _split_pruned(metrics: ExecutionMetrics,
-                      ranges: list[tuple[int, int]],
-                      pruned: list[bool]) -> list[tuple[int, int]]:
-        """Account the pruned morsels into ``metrics``; return the kept."""
-        kept = []
-        pruned_count = skipped = 0
-        for row_range, flag in zip(ranges, pruned):
-            if flag:
-                pruned_count += 1
-                skipped += row_range[1] - row_range[0]
-            else:
-                kept.append(row_range)
-        metrics.morsels_pruned += pruned_count
-        metrics.rows_skipped += skipped
-        if metrics.tracer is not None and pruned_count:
-            metrics.tracer.event(
-                "zone.prune",
-                morsels_pruned=pruned_count,
-                rows_skipped=skipped,
-            )
-        return kept
-
-    def _scan_selection_with_zones(
-        self,
-        relation: Relation,
-        ranges: list[tuple[int, int]],
-        pruned: list[bool],
-        accepted: list[bool],
-        metrics: ExecutionMetrics,
-        mask_fn,
-    ) -> np.ndarray:
-        """Scan selection with zone decisions applied per morsel.
-
-        Pruned morsels contribute nothing; accepted morsels (the
-        constant-morsel short-circuit) contribute every offset without
-        evaluating the predicate — both count their rows under
-        ``rows_skipped``, because that is work the kernels never did.
-        Undecided morsels evaluate through :meth:`_selection` (on the
-        pool when big enough).  Pieces concatenate in morsel order,
-        reproducing the whole-relation ``flatnonzero`` exactly.
-        """
-        eval_ranges = []
-        pruned_count = accepted_count = skipped = 0
-        for row_range, is_pruned, is_accepted in zip(ranges, pruned, accepted):
-            if is_pruned:
-                pruned_count += 1
-                skipped += row_range[1] - row_range[0]
-            elif is_accepted:
-                accepted_count += 1
-                skipped += row_range[1] - row_range[0]
-            else:
-                eval_ranges.append(row_range)
-        metrics.morsels_pruned += pruned_count
-        metrics.morsels_short_circuited += accepted_count
-        metrics.rows_skipped += skipped
-        if metrics.tracer is not None and skipped:
-            metrics.tracer.event(
-                "zone.prune",
-                morsels_pruned=pruned_count,
-                morsels_short_circuited=accepted_count,
-                rows_skipped=skipped,
-            )
-        evaluated = iter(
-            self._selection(relation, eval_ranges, metrics, mask_fn)
-        )
-        pieces: list[np.ndarray] = []
-        for (start, stop), is_pruned, is_accepted in zip(
-            ranges, pruned, accepted
-        ):
-            if is_pruned:
-                continue
-            if is_accepted:
-                pieces.append(np.arange(start, stop, dtype=np.int64))
-            else:
-                pieces.append(next(evaluated))
-        if not pieces:
-            return np.array([], dtype=np.int64)
-        return np.concatenate(pieces)
-
-    def _scan_zone_pruning(
-        self, alias: str, table, predicate
-    ) -> tuple[list[tuple[int, int]], list[bool], list[bool]] | None:
-        """Morsels the scan predicate provably rejects — or accepts.
-
-        Returns ``(ranges, pruned_flags, accepted_flags)`` when at
-        least one morsel can skip row-wise evaluation in either
-        direction, else ``None`` (callers then run the unpruned path
-        unchanged).  ``pruned`` morsels contribute no rows; ``accepted``
-        morsels (the constant-morsel short-circuit — every row provably
-        satisfies the predicate) contribute *all* their rows, also
-        without evaluating.  Zone maps are fetched lazily per
-        referenced column, so predicates the interval logic cannot use
-        (LIKE, NOT) never trigger a synopsis build.
-        """
-        if not self._zone_maps or table.num_rows == 0:
-            return None
-        if any(a != alias for a, _ in referenced_columns(predicate)):
-            return None
-        ranges = self._table_ranges(table)
-        if not ranges:
-            return None
-        pruned, accepted = scan_morsel_decisions(
-            predicate, alias,
-            lambda column: self._zone_map(table.name, column),
-            len(ranges),
-        )
-        if not any(pruned) and not any(accepted):
-            return None
-        return ranges, pruned, accepted
 
     def _scan_band_search(
         self, alias: str, table, predicate, metrics: ExecutionMetrics
@@ -707,22 +553,24 @@ class Executor:
 
         When the predicate is one value band on a column the zone map
         proves globally sorted (no NaN), the surviving rows are exactly
-        one contiguous range — two binary searches replace per-morsel
-        min/max checks *and* every row-wise predicate evaluation.  The
+        one contiguous range — two binary searches replace every
+        row-wise predicate evaluation.  The
         searched bounds follow numpy comparison order, the same total
         order the sortedness check verified, so the band equals the
         serial ``flatnonzero`` selection exactly (byte-identical
-        results at any parallelism).  Gated on zone maps being enabled:
-        with them off, executions must report zero skipped rows.
+        results at any parallelism).
+
+        The search is the only writer of ``rows_skipped`` (rows outside
+        the band, never read) and ``morsels_pruned`` (morsels of the
+        table's static split holding no band row).
         """
-        if not self._zone_maps or table.num_rows == 0:
+        if table.num_rows == 0:
             return None
         band = predicate_band(predicate, alias)
         if band is None:
             return None
         column, low, low_inclusive, high, high_inclusive = band
-        zone = self._zone_map(table.name, column)
-        if zone is None or not zone.sorted_ascending:
+        if not self._database.zone_map(table.name, column).sorted_ascending:
             return None
         values = table.column(column)
         try:
@@ -737,12 +585,13 @@ class Executor:
             # order; fall back to normal evaluation.
             return None
         hi = max(lo, hi)
-        # Every morsel was decided by the two searches, and every row —
-        # kept or not — avoided row-wise evaluation: same accounting as
-        # the constant-morsel short-circuit (skipped work, not skipped
-        # output).
-        metrics.morsels_band_searched += len(self._table_ranges(table))
-        metrics.rows_skipped += table.num_rows
+        metrics.rows_skipped += table.num_rows - (hi - lo)
+        metrics.morsels_pruned += sum(
+            min(morsel.stop, hi) <= max(morsel.start, lo)
+            for morsel in table.morsels(
+                self._morsel_rows, min_morsels=self._parallelism
+            )
+        )
         if metrics.tracer is not None:
             metrics.tracer.event(
                 "scan.band_search",
@@ -751,163 +600,6 @@ class Executor:
                 band_rows=hi - lo,
             )
         return lo, hi
-
-    def _bitvector_zone_pruning(
-        self,
-        definitions: list[BitvectorDef],
-        relation: Relation,
-        filters: dict[int, BitvectorFilter],
-    ) -> tuple[list[tuple[int, int]], list[bool], dict[int, float]] | None:
-        """Zone-map pruning for a stack of applied bitvector filters.
-
-        Only relations whose probe key columns are whole base-table
-        columns (identity scans — the fact-table case the paper's
-        filters target) can be pruned: zone maps describe base row
-        ranges.  Because stacked filters are conjunctive, a morsel
-        pruned by *any* filter in the stack contributes nothing to the
-        stack's output, so one combined keep/prune partition serves the
-        whole application sequence.  Returns ``(ranges, pruned_flags,
-        skip_fraction_by_filter_id)``, or ``None`` when nothing can be
-        pruned.
-        """
-        if not self._zone_maps or relation.num_rows == 0:
-            return None
-        table_name: str | None = None
-        per_definition: list[tuple[BitvectorDef, list[str]] | None] = []
-        for definition in definitions:
-            columns: list[str] | None = []
-            for alias, column in definition.probe_keys:
-                source = relation.base_source(alias, column)
-                if source is None or source[2] is not None or (
-                    table_name is not None and source[0] != table_name
-                ):
-                    columns = None
-                    break
-                table_name = source[0]
-                columns.append(source[1])
-            per_definition.append(
-                (definition, columns) if columns is not None else None
-            )
-        if table_name is None:
-            return None
-        table = self._database.table(table_name)
-        if table.num_rows != relation.num_rows:
-            return None
-        ranges = self._table_ranges(table)
-        if not ranges:
-            return None
-        combined = [False] * len(ranges)
-        skip_fractions: dict[int, float] = {}
-        zones: dict[str, object] = {}
-        for entry in per_definition:
-            if entry is None:
-                continue
-            definition, columns = entry
-            bitvector = filters.get(definition.filter_id)
-            if bitvector is None:
-                continue  # missing filters fail loudly in the apply loop
-            if bitvector.num_keys == 0:
-                # Nothing was inserted; contains() is all-False and
-                # every morsel is provably empty.
-                pruned = [True] * len(ranges)
-            else:
-                key_bounds = bitvector.key_bounds()
-                if key_bounds is None or all(b is None for b in key_bounds):
-                    skip_fractions[definition.filter_id] = 0.0
-                    continue
-                for column in columns:
-                    if column not in zones:
-                        zones[column] = self._zone_map(table_name, column)
-                column_zones = [zones[column] for column in columns]
-                pruned = filter_prune_flags(
-                    key_bounds, column_zones, len(ranges)
-                )
-            skipped_rows = 0
-            for index, flag in enumerate(pruned):
-                if flag:
-                    combined[index] = True
-                    skipped_rows += ranges[index][1] - ranges[index][0]
-            skip_fractions[definition.filter_id] = (
-                skipped_rows / relation.num_rows
-            )
-        if not any(combined):
-            return None
-        return ranges, combined, skip_fractions
-
-    def _join_zone_pruning(
-        self,
-        node: HashJoinNode,
-        build_rel: Relation,
-        probe_rel: Relation,
-        filters: dict[int, BitvectorFilter],
-    ) -> tuple[list[tuple[int, int]], list[bool]] | None:
-        """Probe morsels whose key range matches no build-side key.
-
-        The join-level analogue of bitvector pruning: even when the
-        optimizer deployed no filter on this join, the build side's key
-        bounds let the executor skip probe morsels that cannot produce
-        a single match.  Requires the probe keys to be whole base-table
-        columns (see :meth:`_bitvector_zone_pruning`).
-        """
-        if not self._zone_maps:
-            return None
-        table_name: str | None = None
-        probe_columns: list[str] = []
-        for alias, column in node.probe_keys:
-            source = probe_rel.base_source(alias, column)
-            if source is None or source[2] is not None or (
-                table_name is not None and source[0] != table_name
-            ):
-                return None
-            table_name = source[0]
-            probe_columns.append(source[1])
-        if table_name is None:
-            return None
-        table = self._database.table(table_name)
-        if table.num_rows != probe_rel.num_rows:
-            return None
-        bounds = self._build_key_bounds(node, build_rel, filters)
-        if bounds is None or all(b is None for b in bounds):
-            return None
-        ranges = self._table_ranges(table)
-        if not ranges:
-            return None
-        zones = [
-            self._zone_map(table_name, column) for column in probe_columns
-        ]
-        pruned = filter_prune_flags(bounds, zones, len(ranges))
-        if not any(pruned):
-            return None
-        return ranges, pruned
-
-    def _build_key_bounds(
-        self,
-        node: HashJoinNode,
-        build_rel: Relation,
-        filters: dict[int, BitvectorFilter],
-    ) -> list[tuple | None] | None:
-        """Bounds of the build side's key columns, as cheaply as possible.
-
-        Preference order: the bounds the join's own bitvector filter
-        already holds (free — its dictionaries are sorted), else a
-        min/max pass over identity build columns (zero-copy views of a
-        dimension table).  Filtered build sides without a filter would
-        force a gather just to compute bounds, so they report ``None``.
-        """
-        definition = node.created_bitvector
-        if definition is not None and tuple(definition.build_keys) == tuple(
-            node.build_keys
-        ):
-            bitvector = filters.get(definition.filter_id)
-            if bitvector is not None:
-                return bitvector.key_bounds()
-        columns: list[np.ndarray] = []
-        for alias, column in node.build_keys:
-            source = build_rel.base_source(alias, column)
-            if source is None or source[2] is not None:
-                return None
-            columns.append(build_rel.column(alias, column))
-        return compute_key_bounds(columns)
 
     # ------------------------------------------------------------------
     # Operators
@@ -957,12 +649,11 @@ class Executor:
         """The rows of a base-table scan that satisfy its predicate.
 
         Cheapest answer first: a value band on a sorted column is two
-        binary searches; otherwise zone maps decide whole morsels where
-        they can, and the undecided rows are evaluated — subtrees over
-        one stored text column through their dictionary's truth table
-        (:func:`lower_to_dictionaries`; one gather of stored codes per
-        row), everything else over row values.  The node span records
-        which: ``predicate=band|zones|dictionary|rows`` and, when a
+        binary searches; otherwise the rows are evaluated — subtrees
+        over one stored text column through their dictionary's truth
+        table (:func:`lower_to_dictionaries`; one gather of stored codes
+        per row), everything else over row values.  The node span
+        records which: ``predicate=band|dictionary|rows`` and, when a
         truth table was read, ``truth_table=built|hit``.
         """
         band = self._scan_band_search(alias, table, predicate, metrics)
@@ -987,32 +678,17 @@ class Executor:
                 lowered, view.provider, view.num_rows, view.stored_codes
             )
 
-        pruning = self._scan_zone_pruning(alias, table, predicate)
         if metrics.tracer is not None:
             lookups = [
                 part for part in lowered.walk()
                 if isinstance(part, DictionaryLookup)
             ]
-            answered = {
-                "predicate": "zones" if pruning is not None
-                else "dictionary" if lookups else "rows"
-            }
+            answered = {"predicate": "dictionary" if lookups else "rows"}
             if lookups:
                 answered["truth_table"] = (
                     "built" if any(part.built for part in lookups) else "hit"
                 )
             metrics.tracer.annotate(**answered)
-        if pruning is not None:
-            # Zone maps proved some morsels empty (pruned) or full
-            # (accepted): evaluate the predicate only over the
-            # undecided morsels, keep accepted morsels whole, and
-            # interleave everything in morsel order — exactly the
-            # unpruned selection.
-            ranges, pruned, accepted = pruning
-            selection = self._scan_selection_with_zones(
-                relation, ranges, pruned, accepted, metrics, mask_fn
-            )
-            return relation.select_sorted(selection)
         ranges = self._ranges(relation.num_rows)
         if ranges is None:
             return relation.mask(mask_fn(relation))
@@ -1108,7 +784,7 @@ class Executor:
                     )
                 return probe_rel
         build_idx, probe_idx, indexes_probe = self._join_matches(
-            node, build_rel, probe_rel, filters, metrics
+            node, build_rel, probe_rel, metrics
         )
         result = probe_rel.merged_with(
             build_rel, probe_idx, build_idx, facts.live.get(node.node_id)
@@ -1135,7 +811,6 @@ class Executor:
         node: HashJoinNode,
         build_rel: Relation,
         probe_rel: Relation,
-        filters: dict[int, BitvectorFilter],
         metrics: ExecutionMetrics,
     ) -> tuple[np.ndarray | None, np.ndarray | None, bool]:
         """Matching row pairs of one hash join, as ``(build_idx,
@@ -1148,11 +823,10 @@ class Executor:
         provenance is read as stored dictionary codes — an O(rows) code
         gather plus an O(distinct) domain translation, see
         :meth:`_dictionary_join_context` — and the matcher is built once
-        and shared by whichever shape the streamed side takes: the kept
-        probe morsels after zone pruning (skipped morsels were proven
-        matchless), static morsels on the pool, or the whole side
-        inline.  Morsel results concatenate in morsel order (streamed
-        offsets rebased), so all three emit the identical pair sequence.
+        and shared by whichever shape the streamed side takes: static
+        morsels on the pool, or the whole side inline.  Morsel results
+        concatenate in morsel order (streamed offsets rebased), so both
+        emit the identical pair sequence.
 
         Without provenance (derived columns, float keys, mixed-radix
         overflow) both sides are factorized jointly, which needs them
@@ -1174,27 +848,13 @@ class Executor:
         build_codes, encode_probe, domain = self._dictionary_join_context(
             node, build_rel, probe_rel, dictionaries
         )
-        pruning = self._join_zone_pruning(node, build_rel, probe_rel, filters)
-        kept = None if pruning is None else self._split_pruned(metrics, *pruning)
-
-        def probe_codes() -> np.ndarray:
-            if kept is None:
-                return encode_probe(probe_rel)
-            # Pruned morsels were proven matchless: absent, never read.
-            codes = np.full(probe_rel.num_rows, -1, dtype=np.int64)
-            for start, stop in kept:
-                codes[start:stop] = encode_probe(
-                    probe_rel.range_view(start, stop, counters=metrics)
-                )
-            return codes
-
         matcher, indexes_probe = join_matcher(
-            build_codes, domain, probe_rel.num_rows, probe_codes
+            build_codes, domain, probe_rel.num_rows,
+            lambda: encode_probe(probe_rel),
         )
         indexed_rel, streamed_rel = build_rel, probe_rel
         if indexes_probe:
-            # The build side streams whole; pruning went into the index.
-            indexed_rel, streamed_rel, kept = probe_rel, build_rel, None
+            indexed_rel, streamed_rel = probe_rel, build_rel
 
         def task(start: int, stop: int, worker: ExecutionMetrics):
             indexed_idx, streamed_idx = matcher.match(
@@ -1206,17 +866,16 @@ class Executor:
                 return indexed_idx, np.arange(start, stop, dtype=np.int64)
             return indexed_idx, streamed_idx + start
 
-        ranges = self._ranges(streamed_rel.num_rows) if kept is None else kept
+        ranges = self._ranges(streamed_rel.num_rows)
         parts = None if ranges is None else self._map_ranges(metrics, ranges, task)
         if parts is None:
             indexed_idx, streamed_idx = matcher.match(
                 build_codes if indexes_probe else encode_probe(probe_rel)
             )
         else:
-            empty = [np.array([], dtype=np.int64)]
-            indexed_idx = np.concatenate(empty + [part[0] for part in parts])
+            indexed_idx = np.concatenate([part[0] for part in parts])
             streamed_idx = identity_to_none(
-                np.concatenate(empty + [part[1] for part in parts]),
+                np.concatenate([part[1] for part in parts]),
                 streamed_rel.num_rows,
             )
         indexed_idx = identity_to_none(indexed_idx, indexed_rel.num_rows)
@@ -1429,26 +1088,15 @@ class Executor:
     ) -> Relation:
         if not definitions:
             return relation
-        pruning = self._bitvector_zone_pruning(definitions, relation, filters)
         if self._adaptive_filter_order and len(definitions) > 1:
             from repro.engine.lip import order_filters_adaptively
 
             # Ordering is decided once on the main thread (sampled pass
-            # rates, discounted by each filter's zone-skip fraction);
-            # the chosen order is then shared by every morsel.
+            # rates); the chosen order is then shared by every morsel.
             definitions = order_filters_adaptively(
                 definitions, filters, relation.column_head, relation.num_rows,
-                zone_skip=pruning[2] if pruning is not None else None,
             )
-        pending_ranges: list[tuple[int, int]] | None = None
-        if pruning is not None:
-            # Stacked filters are conjunctive, so one combined pruning
-            # partition (a morsel skipped by ANY filter contributes
-            # nothing) is applied with the first filter's evaluation;
-            # later filters see the already-gathered survivors.
-            ranges, pruned, _ = pruning
-            pending_ranges = self._split_pruned(metrics, ranges, pruned)
-        elif relation.is_whole_table():
+        if relation.is_whole_table():
             relation, definitions = self._apply_member_bits(
                 definitions, relation, record, filters, metrics
             )
@@ -1472,18 +1120,12 @@ class Executor:
 
             # Filters are immutable after construction, so per-morsel
             # probes are lock-free reads of one shared structure.
-            ranges = (
-                self._ranges(relation.num_rows)
-                if pending_ranges is None else pending_ranges
-            )
-            pending_ranges = None
+            ranges = self._ranges(relation.num_rows)
             if ranges is None:
                 relation = relation.mask(mask_fn(relation))
             else:
-                # Zone pruning may have kept no range at all.
-                empty = [np.array([], dtype=np.int64)]
                 relation = relation.select_sorted(np.concatenate(
-                    empty + self._selection(relation, ranges, metrics, mask_fn)
+                    self._selection(relation, ranges, metrics, mask_fn)
                 ))
         return relation
 
@@ -1500,7 +1142,7 @@ class Executor:
         column: one AND of packed bitmaps, one compaction.  Returns the
         narrowed relation and the filters left for the probe path.
 
-        ``relation`` is a whole, unpruned base table, so each filter's
+        ``relation`` is a whole base table, so each filter's
         bitmap over its probe column is row-aligned with it.  Each
         filter is metered with the popcount of the AND before it — the
         rows it would have probed on the probe path.  The node span
@@ -1787,13 +1429,7 @@ class Executor:
     ) -> Relation:
         """Sort + limit over relation rows.
 
-        The full-sort path orders all rows by ``(keys..., row index)``;
-        with a LIMIT and zone maps enabled, morsels whose first-key
-        bounds are provably outside the top k are skipped first (the
-        clustered-layout early exit).  Skipping is decided with strict
-        inequalities against the candidate pool's k-th best first-key
-        value, so the surviving candidate set always contains the true
-        top k and the final sort is byte-identical to the unpruned one.
+        Orders all rows by ``(keys..., row index)``.
         """
         self._checkpoint(metrics)
         record = metrics.node(node.node_id, node.label, OPERATOR_KIND_OTHER)
@@ -1813,115 +1449,20 @@ class Executor:
             result = relation.gather(np.array([], dtype=np.int64))
             record.rows_out = 0
             return result
-        candidates = None
-        if limit is not None and self._zone_maps and relation.num_rows:
-            candidates = self._topk_zone_candidates(node, relation, metrics)
-        if candidates is None:
-            candidates = np.arange(relation.num_rows, dtype=np.int64)
-        sort_keys: list[np.ndarray] = [candidates]
+        sort_keys: list[np.ndarray] = [
+            np.arange(relation.num_rows, dtype=np.int64)
+        ]
         for key in reversed(node.order_by):
             ref = key.target
             assert isinstance(ref, ColumnRef)
             values = np.asarray(relation.column(ref.alias, ref.column))
-            sort_keys.append(_order_codes(values[candidates], key.ascending))
-        order = np.lexsort(sort_keys)
-        selected = candidates[order]
+            sort_keys.append(_order_codes(values, key.ascending))
+        selected = np.lexsort(sort_keys)
         if limit is not None:
             selected = selected[:limit]
         result = relation.gather(selected)
         record.rows_out = result.num_rows
         return result
-
-    def _topk_zone_candidates(
-        self,
-        node: TopKNode,
-        relation: Relation,
-        metrics: ExecutionMetrics,
-    ) -> np.ndarray | None:
-        """Candidate row indices after zone-map top-k morsel skipping.
-
-        Requires the first order key to be a whole base-table column
-        (identity provenance — the clustered-layout case).  Morsels are
-        visited best-bound first; once the candidate pool holds at
-        least ``limit`` rows, a morsel whose bound is *strictly* worse
-        than the pool's k-th best first-key value cannot contribute and
-        is skipped (counted as ``morsels_pruned`` / ``rows_skipped``).
-        Returns ``None`` when nothing can be skipped (callers then sort
-        all rows — the identical result, without the bookkeeping).
-        """
-        first = node.order_by[0]
-        ref = first.target
-        assert isinstance(ref, ColumnRef)
-        source = relation.base_source(ref.alias, ref.column)
-        if source is None or source[2] is not None:
-            return None
-        table_name, column_name, _ = source
-        table = self._database.table(table_name)
-        if table.num_rows != relation.num_rows:
-            return None
-        ranges = self._table_ranges(table)
-        if len(ranges) < 2:
-            return None
-        zone = self._zone_map(table_name, column_name)
-        bounds = [zone.bounds(index) for index in range(len(ranges))]
-        sortable = [
-            index
-            for index, entry in enumerate(bounds)
-            if entry is not None and entry.low is not None
-        ]
-        if not sortable:
-            return None
-        # Unordered morsels (no synopsis / all-null) are always kept;
-        # visit them first so they never consume a skip decision.
-        unordered = [
-            index
-            for index, entry in enumerate(bounds)
-            if entry is None or entry.low is None
-        ]
-        if first.ascending:
-            sortable.sort(key=lambda index: (bounds[index].low, index))
-        else:
-            sortable.sort(key=lambda index: (bounds[index].high, index))
-            sortable.reverse()
-        column = np.asarray(table.column(column_name))
-        limit = node.limit
-        assert limit is not None
-        kept: list[int] = []
-        pool_parts: list[np.ndarray] = []
-        pool_rows = 0
-        threshold = None
-        for index in unordered + sortable:
-            entry = bounds[index]
-            if threshold is not None and entry is not None and entry.low is not None:
-                try:
-                    beyond = (
-                        entry.low > threshold
-                        if first.ascending
-                        else entry.high < threshold
-                    )
-                except TypeError:
-                    beyond = False
-                if beyond:
-                    metrics.morsels_pruned += 1
-                    metrics.rows_skipped += ranges[index][1] - ranges[index][0]
-                    continue
-            kept.append(index)
-            start, stop = ranges[index]
-            pool_parts.append(column[start:stop])
-            pool_rows += stop - start
-            if pool_rows >= limit:
-                threshold = _pool_threshold(
-                    pool_parts, limit, first.ascending
-                )
-        if len(kept) == len(ranges):
-            return None
-        kept_ranges = sorted(ranges[index] for index in kept)
-        return np.concatenate(
-            [
-                np.arange(start, stop, dtype=np.int64)
-                for start, stop in kept_ranges
-            ]
-        )
 
 
 # ----------------------------------------------------------------------
@@ -2035,8 +1576,7 @@ def _order_codes(values: np.ndarray, ascending: bool) -> np.ndarray:
 
     Codes come from an ascending factorization, so arbitrary dtypes
     (including strings) sort and reverse uniformly.  NaN sorts last in
-    both directions (SQL ``NULLS LAST``), which also keeps the zone-map
-    skip test sound for DESC keys.
+    both directions (SQL ``NULLS LAST``).
     """
     uniques, codes = np.unique(values, return_inverse=True)
     codes = codes.astype(np.int64, copy=False)
@@ -2048,23 +1588,6 @@ def _order_codes(values: np.ndarray, ascending: bool) -> np.ndarray:
             first_nan = len(uniques) - num_nan
             return np.where(codes >= first_nan, codes - first_nan + 1, -codes)
     return -codes
-
-
-def _pool_threshold(pool_parts: list[np.ndarray], limit: int, ascending: bool):
-    """The candidate pool's k-th best first-key value.
-
-    NaN counts as worst in either direction (matching ``_order_codes``),
-    so a NaN-dominated pool yields an infinite threshold and the skip
-    test simply never fires — conservative, never unsound.
-    """
-    values = pool_parts[0] if len(pool_parts) == 1 else np.concatenate(pool_parts)
-    if values.dtype.kind == "f":
-        worst = np.inf if ascending else -np.inf
-        values = np.where(np.isnan(values), worst, values)
-    ordered = np.sort(values)
-    if ascending:
-        return ordered[limit - 1]
-    return ordered[len(ordered) - limit]
 
 
 class _PlanFacts(NamedTuple):

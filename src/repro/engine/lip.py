@@ -28,7 +28,6 @@ def order_filters_adaptively(
     filters: dict[int, BitvectorFilter],
     column_head,
     num_rows: int,
-    zone_skip: dict[int, float] | None = None,
 ) -> list[BitvectorDef]:
     """Return ``definitions`` sorted by sampled pass rate (ascending).
 
@@ -39,18 +38,6 @@ def order_filters_adaptively(
     With fewer than two filters or an empty relation the input order is
     returned unchanged.  Sampling the first rows (data is generated in
     random order) keeps the measurement O(filters x sample).
-
-    ``zone_skip`` optionally maps ``filter_id`` to the fraction of the
-    relation's rows that zone maps already prune for that filter (see
-    :meth:`repro.engine.executor.Executor._bitvector_zone_pruning`).
-    Zone pruning is applied once up front, so every filter then checks
-    only the *kept* rows — among which a filter with whole-relation
-    pass rate ``p`` and skip fraction ``z`` passes ``~p / (1 - z)``
-    (its failing rows were concentrated in the skipped morsels, the
-    same renormalization as the optimizer's residual-elimination
-    rule).  Scores are that renormalized rate, so a filter whose
-    elimination the layout already did ranks *last* instead of
-    wasting the first, most expensive position.
     """
     if len(definitions) < 2 or num_rows == 0:
         return list(definitions)
@@ -68,14 +55,6 @@ def order_filters_adaptively(
         ]
         passes = bitvector.contains(key_columns)
         pass_rate = float(np.mean(passes)) if len(passes) else 1.0
-        if zone_skip:
-            skip = min(1.0, max(0.0, zone_skip.get(definition.filter_id, 0.0)))
-            if skip >= 1.0:
-                # Every row it could eliminate is already skipped; the
-                # filter passes everything it will actually see.
-                pass_rate = 1.0
-            else:
-                pass_rate = min(1.0, pass_rate / (1.0 - skip))
         scored.append((pass_rate, index, definition))
     scored.sort(key=lambda item: (item[0], item[1]))
     return [definition for _, _, definition in scored]

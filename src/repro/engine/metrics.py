@@ -79,26 +79,16 @@ class ExecutionMetrics:
         # indexes vs. falling back to per-call joint factorization.
         self.dictionary_hits = 0
         self.dictionary_misses = 0
-        # Zone-map data skipping (see repro.storage.zonemaps): whole
-        # morsels whose [min, max] provably cannot satisfy a predicate,
-        # pass a bitvector filter, or match any join key are dropped
-        # before any row is read.  rows_skipped counts the rows those
-        # morsels would otherwise have fed through the kernels — both
-        # the pruned ones and the constant-morsel short-circuits below.
+        # Sorted-band data skipping (the executor's scan band search,
+        # their only writer): a scan predicate answered by binary search
+        # on a sorted column never reads the rows outside its band.
+        # rows_skipped counts those rows; morsels_pruned the morsels of
+        # the table's static split holding no band row.
         self.morsels_pruned = 0
         self.rows_skipped = 0
-        # Sorted-band fast path (see the executor's scan band search):
-        # morsels answered by binary-searching a clustered column to the
-        # predicate's value band instead of per-morsel min/max checks.
-        self.morsels_band_searched = 0
         # Selection accounting (see repro.engine.relation): bytes of
         # int64 position vectors created by row-filter operations.
         self.selection_bytes = 0
-        # Constant-morsel short-circuits: morsels whose zone map proves
-        # the scan predicate *true* for every row, kept whole without a
-        # single row-wise evaluation (their rows also land in
-        # rows_skipped: skipped work, not skipped output).
-        self.morsels_short_circuited = 0
         # Parallel build-side accounting (see the executor's
         # partitioned filter builds): how many filters were built via
         # the partition-then-merge path, how many partial builds ran on
@@ -154,9 +144,7 @@ class ExecutionMetrics:
         self.filter_cache_misses += worker.filter_cache_misses
         self.morsels_pruned += worker.morsels_pruned
         self.rows_skipped += worker.rows_skipped
-        self.morsels_band_searched += worker.morsels_band_searched
         self.selection_bytes += worker.selection_bytes
-        self.morsels_short_circuited += worker.morsels_short_circuited
         self.filter_builds_parallel += worker.filter_builds_parallel
         self.filter_partials_built += worker.filter_partials_built
         self.filter_build_seconds += worker.filter_build_seconds

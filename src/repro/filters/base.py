@@ -40,9 +40,9 @@ class BitvectorFilter(abc.ABC):
 
     The merged filter must answer :meth:`contains` identically to a
     serial :meth:`build` over the concatenated partitions (bit-identical
-    word arrays for the hashed kinds), because downstream zone-map
-    pruning, cost accounting, and result byte-equivalence all assume the
-    partitioning is unobservable.  :meth:`build_partitioned` is the
+    word arrays for the hashed kinds), because cost accounting and
+    result byte-equivalence both assume the partitioning is
+    unobservable.  :meth:`build_partitioned` is the
     serial reference implementation of the protocol; the parallel
     executor replays the same three steps with step 2 fanned out.
     """
@@ -191,82 +191,6 @@ class BitvectorFilter(abc.ABC):
         complete stand-in for its join: a probe row that passes has
         exactly one match.  False when the kind does not track it."""
         return False
-
-    def key_bounds(self) -> list[tuple | None] | None:
-        """Per-key-column ``(min, max)`` of the inserted keys, or None.
-
-        The zone-map pruning contract (see
-        :mod:`repro.storage.zonemaps`): a probe morsel whose value
-        range is disjoint from a column's bounds holds no tuple that
-        was inserted, so the whole probe can be skipped — sound even
-        for approximate filters, because bounds describe the *inserted*
-        keys exactly.  A column entry is ``None`` when bounds are
-        unavailable; float key columns containing NaN report ``None``
-        (the engine's join fallback matches NaN to NaN, so interval
-        reasoning would be unsound there).  Implementations without any
-        bounds return ``None`` outright.
-        """
-        return None
-
-
-def compute_key_bounds(key_columns: list[np.ndarray]) -> list[tuple | None]:
-    """Per-column ``(min, max)`` of build keys, honoring the
-    :meth:`BitvectorFilter.key_bounds` contract (NaN => ``None``)."""
-    bounds: list[tuple | None] = []
-    for column in key_columns:
-        column = np.asarray(column)
-        if len(column) == 0:
-            bounds.append(None)
-            continue
-        kind = column.dtype.kind
-        if kind == "f":
-            if np.isnan(column).any():
-                bounds.append(None)
-            else:
-                bounds.append((float(column.min()), float(column.max())))
-        elif kind in "iub":
-            bounds.append((int(column.min()), int(column.max())))
-        elif kind in "OUS":
-            try:
-                bounds.append((column.min(), column.max()))
-            except TypeError:  # mixed-type object column: no total order
-                bounds.append(None)
-        else:
-            bounds.append(None)
-    return bounds
-
-
-def merge_key_bounds(
-    partial_bounds: list[list[tuple | None] | None],
-) -> list[tuple | None] | None:
-    """Combine per-partition :func:`compute_key_bounds` results.
-
-    Matches what a single pass over the concatenated partitions would
-    report: a column whose bounds are unavailable in *any* non-empty
-    partition (NaN keys, unorderable values) stays unavailable — and so
-    does one whose per-partition extrema cannot be compared across
-    partitions (mixed types split across morsels raise the same
-    ``TypeError`` a whole-column ``min`` would).
-    """
-    if any(bounds is None for bounds in partial_bounds):
-        return None
-    num_columns = max((len(bounds) for bounds in partial_bounds), default=0)
-    merged: list[tuple | None] = []
-    for index in range(num_columns):
-        entries = [bounds[index] for bounds in partial_bounds]
-        if any(entry is None for entry in entries):
-            merged.append(None)
-            continue
-        try:
-            merged.append(
-                (
-                    min(entry[0] for entry in entries),
-                    max(entry[1] for entry in entries),
-                )
-            )
-        except TypeError:  # cross-partition mixed types: no total order
-            merged.append(None)
-    return merged
 
 
 def validate_key_columns(key_columns: list[np.ndarray]) -> int:

@@ -14,12 +14,7 @@ import math
 
 import numpy as np
 
-from repro.filters.base import (
-    BitvectorFilter,
-    compute_key_bounds,
-    merge_key_bounds,
-    validate_key_columns,
-)
+from repro.filters.base import BitvectorFilter, validate_key_columns
 from repro.util.hashing import hash_columns, hash_int64
 
 _BLOCK_BITS = 64
@@ -31,13 +26,11 @@ class BlockedBloomFilter(BitvectorFilter):
     """Bloom filter where each key lives in one 64-bit block."""
 
     def __init__(self, num_blocks: int, bits_per_key: int, num_keys: int,
-                 blocks: np.ndarray,
-                 key_bounds: list[tuple | None] | None = None) -> None:
+                 blocks: np.ndarray) -> None:
         self._num_blocks = num_blocks
         self._bits_per_key = bits_per_key
         self._num_keys = num_keys
         self._blocks = blocks
-        self._key_bounds = key_bounds
 
     supports_partitioned_build = True
 
@@ -77,8 +70,7 @@ class BlockedBloomFilter(BitvectorFilter):
         geometry = cls.build_geometry(num_keys, bits_per_key=bits_per_key)
         blocks = cls._scatter_blocks(key_columns, num_keys, **geometry)
         return cls(geometry["num_blocks"], _DEFAULT_BITS_PER_BLOCK_KEY,
-                   num_keys, blocks,
-                   key_bounds=compute_key_bounds(key_columns))
+                   num_keys, blocks)
 
     @classmethod
     def build_partial(
@@ -87,8 +79,7 @@ class BlockedBloomFilter(BitvectorFilter):
         num_keys = validate_key_columns(key_columns)
         blocks = cls._scatter_blocks(key_columns, num_keys, **geometry)
         return cls(geometry["num_blocks"], _DEFAULT_BITS_PER_BLOCK_KEY,
-                   num_keys, blocks,
-                   key_bounds=compute_key_bounds(key_columns))
+                   num_keys, blocks)
 
     @classmethod
     def merge(
@@ -104,8 +95,7 @@ class BlockedBloomFilter(BitvectorFilter):
                 raise ValueError("partials disagree on filter geometry")
             blocks |= partial._blocks
         return cls(
-            first._num_blocks, first._bits_per_key, int(num_keys), blocks,
-            key_bounds=merge_key_bounds([p._key_bounds for p in partials]),
+            first._num_blocks, first._bits_per_key, int(num_keys), blocks
         )
 
     def contains(self, key_columns: list[np.ndarray]) -> np.ndarray:
@@ -139,9 +129,6 @@ class BlockedBloomFilter(BitvectorFilter):
     @property
     def num_keys(self) -> int:
         return self._num_keys
-
-    def key_bounds(self) -> list[tuple | None] | None:
-        return self._key_bounds
 
     def false_positive_rate(self) -> float:
         if self._num_blocks == 0:

@@ -6,12 +6,7 @@ import math
 
 import numpy as np
 
-from repro.filters.base import (
-    BitvectorFilter,
-    compute_key_bounds,
-    merge_key_bounds,
-    validate_key_columns,
-)
+from repro.filters.base import BitvectorFilter, validate_key_columns
 from repro.util.hashing import hash_columns, hash_int64
 
 _DEFAULT_BITS_PER_KEY = 10
@@ -34,13 +29,11 @@ class BloomFilter(BitvectorFilter):
     """
 
     def __init__(self, num_bits: int, num_hashes: int, num_keys: int,
-                 words: np.ndarray,
-                 key_bounds: list[tuple | None] | None = None) -> None:
+                 words: np.ndarray) -> None:
         self._num_bits = num_bits
         self._num_hashes = num_hashes
         self._num_keys = num_keys
         self._words = words
-        self._key_bounds = key_bounds
 
     supports_partitioned_build = True
 
@@ -97,10 +90,7 @@ class BloomFilter(BitvectorFilter):
             num_keys, bits_per_key=bits_per_key, num_hashes=num_hashes
         )
         words = cls._scatter_words(key_columns, num_keys, **geometry)
-        # Key bounds cost one min/max pass at build time and let zone
-        # maps skip whole probe morsels that cannot contain any key.
-        return cls(geometry["num_bits"], geometry["num_hashes"], num_keys,
-                   words, key_bounds=compute_key_bounds(key_columns))
+        return cls(geometry["num_bits"], geometry["num_hashes"], num_keys, words)
 
     @classmethod
     def build_partial(
@@ -110,8 +100,7 @@ class BloomFilter(BitvectorFilter):
         geometry (never this partition's own key count)."""
         num_keys = validate_key_columns(key_columns)
         words = cls._scatter_words(key_columns, num_keys, **geometry)
-        return cls(geometry["num_bits"], geometry["num_hashes"], num_keys,
-                   words, key_bounds=compute_key_bounds(key_columns))
+        return cls(geometry["num_bits"], geometry["num_hashes"], num_keys, words)
 
     @classmethod
     def merge(
@@ -133,10 +122,7 @@ class BloomFilter(BitvectorFilter):
             ):
                 raise ValueError("partials disagree on filter geometry")
             words |= partial._words
-        return cls(
-            first._num_bits, first._num_hashes, int(num_keys), words,
-            key_bounds=merge_key_bounds([p._key_bounds for p in partials]),
-        )
+        return cls(first._num_bits, first._num_hashes, int(num_keys), words)
 
     def contains(self, key_columns: list[np.ndarray]) -> np.ndarray:
         num_rows = validate_key_columns(key_columns)
@@ -161,9 +147,6 @@ class BloomFilter(BitvectorFilter):
     @property
     def num_hashes(self) -> int:
         return self._num_hashes
-
-    def key_bounds(self) -> list[tuple | None] | None:
-        return self._key_bounds
 
     def fill_fraction(self) -> float:
         """Fraction of bits set; drives the realized FP rate."""

@@ -74,7 +74,6 @@ class ExactFilter(BitvectorFilter):
     _present: np.ndarray | None = None
     # Several key columns: sorted unique combined build codes.
     _code_set: np.ndarray | None = None
-    _bounds: list[tuple | None] | None = None
     _distinct = False
     # Bytes of the dictionaries a value build factorized for itself; a
     # code build's dictionaries belong to the database.
@@ -152,12 +151,6 @@ class ExactFilter(BitvectorFilter):
             distinct = len(self._code_set)
         self._dictionaries = dictionaries
         self._distinct = distinct == self._num_keys
-        # Code order is value order, so the extreme codes give the
-        # extreme build values.
-        self._bounds = [
-            (d.values[codes.min()], d.values[codes.max()]) if len(codes) else None
-            for d, codes in zip(dictionaries, code_columns)
-        ]
         return True
 
     @classmethod
@@ -328,14 +321,6 @@ class ExactFilter(BitvectorFilter):
         if self._key_columns is not None:
             info["raw_columns"] = len(self._key_columns)
         return info
-
-    def key_bounds(self) -> list[tuple | None] | None:
-        """Per-column bounds of the build keys, taken at build time.
-
-        The fallback modes report ``None`` (float keys: NaN forbids
-        interval reasoning, see the base-class contract).
-        """
-        return None if self._bounds is None else list(self._bounds)
 
     @property
     def may_have_false_positives(self) -> bool:

@@ -18,7 +18,7 @@ import math
 
 from repro.cost.constants import DEFAULT_COSTS, DEFAULT_LAMBDA_THRESH
 from repro.cost.physical import estimated_cpu, filter_survival, key_ndvs
-from repro.plan.nodes import HashJoinNode, PlanNode
+from repro.plan.nodes import PlanNode
 from repro.stats.estimator import CardinalityEstimator
 
 # The creation threshold never drops below this fraction of the
@@ -32,7 +32,6 @@ def apply_cost_based_filters(
     plan: PlanNode,
     estimator: CardinalityEstimator,
     lambda_thresh: float = DEFAULT_LAMBDA_THRESH,
-    zone_aware: bool = True,
     build_parallelism: int = 1,
 ) -> PlanNode:
     """Disable bitvector creation for joins below the threshold.
@@ -41,21 +40,6 @@ def apply_cost_based_filters(
     distinct-value containment between the build side's (reduced) keys
     and the probe side's raw keys — the anti-semi-join selectivity.
     Returns the same plan object with flags updated (no push-down yet).
-
-    With ``zone_aware=True`` (the default since the parallel-build PR —
-    it was opt-in for one release while the paper workloads were
-    re-measured; pass ``zone_aware=False`` for the paper's unadjusted
-    Section 6.3 rule) the estimate additionally accounts for
-    morsel-level data skipping: probe rows living in morsels whose zone
-    maps are disjoint from the build key range are eliminated *for
-    free* (skipped, never checked), so the filter is only credited with
-    the elimination it adds **on top of** skipping — its residual
-    elimination among the rows that actually get probed.  A filter
-    whose work zone maps already do falls below ``lambda_thresh`` and
-    is not created.  The adjustment consults only synopses the executor
-    has already built (see
-    :meth:`~repro.stats.estimator.CardinalityEstimator.bitvector_zone_skip_fraction`),
-    so cold optimizations are unchanged.
 
     ``build_parallelism`` is the executor parallelism the plan will run
     at.  Above 1, each join's creation threshold is discounted by the
@@ -71,8 +55,6 @@ def apply_cost_based_filters(
         # Against the probe side's raw keys: no probe row count caps them.
         ndvs = key_ndvs(estimator, join.build_keys, join.probe_keys)
         elimination = 1.0 - filter_survival(ndvs, build_rows, math.inf)
-        if zone_aware:
-            elimination = _residual_elimination(join, estimator, elimination)
         threshold = _parallel_build_threshold(
             build_rows, probe_rows, estimator, lambda_thresh, build_parallelism
         )
@@ -109,30 +91,3 @@ def _parallel_build_threshold(
     )
     saved = share * (1.0 - 1.0 / discount)
     return max(lambda_thresh * _MIN_THRESH_FRACTION, lambda_thresh - saved)
-
-
-def _residual_elimination(
-    join: HashJoinNode,
-    estimator: CardinalityEstimator,
-    elimination: float,
-) -> float:
-    """Elimination net of zone-map skipping, renormalized to probed rows.
-
-    If zone maps skip fraction ``z`` of the probe side and the filter
-    would eliminate fraction ``e`` overall (``e >= z`` — every skipped
-    row is also a filter-eliminated row), the filter's own contribution
-    among the ``1 - z`` rows it actually checks is ``(e - z)/(1 - z)``.
-    """
-    probe_aliases = {alias for alias, _ in join.probe_keys}
-    build_aliases = {alias for alias, _ in join.build_keys}
-    if len(probe_aliases) != 1 or len(build_aliases) != 1:
-        return elimination
-    skip = estimator.bitvector_zone_skip_fraction(
-        next(iter(probe_aliases)),
-        tuple(column for _, column in join.probe_keys),
-        next(iter(build_aliases)),
-        tuple(column for _, column in join.build_keys),
-    )
-    if skip >= 1.0:
-        return 0.0
-    return max(0.0, (elimination - skip) / (1.0 - skip))

@@ -240,9 +240,7 @@ class TopKNode(PlanNode):
     """Top-k / projection operator at the plan root.
 
     Sorts its input by ``order_by`` and keeps the first ``limit`` rows
-    (all rows when ``limit`` is ``None``).  Over a relation input it
-    can exploit zone-map ordering to skip morsels that provably cannot
-    contribute to the top k (clustered layouts).  ``columns`` lists the
+    (all rows when ``limit`` is ``None``).  ``columns`` lists the
     projection output columns for pure projection queries.
     """
 

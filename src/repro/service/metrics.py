@@ -42,17 +42,10 @@ class ServiceMetrics:
     bytes_gathered: int = 0
     dictionary_hits: int = 0
     dictionary_misses: int = 0
-    # Zone-map data skipping (repro.storage.zonemaps): whole morsels
-    # proven non-qualifying and dropped before any row was read, plus
-    # morsels proven all-qualifying and kept whole without row-wise
-    # evaluation (the constant-morsel short-circuit).
+    # Sorted-band data skipping (repro.engine.metrics): rows and whole
+    # morsels outside a band-searched scan predicate's band, never read.
     morsels_pruned: int = 0
     rows_skipped: int = 0
-    morsels_short_circuited: int = 0
-    # Clustered band search: morsels answered by binary-searching a
-    # sorted column to the predicate's value band (no per-morsel
-    # checks, no row-wise evaluation).
-    morsels_band_searched: int = 0
     # Selection state (repro.engine.relation): bytes of int64 position
     # vectors created during execution.
     selection_bytes: int = 0
@@ -92,8 +85,6 @@ class ServiceStats:
     dictionary_misses: int = 0
     total_morsels_pruned: int = 0
     total_rows_skipped: int = 0
-    total_morsels_short_circuited: int = 0
-    total_morsels_band_searched: int = 0
     total_selection_bytes: int = 0
     # Point-in-time, not a sum: the shared filter cache's footprint,
     # walked when QueryService.stats() takes the snapshot — never per
@@ -132,8 +123,6 @@ class ServiceStats:
         self.dictionary_misses += metrics.dictionary_misses
         self.total_morsels_pruned += metrics.morsels_pruned
         self.total_rows_skipped += metrics.rows_skipped
-        self.total_morsels_short_circuited += metrics.morsels_short_circuited
-        self.total_morsels_band_searched += metrics.morsels_band_searched
         self.total_selection_bytes += metrics.selection_bytes
         self.total_filter_builds_parallel += metrics.filter_builds_parallel
         self.total_filter_build_seconds += metrics.filter_build_seconds

@@ -33,6 +33,7 @@ class CachedPlan:
     pipeline: str
     plan: PlanNode
     template_predicates: dict[str, Expression]
+    alias_tables: dict[str, str]  # the bound spec's alias -> table map
     num_parameters: int
     estimated_cout: float
     signature: str

@@ -58,7 +58,7 @@ from repro.service.plan_cache import CachedPlan, PlanCache
 from repro.service.retry import RetryPolicy
 from repro.sql.binder import bind_select
 from repro.sql.parameterize import QueryFingerprint, fingerprint_sql
-from repro.sql.parser import parse_select, parse_tokens
+from repro.sql.parser import parse_tokens
 from repro.stats.estimator import CardinalityEstimator
 from repro.storage.database import Database
 from repro.storage.partition import DEFAULT_MORSEL_ROWS
@@ -123,13 +123,6 @@ class QueryService:
         Bloom-family filter builds run partitioned on the pool (the plan
         cache optimizes with the matching build-cost discount; exact
         filters build serially and get none).
-    zone_maps:
-        Morsel-level data skipping via per-column min/max synopses
-        (:mod:`repro.storage.zonemaps`), on by default; pruning is
-        conservative and answers stay byte-identical.  ``explain()``
-        reports the resident synopses, and per-query
-        ``morsels_pruned`` / ``rows_skipped`` land in
-        :class:`~repro.service.metrics.ServiceMetrics`.
     deadline_seconds:
         Default per-query wall-clock deadline (see
         :class:`~repro.engine.context.Deadline`).  ``None`` (default)
@@ -177,7 +170,6 @@ class QueryService:
         max_workers: int = 4,
         parallelism: int = 1,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        zone_maps: bool = True,
         deadline_seconds: float | None = None,
         budget: ResourceBudget | None = None,
         degrade: str = "error",
@@ -209,7 +201,6 @@ class QueryService:
             filter_cache=self.filter_cache,
             parallelism=parallelism,
             morsel_rows=morsel_rows,
-            zone_maps=zone_maps,
         )
         # Filter selection discounts build cost by the parallelism filters
         # are built at: 1 for a kind that never partitions its build.
@@ -223,7 +214,6 @@ class QueryService:
             filter_kind=filter_kind,
             filter_options=filter_options,
             morsel_rows=morsel_rows,
-            zone_maps=zone_maps,
         )
         self._stats = ServiceStats()
         self.telemetry = ServiceTelemetry()
@@ -389,8 +379,6 @@ class QueryService:
                     dictionary_misses=result.metrics.dictionary_misses,
                     morsels_pruned=result.metrics.morsels_pruned,
                     rows_skipped=result.metrics.rows_skipped,
-                    morsels_short_circuited=result.metrics.morsels_short_circuited,
-                    morsels_band_searched=result.metrics.morsels_band_searched,
                     selection_bytes=result.metrics.selection_bytes,
                     filter_builds_parallel=result.metrics.filter_builds_parallel,
                     filter_build_seconds=result.metrics.filter_build_seconds,
@@ -589,12 +577,7 @@ class QueryService:
                 or "empty"
             )
             + ")",
-            f"-- selections: {stats.total_selection_bytes} bytes resident so far"
-            + (
-                f", {stats.total_morsels_band_searched} morsels band-searched"
-                if stats.total_morsels_band_searched
-                else ""
-            ),
+            f"-- selections: {stats.total_selection_bytes} bytes resident so far",
             f"-- dictionary indexes: {dictionaries['entries']} columns resident "
             f"({dictionaries['builds']} builds / {dictionaries['lookups']} lookups)",
             f"-- parallel execution: parallelism={self._executor.parallelism} "
@@ -606,14 +589,10 @@ class QueryService:
                 if self._executor.parallelism > 1
                 else " (serial)"
             ),
-            (
-                f"-- zone maps: on — {zone_maps_info['entries']} synopses "
-                f"resident ({zone_maps_info['builds']} builds), "
-                f"{stats.total_morsels_pruned} morsels / "
-                f"{stats.total_rows_skipped} rows pruned so far"
-                if self._executor.zone_maps
-                else "-- zone maps: off"
-            ),
+            f"-- zone maps: {zone_maps_info['entries']} synopses resident "
+            f"({zone_maps_info['builds']} builds), "
+            f"{stats.total_morsels_pruned} morsels / "
+            f"{stats.total_rows_skipped} rows skipped by band search so far",
             f"-- resilience: deadline="
             + (
                 f"{self._deadline_seconds:g}s"
@@ -663,7 +642,7 @@ class QueryService:
         cardinality estimate — the standard EXPLAIN ANALYZE contract.
         The header summarizes the call (wall/optimize/execute split —
         with the candidates costed and snowflakes extracted when the
-        call planned — plan-cache outcome, pruning and filter-build
+        call planned — plan-cache outcome, band-search and filter-build
         counters) and the trace (span count per name).  Tracing is
         armed for this call only; results are byte-identical to a plain
         :meth:`execute`.
@@ -677,14 +656,11 @@ class QueryService:
         metrics = outcome.metrics
 
         # Optimizer estimates, priced by the pass the pipelines cost
-        # plans with (cold path — one parse + bind), under this call's
-        # constants: a cached plan's scans hold those of the call that
-        # planned it.
-        statement = parse_select(sql)
-        spec = bind_select(self._database, statement, name)
+        # plans with, under this call's constants: a cached plan's scans
+        # hold those of the call that planned it.
         estimates = estimated_cpu(
             entry.plan,
-            CardinalityEstimator(self._database, spec.alias_tables),
+            CardinalityEstimator(self._database, entry.alias_tables),
             predicates=overrides,
         ).node_rows
         executed = {node.node_id: node for node in result.metrics.nodes}
@@ -695,11 +671,11 @@ class QueryService:
             for span in tracer.spans("node")
             if span.attributes.get("elided")
         }
-        # How each scan answered its predicate (band search, zone maps,
-        # dictionary truth tables or row values) and how each executed
-        # join ran (the side its match structure indexed, the sides
-        # that came back as the identity, the aliases it stopped
-        # carrying), also off the node span.
+        # How each scan answered its predicate (band search, dictionary
+        # truth tables or row values) and how each executed join ran
+        # (the side its match structure indexed, the sides that came
+        # back as the identity, the aliases it stopped carrying), also
+        # off the node span.
         answered = {
             span.attributes["node_id"]: ", ".join(
                 f"{key}={span.attributes[key]}"
@@ -748,9 +724,7 @@ class QueryService:
             f"{metrics.optimize_seconds * 1e3:.2f} ms{searched} + execute "
             f"{metrics.execute_seconds * 1e3:.2f} ms; "
             f"{metrics.output_rows} rows out",
-            f"-- pruning: {metrics.morsels_pruned} morsels pruned, "
-            f"{metrics.morsels_short_circuited} short-circuited, "
-            f"{metrics.morsels_band_searched} band-searched, "
+            f"-- band search: {metrics.morsels_pruned} morsels pruned, "
             f"{metrics.rows_skipped} rows skipped",
             f"-- filters: {metrics.filter_cache_hits} cache hits / "
             f"{metrics.filter_cache_misses} misses, "
@@ -873,6 +847,7 @@ class QueryService:
             pipeline=pipeline,
             plan=optimized.plan,
             template_predicates=dict(template_spec.local_predicates),
+            alias_tables=dict(spec.alias_tables),
             num_parameters=fingerprint.num_parameters,
             estimated_cout=optimized.estimated_cout,
             signature=optimized.signature,

@@ -31,7 +31,6 @@ from repro.expr.expressions import (
     Literal,
     Not,
     Or,
-    referenced_columns,
 )
 from repro.stats.statistics import ColumnStatistics
 from repro.storage.database import Database
@@ -53,8 +52,7 @@ class CardinalityEstimator:
 
     An estimator lives for one ``optimize_query`` call and memoizes,
     for that long only, each alias's filtered base cardinality and each
-    column's distinct count.  The zone-map estimates read synopses the
-    engine builds between calls and are always computed afresh.
+    column's distinct count.
     """
 
     def __init__(self, database: Database, alias_tables: dict[str, str]) -> None:
@@ -282,100 +280,6 @@ class CardinalityEstimator:
         return float(min(1.0, max(0.0, survival)))
 
     # ------------------------------------------------------------------
-    # Zone-map skipping (morsel-level data skipping)
-    # ------------------------------------------------------------------
-    #
-    # These estimates *peek* at the zone maps the executor has already
-    # built (repro.storage.zonemaps) and never trigger construction, so
-    # consulting them inside the optimizer costs O(morsels) interval
-    # checks — zero when no synopsis is resident yet (cold optimizers
-    # behave exactly as before).  They quantify rows the engine will
-    # eliminate *for free* by skipping whole morsels, which cost-based
-    # filter selection uses to avoid deploying bitvectors whose work
-    # zone maps already do (see repro.optimizer.filter_selection).
-
-    def zone_map_skip_fraction(self, alias: str, predicate: Expression) -> float:
-        """Fraction of the table's rows in morsels ``predicate`` prunes.
-
-        A lower bound on the rows the executor skips without evaluating
-        the predicate; ``0.0`` whenever no compatible zone map is
-        resident.  Only synopses sharing one morsel partitioning are
-        combined (bounds of differently-shaped maps do not align).
-        The sweep itself is the executor's
-        (:func:`repro.storage.zonemaps.predicate_prune_flags`), so the
-        estimate and the realized skipping cannot diverge.
-        """
-        from repro.storage.zonemaps import (
-            predicate_prune_flags,
-            pruned_row_fraction,
-        )
-
-        table_name = self._alias_tables.get(alias)
-        if table_name is None:
-            return 0.0
-        num_rows = self._database.table(table_name).num_rows
-        if num_rows == 0:
-            return 0.0
-        columns = {
-            column
-            for ref_alias, column in referenced_columns(predicate)
-            if ref_alias == alias
-        }
-        zones = self._resident_zone_maps(table_name, columns)
-        if not zones:
-            return 0.0
-        ranges = next(iter(zones.values())).ranges
-        flags = predicate_prune_flags(
-            predicate, alias, zones.get, len(ranges)
-        )
-        return pruned_row_fraction(ranges, flags, num_rows)
-
-    def bitvector_zone_skip_fraction(
-        self,
-        probe_alias: str,
-        probe_columns: tuple[str, ...],
-        build_alias: str,
-        build_columns: tuple[str, ...],
-    ) -> float:
-        """Fraction of probe rows in morsels disjoint from the build keys.
-
-        The build key range comes from column statistics (min/max);
-        the probe side from resident zone maps.  A morsel disjoint on
-        *any* key column cannot match — the sweep is the executor's
-        (:func:`repro.storage.zonemaps.filter_prune_flags`), so the
-        estimate and the realized skipping cannot diverge.
-        """
-        from repro.storage.zonemaps import (
-            filter_prune_flags,
-            pruned_row_fraction,
-        )
-
-        table_name = self._alias_tables.get(probe_alias)
-        if table_name is None:
-            return 0.0
-        num_rows = self._database.table(table_name).num_rows
-        if num_rows == 0:
-            return 0.0
-        key_bounds: list[tuple | None] = []
-        for build_col in build_columns:
-            stats = self._table_stats(build_alias).column(build_col)
-            if stats.min_value is None or stats.max_value is None:
-                key_bounds.append(None)
-            else:
-                key_bounds.append((stats.min_value, stats.max_value))
-        if all(bounds is None for bounds in key_bounds):
-            return 0.0
-        zones = self._resident_zone_maps(table_name, set(probe_columns))
-        if len(zones) < len(set(probe_columns)):
-            # Every probe key column needs an aligned synopsis; a
-            # missing one makes the per-column zip below unsound.
-            return 0.0
-        ranges = next(iter(zones.values())).ranges
-        column_zones = [zones[column] for column in probe_columns]
-        flags = filter_prune_flags(key_bounds, column_zones, len(ranges))
-        return pruned_row_fraction(ranges, flags, num_rows)
-
-    # ------------------------------------------------------------------
     # Parallel build-side discounting
     # ------------------------------------------------------------------
 
@@ -404,20 +308,6 @@ class CardinalityEstimator:
         return float(
             min(float(parallelism), max(build_rows / MIN_MORSEL_ROWS, 1.0))
         )
-
-    def _resident_zone_maps(self, table_name: str, columns) -> dict:
-        """Resident zone maps for ``columns`` sharing one partitioning."""
-        zones: dict = {}
-        reference_ranges = None
-        for column in sorted(columns):
-            zone = self._database.zone_map_if_built(table_name, column)
-            if zone is None:
-                continue
-            if reference_ranges is None:
-                reference_ranges = zone.ranges
-            if zone.ranges == reference_ranges:
-                zones[column] = zone
-        return zones
 
     # ------------------------------------------------------------------
     # Internals

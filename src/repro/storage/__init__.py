@@ -15,7 +15,7 @@ from repro.storage.partition import (
     partition_table,
 )
 from repro.storage.table import Table
-from repro.storage.zonemaps import ColumnZoneMap, MorselBounds
+from repro.storage.zonemaps import ColumnZoneMap
 from repro.storage.schema import ColumnDef, TableSchema, ForeignKey
 from repro.storage.catalog import Catalog
 from repro.storage.database import Database
@@ -30,7 +30,6 @@ __all__ = [
     "partition_table",
     "Table",
     "ColumnZoneMap",
-    "MorselBounds",
     "ColumnDef",
     "TableSchema",
     "ForeignKey",

@@ -39,15 +39,13 @@ class Database:
         self.dictionary_builds = 0
         self.dictionary_lookups = 0
         self._dictionary_generation = 0
-        # Zone maps: per-(table, column, morsel shape) min/max synopses
-        # (see repro.storage.zonemaps), built lazily with the same
+        # Zone maps: per-(table, column) sortedness synopses (see
+        # repro.storage.zonemaps), built lazily with the same
         # single-flight discipline as dictionaries and invalidated
         # alongside them — both are derived column artifacts.
-        self._zone_maps: dict[tuple[str, str, int, int], ColumnZoneMap] = {}
+        self._zone_maps: dict[tuple[str, str], ColumnZoneMap] = {}
         self._zone_map_lock = threading.Lock()
-        self._zone_map_pending: dict[
-            tuple[str, str, int, int], threading.Event
-        ] = {}
+        self._zone_map_pending: dict[tuple[str, str], threading.Event] = {}
         self.zone_map_builds = 0
         self.zone_map_lookups = 0
 
@@ -210,25 +208,16 @@ class Database:
     # Zone maps
     # ------------------------------------------------------------------
 
-    def zone_map(
-        self,
-        table_name: str,
-        column_name: str,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        min_morsels: int = 1,
-    ) -> ColumnZoneMap:
-        """Cached per-morsel min/max synopsis of one stored column.
+    def zone_map(self, table_name: str, column_name: str) -> ColumnZoneMap:
+        """Cached whole-column synopsis of one stored column (see
+        :mod:`repro.storage.zonemaps`).
 
-        Keyed by the *morsel shape* ``(morsel_rows, min_morsels)`` so
-        the bounds always describe exactly the row ranges the executor
-        dispatches (see :meth:`Table.morsels` — the morsel list for a
-        shape is itself cached and deterministic).  Construction is
-        single-flight, mirroring :meth:`dictionary`: one vectorized
-        pass per resident entry no matter how many morsel workers ask
-        at once.  Entries leave only via
+        Construction is single-flight, mirroring :meth:`dictionary`:
+        one vectorized pass per resident entry no matter how many
+        threads ask at once.  Entries leave only via
         :meth:`invalidate_zone_maps` / :meth:`invalidate_dictionaries`.
         """
-        key = (table_name, column_name, int(morsel_rows), int(min_morsels))
+        key = (table_name, column_name)
         with self._zone_map_lock:
             self.zone_map_lookups += 1
         while True:
@@ -250,14 +239,9 @@ class Database:
                 pending.wait()
                 continue
             try:
-                table = self.table(table_name)
-                ranges = [
-                    (morsel.start, morsel.stop)
-                    for morsel in table.morsels(
-                        int(morsel_rows), int(min_morsels)
-                    )
-                ]
-                built = ColumnZoneMap.build(table.column(column_name), ranges)
+                built = ColumnZoneMap.build(
+                    self.table(table_name).column(column_name)
+                )
             except BaseException:
                 with self._zone_map_lock:
                     self._zone_map_pending.pop(key, None)
@@ -269,38 +253,6 @@ class Database:
                 self._zone_map_pending.pop(key, None)
             pending.set()
             return built
-
-    def zone_map_if_built(
-        self,
-        table_name: str,
-        column_name: str,
-        morsel_rows: int | None = None,
-        min_morsels: int | None = None,
-    ) -> ColumnZoneMap | None:
-        """An already-resident zone map for the column, or ``None``.
-
-        A *peek*: never triggers construction, so planning-time
-        consumers (the cardinality estimator, cost-based filter
-        selection) can exploit synopses the executor has built without
-        ever paying an O(rows) pass inside the optimizer.  Each shape
-        argument given constrains the match (a partially specified
-        shape never falls back to a differently-shaped entry — bounds
-        of mismatched shapes do not align); among the remaining
-        candidates the smallest shape key wins (deterministic across
-        calls).
-        """
-        with self._zone_map_lock:
-            candidates = sorted(
-                key
-                for key in self._zone_maps
-                if key[0] == table_name
-                and key[1] == column_name
-                and (morsel_rows is None or key[2] == int(morsel_rows))
-                and (min_morsels is None or key[3] == int(min_morsels))
-            )
-            if not candidates:
-                return None
-            return self._zone_maps[candidates[0]]
 
     def zone_map_cache_info(self) -> dict[str, int]:
         """Counters for observability (explain output, tests)."""

@@ -549,8 +549,8 @@ _QUERIES: list[tuple[str, str]] = [
         ORDER BY s.s_state ASC
         """,
     ),
-    # --- clustered top-k scans (zone-map early exit on the sorted
-    # surrogate-key layout of date_dim) ----------------------------------
+    # --- clustered top-k scans (over the sorted surrogate-key layout of
+    # date_dim) ----------------------------------------------------------
     (
         "ds_q31",
         """

@@ -566,7 +566,7 @@ class TestDictionaryPredicates:
             "bqo",
         ).plan
         tracer = Tracer()
-        Executor(database, zone_maps=False).execute(plan, tracer=tracer)
+        Executor(database).execute(plan, tracer=tracer)
         assert database.dictionary_cache_info()["builds"] == 0
         (scan,) = [
             span for span in tracer.spans("node")

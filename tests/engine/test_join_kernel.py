@@ -2,7 +2,7 @@
 
 ``CodeMatcher`` is the one match structure behind every hash join,
 whichever side it indexes and whatever shape the streamed side takes
-(whole relation, zone-pruned morsels, pool morsels).  Its three internal
+(whole relation or pool morsels).  Its three internal
 shapes — distinct-code direct addressing, counting-sort offsets for
 repeated codes, sort + binary search when the domain is too wide for the
 rows involved (or above ``DENSE_DOMAIN_CAP``) — must all emit exactly

@@ -5,15 +5,14 @@ PK-FK join with ``customer`` — the shape the paper's plan space produces
 whenever a snowflake branch is joined first.  The build side is larger
 and repeats keys, so the kernel indexes the customers and streams the
 sales through them.  Whatever the configuration — serial or
-morsel-parallel, probe morsels zone-pruned or not, filter pushed down or
-not — the join must orient the same way and emit the same rows in the
+morsel-parallel, filter pushed down or not — the join must orient the
+same way and emit the same rows in the
 same order: the double loop's pairs, build-row major.  The answers are
 also held to stdlib ``sqlite3`` (``tests/sqlite_reference.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 
 import numpy as np
@@ -35,16 +34,13 @@ from sqlite_reference import assert_matches_sqlite
 _CUSTOMERS, _SALES = 30_000, 40_000
 _MORSEL_ROWS = 2_048
 
-_CONFIGS = [
-    dict(parallelism=parallelism, zone_maps=zones)
-    for parallelism, zones in itertools.product((1, 4), (True, False))
-]
+_CONFIGS = [dict(parallelism=1), dict(parallelism=4)]
 
 
 @pytest.fixture(scope="module")
 def database() -> Database:
     """Customers clustered on their key; every sale by a customer of one
-    narrow key band, so most customer morsels cannot match a sale."""
+    narrow key band, so most customers match no sale."""
     rng = np.random.default_rng(22)
     database = Database("fact_on_build")
     database.add_table(
@@ -112,10 +108,9 @@ def test_rows_come_out_build_major_under_every_configuration(database, filters):
     )
 
 
-def test_pruned_probe_morsels_stay_pruned_when_the_probe_is_indexed(database):
-    """No filter, both inputs whole tables: the sales' key bounds prove
-    most customer morsels matchless.  Indexed instead of streamed, they
-    are still never read — and the answer does not notice."""
+def test_unfiltered_join_indexes_the_whole_probe(database):
+    """No filter, both inputs whole tables: the whole customer table is
+    indexed, most of it matchless, and the answer does not notice."""
     sql = (
         "SELECT COUNT(*) AS cnt, SUM(s.paid) AS paid, SUM(c.seg) AS segs "
         "FROM customer c, sales s WHERE s.cust = c.id"
@@ -131,10 +126,6 @@ def test_pruned_probe_morsels_stay_pruned_when_the_probe_is_indexed(database):
                 for label, values in sorted(result.aggregates.items())
             )
         )
-        prunes = config["zone_maps"]
-        assert (result.metrics.morsels_pruned > 0) == prunes, config
-        if prunes:
-            assert result.metrics.rows_skipped > _CUSTOMERS // 2
         # Every sale found its customer, in order: the build side is
         # merged as it is; nothing above reads a join key's alias only.
         assert join["identity"] == "build" and join["dropped"] == "-"

@@ -48,39 +48,6 @@ class TestOrdering:
         )
         assert ordered[0] is def_b  # selective filter first
 
-    def test_zone_skip_renormalizes_pass_rates(self):
-        # Filter A: 10% whole-relation pass rate, but zone maps already
-        # skip 90% of rows for it — among the kept rows it passes
-        # ~everything (0.1 / 0.1 = 1.0) and must rank LAST.  Filter B:
-        # 50% pass rate, no skipping, ranks first.
-        values = np.arange(100)
-        layout_covered = ExactFilter.build([np.arange(10)])      # 10% pass
-        moderate = ExactFilter.build([np.arange(50)])            # 50% pass
-        def_a = make_definition((("f", "x"),))
-        def_b = make_definition((("f", "x"),))
-        filters = {
-            def_a.filter_id: layout_covered,
-            def_b.filter_id: moderate,
-        }
-        head = lambda a, c, n: values[:n]  # noqa: E731
-
-        # Without skip information the 10% filter wins...
-        assert order_filters_adaptively(
-            [def_a, def_b], filters, head, 100
-        )[0] is def_a
-        # ... with it, its kept-row pass rate renormalizes to ~1.0.
-        ordered = order_filters_adaptively(
-            [def_a, def_b], filters, head, 100,
-            zone_skip={def_a.filter_id: 0.9, def_b.filter_id: 0.0},
-        )
-        assert ordered[0] is def_b
-        # Full skipping means the filter sees nothing it could fail.
-        ordered = order_filters_adaptively(
-            [def_a, def_b], filters, head, 100,
-            zone_skip={def_a.filter_id: 1.0},
-        )
-        assert ordered[0] is def_b
-
     def test_single_filter_untouched(self):
         definition = make_definition((("f", "x"),))
         out = order_filters_adaptively(

@@ -3,8 +3,8 @@ packed row bitmaps and one compaction, never a semantics change.
 
 :meth:`ExactFilter.member_bits` memoizes, per probe dictionary, the
 packed membership of every stored row of the probe column; the
-executor ANDs the bitmaps of the leading filters of a whole, unpruned
-base-table scan and compacts once.  These tests hold that path to:
+executor ANDs the bitmaps of the leading filters of a whole base-table
+scan and compacts once.  These tests hold that path to:
 
 * sqlite's answers for one, two and three stacked filters, and to the
   diminishing ``filter_check`` count of applying the filters one by one
@@ -12,9 +12,11 @@ base-table scan and compacts once.  These tests hold that path to:
 * a warm re-execution over cached filters that reads the memo
   (``bitmaps=hit``) and returns byte-identical results, and a rebuilt
   memo after ``Database.invalidate_dictionaries``;
+* the same path on a stack over a clustered fact key, whose whole-table
+  scan no morsel synopsis narrows;
 * today's probe path wherever a bitmap is not row-aligned or not kept:
-  Bloom kinds, two-column keys, float keys, a predicate-selected fact
-  scan and a zone-pruned stack;
+  Bloom kinds, two-column keys, float keys and a predicate-selected
+  fact scan;
 * one ``ceil(rows / 8)``-byte bitmap per probed column in
   :attr:`ExactFilter.resident_bytes`.
 """
@@ -229,11 +231,6 @@ _FALLBACKS = {
         {}, False,
     ),
     "fact_predicate": (_stack_sql(3, "f.q > 20"), {}, False),
-    "zone_pruned": (
-        "SELECT COUNT(*) AS cnt, SUM(f.m) AS total FROM fact f, d1 a, d2 b "
-        "WHERE f.fk1 = a.id AND a.id < 12 AND f.fk2 = b.id AND b.v < 6",
-        {"morsel_rows": 1_000}, True,
-    ),
 }
 
 
@@ -248,11 +245,34 @@ def test_unaligned_or_unkept_bitmaps_take_the_probe_path(case):
     )
     result, bitmaps = _run(executor, plan)
     assert bitmaps is None
-    if case == "zone_pruned":
-        assert result.metrics.morsels_pruned > 0
     assert_matches_sqlite(database, sql, result, spec)
     again, bitmaps = _run(executor, plan)
     assert bitmaps is None
+    assert _same(result, again)
+
+
+def test_clustered_stack_takes_the_member_bits_path():
+    """A key band on a clustered fact key: the first filter's keys cover
+    a few leading morsels of ``fk1``.  Nothing prunes those morsels, so
+    the whole fact scan ANDs both filters' bitmaps, cold and warm."""
+    sql = (
+        "SELECT COUNT(*) AS cnt, SUM(f.m) AS total FROM fact f, d1 a, d2 b "
+        "WHERE f.fk1 = a.id AND a.id < 12 AND f.fk2 = b.id AND b.v < 6"
+    )
+    database = _database(clustered=True)
+    spec, plan = _plan(database, sql)
+    assert len(_fact_scan(plan).applied_bitvectors) == 2
+    executor = Executor(
+        database, filter_cache=BitvectorFilterCache(), morsel_rows=1_000
+    )
+    result, bitmaps = _run(executor, plan)
+    assert bitmaps == "built"
+    # Only d1's own band search (sorted ids, ``a.id < 12``) skips rows.
+    assert result.metrics.rows_skipped == 50 - 12
+    assert result.metrics.morsels_pruned == 0
+    assert_matches_sqlite(database, sql, result, spec)
+    again, bitmaps = _run(executor, plan)
+    assert bitmaps == "hit"
     assert _same(result, again)
 
 

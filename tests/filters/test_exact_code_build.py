@@ -5,7 +5,7 @@ dictionary codes* (one presence scatter over the build column's table
 dictionary) instead of factorizing the gathered values.  The result
 must answer every probe as ``ExactFilter(values)`` and a brute-force
 Python set of the build key tuples do — value probes, code probes
-through another table's dictionary, bounds, distinctness, sizes — and
+through another table's dictionary, distinctness, sizes — and
 no factorization may happen on the way.
 """
 
@@ -16,7 +16,6 @@ import pytest
 
 from repro.engine.executor import Executor
 from repro.engine.relation import Relation
-from repro.filters.base import compute_key_bounds
 from repro.filters.exact import ExactFilter
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -169,15 +168,12 @@ class TestBehaviour:
             assert got is not None and got.dtype == np.bool_
             assert np.array_equal(got, want), where
 
-        bounds = compute_key_bounds(build)
         distinct = len(set(zip(*(column.tolist() for column in build))))
         for bitvector in (from_codes, from_values):
-            assert bitvector.key_bounds() == bounds, where
             assert bitvector.num_keys == view.num_rows
             assert bitvector.has_distinct_keys == (distinct == view.num_rows)
             assert bitvector.size_bits == 64 * view.num_rows
         if view_name == "empty":
-            assert bounds == [None] * len(keys)
             assert not from_codes.contains(values).any()
 
     def test_distinct_keys_reflect_the_build_rows(self, database):

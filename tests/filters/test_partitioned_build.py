@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine.executor import Executor
 from repro.filters import FILTER_KINDS
-from repro.filters.base import BitvectorFilter, merge_key_bounds
+from repro.filters.base import BitvectorFilter
 from repro.filters.blocked import BlockedBloomFilter
 from repro.filters.bloom import BloomFilter
 from repro.filters.exact import ExactFilter
@@ -93,7 +93,6 @@ def test_partitioned_build_matches_serial(kind, layout, num_partitions):
 
     assert merged.num_keys == serial.num_keys
     assert merged.size_bits == serial.size_bits
-    assert merged.key_bounds() == serial.key_bounds()
     # Identical membership answers, byte for byte — including hash
     # collisions for the approximate kinds (same geometry => same
     # bits => same false positives).
@@ -199,13 +198,3 @@ def test_unsupported_kind_raises():
     assert not Opaque.supports_partitioned_build
     with pytest.raises(NotImplementedError):
         Opaque.build_partitioned([[np.arange(4)]])
-
-
-def test_merge_key_bounds_discipline():
-    assert merge_key_bounds([[(1, 5)], [(0, 9)]]) == [(0, 9)]
-    # A column unavailable in any partition stays unavailable.
-    assert merge_key_bounds([[(1, 5)], [None]]) == [None]
-    assert merge_key_bounds([[(1, 5)], None]) is None
-    # Cross-partition mixed types: no total order, no bounds — the
-    # same answer a whole-column min/max (TypeError) would give.
-    assert merge_key_bounds([[(1, 5)], [("a", "b")]]) == [None]

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import repro.engine.executor as executor_module
+import repro.sql.parameterize as parameterize
+import repro.sql.parser as parser
 from repro.errors import QueryTimeout
 from repro.obs import Tracer
 from repro.service import QueryService
@@ -50,6 +52,25 @@ def test_explain_analyze_prepares_the_statement_once(service):
     assert (stats.plan_cache_hits, stats.plan_cache_misses) == (0, 1)
     (entry,) = service.plan_cache.values()
     assert entry.hits == 0
+
+
+def test_explain_analyze_lexes_the_statement_once(service, monkeypatch):
+    """A miss lexes to fingerprint and parses those tokens; a hit lexes
+    to fingerprint.  The estimates' alias tables come from the cache
+    entry, never from a second parse."""
+    lexed = []
+    for module in (parameterize, parser):
+        def counted(sql, _tokenize=module.tokenize):
+            lexed.append(sql)
+            return _tokenize(sql)
+
+        monkeypatch.setattr(module, "tokenize", counted)
+    narrow = _JOIN_SQL.replace("d1.v < 5", "d1.v < 3")
+    assert "plan cache MISS" in service.explain_analyze(_JOIN_SQL)
+    assert lexed == [_JOIN_SQL]
+    lexed.clear()
+    assert "plan cache HIT" in service.explain_analyze(narrow)
+    assert lexed == [narrow]
 
 
 def test_traced_execute_records_the_lifecycle_spans(service):

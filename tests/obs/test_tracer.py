@@ -113,10 +113,10 @@ def test_export_chrome_is_valid_trace_event_json(tmp_path):
     with tracer.span("query", query="q1"):
         with tracer.span("node", node_id=3):
             pass
-        tracer.event("zone.prune", morsels_pruned=2)
+        tracer.event("scan.band_search", band_rows=2)
     payload = json.loads(tracer.export_chrome())
     events = payload["traceEvents"]
-    assert [e["name"] for e in events] == ["query", "node", "zone.prune"]
+    assert [e["name"] for e in events] == ["query", "node", "scan.band_search"]
     complete = {e["name"]: e for e in events if e["ph"] == "X"}
     assert set(complete) == {"query", "node"}
     for entry in complete.values():
@@ -124,7 +124,7 @@ def test_export_chrome_is_valid_trace_event_json(tmp_path):
         assert entry["pid"] == 1
     instant = next(e for e in events if e["ph"] == "i")
     assert instant["s"] == "t"
-    assert instant["args"]["morsels_pruned"] == 2
+    assert instant["args"]["band_rows"] == 2
     # Parent linkage travels in args; timestamps are microseconds.
     assert complete["node"]["args"]["parent_span"] == complete["query"]["args"]["span_id"]
     assert complete["node"]["ts"] >= complete["query"]["ts"]

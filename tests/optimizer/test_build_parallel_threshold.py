@@ -92,12 +92,12 @@ class TestThresholdDiscount:
         database = _database()
         plan, estimator = _plan_for(database, 90)
         apply_cost_based_filters(
-            plan, estimator, DEFAULT_LAMBDA_THRESH, zone_aware=False
+            plan, estimator, DEFAULT_LAMBDA_THRESH
         )
         serial_flags = [j.creates_bitvector for j in _joins(plan)]
         plan2, estimator2 = _plan_for(database, 90)
         apply_cost_based_filters(
-            plan2, estimator2, DEFAULT_LAMBDA_THRESH, zone_aware=False,
+            plan2, estimator2, DEFAULT_LAMBDA_THRESH,
             build_parallelism=1,
         )
         assert [j.creates_bitvector for j in _joins(plan2)] == serial_flags
@@ -111,14 +111,14 @@ class TestThresholdDiscount:
         for cut in range(99, 90, -1):
             plan, estimator = _plan_for(database, cut)
             apply_cost_based_filters(
-                plan, estimator, DEFAULT_LAMBDA_THRESH, zone_aware=False
+                plan, estimator, DEFAULT_LAMBDA_THRESH
             )
             serial_creates = any(j.creates_bitvector for j in _joins(plan))
             if serial_creates:
                 continue
             plan, estimator = _plan_for(database, cut)
             apply_cost_based_filters(
-                plan, estimator, DEFAULT_LAMBDA_THRESH, zone_aware=False,
+                plan, estimator, DEFAULT_LAMBDA_THRESH,
                 build_parallelism=4,
             )
             if any(j.creates_bitvector for j in _joins(plan)):
@@ -167,7 +167,7 @@ class TestThresholdDiscount:
         # cut=100 keeps every dimension row: elimination ~ 0.
         plan, estimator = _plan_for(database, 100)
         apply_cost_based_filters(
-            plan, estimator, DEFAULT_LAMBDA_THRESH, zone_aware=False,
+            plan, estimator, DEFAULT_LAMBDA_THRESH,
             build_parallelism=64,
         )
         assert not any(j.creates_bitvector for j in _joins(plan))

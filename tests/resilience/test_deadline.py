@@ -30,6 +30,12 @@ COUNT_SQL = (
 )
 
 
+def _expired(seconds: float) -> Deadline:
+    """A deadline of ``seconds`` that started a second ago: already
+    expired, with no sleep."""
+    return Deadline(seconds, start=time.monotonic() - 1.0)
+
+
 def _expected_count(db, threshold=4):
     dim1, fact = db.table("dim1"), db.table("fact")
     selected = dim1.column("id")[dim1.column("v") < threshold]
@@ -47,9 +53,8 @@ def test_deadline_rejects_non_positive_seconds():
 
 
 def test_deadline_expires_on_the_monotonic_clock():
-    deadline = Deadline(0.01)
+    deadline = _expired(0.01)
     assert not Deadline(60.0).expired()
-    time.sleep(0.02)
     assert deadline.expired()
     assert deadline.remaining() < 0
 
@@ -64,8 +69,7 @@ def test_cancel_token_keeps_the_first_reason():
 
 
 def test_expired_context_raises_timeout_and_trips_token():
-    context = ExecutionContext(query="q7", deadline=1e-9)
-    time.sleep(0.001)
+    context = ExecutionContext(query="q7", deadline=_expired(1e-9))
     with pytest.raises(QueryTimeout, match=r"'q7' exceeded its deadline"):
         context.check()
     # Siblings observe the trip as a cancellation with the root cause.
@@ -97,8 +101,7 @@ def test_float_deadline_converts_to_deadline_object():
 def test_executor_timeout_attaches_partial_metrics(star_db, star_spec):
     plan = optimize_query(star_db, star_spec, "bqo").plan
     executor = Executor(star_db, parallelism=4, morsel_rows=512)
-    context = ExecutionContext(query="slow_q", deadline=1e-9)
-    time.sleep(0.001)
+    context = ExecutionContext(query="slow_q", deadline=_expired(1e-9))
     with pytest.raises(QueryTimeout) as excinfo:
         executor.execute(plan, context=context)
     assert isinstance(excinfo.value.partial_metrics, ExecutionMetrics)
@@ -154,8 +157,7 @@ def test_armed_answer_is_the_unarmed_one(
 def test_optimizer_enumeration_aborts_under_expired_deadline(
     star_db, star_spec
 ):
-    context = ExecutionContext(query="planner_q", deadline=1e-9)
-    time.sleep(0.001)
+    context = ExecutionContext(query="planner_q", deadline=_expired(1e-9))
     with pytest.raises(QueryTimeout):
         optimize_query(star_db, star_spec, "bqo", context=context)
 

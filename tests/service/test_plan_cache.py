@@ -18,6 +18,7 @@ def _entry(i: int) -> CachedPlan:
         pipeline="bqo",
         plan=ScanNode("t", "table"),
         template_predicates={},
+        alias_tables={"t": "table"},
         num_parameters=0,
         estimated_cout=float(i),
         signature=f"sig{i}",

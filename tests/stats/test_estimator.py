@@ -221,27 +221,10 @@ class TestEdgeCases:
         )
         assert le == pytest.approx(0.75, abs=0.05)
 
-    def test_zone_map_skip_fraction_without_resident_maps(self, estimator):
-        # Nothing has executed against this database, so no synopsis is
-        # resident and the estimate must be exactly the cold-path 0.0.
-        predicate = Comparison("<", col("a", "id"), lit(10))
-        assert estimator.zone_map_skip_fraction("a", predicate) == 0.0
-
-    def test_zone_map_skip_fraction_unknown_alias(self, estimator):
-        predicate = Comparison("<", col("zz", "id"), lit(10))
-        assert estimator.zone_map_skip_fraction("zz", predicate) == 0.0
-
-    def test_bitvector_zone_skip_without_resident_maps(self, estimator):
-        sel = estimator.bitvector_zone_skip_fraction(
-            "a", ("id",), "b", ("id",)
-        )
-        assert sel == 0.0
-
 
 class TestPerQueryMemos:
     """An estimator remembers base cardinalities and distinct counts
-    for its own lifetime — one ``optimize_query`` call — and nothing
-    about zone maps, which the engine builds between calls."""
+    for its own lifetime — one ``optimize_query`` call."""
 
     def test_base_cardinality_evaluates_a_predicate_once(self, db, monkeypatch):
         estimator = CardinalityEstimator(db, {"a": "t", "b": "t"})
@@ -272,24 +255,6 @@ class TestPerQueryMemos:
         assert fresh.base_cardinality("a", wide) == estimator.base_cardinality(
             "a", wide
         )
-
-    def test_zone_skip_sees_synopses_built_after_first_use(self):
-        # Clustered keys: once the engine has built the probe column's
-        # zone map, the same estimator must see it on its next call.
-        database = Database("zones")
-        database.add_table(
-            Table.from_arrays("probe", {"k": np.arange(40_000)})
-        )
-        database.add_table(
-            Table.from_arrays("build", {"k": np.arange(100)}, key=("k",))
-        )
-        estimator = CardinalityEstimator(
-            database, {"p": "probe", "b": "build"}
-        )
-        args = ("p", ("k",), "b", ("k",))
-        assert estimator.bitvector_zone_skip_fraction(*args) == 0.0
-        database.zone_map("probe", "k", morsel_rows=1000)
-        assert estimator.bitvector_zone_skip_fraction(*args) > 0.5
 
 
 # TPC-DS-lite statements with at most four relations (cascades ``full``
