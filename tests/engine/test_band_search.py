@@ -214,3 +214,100 @@ def test_search_stands_aside_without_a_sorted_band(layout, sql):
     _, result, answered = _run(database, sql, morsel_rows=_MORSEL_ROWS)
     assert answered["Scan(f:fact)"] == "rows"
     assert result.metrics.rows_skipped == result.metrics.morsels_pruned == 0
+
+
+_KIND_ROWS = 12_000
+
+
+def _kinds_database() -> Database:
+    """Three ascending columns of different kinds: an integer key with
+    runs of duplicates spanning 0..499, a float with both infinities at
+    its ends, and text."""
+    rng = np.random.default_rng(5)
+    keys = np.sort(rng.integers(0, 500, _KIND_ROWS))
+    keys[0], keys[-1] = 0, 499
+    floats = np.sort(rng.random(_KIND_ROWS) * 10.0 - 5.0)
+    floats[0], floats[-1] = -np.inf, np.inf
+    words = np.array(
+        sorted(f"w{int(value):03d}" for value in rng.integers(0, 200, _KIND_ROWS)),
+        dtype=object,
+    )
+    database = Database("band_kinds")
+    database.add_table(
+        Table.from_arrays("fact", {"k": keys, "x": floats, "s": words}),
+        validate_key=False,
+    )
+    return database
+
+
+# Each band beside the same predicate evaluated in numpy over the
+# stored columns, so the counters are checked against rows, not against
+# the search's own interval arithmetic.
+_BOUND_CASES = {
+    "int_below_min": ("f.k < 0", lambda c: c["k"] < 0),
+    "int_from_min": ("f.k >= 0", lambda c: c["k"] >= 0),
+    "int_to_max": ("f.k <= 499", lambda c: c["k"] <= 499),
+    "int_above_max": ("f.k > 499", lambda c: c["k"] > 499),
+    "int_duplicate_run": ("f.k = 250", lambda c: c["k"] == 250),
+    "int_point_between": (
+        "f.k BETWEEN 250 AND 250", lambda c: (c["k"] >= 250) & (c["k"] <= 250)
+    ),
+    "int_above_fraction": ("f.k > 4.5", lambda c: c["k"] > 4.5),
+    "int_to_fraction": ("f.k <= 4.5", lambda c: c["k"] <= 4.5),
+    "int_equals_fraction": ("f.k = 4.5", lambda c: c["k"] == 4.5),
+    "int_reversed_between": (
+        "f.k BETWEEN 300 AND 100", lambda c: (c["k"] >= 300) & (c["k"] <= 100)
+    ),
+    "int_tied_bounds": (
+        "f.k >= 10 AND f.k <= 10", lambda c: c["k"] == 10
+    ),
+    "int_literal_first": (
+        "400 > f.k AND 100 <= f.k", lambda c: (c["k"] < 400) & (c["k"] >= 100)
+    ),
+    "int_negative_literal": ("f.k > -3", lambda c: c["k"] > -3),
+    "float_below_zero": ("f.x < 0.0", lambda c: c["x"] < 0.0),
+    "float_half_open": (
+        "f.x >= 0.0 AND f.x < 2.5", lambda c: (c["x"] >= 0.0) & (c["x"] < 2.5)
+    ),
+    "float_takes_inf": ("f.x > 4.999", lambda c: c["x"] > 4.999),
+    "float_takes_minus_inf": ("f.x <= -4.999", lambda c: c["x"] <= -4.999),
+    "text_ray": ("f.s >= 'w100'", lambda c: c["s"] >= "w100"),
+    "text_between": (
+        "f.s BETWEEN 'w010' AND 'w020'",
+        lambda c: (c["s"] >= "w010") & (c["s"] <= "w020"),
+    ),
+    "text_below_every_value": ("f.s < 'a'", lambda c: c["s"] < "a"),
+    "text_equality": ("f.s = 'w150'", lambda c: c["s"] == "w150"),
+}
+
+
+@pytest.fixture(scope="module")
+def kinds_database():
+    return _kinds_database()
+
+
+@pytest.mark.parametrize("case", list(_BOUND_CASES))
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_band_bounds_on_every_column_kind(kinds_database, case, parallelism):
+    """Bounds below, on and above the stored values, on duplicate runs,
+    between integers and at the infinities: the search answers each as
+    sqlite does, and its counters equal the rows and morsels the
+    predicate rejects."""
+    condition, reference = _BOUND_CASES[case]
+    sql = f"SELECT COUNT(*) AS c FROM fact f WHERE {condition}"
+    spec, result, answered = _run(
+        kinds_database, sql, parallelism=parallelism, morsel_rows=_MORSEL_ROWS
+    )
+    assert answered == {"Scan(f:fact)": "band"}
+    assert_matches_sqlite(kinds_database, sql, result, spec)
+    table = kinds_database.table("fact")
+    mask = np.asarray(
+        reference({name: table.column(name) for name in ("k", "x", "s")}),
+        dtype=bool,
+    )
+    assert result.scalar("c") == int(mask.sum())
+    assert result.metrics.rows_skipped == _KIND_ROWS - int(mask.sum())
+    assert result.metrics.morsels_pruned == sum(
+        not mask[morsel.start:morsel.stop].any()
+        for morsel in table.morsels(_MORSEL_ROWS, min_morsels=parallelism)
+    )

@@ -13,6 +13,7 @@ import repro.sql.parser as parser
 from repro.errors import QueryTimeout
 from repro.obs import Tracer
 from repro.service import QueryService
+from repro.storage import Database, Table
 
 _JOIN_SQL = (
     "SELECT COUNT(*) AS cnt, SUM(f.m) AS total FROM fact f, dim1 d1, dim2 d2 "
@@ -213,3 +214,46 @@ def test_aborted_query_emits_resilience_event(service):
     assert abort.attributes["cause"] == "QueryTimeout"
     (execute,) = tracer.spans("execute")
     assert execute.attributes["error"].startswith("QueryTimeout")
+
+
+_BAND_ROWS = 8_192
+
+
+def _band_database() -> Database:
+    """A fact stored in key order, so ``k`` bands are searched."""
+    database = Database("band_explain")
+    database.add_table(
+        Table.from_arrays("fact", {"k": np.arange(_BAND_ROWS)}),
+        validate_key=False,
+    )
+    return database
+
+
+def test_explain_analyze_reports_the_band_search():
+    """k in [1000, 2999] on 4 morsels of 2,048 rows: rows outside the
+    band are skipped, and the last two morsels hold no band row."""
+    service = QueryService(_band_database(), morsel_rows=2_048)
+    text = service.explain_analyze(
+        "SELECT COUNT(*) AS c FROM fact f WHERE f.k BETWEEN 1000 AND 2999"
+    )
+    assert "-- band search: 2 morsels pruned, 6192 rows skipped" in text
+    assert "[predicate=band]" in text
+    assert (
+        "-- zone maps: 1 synopses resident (1 builds), "
+        "2 morsels / 6192 rows skipped by band search so far"
+    ) in service.explain("SELECT COUNT(*) AS c FROM fact f WHERE f.k < 5")
+
+
+def test_cached_plan_searches_each_call_s_own_band():
+    """A plan-cache hit binds its own constants: the band, the answer
+    and the counters follow them, and the synopsis is built once."""
+    database = _band_database()
+    service = QueryService(database, morsel_rows=2_048)
+    for low, high, hit in ((1000, 2999, False), (5000, 5099, True)):
+        outcome = service.execute(
+            f"SELECT COUNT(*) AS c FROM fact f WHERE f.k BETWEEN {low} AND {high}"
+        )
+        assert outcome.metrics.plan_cache_hit is hit
+        assert outcome.result.scalar("c") == high - low + 1
+        assert outcome.metrics.rows_skipped == _BAND_ROWS - (high - low + 1)
+    assert database.zone_map_cache_info()["builds"] == 1

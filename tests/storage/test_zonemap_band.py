@@ -218,6 +218,43 @@ class TestPredicateBand:
     def test_other_alias_is_not_this_scan(self):
         assert predicate_band(cmp("=", "k", 1), "u") is None
 
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "="])
+    def test_literal_first_equals_column_first(self, op):
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
+        assert predicate_band(Comparison(op, lit(7), col("t", "k")), "t") == (
+            predicate_band(cmp(flipped, "k", 7), "t")
+        )
+
+    def test_text_and_float_literals_bound_a_band(self):
+        assert predicate_band(cmp(">=", "s", "m"), "t") == (
+            "s", "m", True, None, False
+        )
+        assert predicate_band(
+            Between(col("t", "x"), lit(-0.5), lit(2.25)), "t"
+        ) == ("x", -0.5, True, 2.25, True)
+
+    def test_between_needs_this_scan_and_literal_bounds(self):
+        for predicate in (
+            Between(col("u", "k"), lit(1), lit(2)),        # other alias
+            Between(col("t", "k"), lit(None), lit(2)),     # NULL bound
+            Between(col("t", "k"), col("t", "v"), lit(2)),  # column bound
+        ):
+            assert predicate_band(predicate, "t") is None
+
+    def test_between_and_ray_intersect(self):
+        band = predicate_band(
+            And((Between(col("t", "k"), lit(3), lit(9)), cmp("<", "k", 6))),
+            "t",
+        )
+        assert band == ("k", 3, True, 6, False)
+
+    def test_nested_conjunction_is_flattened(self):
+        band = predicate_band(
+            And((cmp(">", "k", 1), And((cmp("<", "k", 8), cmp("<=", "k", 5))))),
+            "t",
+        )
+        assert band == ("k", 1, False, 5, True)
+
     def test_incomparable_bound_types_reject(self):
         # Two low bounds that cannot be ordered against each other: the
         # intersection is undefined, so no band may be claimed.
@@ -249,3 +286,32 @@ class TestSortedAscending:
     def test_unorderable_text_is_not_sorted(self):
         zone = ColumnZoneMap.build(np.array(["a", None, "b"], dtype=object))
         assert not zone.sorted_ascending
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            (np.array([], dtype=np.int64), True),
+            (np.array([7]), True),
+            (np.array([3, 2, 1]), False),
+            (np.arange(5, dtype=np.uint64), True),
+            (np.array([-np.inf, -1.0, 0.0, np.inf]), True),
+            (np.array([-0.0, 0.0, -0.0]), True),
+            (np.array([np.nan, 1.0, 2.0]), False),
+            (np.array([1.0, np.nan, 2.0]), False),
+            (np.array([1.0, 2.0, np.nan], dtype=np.float32), False),
+            (np.array([False, True, True]), True),
+            (np.array([True, False]), False),
+            (np.array(["apple", "banana", "cherry"], dtype=object), True),
+            (np.array(["b", "a"], dtype=object), False),
+            (np.array(["a", "b"]), True),
+            (np.array([1, "a"], dtype=object), False),
+        ],
+        ids=[
+            "empty", "one_row", "descending", "unsigned", "infinities",
+            "signed_zeros", "nan_first", "nan_inside", "float32_nan",
+            "bool", "bool_descending", "text", "text_descending",
+            "fixed_width_text", "int_beside_text",
+        ],
+    )
+    def test_column_kinds(self, values, expected):
+        assert ColumnZoneMap.build(values).sorted_ascending is expected
