@@ -1271,18 +1271,22 @@ class Executor:
                 aggregate.argument.alias, aggregate.argument.column
             )
             if aggregate.function in ("sum", "avg"):
+                summed = counts
                 sums = None if node.group_by else _exact_total(column)
                 if sums is None:
+                    weights = column.astype(np.float64, copy=False)
                     sums = np.bincount(
-                        fold_index(),
-                        weights=column.astype(np.float64, copy=False),
-                        minlength=num_groups,
+                        fold_index(), weights=weights, minlength=num_groups
                     )
+                    if np.isnan(sums).any():
+                        sums, summed = _skip_nan(
+                            fold_index(), weights, sums, counts
+                        )
             if aggregate.function == "sum":
                 output[label] = sums
             elif aggregate.function == "avg":
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    output[label] = np.where(counts > 0, sums / counts, np.nan)
+                    output[label] = np.where(summed > 0, sums / summed, np.nan)
             elif aggregate.function in ("min", "max"):
                 fill = np.inf if aggregate.function == "min" else -np.inf
                 folded = np.full(num_groups, fill)
@@ -1488,6 +1492,35 @@ def _exact_total(values: np.ndarray) -> np.ndarray | None:
     if bound * len(values) >= 2 ** 53:
         return None
     return np.array([float(values.sum(dtype=np.int64))])
+
+
+def _skip_nan(
+    group_index: np.ndarray,
+    weights: np.ndarray,
+    sums: np.ndarray,
+    counts: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(sums, counts)`` with every group whose sum is NaN summed and
+    counted again over its non-NaN rows only: SQL skips the NULL that a
+    NaN stands for.  Other groups keep their figures, bit for bit."""
+    missing = np.isnan(weights)
+    redo = np.isnan(sums)
+    sums = np.where(
+        redo,
+        np.bincount(
+            group_index,
+            weights=np.where(missing, 0.0, weights),
+            minlength=len(sums),
+        ),
+        sums,
+    )
+    if counts is not None:
+        counts = np.where(
+            redo,
+            np.bincount(group_index[~missing], minlength=len(sums)),
+            counts,
+        )
+    return sums, counts
 
 
 def _applied_filter(

@@ -56,7 +56,12 @@ import weakref
 import numpy as np
 
 from repro.filters.base import BitvectorFilter, validate_key_columns
-from repro.util.keycodes import ColumnDictionary, combine_codes, joint_codes
+from repro.util.keycodes import (
+    ColumnDictionary,
+    combine_codes,
+    joint_codes,
+    unique_values,
+)
 
 
 class ExactFilter(BitvectorFilter):
@@ -114,8 +119,9 @@ class ExactFilter(BitvectorFilter):
         dictionary_codes`).  Answers every probe as
         ``ExactFilter(values)`` over the same rows does, with nothing
         factorized: one scatter into a presence table the size of the
-        table dictionary for a single column, one ``np.unique`` over
-        the combined codes for several.
+        table dictionary for a single column, the sorted distinct
+        combined codes (:func:`~repro.util.keycodes.unique_values`) for
+        several.
 
         ``None`` when the table dictionaries' radix product overflows —
         the executor's join leaves code space then too — and the caller
@@ -147,7 +153,7 @@ class ExactFilter(BitvectorFilter):
             )
             if combined is None:
                 return False
-            self._code_set = np.unique(combined)
+            self._code_set = unique_values(combined)
             distinct = len(self._code_set)
         self._dictionaries = dictionaries
         self._distinct = distinct == self._num_keys

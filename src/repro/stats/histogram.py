@@ -11,6 +11,8 @@ import dataclasses
 
 import numpy as np
 
+from repro.util.keycodes import run_starts, unique_values
+
 
 @dataclasses.dataclass(frozen=True)
 class EquiDepthHistogram:
@@ -38,20 +40,31 @@ class EquiDepthHistogram:
         ordered = np.sort(values)
         num_buckets = max(1, min(num_buckets, total))
         quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
-        edges = np.quantile(ordered, quantiles)
+        with np.errstate(invalid="ignore"):
+            edges = np.quantile(ordered, quantiles)
+        if not np.isnan(ordered[-1]):
+            # Without NaN in the column, a NaN edge interpolated between
+            # two infinite order statistics (-inf + inf * 0, or
+            # inf - inf): take the lower of the two.
+            lost = np.isnan(edges)
+            lower = np.floor(quantiles[lost] * (total - 1)).astype(np.int64)
+            edges[lost] = ordered[lower]
         # Collapse duplicate edges (heavy skew) while keeping coverage.
-        edges = np.unique(edges)
+        edges = unique_values(edges)
         if len(edges) < 2:
             edges = np.array([edges[0], edges[0]])
-        counts = np.empty(len(edges) - 1, dtype=np.int64)
-        distinct = np.empty(len(edges) - 1, dtype=np.int64)
         start_indices = np.searchsorted(ordered, edges[:-1], side="left")
         end_indices = np.searchsorted(ordered, edges[1:], side="left")
         end_indices[-1] = total
-        for i in range(len(edges) - 1):
-            bucket = ordered[start_indices[i]: end_indices[i]]
-            counts[i] = len(bucket)
-            distinct[i] = len(np.unique(bucket)) if len(bucket) else 0
+        counts = end_indices - start_indices
+        # Buckets are slices of the sorted column: a bucket's distinct
+        # values are its first row plus the value changes after it.
+        changes = np.cumsum(run_starts(ordered))
+        distinct = np.where(
+            counts > 0,
+            changes[end_indices - 1] - changes[start_indices] + 1,
+            0,
+        )
         return cls(edges, counts, distinct, total)
 
     # ------------------------------------------------------------------
@@ -72,7 +85,14 @@ class EquiDepthHistogram:
         lo = self.boundaries[bucket]
         hi = self.boundaries[bucket + 1]
         width = hi - lo
-        fraction = 1.0 if width <= 0 else (value - lo) / width
+        if width <= 0:
+            fraction = 1.0
+        elif np.isinf(width):
+            # A bucket reaching an infinity has no scale to interpolate
+            # on: count half of it.
+            fraction = 0.5
+        else:
+            fraction = (value - lo) / width
         return (rows_before + fraction * self.counts[bucket]) / self.total_rows
 
     def selectivity_range(self, low: float | None, high: float | None) -> float:

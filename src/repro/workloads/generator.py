@@ -98,12 +98,9 @@ def compound_words(
     """Two-part text values (e.g. keyword-like strings for LIKE tests)."""
     left = rng.integers(0, len(prefixes), num_rows)
     right = rng.integers(0, len(suffixes), num_rows)
-    prefix_arr = np.array(prefixes, dtype=object)
-    suffix_arr = np.array(suffixes, dtype=object)
-    out = np.empty(num_rows, dtype=object)
-    for i in range(num_rows):
-        out[i] = f"{prefix_arr[left[i]]}-{suffix_arr[right[i]]}"
-    return out
+    words = np.empty(len(prefixes) * len(suffixes), dtype=object)
+    words[:] = [f"{prefix}-{suffix}" for prefix in prefixes for suffix in suffixes]
+    return words[left * len(suffixes) + right]
 
 
 def scaled(base: int, scale: float, minimum: int = 8) -> int:

@@ -64,3 +64,34 @@ class TestEqSelectivity:
     def test_absent_value_out_of_range(self):
         hist = EquiDepthHistogram.build(np.arange(100, dtype=np.float64))
         assert hist.selectivity_eq(1e9) == 0.0
+
+
+class TestInfiniteColumns:
+    def test_edges_are_never_nan_without_nan_in_the_column(self):
+        values = np.random.default_rng(0).standard_normal(1000)
+        values[0], values[-1] = -np.inf, np.inf
+        hist = EquiDepthHistogram.build(values)
+        assert not np.isnan(hist.boundaries).any()
+        assert hist.boundaries[0] == -np.inf
+        assert hist.boundaries[-1] == np.inf
+        assert hist.counts.sum() == 1000
+        sels = [hist.selectivity_le(p) for p in (-np.inf, -1.0, 0.0, 1.0, np.inf)]
+        assert all(0.0 <= s <= 1.0 for s in sels)
+        assert sels == sorted(sels)
+        assert sels[-1] == 1.0
+        assert hist.selectivity_eq(0.0) > 0.0
+
+    def test_all_infinite(self):
+        values = np.array([-np.inf] * 3 + [np.inf] * 5)
+        hist = EquiDepthHistogram.build(values)
+        assert hist.boundaries.tolist() == [-np.inf, np.inf]
+        assert hist.counts.tolist() == [8]
+        assert hist.distinct.tolist() == [2]
+
+    def test_nan_edges_stay_where_the_column_holds_nan(self):
+        # np.quantile answers NaN for every quantile of such a column;
+        # the edges are np.unique's of those, as before.
+        values = np.array([1.0, 2.0, np.nan, np.nan])
+        with np.errstate(invalid="ignore"):
+            hist = EquiDepthHistogram.build(values)
+        assert np.isnan(hist.boundaries).all()

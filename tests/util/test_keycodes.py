@@ -1,17 +1,25 @@
 """Tests for exact joint key encoding."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.util.keycodes import (
     ColumnDictionary,
+    _presence_offsets,
+    _unique_inverse,
     combine_codes,
     count_distinct,
     encode_into_domain,
     joint_codes,
+    joint_codes_and_domain,
     single_table_codes,
+    unique_values,
 )
 
 
@@ -251,3 +259,155 @@ class TestTranslationMemo:
         del target
         gc.collect()
         assert len(source._translations) == 0
+
+
+# ----------------------------------------------------------------------
+# Distinct values without np.unique's integer hash
+# ----------------------------------------------------------------------
+
+_INTEGER_DTYPES = [
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+]
+
+
+@st.composite
+def _integer_columns(draw):
+    """Integer columns over a compact window anywhere in the dtype's
+    range (the presence table) or over the whole range (the sort)."""
+    dtype = draw(st.sampled_from(_INTEGER_DTYPES))
+    info = np.iinfo(dtype)
+    if draw(st.booleans()):
+        lo = draw(st.integers(int(info.min), int(info.max)))
+        hi = min(int(info.max), lo + draw(st.integers(0, 5000)))
+    else:
+        lo, hi = int(info.min), int(info.max)
+    values = draw(st.lists(st.integers(lo, hi), max_size=60))
+    return np.array(values, dtype=dtype)
+
+
+_FLOAT_SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -1.5]
+
+
+@st.composite
+def _float_columns(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype is np.float32 else 64
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(_FLOAT_SPECIALS), st.floats(width=width)),
+        max_size=60,
+    ))
+    return np.array(values, dtype=dtype)
+
+
+_COLUMNS = st.one_of(
+    _integer_columns(),
+    _float_columns(),
+    st.lists(st.booleans(), max_size=20).map(lambda v: np.array(v, dtype=bool)),
+)
+
+_EDGE_COLUMNS = [
+    np.array([], dtype=np.int64),
+    np.array([], dtype=np.float64),
+    np.array([], dtype=bool),
+    np.array([7], dtype=np.int8),
+    np.array([-0.0]),
+    np.array([np.nan]),
+    np.array([True]),
+    # uint64 above the int64 range, compact and sparse.
+    np.array([2**64 - 1, 2**63 + 5, 2**64 - 1, 2**63], dtype=np.uint64),
+    np.array([2**64 - 1, 3, 2**63, 3], dtype=np.uint64),
+    np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64),
+    np.array([-128, 127, -128, 0], dtype=np.int8),
+    np.array([0.0, -0.0, np.nan, -np.inf, np.nan, np.inf, -0.0]),
+    np.array([-0.0, 0.0], dtype=np.float32),
+]
+
+
+class TestDistinctWithoutHashing:
+    """Counts, distinct values and factorizations equal ``np.unique``'s
+    on every route: presence table, sort and (elsewhere) hashing."""
+
+    @staticmethod
+    def _same(column: np.ndarray) -> None:
+        # Bytes, not values: NaN payloads and the sign of zero count.
+        # (NumPy's sort writes NaNs back canonical, its argsort keeps
+        # them, so the two np.unique calls may differ in a NaN's bits.)
+        distinct = np.unique(column)
+        got = unique_values(column)
+        assert got.dtype == distinct.dtype
+        assert got.tobytes() == distinct.tobytes()
+        assert count_distinct(column) == len(distinct)
+        values, codes = np.unique(column, return_inverse=True)
+        got, inverse = _unique_inverse(column)
+        assert got.dtype == values.dtype
+        assert got.tobytes() == values.tobytes()
+        assert inverse.dtype == np.int64
+        assert np.array_equal(inverse, codes)
+        dictionary = ColumnDictionary.build(column)
+        assert dictionary.values.tobytes() == values.tobytes()
+        assert np.array_equal(dictionary.codes, codes)
+
+    @given(_COLUMNS)
+    @settings(max_examples=300, deadline=None)
+    def test_property_equals_np_unique(self, column):
+        self._same(column)
+
+    @pytest.mark.parametrize("index", range(len(_EDGE_COLUMNS)))
+    def test_edge_columns(self, index):
+        self._same(_EDGE_COLUMNS[index])
+
+    def test_large_compact_and_sparse_columns(self):
+        rng = np.random.default_rng(5)
+        for column in (
+            rng.integers(0, 150_000, 450_000),
+            rng.integers(-(2**40), 2**40, 50_000),
+        ):
+            self._same(column)
+
+    def test_routes(self):
+        """A span within ``dense_table_worthwhile`` scatters; wider
+        spans sort.  (Observed through the presence offsets.)"""
+        assert _presence_offsets(np.arange(10) * 100) is not None
+        assert _presence_offsets(np.array([0, 1 << 23])) is None
+        assert _presence_offsets(np.array([0.0, 1.0])) is None
+        assert _presence_offsets(np.array([], dtype=np.int64)) is None
+
+    def test_single_table_and_joint_codes_keep_their_values(self):
+        left = np.array([5, 3, 5, 900], dtype=np.int16)
+        right = np.array([3, 7], dtype=np.uint8)
+        codes_l, codes_r, domain = joint_codes_and_domain([left], [right])
+        merged = np.concatenate([left, right]).astype(np.int64)
+        _, expected = np.unique(merged, return_inverse=True)
+        assert np.array_equal(codes_l, expected[:4])
+        assert np.array_equal(codes_r, expected[4:])
+        assert domain == 4
+        assert single_table_codes([left]).tolist() == [1, 0, 1, 2]
+
+
+def test_no_hashing_np_unique_in_the_source():
+    """``np.unique`` without ``return_inverse=True`` hashes integers on
+    NumPy >= 2.3; distinct counts and values go through
+    ``count_distinct`` / ``unique_values`` instead."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+            ):
+                continue
+            inverse = any(
+                keyword.arg == "return_inverse"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True
+                for keyword in node.keywords
+            )
+            if not inverse:
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not offenders, offenders

@@ -51,6 +51,20 @@ class TestGeneratorPrimitives:
         words = compound_words(rng, 50, ["x"], ["y", "z"])
         assert all(w in ("x-y", "x-z") for w in words)
 
+    def test_compound_words_equal_the_per_row_strings(self):
+        prefixes, suffixes = ["ab", "c", "dd"], ["x", "yy", "z", "w"]
+        rng = derive_rng(3, "t")
+        words = compound_words(rng, 2_000, prefixes, suffixes)
+        again = derive_rng(3, "t")
+        left = again.integers(0, len(prefixes), 2_000)
+        right = again.integers(0, len(suffixes), 2_000)
+        assert words.dtype == object
+        assert words.tolist() == [
+            f"{prefixes[i]}-{suffixes[j]}" for i, j in zip(left, right)
+        ]
+        # The same draws: later columns of a workload see the same stream.
+        assert rng.integers(0, 2**62) == again.integers(0, 2**62)
+
     def test_scaled_floor(self):
         assert scaled(1000, 0.00001) == 8
         assert scaled(1000, 2.0) == 2000
