@@ -14,6 +14,13 @@ where ``|T|`` already reflects the bitvector filters applied at ``T``:
 at a scan, the filters pushed down to it; at a join, its residual
 filters.  The final aggregate is not an intermediate result.
 
+Filters stacked at one node are checked in landing order, each on the
+rows the ones before it left, as the executor meters them.  Given an
+:class:`Absorption`, the bitvector-aware model also prices a PK-FK join
+the engine will elide as what it runs: the join's filter, built on the
+build rows, and nothing else.  Neither changes rows, so ``Cout`` keeps
+the paper's definition.
+
 This module is the model's one implementation.  :func:`estimated_cpu`
 prices a plan in one read-only pass, routing filters with push-down's
 own step (:func:`repro.plan.pushdown.route_filters`), so a bare plan is
@@ -33,7 +40,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from repro.cost.constants import CostConstants, DEFAULT_COSTS
 from repro.errors import PlanError
@@ -47,10 +54,12 @@ from repro.plan.nodes import (
 )
 from repro.plan.pushdown import route_filters
 from repro.stats.estimator import CardinalityEstimator
+from repro.storage.types import ColumnType
 
 if TYPE_CHECKING:  # the engine imports this package
     from repro.engine.metrics import ExecutionMetrics
     from repro.expr.expressions import Expression
+    from repro.query.joingraph import JoinGraph
     from repro.storage.database import Database
 
 
@@ -66,6 +75,76 @@ class PlanEstimate(NamedTuple):
     # Per node_id, the node's output rows.  A join's are its rows before
     # its residual filters; a pushed plan's FilterNode holds them after.
     node_rows: dict[int, float]
+    # node_id of every join priced as absorbed (see Absorption).
+    absorbed: frozenset[int]
+
+
+class Absorption:
+    """Which PK-FK joins the engine will elide, as a plan can tell.
+
+    The executor elides a join whose own exact filter already did its
+    work (``_plan_facts`` and ``Executor._hash_join`` in
+    ``engine/executor.py``): the filter lands in the probe side, no
+    build-side alias is read above the join, and the build keys come out
+    distinct with a stored dictionary on each key side.  The model names
+    that ahead of execution for a join that
+    * builds on one scan, joined on its declared unique key, with no
+      float key (a float key is compared by value, never elided);
+    * joins every neighbour of that scan's alias (a later join would
+      read its keys above) and the output operators read none of its
+      columns (``read``, what :func:`repro.plan.builder.output_reads`
+      gives);
+    * keeps its filter under ``keeps(ndvs, build rows, probe rows)``,
+      the selection rule the plan will be finalized with.
+    Such a join's filter lands in its probe side by Algorithm 1's
+    routing.  The pricing assumes exact filters, the default kind; a
+    Bloom kind executes the join and answers the same.
+    """
+
+    __slots__ = ("graph", "read", "keeps", "_scan_joins")
+
+    def __init__(
+        self,
+        graph: JoinGraph,
+        read: frozenset[str],
+        keeps: Callable[[tuple, float, float], bool],
+    ) -> None:
+        self.graph = graph
+        self.read = read
+        self.keeps = keeps
+        self._scan_joins: dict[HashJoinNode, bool] = {}
+
+    def shape(
+        self,
+        alias: str,
+        build_keys: tuple[tuple[str, str], ...],
+        probe_keys: tuple[tuple[str, str], ...],
+    ) -> bool:
+        """Whether a join building on the scan of ``alias`` alone with
+        these keys is absorbable should its filter be kept."""
+        graph = self.graph
+        if alias in self.read:
+            return False
+        if len({probe for probe, _ in probe_keys}) != len(graph.neighbors(alias)):
+            return False
+        catalog = graph.catalog
+        for key_alias, column in chain(build_keys, probe_keys):
+            schema = catalog.schema(graph.table_of(key_alias))
+            if schema.column_type(column) is ColumnType.FLOAT64:
+                return False
+        return catalog.is_key_join(
+            graph.table_of(alias), tuple(column for _, column in build_keys)
+        )
+
+    def scan_join(self, node: HashJoinNode) -> bool:
+        """:meth:`shape` of a join whose build side is a scan, kept per
+        node: plan search prices a collapsed subplan once per order."""
+        known = self._scan_joins.get(node)
+        if known is None:
+            known = self._scan_joins[node] = self.shape(
+                node.build.alias, node.build_keys, node.probe_keys
+            )
+        return known
 
 
 def estimated_cpu(
@@ -75,6 +154,7 @@ def estimated_cpu(
     constants: CostConstants = DEFAULT_COSTS,
     predicates: Mapping[str, Expression] | None = None,
     observed: ExecutionMetrics | None = None,
+    absorption: Absorption | None = None,
 ) -> PlanEstimate:
     """Price a plan with its filters in place.
 
@@ -86,15 +166,24 @@ def estimated_cpu(
     replaces every node's rows with the rows it output there.
     ``predicates`` maps an alias to the predicate its scan runs under in
     place of the node's own, as for a cached plan executed with new
-    constants.
+    constants.  ``absorption`` prices the joins it names as their
+    filters (bitvector-aware estimates only).
 
-    Scan-level checks are charged at the scan's pre-filter cardinality
-    (a slight over-estimate when several filters stack; the executor
-    meters the exact diminishing sequence).
+    Filters stacked at a scan or a residual filter are checked in
+    landing order, each on the rows the ones before it left: the
+    sequence the executor meters, as far as the estimates go.  The
+    blind model checks each on all the rows, since its filters reduce
+    none.
     """
-    pricing = _Pass(estimator, bitvector_aware, constants, {}, predicates, observed)
+    pricing = _Pass(
+        estimator, bitvector_aware, constants, {}, predicates, observed,
+        absorption,
+    )
     rows, cost = pricing.visit(plan, [])
-    return PlanEstimate(rows, pricing.cpu(), cost, pricing.sides, pricing.nodes)
+    return PlanEstimate(
+        rows, pricing.cpu(), cost, pricing.sides, pricing.nodes,
+        frozenset(pricing.absorbed),
+    )
 
 
 def true_cout(plan: PlanNode, database: Database, filter_kind: str = "exact") -> float:
@@ -131,10 +220,17 @@ class JoinStep:
     :class:`HashJoinNode` does in :func:`estimated_cpu`:
     ``probe_aliases`` routes it inside a subplan, ``probe_units`` names
     the units holding those aliases, and ``ndvs`` is
-    :func:`key_ndvs` of the keys.
+    :func:`key_ndvs` of the keys.  ``absorbs`` is
+    :meth:`Absorption.shape` of the join when its build side is one
+    scan: the unit, or the spine's one neighbour of it when the spine
+    builds.  A shaped join meets every neighbour of that scan, so a
+    spine that builds is then that scan alone.
     """
 
-    __slots__ = ("unit", "plan", "unit_builds", "probe_aliases", "probe_units", "ndvs")
+    __slots__ = (
+        "unit", "plan", "unit_builds", "probe_aliases", "probe_units", "ndvs",
+        "absorbs",
+    )
 
     def __init__(
         self,
@@ -144,6 +240,7 @@ class JoinStep:
         probe_aliases: frozenset[str],
         probe_units: frozenset[str],
         ndvs: tuple[tuple[float, float], ...],
+        absorbs: bool = False,
     ) -> None:
         self.unit = unit
         self.plan = plan
@@ -151,14 +248,16 @@ class JoinStep:
         self.probe_aliases = probe_aliases
         self.probe_units = probe_units
         self.ndvs = ndvs
+        self.absorbs = absorbs
 
 
 class OrderPricer:
     """Prices join orders for one plan search without building them.
 
     :meth:`cpu` returns exactly what :func:`estimated_cpu` returns as
-    ``cpu`` for the tree the order builds.  Scan constants are kept
-    across calls; everything else is per order.
+    ``cpu`` for the tree the order builds, under the same
+    ``absorption``.  Scan constants are kept across calls; everything
+    else is per order.
     """
 
     def __init__(
@@ -166,11 +265,13 @@ class OrderPricer:
         estimator: CardinalityEstimator,
         bitvector_aware: bool = True,
         constants: CostConstants = DEFAULT_COSTS,
+        absorption: Absorption | None = None,
     ) -> None:
         self.estimator = estimator
         self.bitvector_aware = bitvector_aware
         self.constants = constants
-        self._scans: dict[ScanNode, tuple[float, float, float, float]] = {}
+        self.absorption = absorption
+        self._scans: dict[ScanNode, tuple[float, float, float]] = {}
 
     def cpu(self, bottom: PlanNode, steps: Sequence[JoinStep]) -> float:
         """CPU of the tree that ``steps`` build over the ``bottom`` unit.
@@ -191,13 +292,15 @@ class OrderPricer:
         lands.
         """
         pricing = _Pass(
-            self.estimator, self.bitvector_aware, self.constants, self._scans
+            self.estimator, self.bitvector_aware, self.constants, self._scans,
+            absorption=self.absorption,
         )
         terms, built, unit, join, reduced = (
             pricing.terms, pricing.built, pricing.rows, pricing.join,
             pricing.reduced,
         )
         aware = self.bitvector_aware
+        keeps = None if pricing.absorption is None else pricing.absorption.keeps
         count = len(steps)
         landed, residuals = _route(steps)
         slots = [0] * count
@@ -219,11 +322,18 @@ class OrderPricer:
                 probe_rows = unit(step.plan, landed[index])
             # Search prices every join with its filter; filter selection
             # runs on the winner afterwards.
+            absorbed = (
+                step.absorbs and keeps is not None
+                and keeps(step.ndvs, build_rows, probe_rows)
+            )
             rows = join_rows(step.ndvs, build_rows, probe_rows, aware)
             residual = residuals[index]
-            join(slots[index], True, build_rows, probe_rows, rows, residual)
             if residual:
-                rows = reduced(rows, residual)
+                after, checks = reduced(rows, residual)
+            else:
+                after, checks = rows, None
+            join(slots[index], True, absorbed, build_rows, probe_rows, rows, checks)
+            rows = after
         return pricing.cpu()
 
 
@@ -253,11 +363,12 @@ def _route(steps: Sequence[JoinStep]) -> tuple[list[list], list[list]]:
 class _Pass:
     """One pricing pass: the CPU term groups, one per node in pre-order;
     per filter (a :class:`HashJoinNode` or :class:`JoinStep`) its key
-    ndvs and build rows; and the rows of each node it visits."""
+    ndvs and build rows; the rows of each node it visits; and the joins
+    it priced as absorbed."""
 
     __slots__ = (
         "estimator", "aware", "constants", "scans", "predicates", "observed",
-        "terms", "built", "sides", "nodes",
+        "absorption", "terms", "built", "sides", "nodes", "absorbed",
     )
 
     def __init__(
@@ -265,44 +376,59 @@ class _Pass:
         estimator: CardinalityEstimator,
         aware: bool,
         constants: CostConstants,
-        scans: dict[ScanNode, tuple[float, float, float, float]],
+        scans: dict[ScanNode, tuple[float, float, float]],
         predicates: Mapping[str, Expression] | None = None,
         observed: ExecutionMetrics | None = None,
+        absorption: Absorption | None = None,
     ) -> None:
         self.estimator = estimator
         self.aware = aware
         self.constants = constants
-        # Per scan: its scan term, rows after the predicate, check cost
-        # per filter (rows after the predicate x filter_check), and rows
-        # out when no filter lands in it.
+        # Per scan: its scan term, rows after the predicate, and rows out
+        # when no filter lands in it.
         self.scans = scans
         self.predicates = predicates
         self.observed = observed
+        # Absorption is a bitvector-aware estimate: blind and observed
+        # rows price every join as executed.
+        self.absorption = absorption if aware and observed is None else None
         self.terms: list[Sequence[float]] = []
         self.built: dict[object, tuple[tuple, float]] = {}
         self.sides: dict[HashJoinNode, tuple[float, float]] = {}
         self.nodes: dict[int, float] = {}
+        self.absorbed: list[int] = []
 
     def cpu(self) -> float:
         # Left to right in pre-order, one rounding per term (``sum`` may
         # compensate, which would change the result).
         return reduce(add, chain.from_iterable(self.terms), 0.0)
 
-    def reduced(self, rows: float, filters: list) -> float:
+    def reduced(self, rows: float, filters: list) -> tuple[float, float]:
+        """Rows left after ``filters`` are checked in order, and the
+        checks' cost: each filter checks the rows the ones before it
+        left (the blind model's filters leave every row)."""
+        check = self.constants.filter_check
         if self.aware:
+            checks = 0.0
             for source in filters:
+                checks += rows * check
                 ndvs, build_rows = self.built[source]
                 rows *= filter_survival(ndvs, build_rows, rows)
-        return rows if rows > 1.0 else 1.0  # max(1.0, rows)
+        else:
+            checks = rows * check * len(filters)
+        return (rows if rows > 1.0 else 1.0), checks  # max(1.0, rows)
 
     def join(
-        self, slot: int, creates_bitvector: bool, build_rows: float,
-        probe_rows: float, rows: float, residual: list,
+        self, slot: int, creates_bitvector: bool, absorbed: bool,
+        build_rows: float, probe_rows: float, rows: float, checks: float | None,
     ) -> None:
-        """Fill a join's term group; ``rows`` are its rows before
-        ``residual``."""
+        """Fill a join's term group; ``rows`` are its rows before its
+        residual filters, which cost ``checks`` (``None``: it has none).
+        An absorbed join costs its filter's build alone."""
         constants = self.constants
-        if creates_bitvector:
+        if absorbed:
+            group: tuple[float, ...] = (build_rows * constants.filter_insert,)
+        elif creates_bitvector:
             group = (
                 build_rows * constants.build,
                 build_rows * constants.filter_insert,
@@ -315,9 +441,9 @@ class _Pass:
                 probe_rows * constants.probe,
                 rows * constants.output,
             )
-        if residual:
+        if checks is not None:
             # A residual FilterNode precedes its join in pre-order.
-            group = (rows * constants.filter_check * len(residual),) + group
+            group = (checks,) + group
         self.terms[slot] = group
 
     def rows(self, node: PlanNode, incoming: list) -> float:
@@ -326,20 +452,22 @@ class _Pass:
             return self.visit(node, incoming)[0]
         known = self.scans.get(node)
         if known is None:
-            constants = self.constants
             predicate = node.predicate
             if self.predicates is not None:
                 predicate = self.predicates.get(node.alias, predicate)
             after_predicate = self.estimator.base_cardinality(node.alias, predicate)
             known = self.scans[node] = (
-                self.estimator.table_rows(node.alias) * constants.scan,
+                self.estimator.table_rows(node.alias) * self.constants.scan,
                 after_predicate,
-                after_predicate * constants.filter_check,
-                self.reduced(after_predicate, ()),
+                after_predicate if after_predicate > 1.0 else 1.0,
             )
-        scan_term, after_predicate, check, alone = known
-        self.terms.append((scan_term, check * len(incoming)))
-        return self.reduced(after_predicate, incoming) if incoming else alone
+        scan_term, after_predicate, alone = known
+        if incoming:
+            rows, checks = self.reduced(after_predicate, incoming)
+        else:
+            rows, checks = alone, 0.0
+        self.terms.append((scan_term, checks))
+        return rows
 
     def visit(
         self, node: PlanNode, incoming: list, residual: FilterNode | None = None
@@ -387,15 +515,30 @@ class _Pass:
             )
         else:
             rows = float(observed.rows_out(node.node_id))
-        self.join(slot, node.creates_bitvector, build_rows, probe_rows, rows, filters)
+        absorption = self.absorption
+        absorbed = (
+            absorption is not None
+            and node.creates_bitvector
+            and isinstance(node.build, ScanNode)
+            and absorption.scan_join(node)
+            and absorption.keeps(ndvs, build_rows, probe_rows)
+        )
+        if absorbed:
+            self.absorbed.append(node.node_id)
+        if filters:
+            after, checks = self.reduced(rows, filters)
+        else:
+            after, checks = rows, None
+        self.join(
+            slot, node.creates_bitvector, absorbed, build_rows, probe_rows, rows,
+            checks,
+        )
         self.nodes[node.node_id] = rows
         if observed is not None:
-            rows = float(observed.rows_out((residual or node).node_id))
-        elif filters:
-            rows = self.reduced(rows, filters)
+            after = float(observed.rows_out((residual or node).node_id))
         if residual is not None:
-            self.nodes[residual.node_id] = rows
-        return rows, rows + build_cost + probe_cost
+            self.nodes[residual.node_id] = after
+        return after, after + build_cost + probe_cost
 
 
 # The model's formulas.  They read statistics only through ``ndvs``: the

@@ -10,15 +10,20 @@ semi-join operator").
 
 ``apply_cost_based_filters`` sets the ``creates_bitvector`` flag on
 every join of a plan; the caller then runs push-down once.
+:func:`absorption_for` hands the same rule to plan search, which prices a
+join the engine will elide as its filter only if the filter is kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.cost.constants import DEFAULT_COSTS, DEFAULT_LAMBDA_THRESH
-from repro.cost.physical import estimated_cpu, filter_survival, key_ndvs
+from repro.cost.physical import Absorption, estimated_cpu, filter_survival, key_ndvs
+from repro.plan.builder import output_reads
 from repro.plan.nodes import PlanNode
+from repro.query.joingraph import JoinGraph
 from repro.stats.estimator import CardinalityEstimator
 
 # The creation threshold never drops below this fraction of the
@@ -52,14 +57,50 @@ def apply_cost_based_filters(
     # Every decision is taken against the plan with *all* its flags as
     # they came in: the rows are priced once, before any flag is written.
     for join, (build_rows, probe_rows) in estimated_cpu(plan, estimator).join_rows.items():
-        # Against the probe side's raw keys: no probe row count caps them.
-        ndvs = key_ndvs(estimator, join.build_keys, join.probe_keys)
-        elimination = 1.0 - filter_survival(ndvs, build_rows, math.inf)
-        threshold = _parallel_build_threshold(
-            build_rows, probe_rows, estimator, lambda_thresh, build_parallelism
+        join.creates_bitvector = keeps_filter(
+            key_ndvs(estimator, join.build_keys, join.probe_keys),
+            build_rows, probe_rows, estimator, lambda_thresh, build_parallelism,
         )
-        join.creates_bitvector = elimination >= threshold
     return plan
+
+
+def keeps_filter(
+    ndvs: tuple[tuple[float, float], ...],
+    build_rows: float,
+    probe_rows: float,
+    estimator: CardinalityEstimator,
+    lambda_thresh: float,
+    build_parallelism: int,
+) -> bool:
+    """Whether a join with key ``ndvs`` over inputs of these sizes keeps
+    its filter: its estimated elimination reaches the threshold."""
+    # Against the probe side's raw keys: no probe row count caps them.
+    elimination = 1.0 - filter_survival(ndvs, build_rows, math.inf)
+    return elimination >= _parallel_build_threshold(
+        build_rows, probe_rows, estimator, lambda_thresh, build_parallelism
+    )
+
+
+def absorption_for(
+    graph: JoinGraph,
+    estimator: CardinalityEstimator,
+    lambda_thresh: float,
+    build_parallelism: int,
+) -> Absorption | None:
+    """What plan search needs to price the joins the engine will elide,
+    for a plan finalized under this threshold (``lambda_thresh=0``: every
+    join keeps its filter); ``None`` when the query has no output
+    operator, so its plan outputs every column and elides nothing."""
+    read = output_reads(graph.spec)
+    if read is None:
+        return None
+    return Absorption(
+        graph, read,
+        functools.partial(
+            keeps_filter, estimator=estimator, lambda_thresh=lambda_thresh,
+            build_parallelism=build_parallelism,
+        ),
+    )
 
 
 def _parallel_build_threshold(

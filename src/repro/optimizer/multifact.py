@@ -14,7 +14,7 @@ Alternates two stages until the whole graph is one unit:
 
 from __future__ import annotations
 
-from repro.cost.physical import estimated_cpu
+from repro.cost.physical import Absorption, estimated_cpu
 from repro.errors import OptimizerError
 from repro.optimizer.snowflake import SearchStats, optimize_snowflake
 from repro.optimizer.units import UnitGraph
@@ -29,6 +29,7 @@ def optimize_join_graph(
     bitvector_aware: bool = True,
     context=None,
     search: SearchStats | None = None,
+    absorption: Absorption | None = None,
 ) -> PlanNode:
     """Produce a join order for an arbitrary connected join graph.
 
@@ -40,7 +41,8 @@ def optimize_join_graph(
     inside :func:`~repro.optimizer.snowflake.optimize_snowflake`, per
     enumerated candidate), so plan search on a pathological graph stays
     abortable.  ``search``, when given, counts extraction rounds and
-    costed candidates.
+    costed candidates.  ``absorption`` is handed to every round's
+    search (see :func:`~repro.optimizer.snowflake.optimize_snowflake`).
     """
     if not graph.aliases:
         raise OptimizerError("query has no relations")
@@ -61,7 +63,7 @@ def optimize_join_graph(
             search.snowflakes += 1
         plan = optimize_snowflake(
             ugraph, fact_id, scope, bitvector_aware, context=context,
-            search=search,
+            search=search, absorption=absorption,
         )
         if scope == unit_ids:
             return plan

@@ -34,10 +34,10 @@ import time
 from typing import Callable
 
 from repro.cost.constants import DEFAULT_LAMBDA_THRESH
-from repro.cost.physical import estimated_cpu
+from repro.cost.physical import Absorption, estimated_cpu
 from repro.errors import OptimizerError
 from repro.optimizer.baseline import optimize_baseline
-from repro.optimizer.filter_selection import apply_cost_based_filters
+from repro.optimizer.filter_selection import absorption_for, apply_cost_based_filters
 from repro.optimizer.multifact import optimize_join_graph
 from repro.optimizer.snowflake import SearchStats
 from repro.plan.builder import attach_aggregate
@@ -66,6 +66,9 @@ class OptimizedPlan:
     # for the ``dp`` pipelines, which search by dynamic programming).
     candidates: int = 0
     snowflakes: int = 0
+    # node_id of each join the final plan prices as absorbed: the joins
+    # the engine will elide with exact filters (PlanEstimate.absorbed).
+    absorbed: frozenset[int] = frozenset()
 
     @property
     def name(self) -> str:
@@ -82,6 +85,7 @@ def _finalize(
     lambda_thresh: float,
     search: SearchStats,
     build_parallelism: int = 1,
+    absorption: Absorption | None = None,
 ) -> OptimizedPlan:
     if not use_bitvectors:
         for node in plan.walk():
@@ -92,16 +96,17 @@ def _finalize(
             plan, estimator, lambda_thresh,
             build_parallelism=build_parallelism,
         )
-    estimated = estimated_cpu(plan, estimator).cout
+    estimated = estimated_cpu(plan, estimator, absorption=absorption)
     plan = attach_aggregate(push_down_bitvectors(plan), spec)
     return OptimizedPlan(
         pipeline=pipeline,
         spec=spec,
         plan=plan,
-        estimated_cout=estimated,
+        estimated_cout=estimated.cout,
         signature=plan_signature(plan),
         candidates=search.candidates,
         snowflakes=search.snowflakes,
+        absorbed=estimated.absorbed,
     )
 
 
@@ -119,6 +124,16 @@ def _run_pipeline(
     graph = JoinGraph(spec, database.catalog)
     estimator = CardinalityEstimator(database, spec.alias_tables)
     search = SearchStats()
+    use_bitvectors = pipeline not in ("original_nobv", "dp_nobv")
+    cost_based = pipeline in ("original", "bqo", "dp")
+    # Which joins the plan will elide depends on the filter selection it
+    # is finalized with; a zero threshold keeps every filter.
+    absorption = None
+    if use_bitvectors:
+        absorption = absorption_for(
+            graph, estimator, lambda_thresh if cost_based else 0.0,
+            build_parallelism,
+        )
 
     if pipeline in ("original", "original_nobv", "original_allfilters"):
         plan = optimize_join_graph(
@@ -128,18 +143,17 @@ def _run_pipeline(
     elif pipeline in ("bqo", "bqo_allfilters"):
         plan = optimize_join_graph(
             graph, estimator, bitvector_aware=True, context=context,
-            search=search,
+            search=search, absorption=absorption,
         )
     elif pipeline in ("dp", "dp_nobv"):
         plan = optimize_baseline(graph, estimator)
     else:
         raise OptimizerError(f"unknown pipeline {pipeline!r}")
 
-    use_bitvectors = pipeline not in ("original_nobv", "dp_nobv")
-    cost_based = pipeline in ("original", "bqo", "dp")
     return _finalize(
         pipeline, spec, plan, estimator, use_bitvectors, cost_based,
         lambda_thresh, search, build_parallelism=build_parallelism,
+        absorption=absorption,
     )
 
 

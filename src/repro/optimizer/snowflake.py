@@ -24,8 +24,12 @@ A candidate is a join order — a bottom unit and one
 :class:`~repro.cost.physical.JoinStep` per spine join, saying which unit
 joins and which side builds — and is priced by
 :class:`~repro.cost.physical.OrderPricer` without building a plan node.
-Step constants (keys, filter routing, distinct counts) are made once per
-search; only the winning order is turned into a tree.
+Step constants (keys, filter routing, distinct counts, whether the join
+can be absorbed) are made once per search; only the winning order is
+turned into a tree.  The bitvector-aware search prices a PK-FK join the
+engine will elide as its filter
+(:class:`~repro.cost.physical.Absorption`), so the stacked plan of
+Theorem 4.1 is priced at what it runs.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator
 
-from repro.cost.physical import JoinStep, OrderPricer, key_ndvs
+from repro.cost.physical import Absorption, JoinStep, OrderPricer, key_ndvs
 from repro.errors import OptimizerError
 from repro.optimizer.candidates import leading_order
 from repro.optimizer.units import UnitGraph
@@ -76,6 +80,7 @@ def optimize_snowflake(
     bitvector_aware: bool = True,
     context=None,
     search: SearchStats | None = None,
+    absorption: Absorption | None = None,
 ) -> PlanNode:
     """Construct the join order for a single-fact (general) snowflake.
 
@@ -91,6 +96,8 @@ def optimize_snowflake(
     filters" (Section 7.2).
 
     ``search``, when given, is told how many candidates were costed.
+    ``absorption``, when given, prices the joins the engine will elide
+    as their filters (bitvector-aware search only).
     """
     scope = set(ugraph.unit_ids) if scope is None else set(scope)
     if fact_id not in scope:
@@ -104,11 +111,11 @@ def optimize_snowflake(
     else:
         # A blind optimizer sees the raw (predicate-filtered) fact size.
         spine_rows = ugraph.unit(fact_id).rows
-    steps = _Steps(ugraph)
+    steps = _Steps(ugraph, absorption)
     candidates = _candidates(
         ugraph, steps, fact_id, scope, branches, spine_rows, context
     )
-    return _cheapest(candidates, ugraph, bitvector_aware, search)
+    return _cheapest(candidates, ugraph, bitvector_aware, search, absorption)
 
 
 def _candidates(
@@ -376,8 +383,9 @@ class _Steps:
     """The :class:`JoinStep` of each (unit, its neighbours already in the
     spine, orientation) a search meets, made once per search."""
 
-    def __init__(self, ugraph: UnitGraph) -> None:
+    def __init__(self, ugraph: UnitGraph, absorption: Absorption | None = None) -> None:
         self._ugraph = ugraph
+        self._absorption = absorption
         self._made: dict[tuple[str, frozenset[str], bool], JoinStep] = {}
 
     def step(self, unit_id: str, placed: set[str], unit_builds: bool) -> JoinStep:
@@ -394,20 +402,28 @@ class _Steps:
         )
         if unit_builds:
             # Each neighbour joins the unit through an edge: it holds a probe key.
-            build_keys, probe_keys = join_keys(ugraph.graph, members, spine)
+            build, probe = members, spine
             holders = neighbors
         else:
-            build_keys, probe_keys = join_keys(ugraph.graph, spine, members)
+            build, probe = spine, members
             holders = frozenset((unit_id,))
+        build_keys, probe_keys = join_keys(ugraph.graph, build, probe)
         if not build_keys:
             raise OptimizerError(
                 f"cross product between unit {unit_id!r} and units "
                 f"{sorted(placed)}"
             )
+        # Only a base unit holds one alias: its plan is that alias's scan.
+        absorption = self._absorption
+        absorbs = (
+            absorption is not None
+            and len(build) == 1
+            and absorption.shape(next(iter(build)), build_keys, probe_keys)
+        )
         step = self._made[key] = JoinStep(
             unit_id, ugraph.unit_plan(unit_id), unit_builds,
             frozenset(alias for alias, _ in probe_keys), holders,
-            key_ndvs(ugraph.estimator, build_keys, probe_keys),
+            key_ndvs(ugraph.estimator, build_keys, probe_keys), absorbs,
         )
         return step
 
@@ -422,6 +438,7 @@ def _cheapest(
     ugraph: UnitGraph,
     bitvector_aware: bool,
     search: SearchStats | None,
+    absorption: Absorption | None,
 ) -> PlanNode:
     """Build the join order with the cheapest estimated physical cost.
 
@@ -434,9 +451,10 @@ def _cheapest(
 
     In blind mode the filters' cardinality effects are ignored during
     scoring (the paper's Figure 2: the blind optimizer prefers P1, the
-    aware one P2).  Ties keep the earlier candidate.
+    aware one P2).  With ``absorption``, a join the engine will elide
+    costs its filter's build alone.  Ties keep the earlier candidate.
     """
-    pricer = OrderPricer(ugraph.estimator, bitvector_aware)
+    pricer = OrderPricer(ugraph.estimator, bitvector_aware, absorption=absorption)
     best: Order | None = None
     best_cost = float("inf")
     for bottom, steps in candidates:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.errors import OptimizerError, PlanError
 from repro.plan.nodes import AggregateNode, HashJoinNode, PlanNode, ScanNode, TopKNode
 from repro.query.joingraph import JoinGraph
-from repro.query.spec import QuerySpec
+from repro.query.spec import OUTPUT_ALIAS, QuerySpec
 
 
 def scan_for(spec: QuerySpec, alias: str) -> ScanNode:
@@ -131,3 +131,24 @@ def attach_aggregate(plan: PlanNode, spec: QuerySpec) -> PlanNode:
             columns=spec.select_columns,
         )
     return plan
+
+
+def output_reads(spec: QuerySpec) -> frozenset[str] | None:
+    """Aliases whose columns the operators :func:`attach_aggregate` puts
+    on top read — aggregate arguments, GROUP BY, ORDER BY and projection
+    columns — or ``None`` when it puts none: the plan then outputs every
+    column it scanned."""
+    if not (spec.aggregates or spec.order_by or spec.limit is not None
+            or spec.select_columns):
+        return None
+    refs = [
+        aggregate.argument for aggregate in spec.aggregates
+        if aggregate.argument is not None
+    ]
+    refs += spec.group_by
+    refs += spec.select_columns
+    refs += [
+        key.target for key in spec.order_by
+        if not isinstance(key.target, str) and key.target.alias != OUTPUT_ALIAS
+    ]
+    return frozenset(ref.alias for ref in refs)

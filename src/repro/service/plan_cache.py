@@ -38,6 +38,9 @@ class CachedPlan:
     estimated_cout: float
     signature: str
     optimize_seconds: float  # planning cost paid once, on the miss
+    # node_id of each join the plan was priced with as absorbed: the
+    # joins the engine elides under exact filters.
+    absorbed: frozenset[int] = frozenset()
     hits: int = 0
 
 

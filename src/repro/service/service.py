@@ -194,6 +194,7 @@ class QueryService:
         self._retry_policy = retry_policy
         self.plan_cache = PlanCache(plan_cache_size)
         self.filter_cache = BitvectorFilterCache(filter_cache_size)
+        self._filter_kind = filter_kind
         self._executor = Executor(
             database,
             filter_kind=filter_kind,
@@ -546,7 +547,8 @@ class QueryService:
         Goes through the plan cache like :meth:`execute` (an explain
         warms the cache for the real query).  The rendered tree shows
         the constants the plan was optimized with; the header lists the
-        parameters of *this* call.
+        parameters of *this* call.  A join marked ``[absorbed]`` was
+        priced as its filter: with exact filters, execution elides it.
         """
         pipeline = pipeline or self._pipeline
         entry, fingerprint, _overrides, hit = self._prepare(sql, pipeline)
@@ -606,7 +608,12 @@ class QueryService:
             f"degradations, {stats.failures} failures, "
             f"{stats.retries} retries)",
         ]
-        return "\n".join(header) + "\n" + format_plan(entry.plan)
+        # The joins priced as absorbed are the ones execution will elide,
+        # as long as the filters are exact: a Bloom kind executes them.
+        absorbed = entry.absorbed if self._filter_kind == "exact" else ()
+        return "\n".join(header) + "\n" + format_plan(
+            entry.plan, {node_id: "[absorbed]" for node_id in absorbed}
+        )
 
     def stats(self) -> ServiceStats:
         """Snapshot of service-level aggregates.
@@ -852,6 +859,7 @@ class QueryService:
             estimated_cout=optimized.estimated_cout,
             signature=optimized.signature,
             optimize_seconds=optimized.optimize_seconds,
+            absorbed=optimized.absorbed,
         )
 
     def _check_schema_version(self) -> None:

@@ -140,10 +140,10 @@ class CardinalityEstimator:
         if op == "<=":
             return stats.histogram.selectivity_le(float(value))
         if op == ">":
-            return 1.0 - stats.histogram.selectivity_le(float(value))
+            return stats.histogram.selectivity_gt(float(value))
         if op == ">=":
             half = 0.5 if stats.column_type.name == "INT64" else 0.0
-            return 1.0 - stats.histogram.selectivity_le(float(value) - half)
+            return stats.histogram.selectivity_gt(float(value) - half)
         return _DEFAULT_SELECTIVITY
 
     def _eq_selectivity(self, stats: ColumnStatistics, value: object) -> float:

@@ -23,6 +23,8 @@ import weakref
 
 import pytest
 
+import repro.engine.executor as executor_module
+import repro.optimizer.filter_selection as filter_selection
 import repro.optimizer.snowflake as snowflake
 from repro.cost.constants import CostConstants, DEFAULT_COSTS
 from repro.cost.physical import (
@@ -36,7 +38,7 @@ from repro.errors import OptimizerError, PlanError
 from repro.expr.expressions import Comparison, col, lit
 from repro.optimizer.pipelines import optimize_query
 from repro.optimizer.units import UnitGraph
-from repro.plan.builder import build_right_deep
+from repro.plan.builder import attach_aggregate, build_right_deep
 from repro.plan.nodes import (
     AggregateNode,
     FilterNode,
@@ -46,9 +48,11 @@ from repro.plan.nodes import (
     TopKNode,
 )
 from repro.plan.properties import plan_signature
+from repro.query.spec import Aggregate
 from repro.plan.pushdown import push_down_bitvectors, strip_bitvectors
 from repro.query.joingraph import JoinGraph
 from repro.stats.estimator import CardinalityEstimator
+from repro.storage.types import ColumnType
 from repro.workloads import star
 from repro.workloads.synthetic import random_star
 
@@ -119,23 +123,79 @@ def _reference_cout(node, rows: dict[int, float]) -> float:
     return rows[node.node_id]
 
 
-def _walk_cpu(pushed, rows, estimator, constants=DEFAULT_COSTS) -> float:
-    """The Section 6.3 CPU sum as it was computed over a pushed plan."""
+def _checks(node, input_rows: float, rows, estimator, aware, constants) -> float:
+    """What checking ``node``'s filters costs: in the order push-down
+    placed them, each on the rows the ones before it left."""
+    if not aware:
+        return input_rows * constants.filter_check * len(node.applied_bitvectors)
+    total = 0.0
+    for bitvector in node.applied_bitvectors:
+        total += input_rows * constants.filter_check
+        ndvs = key_ndvs(estimator, bitvector.build_keys, bitvector.probe_keys)
+        build_rows = rows[bitvector.source_join.build.node_id]
+        input_rows *= filter_survival(ndvs, build_rows, input_rows)
+    return total
+
+
+def _reference_absorbed(pushed, rows, estimator, absorption) -> set:
+    """The joins the executor's plan sweep finds absorbable under the
+    query's output operators, narrowed to what the model can name: a
+    scan build on its declared key, no float key, the filter kept.  A
+    search tree may be part of the plan (Algorithm 3 joins the rest in
+    later rounds): an alias joined to one outside it is read above."""
+    if absorption is None:
+        return set()
+    graph = absorption.graph
+    catalog = graph.catalog
+    shaped = executor_module._plan_facts(
+        attach_aggregate(pushed, graph.spec), {}
+    ).absorbable
+    inside = pushed.output_aliases
+    absorbed = set()
+    for node in pushed.walk():
+        if node.node_id not in shaped or not isinstance(node.build, ScanNode):
+            continue
+        if not graph.neighbors(node.build.alias) <= inside:
+            continue
+        keys = node.build_keys + node.probe_keys
+        if any(
+            catalog.schema(graph.table_of(alias)).column_type(column)
+            is ColumnType.FLOAT64
+            for alias, column in keys
+        ):
+            continue
+        if not catalog.is_key_join(
+            node.build.table_name, tuple(column for _, column in node.build_keys)
+        ):
+            continue
+        ndvs = key_ndvs(estimator, node.build_keys, node.probe_keys)
+        if absorption.keeps(
+            ndvs, rows[node.build.node_id], rows[node.probe.node_id]
+        ):
+            absorbed.add(node.node_id)
+    return absorbed
+
+
+def _walk_cpu(
+    pushed, rows, estimator, aware, constants=DEFAULT_COSTS, absorbed=()
+) -> float:
+    """The Section 6.3 CPU sum over a pushed plan, each filter checked
+    on the rows the ones before it left and an absorbed join priced as
+    its filter's build."""
     total = 0.0
     for node in pushed.walk():
         if isinstance(node, ScanNode):
             raw_rows = estimator.table_rows(node.alias)
             after_predicate = estimator.base_cardinality(node.alias, node.predicate)
             total += raw_rows * constants.scan
-            total += (
-                after_predicate
-                * constants.filter_check
-                * len(node.applied_bitvectors)
-            )
+            total += _checks(node, after_predicate, rows, estimator, aware, constants)
         elif isinstance(node, HashJoinNode):
             build_rows = rows[node.build.node_id]
             probe_rows = rows[node.probe.node_id]
             output_rows = rows[node.node_id]
+            if node.node_id in absorbed:
+                total += build_rows * constants.filter_insert
+                continue
             total += build_rows * constants.build
             if node.creates_bitvector:
                 total += build_rows * constants.filter_insert
@@ -143,9 +203,7 @@ def _walk_cpu(pushed, rows, estimator, constants=DEFAULT_COSTS) -> float:
             total += output_rows * constants.output
         elif isinstance(node, FilterNode):
             input_rows = rows[node.child.node_id]
-            total += (
-                input_rows * constants.filter_check * len(node.applied_bitvectors)
-            )
+            total += _checks(node, input_rows, rows, estimator, aware, constants)
         elif isinstance(node, AggregateNode):
             total += rows[node.child.node_id] * constants.aggregate
         else:
@@ -169,10 +227,13 @@ def _fresh_copy(plan, copies: dict):
     return copy
 
 
-def _reference(plan, estimator, aware: bool, constants) -> tuple:
+def _reference(plan, estimator, aware: bool, constants, absorption=None) -> tuple:
     copies: dict = {}
     pushed = push_down_bitvectors(_fresh_copy(plan, copies))
     rows = _reference_rows(pushed, estimator, aware)
+    absorbed = _reference_absorbed(
+        pushed, rows, estimator, absorption if aware else None
+    )
     sides = {
         join: (rows[copy.build.node_id], rows[copy.probe.node_id])
         for join, copy in copies.items()
@@ -180,19 +241,25 @@ def _reference(plan, estimator, aware: bool, constants) -> tuple:
     }
     return (
         rows[pushed.node_id],
-        _walk_cpu(pushed, rows, estimator, constants),
+        _walk_cpu(pushed, rows, estimator, aware, constants, absorbed),
         _reference_cout(pushed, rows),
         sides,
         {node.node_id: rows[copy.node_id] for node, copy in copies.items()},
+        frozenset(
+            node.node_id for node, copy in copies.items()
+            if copy.node_id in absorbed
+        ),
     )
 
 
-def _mismatches(plan, estimator, constants=DEFAULT_COSTS) -> list:
+def _mismatches(plan, estimator, constants=DEFAULT_COSTS, absorption=None) -> list:
     return [
         (aware, plan_signature(plan))
         for aware in (True, False)
-        if tuple(estimated_cpu(plan, estimator, aware, constants))
-        != _reference(plan, estimator, aware, constants)
+        if tuple(estimated_cpu(
+            plan, estimator, aware, constants, absorption=absorption
+        ))
+        != _reference(plan, estimator, aware, constants, absorption)
     ]
 
 
@@ -200,15 +267,18 @@ _price_order = OrderPricer.cpu  # unpatched by ``priced``
 
 
 def _order_mismatches(
-    graph, estimator, bottom, steps, constants=DEFAULT_COSTS
+    graph, estimator, bottom, steps, constants=DEFAULT_COSTS, absorption=None
 ) -> list:
     """Where an order's price, its tree's and the reference disagree."""
     tree = snowflake._realize(graph, bottom, steps)
-    found = _mismatches(tree, estimator, constants)
+    found = _mismatches(tree, estimator, constants, absorption)
     for aware in (True, False):
-        pricer = OrderPricer(estimator, aware, constants)
+        pricer = OrderPricer(estimator, aware, constants, absorption)
         order = _price_order(pricer, bottom, steps)
-        if not order == estimated_cpu(tree, estimator, aware, constants).cpu:
+        tree_cpu = estimated_cpu(
+            tree, estimator, aware, constants, absorption=absorption
+        ).cpu
+        if not order == tree_cpu:
             found.append((aware, "order", plan_signature(tree)))
     return found
 
@@ -218,12 +288,18 @@ def priced(monkeypatch):
     """Check every join order plan search prices, when it prices it
     (filter selection rewrites flags on shared nodes afterwards).
     ``optimize`` runs one search with its join graph known."""
-    seen = {"candidates": 0, "mismatches": [], "graph": None}
+    seen = {"candidates": 0, "absorbed": 0, "mismatches": [], "graph": None}
 
     def checked(pricer, bottom, steps):
         seen["candidates"] += 1
+        if pricer.absorption is not None:
+            tree = snowflake._realize(seen["graph"], bottom, steps)
+            seen["absorbed"] += len(estimated_cpu(
+                tree, pricer.estimator, absorption=pricer.absorption
+            ).absorbed)
         seen["mismatches"] += _order_mismatches(
-            seen["graph"], pricer.estimator, bottom, steps
+            seen["graph"], pricer.estimator, bottom, steps,
+            absorption=pricer.absorption,
         )
         return _price_order(pricer, bottom, steps)
 
@@ -258,6 +334,7 @@ def test_plan_stability_corpus_candidates_price_identically(
         for pipeline in ("bqo", "original", "bqo_allfilters"):
             searched += priced["optimize"](database, spec, pipeline).candidates
     assert priced["candidates"] == searched > 0
+    assert priced["absorbed"] > 0  # joins priced as absorbed were compared
     assert not priced["mismatches"][:5]
 
 
@@ -279,6 +356,16 @@ _UNEVEN_COSTS = [
     )
     for check in (0.09, 1 / 11, 2 / 29)
 ]
+
+
+def _counting(graph, estimator):
+    """Absorption for ``COUNT(*)`` over ``graph``'s joins, every filter
+    kept: the output reads no alias, so any scan build on its key that
+    joins all its neighbours is absorbed."""
+    spec = dataclasses.replace(graph.spec, aggregates=(Aggregate("count"),))
+    return filter_selection.absorption_for(
+        JoinGraph(spec, graph.catalog), estimator, 0.0, 1
+    )
 
 
 class TestResidualFilters:
@@ -307,7 +394,8 @@ class TestResidualFilters:
                 continue  # a cross product
 
     def _check_every_order(self, graph, estimator):
-        residuals = 0
+        residuals = absorbed = 0
+        absorption = _counting(graph, estimator)
         for plan in self._orders(graph):
             pushed = push_down_bitvectors(_fresh_copy(plan, {}))
             residuals += any(isinstance(n, FilterNode) for n in pushed.walk())
@@ -319,7 +407,12 @@ class TestResidualFilters:
                 # the CPU sum observable, pinning the residual term's place.
                 for constants in [DEFAULT_COSTS, *_UNEVEN_COSTS]:
                     assert not _mismatches(plan, estimator, constants)
+                    assert not _mismatches(plan, estimator, constants, absorption)
+                absorbed += bool(
+                    estimated_cpu(plan, estimator, absorption=absorption).absorbed
+                )
         assert residuals  # the fixture does exercise residual filters
+        assert absorbed  # and absorbed joins
 
     def test_every_order_prices_identically(self, residual_setup):
         self._check_every_order(*residual_setup)
@@ -341,25 +434,33 @@ class TestResidualFilters:
 
     def _check_every_join_order(self, graph, estimator):
         ugraph = UnitGraph(graph, estimator)
-        steps = snowflake._Steps(ugraph)
-        priced = residuals = 0
-        for bottom, *rest in itertools.permutations(["a", "b", "c"]):
-            for orientations in itertools.product((True, False), repeat=2):
-                placed, order = {bottom}, []
-                for unit, unit_builds in zip(rest, orientations):
-                    order.append(steps.step(unit, placed, unit_builds))
-                    placed.add(unit)
-                tree = snowflake._realize(graph, ugraph.unit_plan(bottom), order)
-                pushed = push_down_bitvectors(_fresh_copy(tree, {}))
-                residuals += any(isinstance(n, FilterNode) for n in pushed.walk())
-                for constants in [DEFAULT_COSTS, *_UNEVEN_COSTS]:
-                    assert not _order_mismatches(
-                        graph, estimator, ugraph.unit_plan(bottom), order,
-                        constants,
+        absorption = _counting(graph, estimator)
+        priced = residuals = absorbed = 0
+        for absorbing in (None, absorption):
+            steps = snowflake._Steps(ugraph, absorbing)
+            for bottom, *rest in itertools.permutations(["a", "b", "c"]):
+                for orientations in itertools.product((True, False), repeat=2):
+                    placed, order = {bottom}, []
+                    for unit, unit_builds in zip(rest, orientations):
+                        order.append(steps.step(unit, placed, unit_builds))
+                        placed.add(unit)
+                    tree = snowflake._realize(graph, ugraph.unit_plan(bottom), order)
+                    pushed = push_down_bitvectors(_fresh_copy(tree, {}))
+                    residuals += any(
+                        isinstance(n, FilterNode) for n in pushed.walk()
                     )
-                priced += 1
-        assert priced == 24
+                    absorbed += bool(
+                        estimated_cpu(tree, estimator, absorption=absorbing).absorbed
+                    )
+                    for constants in [DEFAULT_COSTS, *_UNEVEN_COSTS]:
+                        assert not _order_mismatches(
+                            graph, estimator, ugraph.unit_plan(bottom), order,
+                            constants, absorbing,
+                        )
+                    priced += 1
+        assert priced == 48
         assert residuals
+        assert absorbed
 
     def test_pricing_an_order_builds_nothing(self, residual_setup, monkeypatch):
         graph, estimator = residual_setup

@@ -135,7 +135,18 @@ _WORKLOADS = {
         lambda: job_lite.build_database(scale=0.02),
         lambda: [sql for _, sql in job_lite.query_sqls()],
     ),
-    "star": (lambda: star.build_database(scale=0.1), star_statements),
+    "star": (
+        lambda: star.build_database(scale=0.1),
+        # Every star statement reads fact columns only, so every join of
+        # its plan is elided; one that groups by a dimension column keeps
+        # an executed join, whose merge has shortcuts to defeat.
+        lambda: star_statements() + [
+            "SELECT d.d_year, SUM(lo.lo_revenue) AS rev FROM lineorder lo, "
+            "date_dim d, supplier s WHERE lo.lo_orderdate = d.d_datekey AND "
+            "lo.lo_suppkey = s.s_suppkey AND s.s_nation = 'NATION07' "
+            "GROUP BY d.d_year"
+        ],
+    ),
 }
 
 

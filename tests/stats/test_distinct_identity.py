@@ -19,9 +19,14 @@ from repro.workloads import customer_lite, job_lite, star, tpcds_lite
 
 def _reference_build(values: np.ndarray, num_buckets: int = 32):
     """The histogram formula with one ``np.unique`` per bucket:
-    ``(boundaries, counts, distinct)`` for columns without infinities."""
+    ``(boundaries, counts, distinct)`` for columns without infinities.
+    NaN rows go in no bucket."""
     ordered = np.sort(np.asarray(values, dtype=np.float64))
+    ordered = ordered[~np.isnan(ordered)]
     total = len(ordered)
+    if total == 0:
+        empty = np.array([], dtype=np.float64)
+        return empty, empty.astype(np.int64), empty.astype(np.int64)
     num_buckets = max(1, min(num_buckets, total))
     edges = np.unique(np.quantile(ordered, np.linspace(0.0, 1.0, num_buckets + 1)))
     if len(edges) < 2:
@@ -40,6 +45,7 @@ def _reference_build(values: np.ndarray, num_buckets: int = 32):
 
 def assert_reference_histogram(hist: EquiDepthHistogram, values) -> None:
     edges, counts, distinct = _reference_build(values)
+    assert hist.total_rows == len(values)
     assert hist.boundaries.dtype == edges.dtype
     assert hist.boundaries.tobytes() == edges.tobytes()
     assert hist.counts.dtype == counts.dtype == hist.distinct.dtype

@@ -88,10 +88,27 @@ class TestInfiniteColumns:
         assert hist.counts.tolist() == [8]
         assert hist.distinct.tolist() == [2]
 
-    def test_nan_edges_stay_where_the_column_holds_nan(self):
-        # np.quantile answers NaN for every quantile of such a column;
-        # the edges are np.unique's of those, as before.
+    def test_nan_rows_sit_in_no_bucket(self):
+        # Edges and counts come from the non-NaN values; the NaN rows
+        # count in total_rows only, so no estimate counts them.
         values = np.array([1.0, 2.0, np.nan, np.nan])
-        with np.errstate(invalid="ignore"):
-            hist = EquiDepthHistogram.build(values)
-        assert np.isnan(hist.boundaries).all()
+        hist = EquiDepthHistogram.build(values)
+        assert hist.boundaries.tolist() == [1.0, 1.5, 2.0]
+        assert hist.counts.sum() == 2
+        assert hist.total_rows == 4
+        assert hist.valid_fraction == 0.5
+        assert hist.selectivity_le(0.0) == 0.0
+        assert hist.selectivity_le(2.0) == 0.5
+        assert hist.selectivity_le(np.inf) == 0.5
+        assert hist.selectivity_gt(0.0) == 0.5
+        assert hist.selectivity_range(None, None) == 0.5
+        assert 0.0 < hist.selectivity_eq(1.0) <= 0.25
+
+    def test_all_nan_column_matches_nothing(self):
+        hist = EquiDepthHistogram.build(np.full(10, np.nan))
+        assert hist.total_rows == 10
+        assert len(hist.boundaries) == 0
+        for value in (-np.inf, 0.0, np.inf):
+            assert hist.selectivity_le(value) == 0.0
+            assert hist.selectivity_gt(value) == 0.0
+            assert hist.selectivity_eq(value) == 0.0
