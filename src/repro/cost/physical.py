@@ -94,7 +94,7 @@ class Absorption:
       read its keys above) and the output operators read none of its
       columns (``read``, what :func:`repro.plan.builder.output_reads`
       gives);
-    * keeps its filter under ``keeps(ndvs, build rows, probe rows)``,
+    * keeps its filter under ``keeps(ndvs, build rows)``,
       the selection rule the plan will be finalized with.
     Such a join's filter lands in its probe side by Algorithm 1's
     routing.  The pricing assumes exact filters, the default kind; a
@@ -107,7 +107,7 @@ class Absorption:
         self,
         graph: JoinGraph,
         read: frozenset[str],
-        keeps: Callable[[tuple, float, float], bool],
+        keeps: Callable[[tuple, float], bool],
     ) -> None:
         self.graph = graph
         self.read = read
@@ -324,7 +324,7 @@ class OrderPricer:
             # runs on the winner afterwards.
             absorbed = (
                 step.absorbs and keeps is not None
-                and keeps(step.ndvs, build_rows, probe_rows)
+                and keeps(step.ndvs, build_rows)
             )
             rows = join_rows(step.ndvs, build_rows, probe_rows, aware)
             residual = residuals[index]
@@ -521,7 +521,7 @@ class _Pass:
             and node.creates_bitvector
             and isinstance(node.build, ScanNode)
             and absorption.scan_join(node)
-            and absorption.keeps(ndvs, build_rows, probe_rows)
+            and absorption.keeps(ndvs, build_rows)
         )
         if absorbed:
             self.absorbed.append(node.node_id)

@@ -3,7 +3,7 @@
 The resilience substrate the service tier sits on.  One
 :class:`ExecutionContext` travels with a query through optimization and
 execution; engine code calls its checkpoints at natural task boundaries
-(plan-node dispatch, morsel tasks, filter-build partitions, optimizer
+(plan-node dispatch, morsel tasks, filter builds, optimizer
 enumeration steps).  Everything here is *cooperative*: nothing is ever
 interrupted mid-kernel, so a query that trips a limit always leaves the
 shared worker pool, plan cache, and filter cache in a clean state.

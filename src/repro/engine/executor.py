@@ -65,10 +65,9 @@ from repro.util.keycodes import (
     split_codes,
 )
 
-# Serial-below-this threshold, re-exported under the historical name so
-# tests can monkeypatch the executor's copy (the storage layer owns the
-# canonical value — the estimator's build-parallelism discount reads it
-# from there).
+# Serial-below-this threshold of ``Executor._pooled``, re-exported under
+# the historical name so tests can monkeypatch the executor's copy (the
+# storage layer owns the canonical value).
 _MIN_PARALLEL_ROWS = MIN_PARALLEL_ROWS
 
 # glibc mallopt parameters and the ceiling of its dynamic mmap threshold.
@@ -169,7 +168,8 @@ class Executor:
         predicate evaluation, bitvector filter application, hash-join
         probing, and large column gathers — runs per-morsel on the
         shared worker pool; build sides (hash tables, filters) are
-        built once and shared immutably, so probes are lock-free.
+        built once, in one serial pass on the calling thread, and
+        shared immutably, so probes are lock-free.
     morsel_rows:
         Target rows per morsel when splitting relations for the pool.
         Every parallel region — base-table scan or intermediate
@@ -964,67 +964,25 @@ class Executor:
         build_rel: Relation,
         metrics: ExecutionMetrics,
     ) -> BitvectorFilter:
-        """Build one join's bitvector filter.
+        """Build one join's bitvector filter in one serial pass.
 
         A kind that can be built from stored dictionary codes (the
         exact kind, ``from_dictionary_codes``) is, whenever every build
-        key still carries table provenance: one serial pass with no key
-        values gathered and nothing factorized, at every parallelism.
-        Its value build (float keys, radix overflow, keys without
-        provenance) is serial too.
-
-        Kinds with a partitioned build (the Bloom kinds), at
-        ``parallelism > 1`` with a big enough build side, build
-        per-morsel on the shared pool: each worker
-        gathers its slice of the build key columns (zero-copy range
-        views over the build relation's selection), factorizes/hashes
-        it, and returns a partial filter under the shared geometry; the
-        main thread then merges the partials *in morsel order* — a
-        deterministic barrier, so the published filter is byte-
-        equivalent to a serial build no matter how the pool scheduled
-        the partials (see the partitioned-build contract on
-        :class:`~repro.filters.base.BitvectorFilter`).  Serial
-        executions (and filter kinds without partitioned support) build
-        from the gathered key values on the calling thread.
+        key still carries table provenance: no key values gathered and
+        nothing factorized.  Otherwise (float keys, radix overflow, keys
+        without provenance, the Bloom kinds) the filter is built from
+        the gathered key values.  Either way the build runs on the
+        calling thread at every parallelism.
         """
         self._checkpoint(metrics)
+        fault_point("filter.build_partition")
         filter_class = FILTER_KINDS.get(self._filter_kind)
         from_codes = getattr(filter_class, "from_dictionary_codes", None)
         coded = from_codes and self._key_codes(build_rel, definition.build_keys)
         if coded:
-            # A code-space build is one partition: the whole build side.
-            fault_point("filter.build_partition")
             built = from_codes(*coded)
             if built is not None:
                 return built
-        ranges = self._ranges(build_rel.num_rows)
-        if (
-            ranges is not None
-            and filter_class is not None
-            and filter_class.supports_partitioned_build
-        ):
-            geometry = filter_class.build_geometry(
-                build_rel.num_rows, **self._filter_options
-            )
-
-            def task(start: int, stop: int, worker: ExecutionMetrics):
-                fault_point("filter.build_partition")
-                view = build_rel.range_view(start, stop, counters=worker)
-                return filter_class.build_partial(
-                    [
-                        view.column(alias, column)
-                        for alias, column in definition.build_keys
-                    ],
-                    geometry,
-                    **self._filter_options,
-                )
-
-            partials = self._map_ranges(metrics, ranges, task)
-            metrics.filter_builds_parallel += 1
-            metrics.filter_partials_built += len(partials)
-            return filter_class.merge(
-                partials, build_rel.num_rows, **self._filter_options
-            )
         key_columns = [
             build_rel.column(alias, column)
             for alias, column in definition.build_keys

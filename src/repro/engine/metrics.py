@@ -89,13 +89,7 @@ class ExecutionMetrics:
         # Selection accounting (see repro.engine.relation): bytes of
         # int64 position vectors created by row-filter operations.
         self.selection_bytes = 0
-        # Parallel build-side accounting (see the executor's
-        # partitioned filter builds): how many filters were built via
-        # the partition-then-merge path, how many partial builds ran on
-        # the pool, and the wall-clock the build phase cost (serial
-        # builds included, cache hits excluded).
-        self.filter_builds_parallel = 0
-        self.filter_partials_built = 0
+        # Wall-clock the filter build phase cost (cache hits excluded).
         self.filter_build_seconds = 0.0
         # Per-query resilience context (repro.engine.context), attached
         # by the executor at the top of execute().  Rides on the metrics
@@ -145,8 +139,6 @@ class ExecutionMetrics:
         self.morsels_pruned += worker.morsels_pruned
         self.rows_skipped += worker.rows_skipped
         self.selection_bytes += worker.selection_bytes
-        self.filter_builds_parallel += worker.filter_builds_parallel
-        self.filter_partials_built += worker.filter_partials_built
         self.filter_build_seconds += worker.filter_build_seconds
 
     def add_wall(self, node_id: int, seconds: float) -> None:

@@ -6,17 +6,15 @@ single shared pool (grown to the widest ``parallelism`` requested so
 far) beats per-executor pools that would multiply idle threads.  Worker
 threads release the GIL inside the numpy kernels that dominate morsel
 work — fancy-index gathers, ``searchsorted``, ``argsort``, ufunc
-comparisons, and (since the parallel-build PR) the ``np.unique``
-factorization sorts and hash scatters of per-morsel bitvector filter
-partials — which is where the parallel speedup comes from.  Probe-side
-morsels and build-side partials are both just tasks here; the
-single-build-then-shared contract is preserved by the executor's
-deterministic merge barrier, not by the pool.
+comparisons and filter probes — which is where the parallel speedup
+comes from.  Hash tables and bitvector filters are built once on the
+calling thread (a large key-column gather may still fan out here) and
+shared read-only by every task.
 
 Deadlock discipline: a morsel task must never submit to the pool it
 runs on.  The executor enforces this structurally — per-morsel relation
-views carry no parallel-gather hook, and filter partials are built from
-such views, so nothing a worker calls can re-enter the pool.
+views carry no parallel-gather hook, so nothing a worker calls can
+re-enter the pool.
 """
 
 from __future__ import annotations

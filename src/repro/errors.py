@@ -101,7 +101,7 @@ class ResilienceError(ReproError):
     """Base for resource-policy failures of one in-flight query.
 
     Raised cooperatively at checkpoint boundaries (morsel tasks, plan
-    nodes, filter-build partitions, optimizer enumeration steps), never
+    nodes, filter builds, optimizer enumeration steps), never
     asynchronously, so shared state — the worker pool, plan cache, and
     bitvector filter cache — is always left clean for the next query.
 

@@ -32,33 +32,6 @@ class BlockedBloomFilter(BitvectorFilter):
         self._num_keys = num_keys
         self._blocks = blocks
 
-    supports_partitioned_build = True
-
-    @classmethod
-    def build_geometry(
-        cls,
-        num_keys: int,
-        bits_per_key: float = _DEFAULT_BITS_PER_KEY,
-        **options,
-    ) -> dict:
-        """Block count for ``num_keys`` total keys — shared by the serial
-        build and every partition partial so OR-merged blocks are
-        bit-identical to one serial scatter."""
-        total_bits = max(
-            _BLOCK_BITS, int(math.ceil(bits_per_key * max(1, num_keys)))
-        )
-        return {"num_blocks": max(1, total_bits // _BLOCK_BITS)}
-
-    @classmethod
-    def _scatter_blocks(
-        cls, key_columns: list[np.ndarray], num_keys: int, num_blocks: int
-    ) -> np.ndarray:
-        blocks = np.zeros(num_blocks, dtype=np.uint64)
-        if num_keys:
-            block_index, masks = cls._positions(key_columns, num_blocks)
-            np.bitwise_or.at(blocks, block_index, masks)
-        return blocks
-
     @classmethod
     def build(
         cls,
@@ -67,36 +40,15 @@ class BlockedBloomFilter(BitvectorFilter):
         **options,
     ) -> "BlockedBloomFilter":
         num_keys = validate_key_columns(key_columns)
-        geometry = cls.build_geometry(num_keys, bits_per_key=bits_per_key)
-        blocks = cls._scatter_blocks(key_columns, num_keys, **geometry)
-        return cls(geometry["num_blocks"], _DEFAULT_BITS_PER_BLOCK_KEY,
-                   num_keys, blocks)
-
-    @classmethod
-    def build_partial(
-        cls, key_columns: list[np.ndarray], geometry: dict, **options
-    ) -> "BlockedBloomFilter":
-        num_keys = validate_key_columns(key_columns)
-        blocks = cls._scatter_blocks(key_columns, num_keys, **geometry)
-        return cls(geometry["num_blocks"], _DEFAULT_BITS_PER_BLOCK_KEY,
-                   num_keys, blocks)
-
-    @classmethod
-    def merge(
-        cls, partials: list["BlockedBloomFilter"], num_keys: int, **options
-    ) -> "BlockedBloomFilter":
-        """OR-merge partial block arrays built with identical geometry."""
-        if not partials:
-            raise ValueError("merge requires at least one partial")
-        first = partials[0]
-        blocks = first._blocks.copy()
-        for partial in partials[1:]:
-            if partial._num_blocks != first._num_blocks:
-                raise ValueError("partials disagree on filter geometry")
-            blocks |= partial._blocks
-        return cls(
-            first._num_blocks, first._bits_per_key, int(num_keys), blocks
+        total_bits = max(
+            _BLOCK_BITS, int(math.ceil(bits_per_key * max(1, num_keys)))
         )
+        num_blocks = max(1, total_bits // _BLOCK_BITS)
+        blocks = np.zeros(num_blocks, dtype=np.uint64)
+        if num_keys:
+            block_index, masks = cls._positions(key_columns, num_blocks)
+            np.bitwise_or.at(blocks, block_index, masks)
+        return cls(num_blocks, _DEFAULT_BITS_PER_BLOCK_KEY, num_keys, blocks)
 
     def contains(self, key_columns: list[np.ndarray]) -> np.ndarray:
         num_rows = validate_key_columns(key_columns)

@@ -35,48 +35,6 @@ class BloomFilter(BitvectorFilter):
         self._num_keys = num_keys
         self._words = words
 
-    supports_partitioned_build = True
-
-    @classmethod
-    def build_geometry(
-        cls,
-        num_keys: int,
-        bits_per_key: float = _DEFAULT_BITS_PER_KEY,
-        num_hashes: int | None = None,
-        **options,
-    ) -> dict:
-        """Bit-array size and hash count for ``num_keys`` total keys.
-
-        Shared by the serial build and every partition partial: identical
-        geometry (plus the deterministic hash seeds) is what makes the
-        OR-merge of partial word arrays bit-identical to a serial build.
-        """
-        num_bits = max(64, int(math.ceil(bits_per_key * max(1, num_keys))))
-        if num_hashes is None:
-            num_hashes = optimal_num_hashes(bits_per_key)
-        return {"num_bits": num_bits, "num_hashes": num_hashes}
-
-    @classmethod
-    def _scatter_words(
-        cls, key_columns: list[np.ndarray], num_keys: int,
-        num_bits: int, num_hashes: int,
-    ) -> np.ndarray:
-        # Build-side scatter stays on a bool array (vectorized boolean
-        # assignment; np.bitwise_or.at is an unbuffered ufunc, ~5x
-        # slower), then packs once into uint64 words for the 8x denser
-        # resident form the probe path reads.
-        num_words = (num_bits + 63) // 64
-        bits = np.zeros(num_bits, dtype=bool)
-        if num_keys:
-            h1, h2 = _base_hashes(key_columns)
-            for i in range(num_hashes):
-                positions = (h1 + np.uint64(i) * h2) % np.uint64(num_bits)
-                bits[positions] = True
-        packed = np.packbits(bits, bitorder="little")
-        padded = np.zeros(num_words * 8, dtype=np.uint8)
-        padded[: len(packed)] = packed
-        return padded.view(np.uint64)
-
     @classmethod
     def build(
         cls,
@@ -86,43 +44,23 @@ class BloomFilter(BitvectorFilter):
         **options,
     ) -> "BloomFilter":
         num_keys = validate_key_columns(key_columns)
-        geometry = cls.build_geometry(
-            num_keys, bits_per_key=bits_per_key, num_hashes=num_hashes
-        )
-        words = cls._scatter_words(key_columns, num_keys, **geometry)
-        return cls(geometry["num_bits"], geometry["num_hashes"], num_keys, words)
-
-    @classmethod
-    def build_partial(
-        cls, key_columns: list[np.ndarray], geometry: dict, **options
-    ) -> "BloomFilter":
-        """Partial over one partition, scattered into the *shared*
-        geometry (never this partition's own key count)."""
-        num_keys = validate_key_columns(key_columns)
-        words = cls._scatter_words(key_columns, num_keys, **geometry)
-        return cls(geometry["num_bits"], geometry["num_hashes"], num_keys, words)
-
-    @classmethod
-    def merge(
-        cls, partials: list["BloomFilter"], num_keys: int, **options
-    ) -> "BloomFilter":
-        """OR-merge partial word arrays built with identical geometry.
-
-        A key's bit positions depend only on its value and the geometry,
-        so the union of per-partition scatters is bit-identical to one
-        serial scatter over all keys.
-        """
-        if not partials:
-            raise ValueError("merge requires at least one partial")
-        first = partials[0]
-        words = first._words.copy()
-        for partial in partials[1:]:
-            if (partial._num_bits, partial._num_hashes) != (
-                first._num_bits, first._num_hashes
-            ):
-                raise ValueError("partials disagree on filter geometry")
-            words |= partial._words
-        return cls(first._num_bits, first._num_hashes, int(num_keys), words)
+        num_bits = max(64, int(math.ceil(bits_per_key * max(1, num_keys))))
+        if num_hashes is None:
+            num_hashes = optimal_num_hashes(bits_per_key)
+        # Build-side scatter stays on a bool array (vectorized boolean
+        # assignment; np.bitwise_or.at is an unbuffered ufunc, ~5x
+        # slower), then packs once into uint64 words for the 8x denser
+        # resident form the probe path reads.
+        bits = np.zeros(num_bits, dtype=bool)
+        if num_keys:
+            h1, h2 = _base_hashes(key_columns)
+            for i in range(num_hashes):
+                positions = (h1 + np.uint64(i) * h2) % np.uint64(num_bits)
+                bits[positions] = True
+        packed = np.packbits(bits, bitorder="little")
+        padded = np.zeros((num_bits + 63) // 64 * 8, dtype=np.uint8)
+        padded[: len(packed)] = packed
+        return cls(num_bits, num_hashes, num_keys, padded.view(np.uint64))
 
     def contains(self, key_columns: list[np.ndarray]) -> np.ndarray:
         num_rows = validate_key_columns(key_columns)

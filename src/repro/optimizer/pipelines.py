@@ -84,7 +84,6 @@ def _finalize(
     cost_based: bool,
     lambda_thresh: float,
     search: SearchStats,
-    build_parallelism: int = 1,
     absorption: Absorption | None = None,
 ) -> OptimizedPlan:
     if not use_bitvectors:
@@ -92,10 +91,7 @@ def _finalize(
             if isinstance(node, HashJoinNode):
                 node.creates_bitvector = False
     elif cost_based:
-        plan = apply_cost_based_filters(
-            plan, estimator, lambda_thresh,
-            build_parallelism=build_parallelism,
-        )
+        plan = apply_cost_based_filters(plan, estimator, lambda_thresh)
     estimated = estimated_cpu(plan, estimator, absorption=absorption)
     plan = attach_aggregate(push_down_bitvectors(plan), spec)
     return OptimizedPlan(
@@ -115,7 +111,6 @@ def _run_pipeline(
     database: Database,
     spec: QuerySpec,
     lambda_thresh: float,
-    build_parallelism: int = 1,
     context=None,
 ) -> OptimizedPlan:
     if context is not None:
@@ -130,10 +125,7 @@ def _run_pipeline(
     # is finalized with; a zero threshold keeps every filter.
     absorption = None
     if use_bitvectors:
-        absorption = absorption_for(
-            graph, estimator, lambda_thresh if cost_based else 0.0,
-            build_parallelism,
-        )
+        absorption = absorption_for(graph, lambda_thresh if cost_based else 0.0)
 
     if pipeline in ("original", "original_nobv", "original_allfilters"):
         plan = optimize_join_graph(
@@ -152,8 +144,7 @@ def _run_pipeline(
 
     return _finalize(
         pipeline, spec, plan, estimator, use_bitvectors, cost_based,
-        lambda_thresh, search, build_parallelism=build_parallelism,
-        absorption=absorption,
+        lambda_thresh, search, absorption=absorption,
     )
 
 
@@ -186,11 +177,10 @@ def optimize_query(
 ) -> OptimizedPlan:
     """Optimize ``spec`` with a named pipeline.
 
-    ``build_parallelism`` tells cost-based filter selection what
-    executor parallelism the plan will run at, so it can discount
-    filter build cost by the partitioned build pipeline's speedup (see
-    :func:`repro.optimizer.filter_selection.apply_cost_based_filters`);
-    the default 1 reproduces the paper's serial-build threshold.
+    ``build_parallelism`` is accepted and ignored: every filter is built
+    in one serial pass, which the paper's ``lambda_thresh`` prices, so
+    plans do not depend on executor parallelism.  Kept because the
+    benchmark's ``perf/perf_workloads.py`` passes it.
 
     ``context`` (an :class:`~repro.engine.context.ExecutionContext`)
     makes planning itself abortable: the snowflake-extraction loop and
@@ -215,18 +205,12 @@ def optimize_query(
         ) from None
     started = time.perf_counter()
     if tracer is None:
-        optimized = runner(
-            database, spec, lambda_thresh,
-            build_parallelism=build_parallelism, context=context,
-        )
+        optimized = runner(database, spec, lambda_thresh, context=context)
     else:
         with tracer.span(
             "optimize", pipeline=pipeline, query=spec.name
         ) as span:
-            optimized = runner(
-                database, spec, lambda_thresh,
-                build_parallelism=build_parallelism, context=context,
-            )
+            optimized = runner(database, spec, lambda_thresh, context=context)
             span.set(
                 estimated_cout=optimized.estimated_cout,
                 candidates=optimized.candidates,

@@ -49,10 +49,8 @@ class ServiceMetrics:
     # Selection state (repro.engine.relation): bytes of int64 position
     # vectors created during execution.
     selection_bytes: int = 0
-    # Parallel build-side pipeline (repro.engine.executor): filters
-    # constructed via partition-build-then-merge, and the wall-clock
-    # the query spent building filters (cache hits cost nothing).
-    filter_builds_parallel: int = 0
+    # Wall-clock the query spent building filters (cache hits cost
+    # nothing).
     filter_build_seconds: float = 0.0
     # Resilience accounting (repro.engine.context).  ``degraded`` marks
     # a query whose parallel run breached its ResourceBudget and was
@@ -90,7 +88,6 @@ class ServiceStats:
     # walked when QueryService.stats() takes the snapshot — never per
     # statement (it visits every cached filter and each of its memos).
     filter_bytes_resident: int = 0
-    total_filter_builds_parallel: int = 0
     total_filter_build_seconds: float = 0.0
     # Resilience aggregates.  ``failures`` / ``timeouts`` are counted
     # by the service when an execution raises (no ServiceMetrics is
@@ -124,7 +121,6 @@ class ServiceStats:
         self.total_morsels_pruned += metrics.morsels_pruned
         self.total_rows_skipped += metrics.rows_skipped
         self.total_selection_bytes += metrics.selection_bytes
-        self.total_filter_builds_parallel += metrics.filter_builds_parallel
         self.total_filter_build_seconds += metrics.filter_build_seconds
         if metrics.degraded:
             self.degradations += 1

@@ -24,8 +24,8 @@ points are thread-safe.  Both concurrent front doors —
 :class:`~repro.service.async_service.AsyncQueryService` — run each
 statement through one slot that applies the retry policy and returns
 failures as error records.  With ``parallelism > 1`` each query
-additionally runs morsel-parallel inside the executor (see
-:mod:`repro.engine.parallel`).
+additionally runs its scans and probes morsel-parallel inside the
+executor (see :mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.errors import (
 )
 from repro.expr.expressions import substitute_parameters
 from repro.filters.cache import BitvectorFilterCache
-from repro.filters.registry import FILTER_KINDS
 from repro.obs import ServiceTelemetry, Tracer
 from repro.optimizer.pipelines import PIPELINES, optimize_query
 from repro.plan.display import format_plan
@@ -119,10 +118,9 @@ class QueryService:
         engine); cross-query (``max_workers``, each batch's own pool)
         and intra-query (``parallelism``, the process-wide morsel
         pool) parallelism compose, with the morsel pool bounded by the
-        widest ``parallelism`` in the process.  At ``parallelism > 1``
-        Bloom-family filter builds run partitioned on the pool (the plan
-        cache optimizes with the matching build-cost discount; exact
-        filters build serially and get none).
+        widest ``parallelism`` in the process.  Filters of every kind
+        build in one serial pass, so plans do not depend on
+        ``parallelism``.
     deadline_seconds:
         Default per-query wall-clock deadline (see
         :class:`~repro.engine.context.Deadline`).  ``None`` (default)
@@ -203,10 +201,6 @@ class QueryService:
             parallelism=parallelism,
             morsel_rows=morsel_rows,
         )
-        # Filter selection discounts build cost by the parallelism filters
-        # are built at: 1 for a kind that never partitions its build.
-        partitioned = getattr(FILTER_KINDS.get(filter_kind), "supports_partitioned_build", False)
-        self._build_parallelism = parallelism if partitioned else 1
         # Serial fallback for degrade="serial": same database, same
         # shared filter cache, parallelism 1 — created lazily because
         # most services never degrade.
@@ -381,7 +375,6 @@ class QueryService:
                     morsels_pruned=result.metrics.morsels_pruned,
                     rows_skipped=result.metrics.rows_skipped,
                     selection_bytes=result.metrics.selection_bytes,
-                    filter_builds_parallel=result.metrics.filter_builds_parallel,
                     filter_build_seconds=result.metrics.filter_build_seconds,
                     degraded=degraded,
                     wall_seconds=time.perf_counter() - wall_started,
@@ -585,9 +578,8 @@ class QueryService:
             f"-- parallel execution: parallelism={self._executor.parallelism} "
             f"morsel_rows={self._executor.morsel_rows}"
             + (
-                f" ({stats.total_filter_builds_parallel} partitioned filter "
-                f"builds, {stats.total_filter_build_seconds * 1e3:.2f} ms "
-                f"build phase)"
+                f" (filters built serially, "
+                f"{stats.total_filter_build_seconds * 1e3:.2f} ms build phase)"
                 if self._executor.parallelism > 1
                 else " (serial)"
             ),
@@ -735,12 +727,7 @@ class QueryService:
             f"{metrics.rows_skipped} rows skipped",
             f"-- filters: {metrics.filter_cache_hits} cache hits / "
             f"{metrics.filter_cache_misses} misses, "
-            f"{metrics.filter_build_seconds * 1e3:.2f} ms built"
-            + (
-                f" ({metrics.filter_builds_parallel} partitioned)"
-                if metrics.filter_builds_parallel
-                else ""
-            ),
+            f"{metrics.filter_build_seconds * 1e3:.2f} ms built",
             "-- spans: "
             + (
                 ", ".join(
@@ -845,7 +832,6 @@ class QueryService:
                 spec, template_spec = parse_and_bind()
         optimized = optimize_query(
             self._database, spec, pipeline, lambda_thresh=self._lambda_thresh,
-            build_parallelism=self._build_parallelism,
             context=context,
             tracer=tracer,
         )

@@ -280,36 +280,6 @@ class CardinalityEstimator:
         return float(min(1.0, max(0.0, survival)))
 
     # ------------------------------------------------------------------
-    # Parallel build-side discounting
-    # ------------------------------------------------------------------
-
-    def filter_build_discount(
-        self, build_rows: float, parallelism: int
-    ) -> float:
-        """Effective divisor on a filter's build cost at this parallelism.
-
-        The executor partitions a join's bitvector build across the
-        worker pool (partition-build-then-merge, see
-        :meth:`repro.engine.executor.Executor._build_join_filter`), so
-        the optimizer should charge the build pass at roughly
-        ``cost / discount`` when trading it against probe savings.  The
-        model mirrors the executor's own dispatch rules: serial below
-        :data:`~repro.storage.partition.MIN_PARALLEL_ROWS` (discount
-        1.0), and never crediting more workers than can each be fed a
-        :data:`~repro.storage.partition.MIN_MORSEL_ROWS`-sized
-        partition — tiny builds cannot amortize per-morsel dispatch no
-        matter how wide the pool is.
-        """
-        from repro.storage.partition import MIN_MORSEL_ROWS, MIN_PARALLEL_ROWS
-
-        parallelism = int(parallelism)
-        if parallelism <= 1 or build_rows < MIN_PARALLEL_ROWS:
-            return 1.0
-        return float(
-            min(float(parallelism), max(build_rows / MIN_MORSEL_ROWS, 1.0))
-        )
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 

@@ -30,8 +30,7 @@ MIN_MORSEL_ROWS = 1024
 
 # Below this row count a parallel region is processed serially even at
 # parallelism > 1: per-morsel dispatch would cost more than the numpy
-# kernels it splits.  Shared by the executor (which enforces it) and
-# the estimator's build-parallelism discount (which must predict it).
+# kernels it splits.  The executor enforces it.
 MIN_PARALLEL_ROWS = 8192
 
 

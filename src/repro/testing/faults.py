@@ -14,11 +14,10 @@ Registered sites (the engine's ``fault_point(site)`` calls):
                           (:func:`repro.engine.parallel.run_morsel_tasks`)
 ``"morsel.task"``         one morsel worker task, in dispatch order
                           (:meth:`repro.engine.executor.Executor._map_ranges`)
-``"filter.build_partition"``  one partition of a bitvector filter build: each
-                          fan-out task, each step of the serial
-                          :meth:`~repro.filters.base.BitvectorFilter.build_partitioned`,
-                          and the executor's code-space exact build (one
-                          partition, the whole build side)
+``"filter.build_partition"``  one bitvector filter build, of any kind, before
+                          any key is read
+                          (:meth:`repro.engine.executor.Executor._build_join_filter`;
+                          the name is historical: a build is one pass)
 ``"cache.publish"``       publication of a built filter into the
                           :class:`~repro.filters.cache.BitvectorFilterCache`
 ``"service.admit"``       one admission decision in the service front-end

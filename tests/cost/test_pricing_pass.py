@@ -169,9 +169,7 @@ def _reference_absorbed(pushed, rows, estimator, absorption) -> set:
         ):
             continue
         ndvs = key_ndvs(estimator, node.build_keys, node.probe_keys)
-        if absorption.keeps(
-            ndvs, rows[node.build.node_id], rows[node.probe.node_id]
-        ):
+        if absorption.keeps(ndvs, rows[node.build.node_id]):
             absorbed.add(node.node_id)
     return absorbed
 
@@ -358,13 +356,13 @@ _UNEVEN_COSTS = [
 ]
 
 
-def _counting(graph, estimator):
+def _counting(graph):
     """Absorption for ``COUNT(*)`` over ``graph``'s joins, every filter
     kept: the output reads no alias, so any scan build on its key that
     joins all its neighbours is absorbed."""
     spec = dataclasses.replace(graph.spec, aggregates=(Aggregate("count"),))
     return filter_selection.absorption_for(
-        JoinGraph(spec, graph.catalog), estimator, 0.0, 1
+        JoinGraph(spec, graph.catalog), 0.0
     )
 
 
@@ -395,7 +393,7 @@ class TestResidualFilters:
 
     def _check_every_order(self, graph, estimator):
         residuals = absorbed = 0
-        absorption = _counting(graph, estimator)
+        absorption = _counting(graph)
         for plan in self._orders(graph):
             pushed = push_down_bitvectors(_fresh_copy(plan, {}))
             residuals += any(isinstance(n, FilterNode) for n in pushed.walk())
@@ -434,7 +432,7 @@ class TestResidualFilters:
 
     def _check_every_join_order(self, graph, estimator):
         ugraph = UnitGraph(graph, estimator)
-        absorption = _counting(graph, estimator)
+        absorption = _counting(graph)
         priced = residuals = absorbed = 0
         for absorbing in (None, absorption):
             steps = snowflake._Steps(ugraph, absorbing)

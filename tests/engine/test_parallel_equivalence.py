@@ -10,6 +10,8 @@ monkeypatched down so the randomized workloads (small on purpose) still
 split into many morsels per operator.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,132 @@ def test_parallelism_one_is_serial_engine():
         configured_result.metrics.rows_copied
         == default_result.metrics.rows_copied
     )
+
+
+# -- filter builds: one serial pass at every parallelism -------------------
+
+
+def _build_bound(seed: int) -> tuple[Database, QuerySpec, list[list[str]]]:
+    """A dimension bigger than its fact table, so the filter build is the
+    largest region of the plan (and a filtered build side is an index
+    selection whose key gathers could fan out)."""
+    rng = np.random.default_rng(seed)
+    n_dim, n_fact = 6_000, 3_000
+    database = Database(f"build_bound_{seed}")
+    database.add_table(
+        Table.from_arrays(
+            "dim",
+            {"id": np.arange(n_dim), "attr": rng.integers(0, 50, n_dim)},
+            key=("id",),
+        )
+    )
+    database.add_table(
+        Table.from_arrays(
+            "fact",
+            {
+                "fk": rng.integers(0, n_dim, n_fact),
+                "m": np.round(rng.normal(size=n_fact), 6),
+            },
+        )
+    )
+    database.add_foreign_key(ForeignKey("fact", ("fk",), "dim", ("id",)))
+    spec = QuerySpec(
+        name="q",
+        relations=(RelationRef("f", "fact"), RelationRef("d", "dim")),
+        join_predicates=(JoinPredicate("f", ("fk",), "d", ("id",)),),
+        local_predicates={"d": Comparison("<", col("d", "attr"), lit(35))},
+        aggregates=(
+            Aggregate("count", label="cnt"),
+            Aggregate("sum", col("f", "m"), label="total"),
+        ),
+    )
+    return database, spec, [["f", "d"]]
+
+
+@pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
+def test_build_bound_parallel_matches_serial(filter_kind):
+    """The filter a build-bound plan builds answers the same at
+    parallelism 1 and 4, for every kind, byte for byte."""
+    database, spec, orders = _build_bound(1)
+    (plan,) = _aggregate_plans(database, spec, orders)
+    results = [
+        Executor(
+            database, filter_kind=filter_kind, parallelism=parallelism,
+            morsel_rows=256,
+        ).execute(plan)
+        for parallelism in (1, 4)
+    ]
+    for label in results[0].aggregates:
+        assert (
+            results[1].aggregates[label].tobytes()
+            == results[0].aggregates[label].tobytes()
+        ), (filter_kind, label)
+
+
+@pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
+def test_filter_build_is_metered_on_a_miss_only(filter_kind):
+    """A filter-cache miss meters its build phase; a hit builds nothing
+    and meters zero."""
+    database, spec, orders = _build_bound(4)
+    (plan,) = _aggregate_plans(database, spec, orders)
+    executor = Executor(
+        database, filter_kind=filter_kind,
+        filter_cache=BitvectorFilterCache(8), parallelism=4, morsel_rows=256,
+    )
+    cold = executor.execute(plan).metrics
+    warm = executor.execute(plan).metrics
+    assert cold.filter_cache_misses == 1
+    assert cold.filter_build_seconds > 0.0
+    assert warm.filter_cache_hits == 1
+    assert warm.filter_build_seconds == 0.0
+
+
+@pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
+def test_filter_cache_entry_is_shared_across_parallelism(filter_kind):
+    """A filter built at parallelism 4 is the one a serial executor on
+    the same cache reuses: the cache key does not name the parallelism."""
+    database, spec, orders = _build_bound(5)
+    (plan,) = _aggregate_plans(database, spec, orders)
+    cache = BitvectorFilterCache(8)
+    parallel, serial = (
+        Executor(
+            database, filter_kind=filter_kind, filter_cache=cache, **options
+        ).execute(plan)
+        for options in ({"parallelism": 4, "morsel_rows": 256}, {})
+    )
+    assert len(cache) == 1
+    assert serial.metrics.filter_cache_hits == 1
+    for label in serial.aggregates:
+        assert (
+            parallel.aggregates[label].tobytes()
+            == serial.aggregates[label].tobytes()
+        )
+
+
+@pytest.mark.parametrize("filter_kind", ["bloom", "blocked_bloom"])
+def test_bloom_sized_from_the_whole_build_side(filter_kind, monkeypatch):
+    """At parallelism 4 a Bloom kind is still one filter over every
+    build row, sized from their total count, built on the calling
+    thread."""
+    built = []
+
+    def spy(kind, key_columns, **options):
+        bitvector = FILTER_KINDS[kind].build(key_columns, **options)
+        built.append((len(key_columns[0]), bitvector, threading.get_ident()))
+        return bitvector
+
+    monkeypatch.setattr(executor_module, "create_filter", spy)
+    database, spec, orders = _build_bound(6)
+    (plan,) = _aggregate_plans(database, spec, orders)
+    Executor(
+        database, filter_kind=filter_kind, parallelism=4, morsel_rows=256
+    ).execute(plan)
+    ((build_rows, bitvector, thread),) = built
+    assert build_rows > 256 * 4
+    assert bitvector.num_keys == build_rows
+    # Geometry depends on the key count only.
+    filter_class = FILTER_KINDS[filter_kind]
+    whole = filter_class.build([np.arange(build_rows)]).size_bits
+    one_morsel = filter_class.build([np.arange(256)]).size_bits
+    assert bitvector.size_bits == whole > one_morsel
+    assert thread == threading.get_ident()

@@ -378,3 +378,51 @@ class TestFallbacks:
         distinct = len(set(scan.column("d", "k_int").tolist()))
         assert built.describe()["presence_slots"] == distinct + 1
         assert calls == [1, 1]
+
+    def test_float_keys_build_serially_at_parallelism_four(self, monkeypatch):
+        """Float build keys have no stored codes, so the exact filter is
+        built from the gathered values: on the calling thread at
+        parallelism 4, answering as the serial executor does."""
+        import threading
+
+        import repro.engine.executor as executor_module
+        from repro.filters import create_filter
+        from repro.optimizer.pipelines import optimize_query
+        from repro.sql.binder import parse_query
+
+        threads = []
+
+        def spy(kind, key_columns, **options):
+            threads.append(threading.get_ident())
+            return create_filter(kind, key_columns, **options)
+
+        monkeypatch.setattr(executor_module, "create_filter", spy)
+        rng = np.random.default_rng(23)
+        database = Database("float_keys")
+        database.add_table(Table.from_arrays(
+            "dim",
+            {"k": np.arange(20_000) * 0.5, "w": rng.integers(0, 10, 20_000)},
+        ))
+        keys = rng.integers(0, 40_000, 30_000) * 0.5
+        keys[::41] = np.nan
+        database.add_table(Table.from_arrays(
+            "fact", {"k": keys, "v": rng.integers(0, 100, 30_000)},
+        ))
+        sql = (
+            "SELECT COUNT(*) AS cnt, SUM(f.v) AS total FROM fact f, dim d"
+            " WHERE f.k = d.k AND d.w < 7"
+        )
+        plan = optimize_query(
+            database, parse_query(database, sql, "float_keys"), "bqo"
+        ).plan
+        serial = Executor(database).execute(plan)
+        parallel = Executor(
+            database, parallelism=4, morsel_rows=2_048
+        ).execute(plan)
+        assert threads == [threading.get_ident()] * 2
+        assert serial.scalar("cnt") > 0
+        for label in serial.aggregates:
+            assert (
+                parallel.aggregates[label].tobytes()
+                == serial.aggregates[label].tobytes()
+            ), label

@@ -106,6 +106,62 @@ class TestBlockedBloomFilter:
         assert f.size_bits >= 100 * 12 - 64
 
 
+def _layout_columns(layout: str, rng):
+    if layout == "clustered":
+        return [np.sort(rng.integers(0, 4000, 30_000))]
+    if layout == "shuffled":
+        return [rng.integers(0, 4000, 30_000)]
+    if layout == "primary_key":
+        return [rng.permutation(25_000)]
+    if layout == "strings":
+        return [
+            np.array(
+                [f"k{int(v) % 701}" for v in rng.integers(0, 4000, 20_000)],
+                dtype=object,
+            )
+        ]
+    if layout == "multi_column":
+        keys = rng.integers(0, 500, 25_000)
+        return [keys, np.array([f"s{int(v) % 97}" for v in keys], dtype=object)]
+    raise AssertionError(layout)
+
+
+def _probe_for(columns, rng):
+    probe_keys = rng.integers(-100, 6000, 8_000)
+    if columns[0].dtype.kind in "OUS":
+        return [np.array([f"k{int(v) % 719}" for v in probe_keys], dtype=object)]
+    probe = [probe_keys]
+    for _ in columns[1:]:
+        probe.append(
+            np.array([f"s{int(v) % 101}" for v in probe_keys], dtype=object)
+        )
+    return probe
+
+
+class TestBuildOrderIndependence:
+    """A filter is one pass over the whole build side, and that side's
+    row order depends on the plan (join order, selections, morsel
+    gathers): the filter it yields must not."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["clustered", "shuffled", "primary_key", "strings", "multi_column"],
+    )
+    @pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+    def test_reordered_build_side_gives_the_same_filter(self, kind, layout):
+        rng = np.random.default_rng(sorted(FILTER_KINDS).index(kind) * 10 + len(layout))
+        columns = _layout_columns(layout, rng)
+        order = rng.permutation(len(columns[0]))
+        probe = _probe_for(columns, rng)
+        built = FILTER_KINDS[kind].build(columns)
+        reordered = FILTER_KINDS[kind].build([column[order] for column in columns])
+        assert reordered.num_keys == built.num_keys == len(columns[0])
+        assert reordered.size_bits == built.size_bits
+        assert np.array_equal(reordered.contains(probe), built.contains(probe))
+        assert reordered.contains(columns).all()
+        assert reordered.false_positive_rate() == built.false_positive_rate()
+
+
 class TestRegistry:
     def test_known_kinds(self):
         assert set(FILTER_KINDS) == {"exact", "bloom", "blocked_bloom"}

@@ -12,10 +12,12 @@ from repro.plan.builder import build_right_deep
 from repro.plan.nodes import HashJoinNode
 from repro.query.joingraph import JoinGraph
 from repro.query.spec import JoinPredicate, QuerySpec, RelationRef
+from repro.service import QueryService
 from repro.stats.estimator import CardinalityEstimator
 from repro.storage.database import Database
 from repro.storage.schema import ForeignKey
 from repro.storage.table import Table
+from repro.workloads import tpcds_lite
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +120,67 @@ class TestPipelines:
             optimized = optimize_query(star_db, star_spec, pipeline)
             cpu[pipeline] = executor.execute(optimized.plan).metrics.metered_cpu()
         assert cpu["bqo"] <= cpu["original"] * 1.25
+
+
+def _created_filters(plan):
+    return [
+        node.created_bitvector is not None
+        for node in plan.walk()
+        if isinstance(node, HashJoinNode)
+    ]
+
+
+class TestPlansIgnoreParallelism:
+    """Every filter is built in one serial pass, which the threshold
+    prices; executor parallelism cannot move a plan."""
+
+    @pytest.fixture(scope="class")
+    def tpcds(self):
+        # ds_q18 under "original" is the statement a build-cost
+        # discount at parallelism 4 once re-flagged at this scale.
+        database = tpcds_lite.build_database(1.0)
+        return database, {spec.name: spec for spec in tpcds_lite.queries(database)}
+
+    def test_build_parallelism_is_accepted_and_ignored(self, tpcds):
+        database, specs = tpcds
+        default = optimize_query(database, specs["ds_q18"], "original")
+        wide = optimize_query(
+            database, specs["ds_q18"], "original", build_parallelism=4
+        )
+        assert wide.signature == default.signature
+        assert wide.estimated_cout == default.estimated_cout
+        assert _created_filters(wide.plan) == _created_filters(default.plan)
+
+    @pytest.mark.parametrize("pipeline", ["bqo", "original"])
+    @pytest.mark.parametrize(
+        "workload", ["tpcds_tiny", "job_tiny", "customer_tiny"]
+    )
+    def test_every_statement_plans_alike(self, request, workload, pipeline):
+        database, specs = request.getfixturevalue(workload)
+        for spec in specs:
+            default = optimize_query(database, spec, pipeline)
+            wide = optimize_query(database, spec, pipeline, build_parallelism=4)
+            assert (wide.signature, wide.estimated_cout) == (
+                default.signature, default.estimated_cout
+            ), spec.name
+            assert _created_filters(wide.plan) == _created_filters(default.plan)
+
+    def test_bloom_service_caches_the_same_plans_at_any_parallelism(self, tpcds):
+        database, _ = tpcds
+        cached = []
+        for parallelism in (1, 4):
+            with QueryService(
+                database, pipeline="original", filter_kind="bloom",
+                parallelism=parallelism,
+            ) as service:
+                for _, sql in tpcds_lite.query_sqls():
+                    service.explain(sql)
+                cached.append({
+                    (entry.fingerprint, entry.pipeline): (
+                        entry.signature, entry.estimated_cout,
+                        _created_filters(entry.plan),
+                    )
+                    for entry in service.plan_cache.values()
+                })
+        assert len(cached[0]) == len(tpcds_lite.query_sqls())
+        assert cached[1] == cached[0]

@@ -2,8 +2,8 @@
 differential-oracle proof that shared state survived.
 
 The property under test is a negative: *no* failure at *any* internal
-boundary — pool submission, a morsel task, a filter-build partition,
-a cache publication — may poison the shared worker pool, plan cache,
+boundary — pool submission, a morsel task, a filter build, a cache
+publication — may poison the shared worker pool, plan cache,
 or bitvector filter cache.  Each scenario injects a deterministic
 fault into one query, asserts the failure surfaces as a typed engine
 error, and then proves the very next query on the *same* service is
@@ -16,18 +16,14 @@ import threading
 
 import pytest
 
-import repro.engine.executor as executor_module
 from repro import QueryService
+from repro.engine.executor import Executor
 from repro.errors import MorselTaskError, QueryTimeout, ReproError
+from repro.optimizer.pipelines import optimize_query
+from repro.plan.nodes import HashJoinNode
+from repro.sql.binder import parse_query
 from repro.testing import FaultPlan, InjectedFault, inject
 from repro.testing.faults import ENGINE_SITES
-
-@pytest.fixture(autouse=True)
-def _partitionable_build_side(monkeypatch):
-    """Drop the parallel floor further than the suite default: the
-    predicate-filtered dim build side (~40 rows) must still split so
-    the ``filter.build_partition`` site is reachable."""
-    monkeypatch.setattr(executor_module, "_MIN_PARALLEL_ROWS", 16)
 
 
 COUNT_SQL = (
@@ -80,14 +76,22 @@ def test_fault_at_every_site_is_typed_and_recoverable(star_db, site, sql):
     assert service.stats().failures == 1
 
 
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("filter_kind", ["exact", "bloom", "blocked_bloom"])
 @pytest.mark.parametrize(
     "site", ["filter.build_partition", "cache.publish"]
 )
-def test_failed_builds_never_poison_the_filter_cache(star_db, site):
-    service = _parallel_service(star_db)
-    with inject(FaultPlan().raise_at(site, invocation=0)):
+def test_failed_builds_never_poison_the_filter_cache(
+    star_db, site, filter_kind, parallelism
+):
+    service = QueryService(
+        star_db, filter_kind=filter_kind, parallelism=parallelism,
+        morsel_rows=512,
+    )
+    with inject(FaultPlan().raise_at(site, invocation=0)) as plan:
         with pytest.raises(ReproError):
             service.execute(COUNT_SQL)
+    assert plan.total_fired == 1, f"site {site} never fired"
     # Nothing half-built was published.
     assert len(service.filter_cache) == 0
     # The next run rebuilds from scratch and publishes...
@@ -98,6 +102,30 @@ def test_failed_builds_never_poison_the_filter_cache(star_db, site):
     warm = service.execute(COUNT_SQL)
     assert warm.metrics.filter_cache_hits > 0
     _assert_byte_identical(warm, star_db, COUNT_SQL)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("filter_kind", ["exact", "bloom", "blocked_bloom"])
+def test_build_site_fires_once_per_filter_build(star_db, filter_kind, parallelism):
+    """Every filter build passes ``filter.build_partition`` exactly once:
+    the exact kind's code-space build and the Bloom kinds' value build,
+    serial and parallel alike."""
+    plan = optimize_query(
+        star_db, parse_query(star_db, SUM_SQL, "sum"), "bqo_allfilters"
+    ).plan
+    builds = sum(
+        node.created_bitvector is not None
+        for node in plan.walk()
+        if isinstance(node, HashJoinNode)
+    )
+    executor = Executor(
+        star_db, filter_kind=filter_kind, parallelism=parallelism,
+        morsel_rows=512,
+    )
+    with inject(FaultPlan()) as faults:
+        executor.execute(plan)
+    assert builds >= 2
+    assert faults.count("filter.build_partition") == builds
 
 
 def test_stalled_morsel_under_deadline_recovers_byte_identical(star_db):

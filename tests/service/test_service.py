@@ -352,6 +352,23 @@ def test_parallel_service_matches_serial(star_db):
     assert observed == expected
 
 
+def test_explain_reports_the_serial_build_phase_at_parallelism(star_db):
+    """At ``parallelism > 1`` the header says filters build serially and
+    how long their build phase took so far."""
+    service = QueryService(star_db, parallelism=4, morsel_rows=512)
+    assert "filters built serially, 0.00 ms build phase" in service.explain(
+        _count_sql(3)
+    )
+    service.execute(_count_sql(3))
+    (line,) = [
+        line for line in service.explain(_count_sql(3)).splitlines()
+        if line.startswith("-- parallel execution:")
+    ]
+    assert "filters built serially" in line
+    assert "0.00 ms build phase" not in line
+    assert service.stats().total_filter_build_seconds > 0.0
+
+
 def test_explain_reports_parallel_configuration(star_db):
     serial = QueryService(star_db)
     rendered = serial.explain(_count_sql(3))
