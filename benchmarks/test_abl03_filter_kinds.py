@@ -1,4 +1,4 @@
-"""Ablation 3 — filter implementations: exact vs Bloom vs blocked Bloom.
+"""Ablation 3 — filter implementations: exact vs blocked Bloom.
 
 The paper's analysis assumes no false positives; its implementation uses
 SQL Server's hash bitmaps.  This ablation executes the BQO plans under
@@ -7,22 +7,21 @@ each filter implementation and compares CPU and answers:
 * answers must be identical (filters never drop matching tuples, and
   joins re-verify keys, so false positives cost work but not
   correctness);
-* Bloom variants admit false positives, so their plans process at least
-  as many tuples as the exact filter's.
+* the blocked Bloom kind admits false positives, so its plans process at
+  least as many tuples as the exact filter's.
 """
 
 from __future__ import annotations
 
 from repro.bench.harness import run_workload
 from repro.bench.reporting import render_table
-
-_KINDS = ("exact", "bloom", "blocked_bloom")
+from repro.filters import FILTER_KINDS
 
 
 def _run_kinds(db, queries) -> list[dict]:
     rows = []
     checksums: dict[str, dict] = {}
-    for kind in _KINDS:
+    for kind in sorted(FILTER_KINDS):
         result = run_workload(
             "tpcds", db, queries, pipelines=("bqo",), filter_kind=kind
         )
@@ -40,9 +39,9 @@ def _run_kinds(db, queries) -> list[dict]:
             }
         )
     # answers identical across filter kinds
-    reference = checksums["exact"]
-    for kind in ("bloom", "blocked_bloom"):
-        assert checksums[kind] == reference, f"{kind} changed query answers"
+    assert checksums["blocked_bloom"] == checksums["exact"], (
+        "blocked_bloom changed query answers"
+    )
     return rows
 
 
@@ -55,11 +54,13 @@ def test_abl03_filter_kinds(tpcds_workload, benchmark):
     print(render_table(rows, "Ablation: bitvector filter implementations"))
 
     by_kind = {row["filter"]: row for row in rows}
-    # False positives can only let extra tuples through.
-    assert by_kind["bloom"]["total_tuples"] >= by_kind["exact"]["total_tuples"]
+    # False positives can only let extra tuples through...
     assert (
         by_kind["blocked_bloom"]["total_tuples"]
         >= by_kind["exact"]["total_tuples"]
     )
-    # ...but at sensible bits/key the overhead stays small.
-    assert by_kind["bloom"]["total_cpu"] <= by_kind["exact"]["total_cpu"] * 1.25
+    # ...but at 12 bits/key the overhead stays small.
+    assert (
+        by_kind["blocked_bloom"]["total_cpu"]
+        <= by_kind["exact"]["total_cpu"] * 1.25
+    )

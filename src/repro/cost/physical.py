@@ -97,8 +97,8 @@ class Absorption:
     * keeps its filter under ``keeps(ndvs, build rows)``,
       the selection rule the plan will be finalized with.
     Such a join's filter lands in its probe side by Algorithm 1's
-    routing.  The pricing assumes exact filters, the default kind; a
-    Bloom kind executes the join and answers the same.
+    routing.  The pricing assumes exact filters, the default kind; the
+    blocked Bloom kind executes the join and answers the same.
     """
 
     __slots__ = ("graph", "read", "keeps", "_scan_joins")

@@ -36,7 +36,7 @@ from repro.expr.eval import (
 )
 from repro.expr.expressions import ColumnRef, referenced_columns
 from repro.filters.base import BitvectorFilter
-from repro.filters.registry import FILTER_KINDS, create_filter
+from repro.filters.registry import create_filter, filter_class_for
 from repro.plan.nodes import (
     AggregateNode,
     BitvectorDef,
@@ -151,11 +151,9 @@ class Executor:
         Table source.
     filter_kind:
         Which bitvector implementation joins create: ``"exact"``
-        (default — the no-false-positives filter the theory assumes),
-        ``"bloom"``, or ``"blocked_bloom"``.
-    filter_options:
-        Extra keyword arguments for the filter constructor (e.g.
-        ``bits_per_key``).
+        (default — the no-false-positives filter the theory assumes) or
+        ``"blocked_bloom"`` (the hashed kind, with false positives).  An
+        unknown kind raises ``ValueError`` here, not at the first join.
     filter_cache:
         Optional :class:`~repro.filters.cache.BitvectorFilterCache`
         shared across executions; joins whose build side is a bare scan
@@ -181,7 +179,6 @@ class Executor:
         self,
         database: Database,
         filter_kind: str = "exact",
-        filter_options: dict | None = None,
         adaptive_filter_order: bool = False,
         filter_cache=None,
         parallelism: int = 1,
@@ -189,7 +186,7 @@ class Executor:
     ) -> None:
         self._database = database
         self._filter_kind = filter_kind
-        self._filter_options = dict(filter_options or {})
+        self._filter_class = filter_class_for(filter_kind)
         # LIP-style runtime reordering of stacked filters (see
         # repro.engine.lip); off by default to match the paper's engine.
         self._adaptive_filter_order = adaptive_filter_order
@@ -970,14 +967,13 @@ class Executor:
         exact kind, ``from_dictionary_codes``) is, whenever every build
         key still carries table provenance: no key values gathered and
         nothing factorized.  Otherwise (float keys, radix overflow, keys
-        without provenance, the Bloom kinds) the filter is built from
+        without provenance, the hashed kind) the filter is built from
         the gathered key values.  Either way the build runs on the
         calling thread at every parallelism.
         """
         self._checkpoint(metrics)
         fault_point("filter.build_partition")
-        filter_class = FILTER_KINDS.get(self._filter_kind)
-        from_codes = getattr(filter_class, "from_dictionary_codes", None)
+        from_codes = getattr(self._filter_class, "from_dictionary_codes", None)
         coded = from_codes and self._key_codes(build_rel, definition.build_keys)
         if coded:
             built = from_codes(*coded)
@@ -987,9 +983,7 @@ class Executor:
             build_rel.column(alias, column)
             for alias, column in definition.build_keys
         ]
-        return create_filter(
-            self._filter_kind, key_columns, **self._filter_options
-        )
+        return create_filter(self._filter_kind, key_columns)
 
     def _cacheable_filter_key(
         self,
@@ -1017,7 +1011,6 @@ class Executor:
             key_columns=tuple(column for _, column in definition.build_keys),
             predicate_key=structural_key(predicate, include_aliases=False),
             filter_kind=self._filter_kind,
-            filter_options=self._filter_options,
         )
 
     def _residual_filter(
@@ -1154,7 +1147,7 @@ class Executor:
         Filters that can answer in code space (the exact kind) take the
         view's stored dictionary codes — one gather through the filter's
         memoized ``probe code -> member`` table, no value column
-        materialized, no per-row search.  ``None`` for Bloom kinds and
+        materialized, no per-row search.  ``None`` for the hashed kind and
         for keys without table provenance or of float dtype.
         """
         probe = getattr(bitvector, "contains_dictionary_codes", None)

@@ -122,24 +122,19 @@ class ExecutionMetrics:
         return self.selection_bytes
 
     def merge_counters(self, worker: "ExecutionMetrics") -> None:
-        """Fold one morsel worker's flat counters into this metrics.
+        """Fold one morsel worker's counters into this metrics.
 
         Parallel regions hand each worker a private ``ExecutionMetrics``
         so counter updates never race; the executor merges them on the
-        main thread after the barrier.  Only the flat counters move —
-        per-node component counts are recorded by the main thread, which
-        sees whole-relation row counts regardless of morsel shape.
+        main thread after the barrier.  A worker writes only through
+        its range view's :meth:`count_copy` / :meth:`count_selection`,
+        so only those three counters move.  Everything else — per-node
+        component counts, band search, filter cache, dictionary and
+        filter-build counters — is recorded on the dispatching thread.
         """
         self.rows_copied += worker.rows_copied
         self.bytes_gathered += worker.bytes_gathered
-        self.dictionary_hits += worker.dictionary_hits
-        self.dictionary_misses += worker.dictionary_misses
-        self.filter_cache_hits += worker.filter_cache_hits
-        self.filter_cache_misses += worker.filter_cache_misses
-        self.morsels_pruned += worker.morsels_pruned
-        self.rows_skipped += worker.rows_skipped
         self.selection_bytes += worker.selection_bytes
-        self.filter_build_seconds += worker.filter_build_seconds
 
     def add_wall(self, node_id: int, seconds: float) -> None:
         """Accumulate inclusive wall time on a node (tracer-armed only)."""

@@ -29,7 +29,7 @@ class BitvectorFilter(abc.ABC):
 
     @classmethod
     @abc.abstractmethod
-    def build(cls, key_columns: list[np.ndarray], **options) -> "BitvectorFilter":
+    def build(cls, key_columns: list[np.ndarray]) -> "BitvectorFilter":
         """Construct a filter containing every key tuple in the columns.
 
         ``key_columns`` is a non-empty list of equal-length arrays; row

@@ -2,15 +2,13 @@
 
 Each key hashes to one 64-bit block and sets ``k`` bits inside it, so a
 probe touches a single cache line (Putze et al., and the layout modern
-vectorized engines use).  Slightly worse FP rate than a classic Bloom
-filter at equal space, much better memory locality — included so the
-ablation benches can compare filter families, mirroring the paper's
-related-work discussion of filter variants.
+vectorized engines use).  Slightly worse FP rate than a classic k-hash
+Bloom filter at equal space, much better memory locality.  It is the
+one hashed kind: it keeps false-positive semantics in the oracle and
+the ablation benches, mirroring the paper's SQL Server hash bitmaps.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -18,37 +16,29 @@ from repro.filters.base import BitvectorFilter, validate_key_columns
 from repro.util.hashing import hash_columns, hash_int64
 
 _BLOCK_BITS = 64
-_DEFAULT_BITS_PER_KEY = 12
-_DEFAULT_BITS_PER_BLOCK_KEY = 4
+_BITS_PER_KEY = 12
+_BITS_PER_BLOCK_KEY = 4
 
 
 class BlockedBloomFilter(BitvectorFilter):
     """Bloom filter where each key lives in one 64-bit block."""
 
-    def __init__(self, num_blocks: int, bits_per_key: int, num_keys: int,
+    def __init__(self, num_blocks: int, num_keys: int,
                  blocks: np.ndarray) -> None:
         self._num_blocks = num_blocks
-        self._bits_per_key = bits_per_key
         self._num_keys = num_keys
         self._blocks = blocks
 
     @classmethod
-    def build(
-        cls,
-        key_columns: list[np.ndarray],
-        bits_per_key: float = _DEFAULT_BITS_PER_KEY,
-        **options,
-    ) -> "BlockedBloomFilter":
+    def build(cls, key_columns: list[np.ndarray]) -> "BlockedBloomFilter":
         num_keys = validate_key_columns(key_columns)
-        total_bits = max(
-            _BLOCK_BITS, int(math.ceil(bits_per_key * max(1, num_keys)))
-        )
+        total_bits = max(_BLOCK_BITS, _BITS_PER_KEY * max(1, num_keys))
         num_blocks = max(1, total_bits // _BLOCK_BITS)
         blocks = np.zeros(num_blocks, dtype=np.uint64)
         if num_keys:
             block_index, masks = cls._positions(key_columns, num_blocks)
             np.bitwise_or.at(blocks, block_index, masks)
-        return cls(num_blocks, _DEFAULT_BITS_PER_BLOCK_KEY, num_keys, blocks)
+        return cls(num_blocks, num_keys, blocks)
 
     def contains(self, key_columns: list[np.ndarray]) -> np.ndarray:
         num_rows = validate_key_columns(key_columns)
@@ -68,7 +58,7 @@ class BlockedBloomFilter(BitvectorFilter):
         with np.errstate(over="ignore"):
             mix = hash_int64(h.view(np.int64))
         masks = np.zeros(len(h), dtype=np.uint64)
-        for i in range(_DEFAULT_BITS_PER_BLOCK_KEY):
+        for i in range(_BITS_PER_BLOCK_KEY):
             shift = np.uint64(i * 6)
             bit = (mix >> shift) & np.uint64(_BLOCK_BITS - 1)
             masks |= np.uint64(1) << bit
@@ -88,7 +78,7 @@ class BlockedBloomFilter(BitvectorFilter):
         fill = float(
             np.unpackbits(self._blocks.view(np.uint8)).sum()
         ) / (self._num_blocks * _BLOCK_BITS)
-        return fill ** self._bits_per_key
+        return fill ** _BITS_PER_BLOCK_KEY
 
     def __repr__(self) -> str:
         return (

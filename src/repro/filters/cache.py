@@ -12,8 +12,8 @@ unit::
 
     (build table, build key columns, local predicate structure)
 
-plus the filter implementation (kind + options), since a Bloom filter
-and an exact filter built from the same rows are different artifacts.
+plus the filter kind, since a Bloom filter and an exact filter built
+from the same rows are different artifacts.
 Predicate structure is encoded alias-free
 (:func:`repro.expr.expressions.structural_key`), so two queries that
 alias ``customer`` as ``c`` and ``cust`` share one filter.
@@ -60,11 +60,9 @@ def filter_cache_key(
     key_columns: tuple[str, ...],
     predicate_key: object,
     filter_kind: str,
-    filter_options: dict | None = None,
 ) -> tuple:
     """Canonical, hashable cache key for one buildable filter."""
-    options = tuple(sorted((filter_options or {}).items()))
-    return (table_name, key_columns, predicate_key, filter_kind, options)
+    return (table_name, key_columns, predicate_key, filter_kind)
 
 
 class BitvectorFilterCache(LruCache):

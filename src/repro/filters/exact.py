@@ -160,7 +160,7 @@ class ExactFilter(BitvectorFilter):
         return True
 
     @classmethod
-    def build(cls, key_columns: list[np.ndarray], **options) -> "ExactFilter":
+    def build(cls, key_columns: list[np.ndarray]) -> "ExactFilter":
         return cls(key_columns)
 
     def contains(self, key_columns: list[np.ndarray]) -> np.ndarray:

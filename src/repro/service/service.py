@@ -49,6 +49,7 @@ from repro.errors import (
 )
 from repro.expr.expressions import substitute_parameters
 from repro.filters.cache import BitvectorFilterCache
+from repro.filters.registry import filter_class_for
 from repro.obs import ServiceTelemetry, Tracer
 from repro.optimizer.pipelines import PIPELINES, optimize_query
 from repro.plan.display import format_plan
@@ -105,8 +106,10 @@ class QueryService:
     pipeline:
         Default optimization pipeline (any :data:`repro.optimizer.PIPELINES`
         name; per-call override available).
-    filter_kind / filter_options:
-        Bitvector filter implementation the executor deploys.
+    filter_kind:
+        Bitvector filter kind the executor deploys: ``"exact"``
+        (default) or ``"blocked_bloom"`` (see
+        :data:`repro.filters.FILTER_KINDS`).
     plan_cache_size / filter_cache_size:
         LRU bounds for the two caches.
     max_workers:
@@ -161,7 +164,6 @@ class QueryService:
         database: Database,
         pipeline: str = "bqo",
         filter_kind: str = "exact",
-        filter_options: dict | None = None,
         lambda_thresh: float = DEFAULT_LAMBDA_THRESH,
         plan_cache_size: int = 128,
         filter_cache_size: int = 64,
@@ -178,6 +180,10 @@ class QueryService:
             raise ServiceError(
                 f"unknown pipeline {pipeline!r}; expected one of {sorted(PIPELINES)}"
             )
+        try:
+            filter_class_for(filter_kind)
+        except ValueError as exc:
+            raise ServiceError(str(exc)) from None
         if degrade not in ("error", "serial"):
             raise ServiceError(
                 f"unknown degrade mode {degrade!r}; expected 'error' or 'serial'"
@@ -196,7 +202,6 @@ class QueryService:
         self._executor = Executor(
             database,
             filter_kind=filter_kind,
-            filter_options=filter_options,
             filter_cache=self.filter_cache,
             parallelism=parallelism,
             morsel_rows=morsel_rows,
@@ -206,9 +211,7 @@ class QueryService:
         # most services never degrade.
         self._fallback_executor: Executor | None = None
         self._fallback_args = dict(
-            filter_kind=filter_kind,
-            filter_options=filter_options,
-            morsel_rows=morsel_rows,
+            filter_kind=filter_kind, morsel_rows=morsel_rows
         )
         self._stats = ServiceStats()
         self.telemetry = ServiceTelemetry()
@@ -601,7 +604,7 @@ class QueryService:
             f"{stats.retries} retries)",
         ]
         # The joins priced as absorbed are the ones execution will elide,
-        # as long as the filters are exact: a Bloom kind executes them.
+        # as long as the filters are exact: the Bloom kind executes them.
         absorbed = entry.absorbed if self._filter_kind == "exact" else ()
         return "\n".join(header) + "\n" + format_plan(
             entry.plan, {node_id: "[absorbed]" for node_id in absorbed}

@@ -1,8 +1,13 @@
 """Tests for the experiment harness and figure/table computations."""
 
+import itertools
+
 import pytest
 
+import repro.bench.harness as harness_module
 from repro.bench.harness import run_workload
+from repro.errors import ExecutionError
+from repro.filters import FILTER_KINDS
 from repro.bench.reporting import (
     figure8_rows,
     figure9_rows,
@@ -55,6 +60,38 @@ class TestHarness:
             result.run(q, "original_nobv").num_filters_created == 0
             for q in result.queries()
         )
+
+
+class TestConsistencyUnderEveryKind:
+    """The cross-pipeline answer check runs whatever the filter kind:
+    the hashed kind's false positives cost work, never answers."""
+
+    @pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+    def test_kind_answers_match_the_exact_answers(self, tpcds_tiny, result, kind):
+        db, queries = tpcds_tiny
+        under_kind = run_workload(
+            "tpcds", db, queries[:9], pipelines=("original", "bqo"),
+            filter_kind=kind,
+        )
+        for query in result.queries():
+            for pipeline in under_kind.pipelines:
+                assert (
+                    under_kind.run(query, pipeline).checksum
+                    == result.run(query, "original").checksum
+                )
+
+    @pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+    def test_divergent_pipelines_raise(self, tpcds_tiny, monkeypatch, kind):
+        db, queries = tpcds_tiny
+        answers = itertools.count()
+        monkeypatch.setattr(
+            harness_module, "_checksum", lambda result: float(next(answers))
+        )
+        with pytest.raises(ExecutionError, match="pipelines disagree"):
+            run_workload(
+                "tpcds", db, queries[:1], pipelines=("original", "bqo"),
+                filter_kind=kind,
+            )
 
 
 class TestReporting:

@@ -319,14 +319,13 @@ class TestFilterProbeCodes:
         executor = Executor(database)
         scan = _scan(database)
         ints = _exact(np.arange(5))
-        # Float probe column, float build keys, Bloom kinds, a probe
+        # Float probe column, float build keys, the hashed kind, a probe
         # column without table provenance: all stay on contains(values).
         assert executor._contains_by_codes(ints, [("f", "k_float")], scan) is None
         floats = _exact(np.array([1.0, np.nan]))
         assert executor._contains_by_codes(floats, [("f", "k_int")], scan) is None
-        for kind in ("bloom", "blocked_bloom"):
-            bloom = create_filter(kind, [np.arange(5)])
-            assert executor._contains_by_codes(bloom, [("f", "k_int")], scan) is None
+        hashed = create_filter("blocked_bloom", [np.arange(5)])
+        assert executor._contains_by_codes(hashed, [("f", "k_int")], scan) is None
         derived = Relation(
             {("f", "k_int"): database.table("fact").column("k_int")}, _ROWS
         )

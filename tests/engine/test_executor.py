@@ -113,10 +113,15 @@ class TestStarExecution:
             push_down_bitvectors(build_right_deep(graph, ["f", "d1", "d2"])),
             star_spec,
         )
-        result = Executor(star_db, filter_kind="bloom").execute(plan)
+        result = Executor(star_db, filter_kind="blocked_bloom").execute(plan)
         # Bloom filters have no false negatives and join re-checks keys,
         # so the final answer is identical.
         assert result.scalar("cnt") == star_expected_count
+
+    @pytest.mark.parametrize("kind", ["bloom", "cuckoo", "Exact"])
+    def test_unknown_filter_kind_rejected_at_construction(self, star_db, kind):
+        with pytest.raises(ValueError, match=f"unknown filter kind '{kind}'"):
+            Executor(star_db, filter_kind=kind)
 
     def test_join_order_does_not_change_result(self, star_db, star_spec, star_expected_count):
         graph = JoinGraph(star_spec, star_db.catalog)

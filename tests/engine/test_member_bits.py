@@ -15,7 +15,7 @@ scan and compacts once.  These tests hold that path to:
 * the same path on a stack over a clustered fact key, whose whole-table
   scan no morsel synopsis narrows;
 * today's probe path wherever a bitmap is not row-aligned or not kept:
-  Bloom kinds, two-column keys, float keys and a predicate-selected
+  the hashed kind, two-column keys, float keys and a predicate-selected
   fact scan;
 * one ``ceil(rows / 8)``-byte bitmap per probed column in
   :attr:`ExactFilter.resident_bytes`.
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.engine.executor import Executor
-from repro.filters.bloom import BloomFilter
+from repro.filters.blocked import BlockedBloomFilter
 from repro.filters.cache import BitvectorFilterCache
 from repro.filters.exact import ExactFilter
 from repro.obs.trace import Tracer
@@ -219,7 +219,7 @@ def test_invalidated_dictionaries_rebuild_the_memo():
 
 
 _FALLBACKS = {
-    "bloom": (_stack_sql(2), {"filter_kind": "bloom"}, False),
+    "blocked_bloom": (_stack_sql(2), {"filter_kind": "blocked_bloom"}, False),
     "two_column_key": (
         "SELECT COUNT(*) AS cnt, SUM(f.m) AS total FROM fact f, pair p "
         "WHERE f.pa = p.a AND f.pb = p.b AND p.v < 4",
@@ -302,8 +302,8 @@ def test_only_single_column_indexed_filters_keep_bitmaps():
     database = _database()
     dictionary = database.dictionary("fact", "fk1")
     keys = np.arange(10)
-    assert BloomFilter.build([keys]).member_bits(dictionary) is None
+    assert BlockedBloomFilter.build([keys]).member_bits(dictionary) is None
     assert ExactFilter([keys, keys]).member_bits(dictionary) is None
     assert ExactFilter([keys.astype(np.float64)]).member_bits(dictionary) is None
-    assert not BloomFilter.supports_member_bits
+    assert not BlockedBloomFilter.supports_member_bits
     assert ExactFilter.supports_member_bits

@@ -1,6 +1,6 @@
 """Parallel-vs-serial equivalence: morsel-driven execution must be
 byte-identical to the serial engine for every filter kind (exact,
-bloom, blocked bloom) and for LIP-style adaptive filter ordering.
+blocked bloom) and for LIP-style adaptive filter ordering.
 
 Morsel decomposition is order-preserving by construction — per-morsel
 ``flatnonzero`` offsets concatenate to the serial selection, and join
@@ -260,25 +260,95 @@ def test_parallel_matches_serial_with_lip_ordering(seed):
             )
 
 
-def test_parallel_metrics_counters_merged():
-    """Worker counters land in the main metrics after the barrier."""
-    database, spec, orders = _random_star(5)
-    plan = _aggregate_plans(database, spec, orders)[0]
-    serial_metrics = Executor(database).execute(plan).metrics
-    parallel_metrics = (
-        Executor(database, parallelism=4, morsel_rows=512)
-        .execute(plan)
-        .metrics
+def _counted_star() -> tuple[Database, QuerySpec, list[list[str]]]:
+    """A fact table over a dimension whose sorted key a band predicate
+    narrows (``rows_skipped``) and a float-keyed dimension whose join no
+    dictionary answers (``dictionary_misses``)."""
+    rng = np.random.default_rng(7)
+    n_fact = 6_000
+    database = Database("counted_star")
+    database.add_table(
+        Table.from_arrays(
+            "dim1",
+            {"id": np.arange(120), "v": rng.integers(0, 10, 120)},
+            key=("id",),
+        )
     )
-    # Metered tuple counts are recorded on the main thread and must be
-    # mode-independent.
-    assert parallel_metrics.metered_cpu() == serial_metrics.metered_cpu()
-    # Copy accounting flows back from the per-worker metrics; the
-    # parallel engine still gathers *something* (join keys, aggregate
-    # inputs), so merged counters must be non-zero.
-    assert parallel_metrics.rows_copied > 0
-    assert parallel_metrics.bytes_gathered > 0
-    assert parallel_metrics.dictionary_hits == serial_metrics.dictionary_hits
+    database.add_table(
+        Table.from_arrays(
+            "fdim", {"x": np.arange(80) * 0.5, "w": rng.integers(0, 8, 80)}
+        )
+    )
+    database.add_table(
+        Table.from_arrays(
+            "fact",
+            {
+                "fk1": rng.integers(0, 120, n_fact),
+                "fx": rng.integers(0, 80, n_fact) * 0.5,
+                "m": np.round(rng.normal(size=n_fact), 6),
+            },
+        )
+    )
+    database.add_foreign_key(ForeignKey("fact", ("fk1",), "dim1", ("id",)))
+    spec = QuerySpec(
+        name="q",
+        relations=(
+            RelationRef("f", "fact"),
+            RelationRef("a", "dim1"),
+            RelationRef("x", "fdim"),
+        ),
+        join_predicates=(
+            JoinPredicate("f", ("fk1",), "a", ("id",)),
+            JoinPredicate("f", ("fx",), "x", ("x",)),
+        ),
+        local_predicates={
+            "a": Comparison("<", col("a", "id"), lit(40)),
+            "x": Comparison("<", col("x", "w"), lit(4)),
+        },
+        aggregates=(
+            Aggregate("count", label="cnt"),
+            Aggregate("sum", col("f", "m"), label="total"),
+        ),
+    )
+    return database, spec, [["f", "a", "x"], ["x", "f", "a"]]
+
+
+_DISPATCHER_COUNTERS = (
+    "filter_cache_hits",
+    "filter_cache_misses",
+    "rows_skipped",
+    "dictionary_hits",
+    "dictionary_misses",
+)
+
+
+def test_parallel_metrics_counters_merged():
+    """Worker counters land in the main metrics after the barrier, and
+    the counters only the dispatching thread writes equal serial."""
+    database, spec, orders = _counted_star()
+    executors = [
+        Executor(database, filter_cache=BitvectorFilterCache(), **options)
+        for options in ({}, {"parallelism": 4, "morsel_rows": 512})
+    ]
+    totals = dict.fromkeys(_DISPATCHER_COUNTERS, 0)
+    for plan in _aggregate_plans(database, spec, orders):
+        # Cold (filter cache misses), then warm (hits).
+        for _ in range(2):
+            serial, parallel = (
+                executor.execute(plan).metrics for executor in executors
+            )
+            # Metered tuple counts are recorded on the main thread and
+            # must be mode-independent.
+            assert parallel.metered_cpu() == serial.metered_cpu()
+            # Copy accounting flows back from the per-worker metrics;
+            # the parallel engine still gathers *something* (join keys,
+            # aggregate inputs), so merged counters must be non-zero.
+            assert parallel.rows_copied > 0
+            assert parallel.bytes_gathered > 0
+            for counter in _DISPATCHER_COUNTERS:
+                assert getattr(parallel, counter) == getattr(serial, counter)
+                totals[counter] += getattr(serial, counter)
+    assert all(totals.values()), totals
 
 
 def test_parallelism_one_is_serial_engine():
@@ -399,15 +469,38 @@ def test_filter_cache_entry_is_shared_across_parallelism(filter_kind):
         )
 
 
-@pytest.mark.parametrize("filter_kind", ["bloom", "blocked_bloom"])
-def test_bloom_sized_from_the_whole_build_side(filter_kind, monkeypatch):
-    """At parallelism 4 a Bloom kind is still one filter over every
+@pytest.mark.parametrize("first_kind", sorted(FILTER_KINDS))
+def test_filter_cache_entries_are_per_kind(first_kind):
+    """Two kinds sharing one cache never serve each other's filter: the
+    cache key names the kind, and each entry is of its own kind."""
+    database, spec, orders = _build_bound(5)
+    (plan,) = _aggregate_plans(database, spec, orders)
+    cache = BitvectorFilterCache(8)
+    kinds = [first_kind] + [k for k in sorted(FILTER_KINDS) if k != first_kind]
+    results = [
+        Executor(database, filter_kind=kind, filter_cache=cache).execute(plan)
+        for kind in kinds
+    ]
+    assert [r.metrics.filter_cache_misses for r in results] == [1, 1]
+    assert [r.metrics.filter_cache_hits for r in results] == [0, 0]
+    assert sorted(type(entry).__name__ for entry in cache.values()) == sorted(
+        cls.__name__ for cls in FILTER_KINDS.values()
+    )
+    for label in results[0].aggregates:
+        assert (
+            results[0].aggregates[label].tobytes()
+            == results[1].aggregates[label].tobytes()
+        )
+
+
+def test_bloom_sized_from_the_whole_build_side(monkeypatch):
+    """At parallelism 4 the hashed kind is still one filter over every
     build row, sized from their total count, built on the calling
     thread."""
     built = []
 
-    def spy(kind, key_columns, **options):
-        bitvector = FILTER_KINDS[kind].build(key_columns, **options)
+    def spy(kind, key_columns):
+        bitvector = FILTER_KINDS[kind].build(key_columns)
         built.append((len(key_columns[0]), bitvector, threading.get_ident()))
         return bitvector
 
@@ -415,13 +508,13 @@ def test_bloom_sized_from_the_whole_build_side(filter_kind, monkeypatch):
     database, spec, orders = _build_bound(6)
     (plan,) = _aggregate_plans(database, spec, orders)
     Executor(
-        database, filter_kind=filter_kind, parallelism=4, morsel_rows=256
+        database, filter_kind="blocked_bloom", parallelism=4, morsel_rows=256
     ).execute(plan)
     ((build_rows, bitvector, thread),) = built
     assert build_rows > 256 * 4
     assert bitvector.num_keys == build_rows
     # Geometry depends on the key count only.
-    filter_class = FILTER_KINDS[filter_kind]
+    filter_class = FILTER_KINDS["blocked_bloom"]
     whole = filter_class.build([np.arange(build_rows)]).size_bits
     one_morsel = filter_class.build([np.arange(256)]).size_bits
     assert bitvector.size_bits == whole > one_morsel

@@ -392,9 +392,9 @@ class TestFallbacks:
 
         threads = []
 
-        def spy(kind, key_columns, **options):
+        def spy(kind, key_columns):
             threads.append(threading.get_ident())
-            return create_filter(kind, key_columns, **options)
+            return create_filter(kind, key_columns)
 
         monkeypatch.setattr(executor_module, "create_filter", spy)
         rng = np.random.default_rng(23)

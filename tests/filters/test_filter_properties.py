@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.filters import BlockedBloomFilter, BloomFilter, ExactFilter
+from repro.filters import BlockedBloomFilter, ExactFilter
 
 _key_lists = st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=200)
 
@@ -29,17 +29,35 @@ class TestNoFalseNegativesProperty:
 
     @given(keys=_key_lists)
     @settings(max_examples=60, deadline=None)
-    def test_bloom(self, keys):
-        f = BloomFilter.build([int_col(keys)])
-        if keys:
-            assert f.contains([int_col(keys)]).all()
-
-    @given(keys=_key_lists)
-    @settings(max_examples=60, deadline=None)
     def test_blocked_bloom(self, keys):
         f = BlockedBloomFilter.build([int_col(keys)])
         if keys:
             assert f.contains([int_col(keys)]).all()
+
+
+class TestHashedPassesContainExactProperty:
+    """The hashed kind's passes are a superset of the exact kind's:
+    false positives add rows, never drop one."""
+
+    @given(keys=_key_lists, probes=_key_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_bloom_contains_exact(self, keys, probes):
+        exact = ExactFilter.build([int_col(keys)]).contains([int_col(probes)])
+        hashed = BlockedBloomFilter.build([int_col(keys)]).contains(
+            [int_col(probes)]
+        )
+        assert not (exact & ~hashed).any()
+
+    @given(
+        keys=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(-5, 5)),
+            min_size=1, max_size=100,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_bloom_multicolumn_keeps_every_tuple(self, keys):
+        columns = [int_col([k[0] for k in keys]), int_col([k[1] for k in keys])]
+        assert BlockedBloomFilter.build(columns).contains(columns).all()
 
 
 class TestExactSetSemanticsProperty:

@@ -1,15 +1,17 @@
 """Tests for the bitvector filter family."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.filters import (
     BlockedBloomFilter,
-    BloomFilter,
     ExactFilter,
     create_filter,
     FILTER_KINDS,
 )
+from repro.filters.registry import filter_class_for
 
 
 def int_col(values):
@@ -50,44 +52,6 @@ class TestExactFilter:
         assert f.size_bits == 3 * 64
 
 
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        keys = int_col(np.random.default_rng(0).integers(0, 10**9, 5000))
-        f = BloomFilter.build([keys])
-        assert f.contains([keys]).all()
-
-    def test_false_positive_rate_reasonable(self):
-        rng = np.random.default_rng(1)
-        keys = int_col(rng.integers(0, 10**12, 10_000))
-        f = BloomFilter.build([keys], bits_per_key=10)
-        probes = int_col(rng.integers(10**12, 2 * 10**12, 20_000))
-        fp = f.contains([probes]).mean()
-        # theoretical ~0.8% at 10 bits/key; allow generous slack
-        assert fp < 0.05
-
-    def test_more_bits_fewer_false_positives(self):
-        rng = np.random.default_rng(2)
-        keys = int_col(rng.integers(0, 10**12, 5000))
-        probes = int_col(rng.integers(10**12, 2 * 10**12, 20_000))
-        small = BloomFilter.build([keys], bits_per_key=4).contains([probes]).mean()
-        large = BloomFilter.build([keys], bits_per_key=16).contains([probes]).mean()
-        assert large < small
-
-    def test_fp_estimate_tracks_fill(self):
-        keys = int_col(range(1000))
-        f = BloomFilter.build([keys], bits_per_key=10)
-        assert 0.0 < f.fill_fraction() < 1.0
-        assert 0.0 <= f.false_positive_rate() <= 1.0
-
-    def test_empty_filter_rejects_all(self):
-        f = BloomFilter.build([int_col([])])
-        assert not f.contains([int_col([1])]).any()
-
-    def test_multi_column(self):
-        f = BloomFilter.build([int_col([1, 2]), int_col([5, 6])])
-        assert f.contains([int_col([1, 2]), int_col([5, 6])]).all()
-
-
 class TestBlockedBloomFilter:
     def test_no_false_negatives(self):
         keys = int_col(np.random.default_rng(3).integers(0, 10**9, 5000))
@@ -97,13 +61,59 @@ class TestBlockedBloomFilter:
     def test_false_positive_rate_bounded(self):
         rng = np.random.default_rng(4)
         keys = int_col(rng.integers(0, 10**12, 10_000))
-        f = BlockedBloomFilter.build([keys], bits_per_key=12)
+        f = BlockedBloomFilter.build([keys])
         probes = int_col(rng.integers(10**12, 2 * 10**12, 20_000))
         assert f.contains([probes]).mean() < 0.10
 
     def test_size_reported(self):
-        f = BlockedBloomFilter.build([int_col(range(100))], bits_per_key=12)
+        f = BlockedBloomFilter.build([int_col(range(100))])
         assert f.size_bits >= 100 * 12 - 64
+
+    def test_fp_estimate_tracks_fill(self):
+        f = BlockedBloomFilter.build([int_col(range(1000))])
+        assert 0.0 < f.false_positive_rate() < 1.0
+        assert f.may_have_false_positives
+
+    def test_empty_filter_rejects_all(self):
+        f = BlockedBloomFilter.build([int_col([])])
+        assert not f.contains([int_col([1])]).any()
+
+    def test_multi_column(self):
+        f = BlockedBloomFilter.build([int_col([1, 2]), int_col([5, 6])])
+        assert f.contains([int_col([1, 2]), int_col([5, 6])]).all()
+
+    def test_blocks_stay_uint64(self):
+        f = BlockedBloomFilter.build([int_col(range(500))])
+        assert f._blocks.dtype == np.uint64
+        assert f.contains([int_col(range(500))]).all()
+
+    def test_one_key_sets_at_most_four_bits_in_one_block(self):
+        f = BlockedBloomFilter.build([int_col([123456789])])
+        occupied = np.flatnonzero(f._blocks)
+        assert len(occupied) == 1
+        bits = int(np.unpackbits(f._blocks[occupied].view(np.uint8)).sum())
+        assert 1 <= bits <= 4
+
+    def test_false_positive_rate_is_fill_to_the_fourth(self):
+        f = BlockedBloomFilter.build([int_col(range(2000))])
+        fill = np.unpackbits(f._blocks.view(np.uint8)).mean()
+        assert f.false_positive_rate() == pytest.approx(fill ** 4)
+
+    @pytest.mark.parametrize("build_keys", [1_000, 30_000])
+    def test_fill_estimate_is_a_lower_bound_on_measured_rate(self, build_keys):
+        """At 12 bits per key the measured rate is about 1.2 %.  The
+        estimate reads the mean fill, and blocks fill unevenly, so
+        (Jensen) it can only understate the rate."""
+        f = BlockedBloomFilter.build([int_col(np.arange(build_keys) * 7 + 3)])
+        measured = f.contains([int_col(-np.arange(1, 200_001))]).mean()
+        assert 0.005 < measured < 0.03
+        assert f.false_positive_rate() <= measured
+
+    def test_constructor_takes_no_bits_per_key(self):
+        with pytest.raises(TypeError):
+            BlockedBloomFilter(
+                1, 0, np.zeros(1, dtype=np.uint64), bits_per_key=4
+            )
 
 
 def _layout_columns(layout: str, rng):
@@ -162,9 +172,65 @@ class TestBuildOrderIndependence:
         assert reordered.false_positive_rate() == built.false_positive_rate()
 
 
+class TestHashedPassesContainExact:
+    """The hashed kind may pass a probe key the exact filter rejects (a
+    false positive), never the reverse; the exact filter passes exactly
+    the build side's key tuples."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["clustered", "shuffled", "primary_key", "strings", "multi_column"],
+    )
+    def test_blocked_passes_contain_exact_passes(self, layout):
+        rng = np.random.default_rng(100 + len(layout))
+        columns = _layout_columns(layout, rng)
+        probe = _probe_for(columns, rng)
+        exact = ExactFilter.build(columns).contains(probe)
+        hashed = BlockedBloomFilter.build(columns).contains(probe)
+        members = set(zip(*(column.tolist() for column in columns)))
+        expected = [key in members for key in zip(*(c.tolist() for c in probe))]
+        assert exact.tolist() == expected
+        assert exact.any() and not exact.all()
+        assert not (exact & ~hashed).any()
+
+
+def _dtype_keys(dtype: str):
+    """Build-side keys of one dtype, and probes that hit and miss them."""
+    if dtype == "object":
+        return (
+            np.array([f"k{i}" for i in range(50)], dtype=object),
+            np.array([f"k{i}" for i in range(0, 100, 3)], dtype=object),
+        )
+    if dtype == "bool":
+        return np.array([True]), np.array([True, False, True])
+    return np.arange(0, 100, 2).astype(dtype), np.arange(120).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", ["int32", "uint64", "float64", "bool", "object"])
+@pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+def test_every_key_dtype_keeps_every_build_key(kind, dtype):
+    """Join keys reach the filter as whatever dtype the column has."""
+    keys, probes = _dtype_keys(dtype)
+    f = FILTER_KINDS[kind].build([keys])
+    assert f.contains([keys]).all()
+    passed = f.contains([probes])
+    members = np.isin(probes, keys)
+    assert passed.dtype == bool and passed.shape == probes.shape
+    assert passed[members].all()
+    if not f.may_have_false_positives:
+        assert np.array_equal(passed, members)
+
+
+@pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+def test_empty_probe_side_gives_an_empty_mask(kind):
+    for build in (int_col([1, 2, 3]), int_col([])):
+        passed = FILTER_KINDS[kind].build([build]).contains([int_col([])])
+        assert passed.dtype == bool and passed.shape == (0,)
+
+
 class TestRegistry:
     def test_known_kinds(self):
-        assert set(FILTER_KINDS) == {"exact", "bloom", "blocked_bloom"}
+        assert set(FILTER_KINDS) == {"exact", "blocked_bloom"}
 
     @pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
     def test_create_each_kind(self, kind):
@@ -175,28 +241,31 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown filter kind"):
             create_filter("cuckoo", [int_col([1])])
 
+    @pytest.mark.parametrize("kind", ["bloom", "", "EXACT", "blocked"])
+    def test_unknown_kind_names_the_known_ones(self, kind):
+        """The deleted classic kind ``"bloom"`` is as unknown as any
+        misspelling: no kind answers under an old or near name."""
+        message = (
+            f"unknown filter kind {kind!r}; "
+            "expected one of ['blocked_bloom', 'exact']"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            create_filter(kind, [int_col([1])])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            filter_class_for(kind)
+
+    @pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+    def test_filter_class_for_each_kind(self, kind):
+        assert filter_class_for(kind) is FILTER_KINDS[kind]
+        assert type(create_filter(kind, [int_col([1])])) is FILTER_KINDS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+    def test_build_takes_no_options(self, kind):
+        with pytest.raises(TypeError):
+            FILTER_KINDS[kind].build([int_col([1])], bits_per_key=8)
+        with pytest.raises(TypeError):
+            create_filter(kind, [int_col([1])], bits_per_key=8)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             create_filter("exact", [int_col([1, 2]), int_col([1])])
-
-
-class TestBloomWordPacking:
-    def test_bits_packed_into_uint64_words(self):
-        f = BloomFilter.build([int_col(range(1000))], bits_per_key=10)
-        assert f._words.dtype == np.uint64
-        # 8x denser than the seed's bool array: one bit per bit.
-        assert f._words.nbytes * 8 < f.size_bits + 64
-        assert f.size_bits >= 1000 * 10
-
-    def test_probe_positions_not_copied_to_int64(self):
-        # uint64 hash positions index the word array directly; the
-        # filter still has no false negatives after the repack.
-        rng = np.random.default_rng(9)
-        keys = int_col(rng.integers(0, 10**12, 4000))
-        f = BloomFilter.build([keys])
-        assert f.contains([keys]).all()
-
-    def test_blocked_filter_blocks_stay_uint64(self):
-        f = BlockedBloomFilter.build([int_col(range(500))])
-        assert f._blocks.dtype == np.uint64
-        assert f.contains([int_col(range(500))]).all()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.engine.executor import Executor
+from repro.filters import FILTER_KINDS
 from repro.optimizer.pipelines import optimize_query
 from repro.workloads import job_lite, tpcds_lite
 from sqlite_reference import assert_matches_sqlite
@@ -84,7 +85,7 @@ class TestSqliteReference:
 
 
 class TestFilterKindConsistency:
-    @pytest.mark.parametrize("filter_kind", ("exact", "bloom", "blocked_bloom"))
+    @pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
     def test_answers_independent_of_filter_kind(self, tpcds_tiny, filter_kind):
         db, queries = tpcds_tiny
         executor = Executor(db, filter_kind=filter_kind)

@@ -16,23 +16,20 @@ _SQL = (
 
 
 def test_merge_counters_is_exact_over_many_workers():
+    """The three counters a morsel worker writes (through its range
+    view's ``count_copy`` / ``count_selection``) fold exactly."""
     main = ExecutionMetrics()
     workers = []
     for index in range(1, 33):
         worker = ExecutionMetrics()
-        worker.rows_copied = index
-        worker.bytes_gathered = 8 * index
-        worker.morsels_pruned = 1
-        worker.rows_skipped = 100
-        worker.filter_build_seconds = 0.25
+        worker.count_copy(index, 8 * index)
+        worker.count_selection(100)
         workers.append(worker)
     for worker in workers:
         main.merge_counters(worker)
     assert main.rows_copied == sum(range(1, 33))
     assert main.bytes_gathered == 8 * sum(range(1, 33))
-    assert main.morsels_pruned == 32
-    assert main.rows_skipped == 3200
-    assert main.filter_build_seconds == pytest.approx(8.0)
+    assert main.selection_bytes == 3200
 
 
 def test_merge_counters_from_parallel_threads_loses_nothing():
@@ -43,8 +40,8 @@ def test_merge_counters_from_parallel_threads_loses_nothing():
 
     def fill(worker: ExecutionMetrics) -> None:
         for _ in range(per_worker):
-            worker.rows_copied += 1
-            worker.dictionary_hits += 2
+            worker.count_copy(1, 8)
+            worker.count_selection(2)
 
     threads = [
         threading.Thread(target=fill, args=(worker,)) for worker in workers
@@ -57,7 +54,40 @@ def test_merge_counters_from_parallel_threads_loses_nothing():
     for worker in workers:
         main.merge_counters(worker)
     assert main.rows_copied == 8 * per_worker
-    assert main.dictionary_hits == 16 * per_worker
+    assert main.bytes_gathered == 64 * per_worker
+    assert main.selection_bytes == 16 * per_worker
+
+
+_WORKER_COUNTERS = ("rows_copied", "bytes_gathered", "selection_bytes")
+_DISPATCHER_COUNTERS = (
+    "filter_cache_hits",
+    "filter_cache_misses",
+    "dictionary_hits",
+    "dictionary_misses",
+    "morsels_pruned",
+    "rows_skipped",
+    "filter_build_seconds",
+)
+
+
+def test_counter_lists_cover_every_counter():
+    counters = {
+        name for name, value in vars(ExecutionMetrics()).items()
+        if not name.startswith("_") and isinstance(value, (int, float))
+    }
+    assert counters == set(_WORKER_COUNTERS) | set(_DISPATCHER_COUNTERS)
+
+
+@pytest.mark.parametrize("counter", _WORKER_COUNTERS + _DISPATCHER_COUNTERS)
+def test_merge_counters_moves_only_worker_counters(counter):
+    """A merge folds what a morsel worker writes (its range view's
+    copies and selections) and leaves alone what only the dispatching
+    thread records."""
+    main, worker = ExecutionMetrics(), ExecutionMetrics()
+    setattr(main, counter, 5)
+    setattr(worker, counter, 3)
+    main.merge_counters(worker)
+    assert getattr(main, counter) == (8 if counter in _WORKER_COUNTERS else 5)
 
 
 def test_add_wall_accumulates_only_on_known_nodes():

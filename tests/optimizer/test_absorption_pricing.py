@@ -192,6 +192,6 @@ def test_explain_marks_exactly_the_joins_execution_elides(star_db, sql):
 def test_explain_marks_nothing_under_bloom_filters(star_db):
     sql = _STAR_DB_STATEMENTS[1]
     assert _marked_joins(QueryService(star_db).explain(sql), "[absorbed]")
-    service = QueryService(star_db, filter_kind="bloom")
+    service = QueryService(star_db, filter_kind="blocked_bloom")
     assert _marked_joins(service.explain(sql), "[absorbed]") == []
     assert _marked_joins(service.explain_analyze(sql), "[elided") == []

@@ -170,7 +170,7 @@ class TestPlansIgnoreParallelism:
         cached = []
         for parallelism in (1, 4):
             with QueryService(
-                database, pipeline="original", filter_kind="bloom",
+                database, pipeline="original", filter_kind="blocked_bloom",
                 parallelism=parallelism,
             ) as service:
                 for _, sql in tpcds_lite.query_sqls():

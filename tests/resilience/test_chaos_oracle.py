@@ -19,6 +19,7 @@ import pytest
 from repro import QueryService
 from repro.engine.executor import Executor
 from repro.errors import MorselTaskError, QueryTimeout, ReproError
+from repro.filters import FILTER_KINDS
 from repro.optimizer.pipelines import optimize_query
 from repro.plan.nodes import HashJoinNode
 from repro.sql.binder import parse_query
@@ -77,7 +78,7 @@ def test_fault_at_every_site_is_typed_and_recoverable(star_db, site, sql):
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
-@pytest.mark.parametrize("filter_kind", ["exact", "bloom", "blocked_bloom"])
+@pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
 @pytest.mark.parametrize(
     "site", ["filter.build_partition", "cache.publish"]
 )
@@ -105,10 +106,10 @@ def test_failed_builds_never_poison_the_filter_cache(
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
-@pytest.mark.parametrize("filter_kind", ["exact", "bloom", "blocked_bloom"])
+@pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
 def test_build_site_fires_once_per_filter_build(star_db, filter_kind, parallelism):
     """Every filter build passes ``filter.build_partition`` exactly once:
-    the exact kind's code-space build and the Bloom kinds' value build,
+    the exact kind's code-space build and the hashed kind's value build,
     serial and parallel alike."""
     plan = optimize_query(
         star_db, parse_query(star_db, SUM_SQL, "sum"), "bqo_allfilters"

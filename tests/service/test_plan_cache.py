@@ -123,8 +123,7 @@ def test_filter_build_racing_clear_is_not_published():
     assert len(cache) == 0      # but it was not published
 
 
-def test_filter_cache_key_separates_kinds_and_options():
+def test_filter_cache_key_separates_kinds():
     a = filter_cache_key("dim", ("id",), None, "exact")
-    b = filter_cache_key("dim", ("id",), None, "bloom")
-    c = filter_cache_key("dim", ("id",), None, "bloom", {"bits_per_key": 4})
-    assert len({a, b, c}) == 3
+    b = filter_cache_key("dim", ("id",), None, "blocked_bloom")
+    assert a != b

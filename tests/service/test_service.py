@@ -11,6 +11,7 @@ import pytest
 import repro.service.service as service_module
 from repro.engine.executor import Executor
 from repro.errors import ServiceClosed
+from repro.filters import FILTER_KINDS
 from repro.optimizer.pipelines import optimize_query
 from repro.service import QueryService
 from repro.sql.binder import parse_query
@@ -232,6 +233,27 @@ def test_unknown_pipeline_rejected(star_db):
 
     with pytest.raises(ServiceError):
         QueryService(star_db, pipeline="nonsense")
+
+
+@pytest.mark.parametrize("kind", ["bloom", "cuckoo", "Exact"])
+def test_unknown_filter_kind_rejected_at_construction(star_db, kind):
+    """A kind no registry entry names fails as the service is built,
+    not at the first join that builds a filter."""
+    from repro.errors import ServiceError
+
+    with pytest.raises(ServiceError, match=f"unknown filter kind '{kind}'"):
+        QueryService(star_db, filter_kind=kind)
+
+
+@pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+def test_each_filter_kind_answers_a_filtered_join(star_db, kind):
+    """Both kinds construct, build their filter at the first join, and
+    give the same count (the hashed kind's false positives are dropped
+    by the join's key check)."""
+    service = QueryService(star_db, filter_kind=kind)
+    result = service.execute(_count_sql(3))
+    assert result.metrics.filter_cache_misses == 1
+    assert result.scalar("cnt") == _expected_count(star_db, 3)
 
 
 def test_pipeline_override_is_part_of_cache_key(service):
