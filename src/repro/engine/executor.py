@@ -24,7 +24,7 @@ from repro.engine.metrics import (
     OPERATOR_KIND_OTHER,
 )
 from repro.engine.context import ExecutionContext
-from repro.engine.join_kernel import identity_to_none, join_codes, join_matcher
+from repro.engine.join_kernel import join_codes
 from repro.engine.parallel import run_morsel_tasks
 from repro.engine.relation import Relation
 from repro.errors import ExecutionError, MorselTaskError, ResilienceError
@@ -65,7 +65,7 @@ from repro.util.keycodes import (
     split_codes,
 )
 
-# Serial-below-this threshold of ``Executor._pooled``, re-exported under
+# Serial-below-this threshold of ``Executor._ranges``, re-exported under
 # the historical name so tests can monkeypatch the executor's copy (the
 # storage layer owns the canonical value).
 _MIN_PARALLEL_ROWS = MIN_PARALLEL_ROWS
@@ -162,16 +162,16 @@ class Executor:
         Worker count for morsel-driven intra-query parallelism.  The
         default 1 keeps execution on the calling thread with exactly
         the serial code path (byte-identical results, seed benchmarks
-        stay valid).  At N > 1 the probe-side work of each pipeline —
-        predicate evaluation, bitvector filter application, hash-join
-        probing, and large column gathers — runs per-morsel on the
-        shared worker pool; build sides (hash tables, filters) are
-        built once, in one serial pass on the calling thread, and
-        shared immutably, so probes are lock-free.
+        stay valid).  At N > 1 one operator fans out: each bitvector
+        filter probe (:meth:`_apply_bitvectors`) runs per morsel on
+        the shared worker pool, over probe keys read once on the
+        calling thread.  Everything else — scan predicates, hash-join
+        matching, column gathers, filter builds, aggregation — runs on
+        the calling thread; filters are built once and shared
+        immutably, so probes are lock-free.
     morsel_rows:
-        Target rows per morsel when splitting relations for the pool.
-        Every parallel region — base-table scan or intermediate
-        relation — splits by the same static
+        Target rows per morsel when splitting a probed relation for the
+        pool, by the static
         :func:`~repro.storage.partition.morsel_ranges` shape.
     """
 
@@ -395,149 +395,65 @@ class Executor:
         raise ExecutionError(f"cannot execute node {node.label}")
 
     # ------------------------------------------------------------------
-    # Morsel parallelism
+    # Morsel parallelism (the bitvector probe's fan-out)
     # ------------------------------------------------------------------
 
     def _ranges(self, num_rows: int) -> list[tuple[int, int]] | None:
-        """Morsels of ``[0, num_rows)`` when :meth:`_map_ranges` would
-        run them on the pool, else None — the caller then makes its one
-        whole-relation call, exactly the serial code path.
-        """
-        if not self._parallel:
-            return None
-        ranges = morsel_ranges(
-            num_rows, self._morsel_rows, min_morsels=self._parallelism
-        )
-        return ranges if self._pooled(ranges) else None
+        """Morsels of ``[0, num_rows)`` when a probe fans out to the
+        pool, else None — the caller then makes its one whole-relation
+        call, exactly the serial code path.
 
-    def _pooled(self, ranges: list[tuple[int, int]]) -> bool:
-        """The one pool-or-inline rule: several ranges, parallelism > 1,
-        and enough rows that per-morsel dispatch costs less than the
-        numpy kernels it splits."""
-        return (
-            self._parallel
-            and len(ranges) >= 2
-            and sum(stop - start for start, stop in ranges)
-            >= _MIN_PARALLEL_ROWS
+        The one pool-or-inline rule: parallelism > 1 and enough rows
+        that per-morsel dispatch costs less than the numpy kernels it
+        splits; the rows then split into at least one morsel per worker.
+        """
+        if not self._parallel or num_rows < _MIN_PARALLEL_ROWS:
+            return None
+        return morsel_ranges(
+            num_rows, self._morsel_rows, min_morsels=self._parallelism
         )
 
     def _map_ranges(self, metrics: ExecutionMetrics,
                     ranges: list[tuple[int, int]], task) -> list:
-        """Run ``task(start, stop, worker_metrics)`` per range; results
-        in range order, so concatenating them reproduces the serial row
-        order exactly.
+        """Run ``task(start, stop)`` per range on the shared pool (a
+        barrier); results in range order, so concatenating them
+        reproduces the serial row order exactly.
 
-        The dispatcher of every parallel region.  Ranges the pool does
-        not pay for (see :meth:`_pooled`) run inline on the calling
-        thread with ``metrics`` itself.  On the pool (a barrier), each
-        worker gets a private :class:`ExecutionMetrics`; the flat
-        counters are merged into ``metrics`` after the barrier.
-
-        With an armed :class:`~repro.engine.context.ExecutionContext`
-        (captured from ``metrics`` — worker metrics stay bare), every
-        pool task checks the deadline/cancel token before touching its
+        Tasks touch only arrays the dispatching thread read before the
+        region, so they write no counter and never re-enter the pool.
+        With an armed :class:`~repro.engine.context.ExecutionContext`,
+        every task checks the deadline/cancel token before touching its
         morsel, the region's cancel token short-circuits siblings after
-        the first failure, and non-policy worker exceptions are wrapped
+        the first failure, and non-policy task exceptions are wrapped
         as :class:`~repro.errors.MorselTaskError` with the query name
-        and the morsel's row range.  The budget is re-checked against
-        the merged counters after the barrier.
+        and the morsel's row range.  The budget is re-checked after the
+        barrier.  With a tracer, each task records a ``morsel`` span
+        (``rows_in``, ``rows_out``) under the span that fanned out.
         """
-        if not self._pooled(ranges):
-            return [task(start, stop, metrics) for start, stop in ranges]
-        workers = [ExecutionMetrics() for _ in ranges]
         context = metrics.context
         tracer = metrics.tracer
         if tracer is not None:
             # The parent id is captured here, on the dispatching thread,
-            # so each worker's "morsel" span hangs under the plan-node
-            # (or filter-build) span that fanned the region out.
+            # so each task's "morsel" span hangs under the plan-node
+            # span that fanned the region out.
             parent = tracer.current_span_id()
 
-            def task(start: int, stop: int, worker: ExecutionMetrics,
-                     _task=task, _parent=parent):
+            def task(start: int, stop: int, _task=task, _parent=parent):
                 with tracer.span(
                     "morsel", parent=_parent, rows_in=stop - start
                 ) as span:
-                    result = _task(start, stop, worker)
-                    rows = _result_rows(result)
-                    if rows is not None:
-                        span.set(rows_out=rows)
+                    result = _task(start, stop)
+                    span.set(rows_out=len(result))
                 return result
 
         results = run_morsel_tasks(
             self._parallelism,
-            [
-                _morsel_task(task, start, stop, worker, context)
-                for (start, stop), worker in zip(ranges, workers)
-            ],
+            [_morsel_task(task, start, stop, context) for start, stop in ranges],
             cancel_token=None if context is None else context.cancel_token,
         )
-        for worker in workers:
-            metrics.merge_counters(worker)
         if context is not None:
             context.checkpoint(metrics)
         return results
-
-    def _selection(self, relation: Relation,
-                   ranges: list[tuple[int, int]],
-                   metrics: ExecutionMetrics, mask_fn) -> list[np.ndarray]:
-        """Surviving-row offsets of each range of ``relation``, in range
-        order.
-
-        ``mask_fn(view)`` returns the boolean keep-mask of one range
-        view.  ``ranges`` cover the relation in order, so the
-        concatenated offsets equal the serial ``np.flatnonzero`` over
-        the whole relation, and the resulting gather is byte-identical
-        to the serial path.
-        """
-
-        def task(start: int, stop: int, worker: ExecutionMetrics) -> np.ndarray:
-            view = relation.range_view(start, stop, counters=worker)
-            return np.flatnonzero(mask_fn(view)) + start
-
-        return self._map_ranges(metrics, ranges, task)
-
-    def _parallel_gather(self, base: np.ndarray, selection,
-                         cancel_token=None) -> np.ndarray | None:
-        """Morsel-wise column gather hook installed on scan relations.
-
-        Splits ``base[selection]`` across the pool, each worker writing
-        its disjoint output range (``np.take`` releases the GIL for
-        plain dtypes).  Returns None when the gather is too small to be
-        worth dispatching, letting :class:`Relation` gather inline.
-        """
-        ranges = self._ranges(len(selection))
-        if ranges is None:
-            return None
-        out = np.empty(len(selection), dtype=base.dtype)
-
-        def task(start: int, stop: int) -> None:
-            np.take(base, selection[start:stop], out=out[start:stop])
-
-        run_morsel_tasks(
-            self._parallelism,
-            [(lambda s=start, e=stop: task(s, e)) for start, stop in ranges],
-            cancel_token=cancel_token,
-        )
-        return out
-
-    def _gather_hook(self, metrics: ExecutionMetrics):
-        """The parallel-gather hook for this execution's relations.
-
-        Binds the execution's cancel token (when a context is armed) so
-        gathers dispatched from inside :class:`Relation` short-circuit
-        with the rest of the query; derived relations inherit the bound
-        hook through ``gather``/``merged_with``.
-        """
-        if not self._parallel:
-            return None
-        context = metrics.context
-        if context is None:
-            return self._parallel_gather
-        token = context.cancel_token
-        return lambda base, selection: self._parallel_gather(
-            base, selection, token
-        )
 
     # ------------------------------------------------------------------
     # Zone-map band search (see repro.storage.zonemaps)
@@ -618,8 +534,7 @@ class Executor:
             (node.alias, name): (node.table_name, name) for name in names
         }
         relation = Relation(
-            columns, table.num_rows, sources=sources, counters=metrics,
-            parallel_gather=self._gather_hook(metrics),
+            columns, table.num_rows, sources=sources, counters=metrics
         )
         record.add("scan", table.num_rows)
 
@@ -670,11 +585,6 @@ class Executor:
             ),
         )
 
-        def mask_fn(view):
-            return evaluate_predicate(
-                lowered, view.provider, view.num_rows, view.stored_codes
-            )
-
         if metrics.tracer is not None:
             lookups = [
                 part for part in lowered.walk()
@@ -686,12 +596,10 @@ class Executor:
                     "built" if any(part.built for part in lookups) else "hit"
                 )
             metrics.tracer.annotate(**answered)
-        ranges = self._ranges(relation.num_rows)
-        if ranges is None:
-            return relation.mask(mask_fn(relation))
-        return relation.select_sorted(
-            np.concatenate(self._selection(relation, ranges, metrics, mask_fn))
-        )
+        return relation.mask(evaluate_predicate(
+            lowered, relation.provider, relation.num_rows,
+            relation.stored_codes,
+        ))
 
     def _hash_join(
         self,
@@ -816,18 +724,14 @@ class Executor:
         Keys are compared as int64 codes (equal codes <=> equal key
         tuples) by :mod:`repro.engine.join_kernel`, which also decides
         from the codes alone which side the match structure indexes
-        (``indexes_probe``) and which streams through it.  Every key column that still carries base-table
-        provenance is read as stored dictionary codes — an O(rows) code
-        gather plus an O(distinct) domain translation, see
-        :meth:`_dictionary_join_context` — and the matcher is built once
-        and shared by whichever shape the streamed side takes: static
-        morsels on the pool, or the whole side inline.  Morsel results
-        concatenate in morsel order (streamed offsets rebased), so both
-        emit the identical pair sequence.
-
-        Without provenance (derived columns, float keys, mixed-radix
-        overflow) both sides are factorized jointly, which needs them
-        whole and therefore stays serial.
+        (``indexes_probe``) and which streams through it.  When every
+        key column still carries base-table provenance, both sides are
+        read as stored dictionary codes — an O(rows) code gather plus
+        an O(distinct) domain translation, see
+        :meth:`_dictionary_join_codes`.  Without it (derived columns,
+        float keys, mixed-radix overflow) both sides are factorized
+        jointly.  Either way the match is one whole call on the calling
+        thread.
         """
         if build_rel.num_rows == 0 or probe_rel.num_rows == 0:
             empty = np.array([], dtype=np.int64)
@@ -842,43 +746,9 @@ class Executor:
                 )
             )
         metrics.dictionary_hits += len(node.build_keys)
-        build_codes, encode_probe, domain = self._dictionary_join_context(
+        return join_codes(*self._dictionary_join_codes(
             node, build_rel, probe_rel, dictionaries
-        )
-        matcher, indexes_probe = join_matcher(
-            build_codes, domain, probe_rel.num_rows,
-            lambda: encode_probe(probe_rel),
-        )
-        indexed_rel, streamed_rel = build_rel, probe_rel
-        if indexes_probe:
-            indexed_rel, streamed_rel = probe_rel, build_rel
-
-        def task(start: int, stop: int, worker: ExecutionMetrics):
-            indexed_idx, streamed_idx = matcher.match(
-                build_codes[start:stop] if indexes_probe else encode_probe(
-                    probe_rel.range_view(start, stop, counters=worker)
-                )
-            )
-            if streamed_idx is None:
-                return indexed_idx, np.arange(start, stop, dtype=np.int64)
-            return indexed_idx, streamed_idx + start
-
-        ranges = self._ranges(streamed_rel.num_rows)
-        parts = None if ranges is None else self._map_ranges(metrics, ranges, task)
-        if parts is None:
-            indexed_idx, streamed_idx = matcher.match(
-                build_codes if indexes_probe else encode_probe(probe_rel)
-            )
-        else:
-            indexed_idx = np.concatenate([part[0] for part in parts])
-            streamed_idx = identity_to_none(
-                np.concatenate([part[1] for part in parts]),
-                streamed_rel.num_rows,
-            )
-        indexed_idx = identity_to_none(indexed_idx, indexed_rel.num_rows)
-        if indexes_probe:
-            return streamed_idx, indexed_idx, True
-        return indexed_idx, streamed_idx, False
+        ))
 
     def _join_dictionaries(
         self,
@@ -908,23 +778,21 @@ class Executor:
             return None
         return pairs
 
-    def _dictionary_join_context(
+    def _dictionary_join_codes(
         self,
         node: HashJoinNode,
         build_rel: Relation,
         probe_rel: Relation,
         dictionaries: list[tuple[ColumnDictionary, ColumnDictionary]],
-    ):
-        """Shared dictionary-encoding context for one join.
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(build_codes, probe_codes, domain)`` of one join in the
+        build dictionaries' combined code space.
 
-        Returns ``(build_combined, encode_probe, domain)``: the build
-        side's combined codes (computed once), a closure encoding the
-        probe keys of any view of ``probe_rel`` — the whole relation or
-        one morsel — and the combined code domain size.  Per-key
-        artifacts (``dictionaries`` from :meth:`_join_dictionaries`,
-        domain translations) are resolved once and shared read-only by
-        every morsel, which is the "per-partition dictionary reuse" the
-        partitioned storage layer is built around.
+        ``dictionaries`` are the per-key-pair ``(build, probe)`` stored
+        dictionaries from :meth:`_join_dictionaries`.  Probe codes are
+        re-expressed in the build column's domain (memoized domain
+        translations); values absent from it become ``-1`` and can
+        never match.
         """
         radices = [build_dict.num_values for build_dict, _ in dictionaries]
         build_combined = combine_codes(
@@ -936,24 +804,19 @@ class Executor:
             ],
             radices,
         )
-        domain = code_domain(radices)
-
-        def encode_probe(view: Relation) -> np.ndarray:
-            # Probe codes re-expressed in the build column's domain;
-            # values absent from it become -1 (can never match).
-            probe_code_columns = [
+        probe_combined = combine_codes(
+            [
                 probe_dict.translate_codes(
-                    build_dict,
-                    view.stored_codes(probe_dict, p_alias, p_col),
+                    build_dict, probe_rel.stored_codes(probe_dict, alias, column)
                 )
-                for (p_alias, p_col), (build_dict, probe_dict) in zip(
+                for (alias, column), (build_dict, probe_dict) in zip(
                     node.probe_keys, dictionaries
                 )
-            ]
+            ],
             # Same radices as the build side: cannot overflow here.
-            return combine_codes(probe_code_columns, radices)
-
-        return build_combined, encode_probe, domain
+            radices,
+        )
+        return build_combined, probe_combined, code_domain(radices)
 
     def _build_join_filter(
         self,
@@ -972,7 +835,7 @@ class Executor:
         calling thread at every parallelism.
         """
         self._checkpoint(metrics)
-        fault_point("filter.build_partition")
+        fault_point("filter.build")
         from_codes = getattr(self._filter_class, "from_dictionary_codes", None)
         coded = from_codes and self._key_codes(build_rel, definition.build_keys)
         if coded:
@@ -1055,29 +918,23 @@ class Executor:
             self._checkpoint(metrics)
             bitvector = _applied_filter(filters, definition)
             record.add("filter_check", relation.num_rows)
-
-            def mask_fn(view, definition=definition, bitvector=bitvector):
-                mask = self._contains_by_codes(
-                    bitvector, definition.probe_keys, view
-                )
-                if mask is None:
-                    mask = bitvector.contains(
-                        [
-                            view.column(alias, column)
-                            for alias, column in definition.probe_keys
-                        ]
-                    )
-                return mask
-
-            # Filters are immutable after construction, so per-morsel
-            # probes are lock-free reads of one shared structure.
+            probe = self._probe(bitvector, definition.probe_keys, relation)
             ranges = self._ranges(relation.num_rows)
             if ranges is None:
-                relation = relation.mask(mask_fn(relation))
-            else:
-                relation = relation.select_sorted(np.concatenate(
-                    self._selection(relation, ranges, metrics, mask_fn)
-                ))
+                relation = relation.mask(probe(0, relation.num_rows))
+                continue
+            # The only fan-out site.  Filters are immutable after
+            # construction and the keys are read, so each morsel task
+            # is a lock-free probe of one slice; the concatenated
+            # offsets are the serial ``flatnonzero``.
+            relation = relation.select_sorted(np.concatenate(
+                self._map_ranges(
+                    metrics, ranges,
+                    lambda start, stop, probe=probe: (
+                        np.flatnonzero(probe(start, stop)) + start
+                    ),
+                )
+            ))
         return relation
 
     def _apply_member_bits(
@@ -1136,25 +993,53 @@ class Executor:
         rows = np.unpackbits(bits, count=relation.num_rows).view(bool)
         return relation.select_sorted(np.flatnonzero(rows)), definitions[taken:]
 
-    def _contains_by_codes(
-        self,
-        bitvector: BitvectorFilter,
-        probe_keys,
-        view: Relation,
-    ) -> np.ndarray | None:
-        """Code-space filter probe of one view, or None (probe values).
+    def _probe(self, bitvector: BitvectorFilter, probe_keys,
+               relation: Relation):
+        """One filter's probe of ``relation`` as ``probe(start, stop)``,
+        the keep-mask of rows ``[start, stop)``.
+
+        The probe keys are read here, once, from the whole relation:
+        stored dictionary codes where the filter answers in code space
+        (:meth:`_code_probe`), else the key columns, materialized and
+        counted like any column read.  A probe then touches only slices
+        of arrays in hand, so morsel tasks share them read-only and the
+        counters see exactly what a whole-relation probe costs.
+        """
+        probe = self._code_probe(bitvector, probe_keys, relation)
+        if probe is not None:
+            return probe
+        values = [relation.column(alias, column) for alias, column in probe_keys]
+        return lambda start, stop: bitvector.contains(
+            [column[start:stop] for column in values]
+        )
+
+    def _code_probe(self, bitvector: BitvectorFilter, probe_keys,
+                    relation: Relation):
+        """Code-space ``probe(start, stop)`` of ``relation``, or None
+        (probe values).
 
         Filters that can answer in code space (the exact kind) take the
-        view's stored dictionary codes — one gather through the filter's
-        memoized ``probe code -> member`` table, no value column
-        materialized, no per-row search.  ``None`` for the hashed kind and
-        for keys without table provenance or of float dtype.
+        relation's stored dictionary codes — one gather through the
+        filter's memoized ``probe code -> member`` table, no value
+        column materialized, no per-row search.  ``None`` for the hashed
+        kind, for keys without table provenance or of float dtype, and
+        for an exact filter in a fallback mode (its zero-row probe
+        answers ``None``).
         """
-        probe = getattr(bitvector, "contains_dictionary_codes", None)
-        coded = None if probe is None else self._key_codes(view, probe_keys)
+        by_codes = getattr(bitvector, "contains_dictionary_codes", None)
+        coded = None if by_codes is None else self._key_codes(
+            relation, probe_keys
+        )
         if coded is None:
             return None
-        return probe(*coded)
+        dictionaries, code_columns = coded
+
+        def probe(start: int, stop: int) -> np.ndarray | None:
+            return by_codes(
+                dictionaries, [codes[start:stop] for codes in code_columns]
+            )
+
+        return None if probe(0, 0) is None else probe
 
     def _key_codes(
         self, view: Relation, keys
@@ -1486,25 +1371,7 @@ def _applied_filter(
     return bitvector
 
 
-def _result_rows(result) -> int | None:
-    """Output-row count of one morsel task's result, when recognisable.
-
-    Selection/gather tasks return an offset array; probe tasks return a
-    ``(build_idx, probe_idx)`` pair.  Anything else reports None — the
-    morsel span then simply carries no ``rows_out`` attribute.
-    """
-    if isinstance(result, np.ndarray):
-        return int(len(result))
-    if (
-        isinstance(result, tuple)
-        and len(result) == 2
-        and isinstance(result[1], np.ndarray)
-    ):
-        return int(len(result[1]))
-    return None
-
-
-def _morsel_task(fn, start: int, stop: int, worker: ExecutionMetrics,
+def _morsel_task(fn, start: int, stop: int,
                  context: ExecutionContext | None):
     """One pool task for ``_map_ranges``: hook, checkpoint, wrap.
 
@@ -1524,7 +1391,7 @@ def _morsel_task(fn, start: int, stop: int, worker: ExecutionMetrics,
             context.check()
         try:
             fault_point("morsel.task")
-            return fn(start, stop, worker)
+            return fn(start, stop)
         except ResilienceError:
             raise
         except Exception as exc:

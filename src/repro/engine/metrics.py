@@ -94,15 +94,15 @@ class ExecutionMetrics:
         # Per-query resilience context (repro.engine.context), attached
         # by the executor at the top of execute().  Rides on the metrics
         # object because that is the one per-execution state threaded
-        # through every operator.  None (the default, and for worker
-        # metrics) keeps every checkpoint a single None test.
+        # through every operator.  None (the default) keeps every
+        # checkpoint a single None test.
         self.context = None
         # Optional repro.obs.Tracer, attached by the executor when the
         # caller opted into tracing.  Same pattern as context:
         # every instrumented site is guarded by `metrics.tracer is not
-        # None`, so the disarmed path costs one attribute load.  Worker
-        # metrics stay None; morsel spans are opened by the task
-        # wrapper with an explicit parent id instead.
+        # None`, so the disarmed path costs one attribute load.  Morsel
+        # spans are opened by the task wrapper with an explicit parent
+        # id.
         self.tracer = None
 
     def count_copy(self, rows: int, nbytes: int) -> None:
@@ -120,21 +120,6 @@ class ExecutionMetrics:
         position vector.  Kept because the benchmark's
         ``perf/perf_workloads.py`` reads this name."""
         return self.selection_bytes
-
-    def merge_counters(self, worker: "ExecutionMetrics") -> None:
-        """Fold one morsel worker's counters into this metrics.
-
-        Parallel regions hand each worker a private ``ExecutionMetrics``
-        so counter updates never race; the executor merges them on the
-        main thread after the barrier.  A worker writes only through
-        its range view's :meth:`count_copy` / :meth:`count_selection`,
-        so only those three counters move.  Everything else — per-node
-        component counts, band search, filter cache, dictionary and
-        filter-build counters — is recorded on the dispatching thread.
-        """
-        self.rows_copied += worker.rows_copied
-        self.bytes_gathered += worker.bytes_gathered
-        self.selection_bytes += worker.selection_bytes
 
     def add_wall(self, node_id: int, seconds: float) -> None:
         """Accumulate inclusive wall time on a node (tracer-armed only)."""

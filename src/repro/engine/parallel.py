@@ -3,18 +3,18 @@
 One process-wide thread pool serves every executor: morsel tasks are
 short, numpy-kernel-dominated, and never block on each other, so a
 single shared pool (grown to the widest ``parallelism`` requested so
-far) beats per-executor pools that would multiply idle threads.  Worker
-threads release the GIL inside the numpy kernels that dominate morsel
-work — fancy-index gathers, ``searchsorted``, ``argsort``, ufunc
-comparisons and filter probes — which is where the parallel speedup
-comes from.  Hash tables and bitvector filters are built once on the
-calling thread (a large key-column gather may still fan out here) and
-shared read-only by every task.
+far) beats per-executor pools that would multiply idle threads.  The
+executor fans out one operator, the bitvector filter probe: each task
+probes one slice of key codes or values through a filter built once on
+the calling thread and shared read-only.  Worker threads release the
+GIL inside the numpy kernels of that probe (the exact kind's member
+table gather, the blocked Bloom kind's hashing and block gather), which
+is where the parallel speedup comes from.
 
 Deadlock discipline: a morsel task must never submit to the pool it
-runs on.  The executor enforces this structurally — per-morsel relation
-views carry no parallel-gather hook, so nothing a worker calls can
-re-enter the pool.
+runs on.  The executor enforces this structurally — a task touches only
+arrays read on the dispatching thread before the region, so nothing it
+calls can re-enter the pool.
 """
 
 from __future__ import annotations

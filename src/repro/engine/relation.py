@@ -32,9 +32,9 @@ class _ColumnGroup:
 
     ``base`` maps ``(alias, column)`` to a base array; ``selection`` is
     ``None`` (identity: the view is the base rows themselves), a
-    contiguous ``slice`` (a morsel: the view is one row range of the
-    base, materializable as a numpy view without copying), or a sorted
-    or gathered int64 index array into the base arrays.  All groups of
+    contiguous ``slice`` (one row band of the base, materializable as a
+    numpy view without copying), or a sorted or gathered int64 index
+    array into the base arrays.  All groups of
     one relation describe the same number of rows.
     """
 
@@ -62,9 +62,9 @@ class _ColumnGroup:
         return _ColumnGroup(self.base, self.sources, selection)
 
     def compose_range(self, start: int, stop: int) -> "_ColumnGroup":
-        """Group viewing rows ``[start, stop)`` of ``self`` — the morsel
-        primitive.  Never copies: identity and slice selections stay
-        slices, index-array selections are sliced (numpy views)."""
+        """Group viewing rows ``[start, stop)`` of ``self``.  Never
+        copies: identity and slice selections stay slices, index-array
+        selections are sliced (numpy views)."""
         if self.selection is None:
             selection: np.ndarray | slice = slice(start, stop)
         elif isinstance(self.selection, slice):
@@ -89,7 +89,6 @@ class Relation:
         num_rows: int,
         sources: dict[tuple[str, str], tuple[str, str]] | None = None,
         counters=None,
-        parallel_gather=None,
     ) -> None:
         self._groups = (
             [_ColumnGroup(dict(columns), dict(sources or {}), None)]
@@ -98,18 +97,12 @@ class Relation:
         )
         self.num_rows = num_rows
         self._counters = counters
-        # Optional ``fn(base, selection) -> array | None`` installed by
-        # a parallel executor: large index-array materializations are
-        # gathered morsel-wise on the worker pool.  ``None`` from the
-        # hook means "not worth parallelizing, gather inline".
-        self._parallel_gather = parallel_gather
         self._materialized: dict[tuple[str, str], np.ndarray] = {}
 
     @classmethod
     def _from_groups(cls, groups: list[_ColumnGroup], num_rows: int,
-                     counters, parallel_gather=None) -> "Relation":
-        relation = cls({}, num_rows, counters=counters,
-                       parallel_gather=parallel_gather)
+                     counters) -> "Relation":
+        relation = cls({}, num_rows, counters=counters)
         relation._groups = groups
         return relation
 
@@ -144,12 +137,7 @@ class Relation:
             # base array: zero copies, nothing to count.
             values = group.base[key][group.selection or slice(None)]
         else:
-            selection = group.selection
-            values = None
-            if self._parallel_gather is not None:
-                values = self._parallel_gather(group.base[key], selection)
-            if values is None:
-                values = group.base[key][selection]
+            values = group.base[key][group.selection]
             if self._counters is not None:
                 self._counters.count_copy(len(values), values.nbytes)
         self._materialized[key] = values
@@ -192,7 +180,7 @@ class Relation:
         """Provenance of a column: ``(table, column, selection)``.
 
         ``selection is None`` means the view is the whole base column; a
-        ``slice`` means one contiguous row range of it (a morsel view).
+        ``slice`` means one contiguous row range of it.
         Returns ``None`` for columns without table provenance.
         """
         key = (alias, name)
@@ -209,7 +197,7 @@ class Relation:
         :class:`~repro.util.keycodes.ColumnDictionary` and the int64
         code of every row of the view (``dictionary.values[codes]``
         equals :meth:`column`) — one gather of the stored per-row
-        codes, zero-copy for identity and morsel-range views, with no
+        codes, zero-copy for identity and slice views, with no
         value column materialized.  The one provenance -> codes step
         shared by the hash join, group-by and exact-filter probes.
 
@@ -270,9 +258,7 @@ class Relation:
     def gather(self, indices: np.ndarray) -> "Relation":
         indices = np.asarray(indices, dtype=np.int64)
         groups = [group.compose(indices) for group in self._groups]
-        return Relation._from_groups(
-            groups, int(len(indices)), self._counters, self._parallel_gather
-        )
+        return Relation._from_groups(groups, int(len(indices)), self._counters)
 
     def mask(self, mask: np.ndarray) -> "Relation":
         """Row filter by bool mask.
@@ -306,14 +292,12 @@ class Relation:
             num_rows = len(flat)
         else:
             num_rows = int(np.count_nonzero(mask))
-        return Relation._from_groups(
-            groups, int(num_rows), counters, self._parallel_gather
-        )
+        return Relation._from_groups(groups, int(num_rows), counters)
 
     def select_sorted(self, positions: np.ndarray) -> "Relation":
         """Row filter by already-sorted view-local positions.
 
-        The executor's morsel-parallel selection paths concatenate
+        The executor's morsel-parallel filter probe concatenates
         per-morsel ``flatnonzero`` offsets — sorted by construction —
         so the vector in hand is the selection :meth:`mask` would have
         built, and parallel and serial executions hold identical
@@ -338,38 +322,17 @@ class Relation:
                 if counters is not None:
                     counters.count_selection(selection.nbytes)
             groups.append(_ColumnGroup(group.base, group.sources, selection))
-        return Relation._from_groups(
-            groups, int(len(positions)), counters, self._parallel_gather
-        )
+        return Relation._from_groups(groups, int(len(positions)), counters)
 
     def narrow(self, start: int, stop: int) -> "Relation":
         """Contiguous row band ``[start, stop)`` of this view.
 
-        Like :meth:`range_view` but for operator results on the main
-        execution path: counters and the parallel-gather hook are kept.
-        Identity views become slice selections — zero-copy column
-        materialization for zone-map band searches.
+        Identity and slice selections stay slices — columns materialize
+        as numpy views, zero-copy, which is what a sorted-column band
+        search narrows a scan to; index-array selections are sliced.
         """
         groups = [group.compose_range(start, stop) for group in self._groups]
-        return Relation._from_groups(
-            groups, stop - start, self._counters, self._parallel_gather
-        )
-
-    def range_view(self, start: int, stop: int, counters=None) -> "Relation":
-        """Zero-copy view of rows ``[start, stop)`` — one morsel.
-
-        Identity and range selections stay contiguous slices (columns
-        materialize as numpy views); index-array selections are sliced.
-        ``counters`` lets a parallel worker account its copies into its
-        own :class:`~repro.engine.metrics.ExecutionMetrics`, merged
-        after the barrier.  Morsel views deliberately drop the
-        parallel-gather hook: a worker must never re-enter the pool it
-        runs on.
-        """
-        groups = [group.compose_range(start, stop) for group in self._groups]
-        return Relation._from_groups(
-            groups, stop - start, counters or self._counters
-        )
+        return Relation._from_groups(groups, stop - start, self._counters)
 
     def merged_with(
         self,
@@ -404,8 +367,7 @@ class Relation:
                 groups.append(group if idx is None else group.compose(idx))
         num_rows = self.num_rows if self_idx is None else len(self_idx)
         return Relation._from_groups(
-            groups, int(num_rows), self._counters or other._counters,
-            self._parallel_gather or other._parallel_gather,
+            groups, int(num_rows), self._counters or other._counters
         )
 
     @property

@@ -93,10 +93,6 @@ class BitvectorFilter(abc.ABC):
         """Whether this implementation can report spurious matches."""
         return True
 
-    def false_positive_rate(self) -> float:
-        """Estimated probability a non-member passes the filter."""
-        return 0.0
-
     @property
     def has_distinct_keys(self) -> bool:
         """Whether the inserted key tuples are known to be pairwise

@@ -72,14 +72,6 @@ class BlockedBloomFilter(BitvectorFilter):
     def num_keys(self) -> int:
         return self._num_keys
 
-    def false_positive_rate(self) -> float:
-        if self._num_blocks == 0:
-            return 0.0
-        fill = float(
-            np.unpackbits(self._blocks.view(np.uint8)).sum()
-        ) / (self._num_blocks * _BLOCK_BITS)
-        return fill ** _BITS_PER_BLOCK_KEY
-
     def __repr__(self) -> str:
         return (
             f"BlockedBloomFilter(keys={self._num_keys}, "

@@ -332,9 +332,6 @@ class ExactFilter(BitvectorFilter):
     def may_have_false_positives(self) -> bool:
         return False
 
-    def false_positive_rate(self) -> float:
-        return 0.0
-
     @property
     def has_distinct_keys(self) -> bool:
         return self._distinct

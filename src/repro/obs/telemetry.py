@@ -9,9 +9,8 @@ cumulative counts using the geometric midpoint of the matched bucket's
 range; error is bounded by the factor-of-two bucket width, which is the
 standard trade (HdrHistogram-style) for always-on latency tracking.
 
-Histograms merge bucket-wise, the same discipline as
-:meth:`repro.engine.metrics.ExecutionMetrics.merge_counters`, so
-per-shard or per-process registries can be folded into one report.
+Histograms merge bucket-wise, so per-shard or per-process registries
+can be folded into one report.
 
 :class:`ServiceTelemetry` is the registry the service keeps: execute
 latency, optimize time, filter-build time, morsel task duration (all at

@@ -24,8 +24,8 @@ points are thread-safe.  Both concurrent front doors —
 :class:`~repro.service.async_service.AsyncQueryService` — run each
 statement through one slot that applies the retry policy and returns
 failures as error records.  With ``parallelism > 1`` each query
-additionally runs its scans and probes morsel-parallel inside the
-executor (see :mod:`repro.engine.parallel`).
+additionally runs its bitvector filter probes morsel-parallel inside
+the executor (see :mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ class QueryService:
         Default thread-pool width for :meth:`run_many`.
     parallelism / morsel_rows:
         Morsel-driven intra-query parallelism, passed through to the
-        :class:`~repro.engine.executor.Executor`.  The default 1 keeps
-        each query on its serving thread (byte-identical to the serial
-        engine); cross-query (``max_workers``, each batch's own pool)
+        :class:`~repro.engine.executor.Executor`: at N > 1 each
+        bitvector filter probe fans out, everything else stays on the
+        serving thread.  The default 1 keeps each query entirely on its
+        serving thread (byte-identical to the serial engine); cross-query (``max_workers``, each batch's own pool)
         and intra-query (``parallelism``, the process-wide morsel
         pool) parallelism compose, with the morsel pool bounded by the
         widest ``parallelism`` in the process.  Filters of every kind

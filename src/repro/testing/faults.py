@@ -14,10 +14,9 @@ Registered sites (the engine's ``fault_point(site)`` calls):
                           (:func:`repro.engine.parallel.run_morsel_tasks`)
 ``"morsel.task"``         one morsel worker task, in dispatch order
                           (:meth:`repro.engine.executor.Executor._map_ranges`)
-``"filter.build_partition"``  one bitvector filter build, of any kind, before
+``"filter.build"``        one bitvector filter build, of any kind, before
                           any key is read
-                          (:meth:`repro.engine.executor.Executor._build_join_filter`;
-                          the name is historical: a build is one pass)
+                          (:meth:`repro.engine.executor.Executor._build_join_filter`)
 ``"cache.publish"``       publication of a built filter into the
                           :class:`~repro.filters.cache.BitvectorFilterCache`
 ``"service.admit"``       one admission decision in the service front-end
@@ -63,7 +62,7 @@ from repro.util.rng import derive_rng
 REGISTERED_SITES = (
     "pool.submit",
     "morsel.task",
-    "filter.build_partition",
+    "filter.build",
     "cache.publish",
     "service.admit",
     "service.dequeue",

@@ -1,4 +1,5 @@
-"""Documentation health: required files exist, links and file paths resolve."""
+"""Documentation health: required files exist, links, file paths and
+class members named in the docs resolve."""
 
 from __future__ import annotations
 
@@ -8,7 +9,12 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from check_doc_links import broken_links, doc_files, stale_paths  # noqa: E402
+from check_doc_links import (  # noqa: E402
+    broken_links,
+    doc_files,
+    stale_members,
+    stale_paths,
+)
 
 
 def test_required_docs_exist():
@@ -37,6 +43,47 @@ def test_a_stale_file_path_is_reported(tmp_path):
         encoding="utf-8",
     )
     assert stale_paths(tmp_path) == [(readme, "cost/truecard.py")]
+
+
+def test_no_stale_members():
+    assert stale_members(REPO_ROOT) == []
+
+
+def test_a_stale_member_is_reported(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "relation.py").write_text(
+        "class Base:\n"
+        "    inherited = 1\n"
+        "\n"
+        "class Relation(Base):\n"
+        "    __slots__ = ('slotted',)\n"
+        "    kind: str = 'view'\n"
+        "\n"
+        "    def __init__(self):\n"
+        "        self.num_rows = 0\n"
+        "\n"
+        "    def narrow(self, start, stop):\n"
+        "        return self\n"
+        "\n"
+        "class Failure(Exception):\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "`Relation.narrow(a, b)`, `Relation.num_rows`, `Relation.slotted`,"
+        " `Relation.kind`, `Relation.inherited`,"
+        " `repro.relation.Relation.narrow`, `Failure.args` (an external"
+        " base), `Table.column` (no such class), `relation.py`,"
+        " `Relation.range_view(a, b)` and"
+        " `repro.relation.Relation.merge_counters`\n",
+        encoding="utf-8",
+    )
+    assert stale_members(tmp_path) == [
+        (readme, "Relation.range_view"),
+        (readme, "Relation.merge_counters"),
+    ]
 
 
 def test_every_benchmark_file_is_documented():

@@ -6,8 +6,8 @@ binary-searching raw values.  These tests hold the code paths to the
 value paths they replace:
 
 * seeded differential checks over random relations — every selection
-  representation (identity, slice, unsorted index array, masked, morsel
-  ``range_view``), int / text / bool / NaN-bearing float keys, empty
+  representation (identity, slice, unsorted index array, masked, a
+  ``narrow`` band of a slice or of a masked view), int / text / bool / NaN-bearing float keys, empty
   input, one to three grouping columns, the sorted-codes branch and the
   radix-overflow fallback — comparing group order, dtypes and bytes;
 * whole queries at ``parallelism`` 1 and 2 against a run with the code
@@ -39,6 +39,7 @@ from repro.engine.relation import Relation
 from repro.expr.eval import evaluate_predicate, lower_to_dictionaries
 from repro.expr.expressions import ColumnRef, Comparison, Like, Or, col, lit
 from repro.obs.trace import Tracer
+from repro.filters import FILTER_KINDS
 from repro.filters.registry import create_filter
 from repro.optimizer.pipelines import optimize_query
 from repro.service import QueryService
@@ -102,8 +103,8 @@ def _views(database: Database, seed: int) -> dict[str, Relation]:
         "array": scan.gather(rng.permutation(rows)[:5_000]),
         "masked": masked,
         "masked-refined": masked.mask(rng.random(masked.num_rows) < 0.5),
-        "morsel-of-slice": scan.range_view(8_192, 16_384),
-        "morsel-of-masked": masked.range_view(100, 9_000),
+        "slice-of-slice": scan.narrow(1_000, 30_000).narrow(7_192, 15_384),
+        "slice-of-masked": masked.narrow(100, 9_000),
         "empty": scan.gather(np.array([], dtype=np.int64)),
     }
 
@@ -281,6 +282,12 @@ def _exact(*columns):
     return create_filter("exact", [np.asarray(column) for column in columns])
 
 
+def _contains_by_codes(executor, bitvector, probe_keys, view):
+    """The executor's code-space probe of a whole view, or None."""
+    probe = executor._code_probe(bitvector, probe_keys, view)
+    return None if probe is None else probe(0, view.num_rows)
+
+
 class TestFilterProbeCodes:
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_probe_equals_contains_on_values(self, seed):
@@ -306,7 +313,7 @@ class TestFilterProbeCodes:
         for view_name, view in _views(database, seed).items():
             for keys, bitvector in filters.items():
                 probe_keys = [("f", key) for key in keys]
-                got = executor._contains_by_codes(bitvector, probe_keys, view)
+                got = _contains_by_codes(executor, bitvector, probe_keys, view)
                 want = bitvector.contains(
                     [view.column("f", key) for key in keys]
                 )
@@ -321,15 +328,50 @@ class TestFilterProbeCodes:
         ints = _exact(np.arange(5))
         # Float probe column, float build keys, the hashed kind, a probe
         # column without table provenance: all stay on contains(values).
-        assert executor._contains_by_codes(ints, [("f", "k_float")], scan) is None
+        assert _contains_by_codes(
+            executor, ints, [("f", "k_float")], scan
+        ) is None
         floats = _exact(np.array([1.0, np.nan]))
-        assert executor._contains_by_codes(floats, [("f", "k_int")], scan) is None
+        assert _contains_by_codes(
+            executor, floats, [("f", "k_int")], scan
+        ) is None
         hashed = create_filter("blocked_bloom", [np.arange(5)])
-        assert executor._contains_by_codes(hashed, [("f", "k_int")], scan) is None
+        assert _contains_by_codes(
+            executor, hashed, [("f", "k_int")], scan
+        ) is None
         derived = Relation(
             {("f", "k_int"): database.table("fact").column("k_int")}, _ROWS
         )
-        assert executor._contains_by_codes(ints, [("f", "k_int")], derived) is None
+        assert _contains_by_codes(
+            executor, ints, [("f", "k_int")], derived
+        ) is None
+
+    @pytest.mark.parametrize("kind", sorted(FILTER_KINDS))
+    def test_sliced_probes_concatenate_to_the_whole_probe(self, kind):
+        """A morsel task probes one slice of the keys the dispatching
+        thread read once: the slices' masks, in order, are the whole
+        view's, on the code path and the value path alike."""
+        database = _database(0)
+        executor = Executor(database)
+        rng = np.random.default_rng(9)
+        for keys in (["k_int"], ["k_text", "k_int"], ["k_float"]):
+            bitvector = create_filter(
+                kind,
+                [database.table("fact").column(key)[rng.integers(0, 500, 40)]
+                 for key in keys],
+            )
+            probe_keys = [("f", key) for key in keys]
+            for view_name, view in _views(database, 0).items():
+                probe = executor._probe(bitvector, probe_keys, view)
+                rows = view.num_rows
+                edges = sorted([0, min(1, rows), rows // 3, rows])
+                got = np.concatenate(
+                    [probe(a, b) for a, b in zip(edges, edges[1:])]
+                )
+                want = bitvector.contains(
+                    [view.column("f", key) for key in keys]
+                )
+                assert np.array_equal(got, want), (kind, keys, view_name)
 
     def test_memo_follows_the_dictionary_object(self):
         """A rebuilt dictionary is a new object: it gets a fresh member
@@ -341,12 +383,12 @@ class TestFilterProbeCodes:
         want = bitvector.contains([scan.column("f", "k_int")])
         first = database.dictionary("fact", "k_int")
         assert np.array_equal(
-            executor._contains_by_codes(bitvector, [("f", "k_int")], scan), want
+            _contains_by_codes(executor, bitvector, [("f", "k_int")], scan), want
         )
         assert list(bitvector._member_memo) == [first]
         database.invalidate_dictionaries()
         assert np.array_equal(
-            executor._contains_by_codes(bitvector, [("f", "k_int")], scan), want
+            _contains_by_codes(executor, bitvector, [("f", "k_int")], scan), want
         )
         rebuilt = database.dictionary("fact", "k_int")
         assert rebuilt is not first
@@ -361,8 +403,8 @@ class TestFilterProbeCodes:
         for seed in (1, 2):
             database = _database(seed, rows=5_000)
             scan = _scan(database)
-            got = Executor(database)._contains_by_codes(
-                bitvector, [("f", "k_int")], scan
+            got = _contains_by_codes(
+                Executor(database),                 bitvector, [("f", "k_int")], scan
             )
             want = bitvector.contains([scan.column("f", "k_int")])
             assert np.array_equal(got, want)

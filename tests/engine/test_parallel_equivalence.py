@@ -2,12 +2,12 @@
 byte-identical to the serial engine for every filter kind (exact,
 blocked bloom) and for LIP-style adaptive filter ordering.
 
-Morsel decomposition is order-preserving by construction — per-morsel
-``flatnonzero`` offsets concatenate to the serial selection, and join
-match pairs concatenate in probe order — so the assertion is exact
-byte equality, not approximate agreement.  The parallel threshold is
+Only the bitvector filter probe fans out, and its decomposition is
+order-preserving by construction — per-morsel ``flatnonzero`` offsets
+concatenate to the serial selection — so the assertion is exact byte
+equality, not approximate agreement.  The parallel threshold is
 monkeypatched down so the randomized workloads (small on purpose) still
-split into many morsels per operator.
+split into many morsels per probe.
 """
 
 import threading
@@ -18,11 +18,13 @@ import pytest
 import repro.engine.executor as executor_module
 from repro.bench.harness import _checksum
 from repro.engine.executor import Executor
+from repro.engine.metrics import ExecutionMetrics
 from repro.expr.expressions import Comparison, col, lit
 from repro.filters import FILTER_KINDS
 from repro.filters.cache import BitvectorFilterCache
 from repro.obs.trace import Tracer
 from repro.plan.builder import attach_aggregate, build_right_deep
+from repro.plan.nodes import FilterNode, ScanNode
 from repro.plan.pushdown import push_down_bitvectors
 from repro.query.joingraph import JoinGraph
 from repro.query.spec import Aggregate, JoinPredicate, QuerySpec, RelationRef
@@ -313,42 +315,115 @@ def _counted_star() -> tuple[Database, QuerySpec, list[list[str]]]:
     return database, spec, [["f", "a", "x"], ["x", "f", "a"]]
 
 
-_DISPATCHER_COUNTERS = (
-    "filter_cache_hits",
-    "filter_cache_misses",
-    "rows_skipped",
-    "dictionary_hits",
-    "dictionary_misses",
+# Every flat counter of ExecutionMetrics except the build phase's
+# wall-clock seconds and ``morsels_pruned``, which counts the morsels of
+# the table's static split — a split whose shape names the parallelism
+# (at least one morsel per worker), so it differs by definition.
+_COUNTERS = sorted(
+    name for name, value in vars(ExecutionMetrics()).items()
+    if not name.startswith("_") and isinstance(value, int)
+    and name != "morsels_pruned"
 )
 
 
-def test_parallel_metrics_counters_merged():
-    """Worker counters land in the main metrics after the barrier, and
-    the counters only the dispatching thread writes equal serial."""
-    database, spec, orders = _counted_star()
-    executors = [
-        Executor(database, filter_cache=BitvectorFilterCache(), **options)
-        for options in ({}, {"parallelism": 4, "morsel_rows": 512})
-    ]
-    totals = dict.fromkeys(_DISPATCHER_COUNTERS, 0)
-    for plan in _aggregate_plans(database, spec, orders):
-        # Cold (filter cache misses), then warm (hits).
-        for _ in range(2):
-            serial, parallel = (
-                executor.execute(plan).metrics for executor in executors
+@pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
+def test_only_filter_probes_fan_out_and_every_counter_is_serial(filter_kind):
+    """The bitvector probe is the one fan-out site: at ``parallelism=4``
+    every ``morsel`` span hangs under the span of a node that applies
+    bitvectors (a scan or a ``FilterNode``), and every counter and the
+    metered CPU equal the serial run's, cold (filter cache misses) and
+    warm (hits)."""
+    cases = [_random_star(seed) for seed in range(3)] + [_counted_star()]
+    fanned_out = 0
+    totals = dict.fromkeys(_COUNTERS, 0)
+    for database, spec, orders in cases:
+        executors = [
+            Executor(
+                database, filter_kind=filter_kind,
+                filter_cache=BitvectorFilterCache(), morsel_rows=512,
+                **options,
             )
-            # Metered tuple counts are recorded on the main thread and
-            # must be mode-independent.
-            assert parallel.metered_cpu() == serial.metered_cpu()
-            # Copy accounting flows back from the per-worker metrics;
-            # the parallel engine still gathers *something* (join keys,
-            # aggregate inputs), so merged counters must be non-zero.
-            assert parallel.rows_copied > 0
-            assert parallel.bytes_gathered > 0
-            for counter in _DISPATCHER_COUNTERS:
-                assert getattr(parallel, counter) == getattr(serial, counter)
-                totals[counter] += getattr(serial, counter)
-    assert all(totals.values()), totals
+            for options in ({}, {"parallelism": 4})
+        ]
+        for plan in _aggregate_plans(database, spec, orders):
+            applying = {
+                node.node_id for node in plan.walk()
+                if isinstance(node, (ScanNode, FilterNode))
+                and node.applied_bitvectors
+            }
+            for _ in range(2):
+                tracer = Tracer()
+                serial = executors[0].execute(plan).metrics
+                parallel = executors[1].execute(plan, tracer=tracer).metrics
+                nodes = {span.span_id: span for span in tracer.spans("node")}
+                for morsel in tracer.spans("morsel"):
+                    parent = nodes.get(morsel.parent_id)
+                    assert parent is not None
+                    assert parent.attributes["node_id"] in applying, (
+                        parent.attributes["label"]
+                    )
+                    fanned_out += 1
+                assert parallel.metered_cpu() == serial.metered_cpu()
+                for counter in _COUNTERS:
+                    assert getattr(parallel, counter) == getattr(
+                        serial, counter
+                    ), counter
+                    totals[counter] += getattr(serial, counter)
+    assert fanned_out
+    # The plans exercise the counters the dispatching thread writes.
+    for counter in (
+        "filter_cache_hits", "filter_cache_misses", "rows_skipped",
+        "dictionary_hits", "dictionary_misses", "rows_copied",
+        "bytes_gathered", "selection_bytes",
+    ):
+        assert totals[counter], counter
+
+
+@pytest.mark.parametrize(
+    "parallelism, rows, pooled",
+    [(1, 10_000, False), (4, 63, False), (4, 64, True), (2, 0, False),
+     (2, 10_000, True), (4, 100_000, True)],
+)
+def test_probe_pools_above_the_row_threshold_only(parallelism, rows, pooled):
+    """The one pool-or-inline rule: parallelism > 1 and at least
+    ``_MIN_PARALLEL_ROWS`` rows (64 here); pooled morsels cover the
+    rows in order, at least one per worker."""
+    executor = Executor(
+        Database("rule"), parallelism=parallelism, morsel_rows=512
+    )
+    ranges = executor._ranges(rows)
+    if not pooled:
+        assert ranges is None
+        return
+    assert len(ranges) >= parallelism
+    assert ranges[0][0] == 0 and ranges[-1][1] == rows
+    assert all(left[1] == right[0] for left, right in zip(ranges, ranges[1:]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_morsel_spans_partition_the_probed_rows(seed):
+    """A fact scan's one hashed-filter probe fans out: its morsel spans
+    cover every fact row once (``rows_in``) and their survivors sum to
+    the scan's output (``rows_out``)."""
+    database, spec, orders = _fact_dim(seed)
+    (plan,) = _aggregate_plans(database, spec, orders)
+    tracer = Tracer()
+    Executor(
+        database, filter_kind="blocked_bloom", parallelism=4, morsel_rows=512
+    ).execute(plan, tracer=tracer)
+    (scan,) = [
+        span for span in tracer.spans("node")
+        if span.attributes["label"].startswith("Scan(f:")
+    ]
+    morsels = [
+        span for span in tracer.spans("morsel")
+        if span.parent_id == scan.span_id
+    ]
+    assert len(morsels) == len(tracer.spans("morsel")) >= 4
+    assert sum(span.attributes["rows_in"] for span in morsels) == 20_000
+    assert sum(span.attributes["rows_out"] for span in morsels) == (
+        scan.attributes["rows_out"]
+    )
 
 
 def test_parallelism_one_is_serial_engine():

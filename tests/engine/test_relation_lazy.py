@@ -238,10 +238,10 @@ class TestWideSelections:
         assert taken.column("t", "a").tolist() == [10, 0, 0]
 
     def test_slice_view_offset_rebases_into_base(self):
-        morsel = wide_relation().range_view(1000, _WIDE_ROWS)
-        mask = np.zeros(morsel.num_rows, dtype=bool)
+        band = wide_relation().narrow(1000, _WIDE_ROWS)
+        mask = np.zeros(band.num_rows, dtype=bool)
         mask[:4] = True
-        view = morsel.mask(mask)
+        view = band.mask(mask)
         assert selection_of(view).tolist() == [1000, 1001, 1002, 1003]
         assert view.column("t", "a").tolist() == [1000, 1001, 1002, 1003]
 

@@ -4,7 +4,7 @@ A filtered view's rows are a sorted int64 position vector into the base
 arrays.  Every operation that builds or reads one is checked against a
 plain-numpy oracle: ``mask`` against ``flatnonzero``, stacked masks
 against bool ``&``, ``select_sorted`` and ``gather`` against fancy
-indexing of the masked base, ``range_view`` morsels against slices.
+indexing of the masked base, ``narrow`` bands against slices.
 Densities cover empty / sparse / dense / all-ones, and lengths straddle
 word and block boundaries (63/64/65, 511/512/513, 65535/65536/65537).
 """
@@ -36,14 +36,13 @@ def base_columns(length):
     )
 
 
-def base_relation(length, counters=None, parallel_gather=None):
+def base_relation(length, counters=None):
     a, b = base_columns(length)
     return Relation(
         {("t", "a"): a, ("t", "b"): b},
         length,
         sources={("t", "a"): ("base", "a"), ("t", "b"): ("base", "b")},
         counters=counters,
-        parallel_gather=parallel_gather,
     )
 
 
@@ -100,8 +99,8 @@ def test_mask_against_numpy_oracles(length, density):
 
 @pytest.mark.parametrize("length", [*range(0, 75), 127, 1001, 65541])
 def test_mask_of_a_morsel_at_every_width(length):
-    """A mask over a ``range_view`` morsel rebases its positions by the
-    morsel's offset into the base, for widths that fill neither a byte
+    """A mask over a ``narrow`` band rebases its positions by the
+    band's offset into the base, for widths that fill neither a byte
     nor a word; the gathered column is a copy the caller may write to
     without touching the base arrays."""
     offset = 37
@@ -109,7 +108,7 @@ def test_mask_of_a_morsel_at_every_width(length):
     mask = rng.random(length) < 0.4
     mask[-1:] = True
     relation = base_relation(length + 2 * offset)
-    morsel = relation.range_view(offset, offset + length)
+    morsel = relation.narrow(offset, offset + length)
     view = morsel.mask(mask)
     a, _ = base_columns(length + 2 * offset)
 
@@ -165,9 +164,9 @@ def test_select_sorted_roundtrip(length):
     assert selections_of(view)[0] is positions
     assert np.array_equal(view.column("t", "a"), a[positions])
 
-    # From a morsel, positions are rebased by the morsel's offset.
+    # From a band, positions are rebased by the band's offset.
     (rebased,) = selections_of(
-        relation.range_view(10, length + 10).select_sorted(positions)
+        relation.narrow(10, length + 10).select_sorted(positions)
     )
     assert_position_vector(rebased, positions + 10)
 
@@ -243,25 +242,3 @@ def test_mask_over_a_join_shares_one_flatnonzero(length):
     assert np.array_equal(view.column("t", "a"), base_columns(length)[0][flat])
     assert np.array_equal(view.column("u", "c"), right_idx[flat] * 10)
     assert metrics.selection_bytes == 2 * 8 * len(flat)
-
-
-@pytest.mark.parametrize("declines", [False, True])
-def test_parallel_gather_hook_sees_the_position_vector(declines):
-    """The parallel-gather hook receives the int64 selection itself;
-    a hook that declines (returns ``None``) falls back to an inline
-    gather with the same result."""
-    seen = []
-
-    def hook(base, selection):
-        seen.append(selection)
-        return None if declines else base[selection]
-
-    length = (1 << 16) + 1000
-    mask = np.arange(length) % 3 == 1
-    view = base_relation(length, parallel_gather=hook).mask(mask)
-    values = view.column("t", "a")
-
-    assert np.array_equal(values, base_columns(length)[0][mask])
-    assert len(seen) == 1
-    assert_position_vector(seen[0], np.flatnonzero(mask))
-    assert seen[0] is selections_of(view)[0]

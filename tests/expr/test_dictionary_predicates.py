@@ -128,8 +128,8 @@ def _views(relation, draw_rows):
     yield relation
     yield relation.narrow(start, stop)
     yield relation.gather(np.array(draw_rows(7), dtype=np.int64))
-    # A morsel of a selection: codes gathered through a sliced index.
-    yield relation.gather(np.arange(rows)[::-1]).range_view(start, stop)
+    # A band of a selection: codes gathered through a sliced index.
+    yield relation.gather(np.arange(rows)[::-1]).narrow(start, stop)
 
 
 @given(

@@ -107,6 +107,12 @@ def _brute_force(build, probes) -> np.ndarray:
     )
 
 
+def _contains_by_codes(executor, bitvector, probe_keys, view):
+    """The executor's code-space probe of a whole view, or None."""
+    probe = executor._code_probe(bitvector, probe_keys, view)
+    return None if probe is None else probe(0, view.num_rows)
+
+
 _KEYS = [
     ["k_int"],
     ["k_text"],
@@ -164,7 +170,7 @@ class TestBehaviour:
         )
         executor = Executor(database)
         for bitvector in (from_codes, from_values):
-            got = executor._contains_by_codes(bitvector, probe_keys, fact)
+            got = _contains_by_codes(executor, bitvector, probe_keys, fact)
             assert got is not None and got.dtype == np.bool_
             assert np.array_equal(got, want), where
 
@@ -229,7 +235,7 @@ class TestProbes:
             want = from_values.contains(values)
             assert np.array_equal(from_codes.contains(values), want)
             for bitvector in (from_codes, from_values):
-                got = executor._contains_by_codes(bitvector, probe_keys, view)
+                got = _contains_by_codes(executor, bitvector, probe_keys, view)
                 assert got is not None and got.dtype == np.bool_
                 assert np.array_equal(got, want), (view_name, probe_keys)
 
@@ -255,10 +261,14 @@ class TestProbes:
         monkeypatch.setattr(keycodes.ColumnDictionary, "encode", spying_encode)
         fact = _scan(database, "fact", "f")
         executor = Executor(database)
-        first = executor._contains_by_codes(from_codes, [("f", "fk_int")], fact)
+        first = _contains_by_codes(
+            executor, from_codes, [("f", "fk_int")], fact
+        )
         assert encoded in ([], [(table_dictionary, probe_dictionary.num_values)])
         encoded.clear()
-        again = executor._contains_by_codes(from_codes, [("f", "fk_int")], fact)
+        again = _contains_by_codes(
+            executor, from_codes, [("f", "fk_int")], fact
+        )
         assert encoded == []
         want = _brute_force(
             [build_views["array"].column("d", "k_int")],
@@ -277,17 +287,17 @@ class TestProbes:
         executor = Executor(database)
         probe_keys = [("f", "fk_text")]
         assert np.array_equal(
-            executor._contains_by_codes(from_codes, probe_keys, fact), want
+            _contains_by_codes(executor, from_codes, probe_keys, fact), want
         )
         old = database.dictionary("fact", "fk_text")
         database.invalidate_dictionaries()
         assert database.dictionary("fact", "fk_text") is not old
         assert np.array_equal(
-            executor._contains_by_codes(from_codes, probe_keys, fact), want
+            _contains_by_codes(executor, from_codes, probe_keys, fact), want
         )
         dim = _scan(database, "dim", "d")
         assert np.array_equal(
-            executor._contains_by_codes(from_codes, [("d", "k_text")], dim),
+            _contains_by_codes(executor, from_codes, [("d", "k_text")], dim),
             from_values.contains([dim.column("d", "k_text")]),
         )
 
@@ -301,7 +311,9 @@ class TestProbes:
         # A probe through another dictionary memoizes one bool per code
         # of that dictionary.
         fact = _scan(database, "fact", "f")
-        Executor(database)._contains_by_codes(from_codes, [("f", "fk_int")], fact)
+        _contains_by_codes(
+            Executor(database), from_codes, [("f", "fk_int")], fact
+        )
         probe_values = database.dictionary("fact", "fk_int").num_values
         assert from_codes.resident_bytes == table_values + 1 + probe_values
         # Several columns hold one int64 combined code per distinct tuple.

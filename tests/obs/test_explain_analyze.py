@@ -31,10 +31,14 @@ def test_results_identical_with_tracing_on_and_off(
     star_db, monkeypatch, parallelism
 ):
     # Force morsel splits on the test-sized fact table so the fan-out
-    # path's instrumentation sites run too.
+    # path's instrumentation sites run too: the hashed kind's fact-scan
+    # filter probe, the one operator that fans out.
     monkeypatch.setattr(executor_module, "_MIN_PARALLEL_ROWS", 64)
     monkeypatch.setattr("repro.storage.partition.MIN_MORSEL_ROWS", 16)
-    service = QueryService(star_db, parallelism=parallelism, morsel_rows=512)
+    service = QueryService(
+        star_db, filter_kind="blocked_bloom", parallelism=parallelism,
+        morsel_rows=512,
+    )
     off = service.execute(_JOIN_SQL, name="q_off")
     tracer = Tracer()
     on = service.execute(_JOIN_SQL, name="q_on", tracer=tracer)

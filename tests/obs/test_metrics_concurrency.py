@@ -1,4 +1,4 @@
-"""Metrics under concurrency: merges lose nothing, snapshots never tear."""
+"""Metrics under concurrency: snapshots never tear, folds count once."""
 
 from __future__ import annotations
 
@@ -15,51 +15,10 @@ _SQL = (
 )
 
 
-def test_merge_counters_is_exact_over_many_workers():
-    """The three counters a morsel worker writes (through its range
-    view's ``count_copy`` / ``count_selection``) fold exactly."""
-    main = ExecutionMetrics()
-    workers = []
-    for index in range(1, 33):
-        worker = ExecutionMetrics()
-        worker.count_copy(index, 8 * index)
-        worker.count_selection(100)
-        workers.append(worker)
-    for worker in workers:
-        main.merge_counters(worker)
-    assert main.rows_copied == sum(range(1, 33))
-    assert main.bytes_gathered == 8 * sum(range(1, 33))
-    assert main.selection_bytes == 3200
-
-
-def test_merge_counters_from_parallel_threads_loses_nothing():
-    """Workers merged sequentially after a barrier — the executor's
-    contract — even when the worker metrics were *filled* in parallel."""
-    per_worker = 1000
-    workers = [ExecutionMetrics() for _ in range(8)]
-
-    def fill(worker: ExecutionMetrics) -> None:
-        for _ in range(per_worker):
-            worker.count_copy(1, 8)
-            worker.count_selection(2)
-
-    threads = [
-        threading.Thread(target=fill, args=(worker,)) for worker in workers
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    main = ExecutionMetrics()
-    for worker in workers:
-        main.merge_counters(worker)
-    assert main.rows_copied == 8 * per_worker
-    assert main.bytes_gathered == 64 * per_worker
-    assert main.selection_bytes == 16 * per_worker
-
-
-_WORKER_COUNTERS = ("rows_copied", "bytes_gathered", "selection_bytes")
-_DISPATCHER_COUNTERS = (
+_COUNTERS = (
+    "rows_copied",
+    "bytes_gathered",
+    "selection_bytes",
     "filter_cache_hits",
     "filter_cache_misses",
     "dictionary_hits",
@@ -75,19 +34,7 @@ def test_counter_lists_cover_every_counter():
         name for name, value in vars(ExecutionMetrics()).items()
         if not name.startswith("_") and isinstance(value, (int, float))
     }
-    assert counters == set(_WORKER_COUNTERS) | set(_DISPATCHER_COUNTERS)
-
-
-@pytest.mark.parametrize("counter", _WORKER_COUNTERS + _DISPATCHER_COUNTERS)
-def test_merge_counters_moves_only_worker_counters(counter):
-    """A merge folds what a morsel worker writes (its range view's
-    copies and selections) and leaves alone what only the dispatching
-    thread records."""
-    main, worker = ExecutionMetrics(), ExecutionMetrics()
-    setattr(main, counter, 5)
-    setattr(worker, counter, 3)
-    main.merge_counters(worker)
-    assert getattr(main, counter) == (8 if counter in _WORKER_COUNTERS else 5)
+    assert counters == set(_COUNTERS)
 
 
 def test_add_wall_accumulates_only_on_known_nodes():

@@ -38,7 +38,13 @@ SUM_SQL = (
 
 
 def _parallel_service(star_db) -> QueryService:
-    return QueryService(star_db, parallelism=4, morsel_rows=512)
+    # The hashed kind probes the fact scan row by row, so its filter
+    # probe — the one operator that fans out — splits into morsels;
+    # exact filters on a whole fact scan are answered by row bitmaps on
+    # the calling thread and would reach no morsel site.
+    return QueryService(
+        star_db, filter_kind="blocked_bloom", parallelism=4, morsel_rows=512
+    )
 
 
 def _assert_byte_identical(answer, star_db, sql):
@@ -77,10 +83,38 @@ def test_fault_at_every_site_is_typed_and_recoverable(star_db, site, sql):
     assert service.stats().failures == 1
 
 
+# A fact-side predicate narrows the fact scan, so exact filters take the
+# probe path — and its fan-out — instead of whole-table row bitmaps.
+EXACT_PROBE_SQLS = {
+    "count": COUNT_SQL + " AND f.fk2 < 90",
+    "sum": SUM_SQL + " AND f.fk1 < 95",
+}
+
+
+@pytest.mark.parametrize("site", ["pool.submit", "morsel.task"])
+@pytest.mark.parametrize("sql", sorted(EXACT_PROBE_SQLS))
+def test_exact_probe_fan_out_fault_is_typed_and_recoverable(
+    star_db, site, sql
+):
+    sql = EXACT_PROBE_SQLS[sql]
+    service = QueryService(star_db, parallelism=4, morsel_rows=512)
+    with inject(FaultPlan(seed=3).raise_at(site, invocation=0)) as plan:
+        with pytest.raises(ReproError) as excinfo:
+            service.execute(sql, name="chaos")
+    assert plan.total_fired == 1, f"site {site} never fired"
+    exc = excinfo.value
+    assert isinstance(exc, (InjectedFault, MorselTaskError))
+    if isinstance(exc, MorselTaskError):
+        assert isinstance(exc.__cause__, InjectedFault)
+    after = service.execute(sql)
+    assert after.ok
+    _assert_byte_identical(after, star_db, sql)
+
+
 @pytest.mark.parametrize("parallelism", [1, 4])
 @pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
 @pytest.mark.parametrize(
-    "site", ["filter.build_partition", "cache.publish"]
+    "site", ["filter.build", "cache.publish"]
 )
 def test_failed_builds_never_poison_the_filter_cache(
     star_db, site, filter_kind, parallelism
@@ -108,7 +142,7 @@ def test_failed_builds_never_poison_the_filter_cache(
 @pytest.mark.parametrize("parallelism", [1, 4])
 @pytest.mark.parametrize("filter_kind", sorted(FILTER_KINDS))
 def test_build_site_fires_once_per_filter_build(star_db, filter_kind, parallelism):
-    """Every filter build passes ``filter.build_partition`` exactly once:
+    """Every filter build passes ``filter.build`` exactly once:
     the exact kind's code-space build and the hashed kind's value build,
     serial and parallel alike."""
     plan = optimize_query(
@@ -126,16 +160,18 @@ def test_build_site_fires_once_per_filter_build(star_db, filter_kind, parallelis
     with inject(FaultPlan()) as faults:
         executor.execute(plan)
     assert builds >= 2
-    assert faults.count("filter.build_partition") == builds
+    assert faults.count("filter.build") == builds
 
 
 def test_stalled_morsel_under_deadline_recovers_byte_identical(star_db):
     service = QueryService(
-        star_db, parallelism=4, morsel_rows=512, deadline_seconds=0.05
+        star_db, filter_kind="blocked_bloom", parallelism=4,
+        morsel_rows=512, deadline_seconds=0.05,
     )
-    with inject(FaultPlan().stall_at("morsel.task", seconds=0.4)):
+    with inject(FaultPlan().stall_at("morsel.task", seconds=0.4)) as plan:
         with pytest.raises(QueryTimeout):
             service.execute(SUM_SQL, name="stalled")
+    assert plan.total_fired == 1
     after = service.execute(SUM_SQL)
     _assert_byte_identical(after, star_db, SUM_SQL)
 

@@ -166,8 +166,11 @@ def test_optimizer_enumeration_aborts_under_expired_deadline(
 
 
 def test_stalled_worker_cannot_outlive_its_deadline(star_db):
+    # The hashed kind's fact-scan probe is the fan-out (see
+    # test_chaos_oracle._parallel_service).
     service = QueryService(
-        star_db, parallelism=4, morsel_rows=512, deadline_seconds=0.05
+        star_db, filter_kind="blocked_bloom", parallelism=4,
+        morsel_rows=512, deadline_seconds=0.05,
     )
     with inject(FaultPlan().stall_at("morsel.task", seconds=0.4)) as plan:
         with pytest.raises(QueryTimeout, match="exceeded its deadline"):

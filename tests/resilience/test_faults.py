@@ -61,13 +61,13 @@ def test_stall_sleeps_without_raising():
 def test_probability_draws_are_seed_deterministic():
     def run(seed):
         plan = FaultPlan(seed=seed).raise_with_probability(
-            "filter.build_partition", probability=0.3
+            "filter.build", probability=0.3
         )
         fired = []
         with inject(plan):
             for invocation in range(60):
                 try:
-                    fault_point("filter.build_partition")
+                    fault_point("filter.build")
                 except InjectedFault:
                     fired.append(invocation)
         return fired

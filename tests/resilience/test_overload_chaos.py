@@ -54,8 +54,9 @@ def test_stalled_workers_shed_overflow_typed_then_recover(star_db):
     """Wedged slots + pressure => queue sheds; after the stall, byte-
     identical answers on the same service."""
     oracle = _oracle_bytes(star_db, COUNT_SQL)
-    # Every execution slot runs into a long stall: parallelism > 1 so
-    # the ``morsel.task`` site is on the executed path.
+    # Every execution slot runs into a long stall: parallelism > 1 and
+    # the hashed kind, whose fact-scan filter probe fans out, so the
+    # ``morsel.task`` site is on the executed path.
     plan = FaultPlan(seed=11)
     for invocation in range(4):
         plan.stall_at("morsel.task", invocation=invocation, seconds=0.4)
@@ -70,6 +71,7 @@ def test_stalled_workers_shed_overflow_typed_then_recover(star_db):
                 # wants exactly 2 running + 2 queued before sheds start.
                 watermarks={"interactive": 1.0, "normal": 1.0, "batch": 0.5},
             ),
+            filter_kind="blocked_bloom",
             parallelism=2,
             morsel_rows=512,
         )
@@ -95,6 +97,7 @@ def test_stalled_workers_shed_overflow_typed_then_recover(star_db):
         return wedged_results, before_pressure, sheds, recovered, stats
 
     wedged_results, before_pressure, sheds, recovered, stats = asyncio.run(run())
+    assert plan.total_fired == 4
     assert before_pressure.admitted == 4  # 2 running + 2 queued
     assert before_pressure.sheds == 0
     assert len(sheds) == 6  # capacity was wedged: all pressure refused
@@ -124,6 +127,7 @@ def test_repeated_faults_trip_the_breaker_then_half_open_recovers(star_db):
                 breaker_failure_threshold=0.5,
                 breaker_cooldown_seconds=0.25,
             ),
+            filter_kind="blocked_bloom",
             parallelism=2,
             morsel_rows=512,
         )

@@ -78,8 +78,11 @@ def test_morsel_failure_reports_query_and_row_range(star_db):
     """Satellite: a worker exception is wrapped with enough context to
     find the morsel — query name and row range — with the original
     exception chained as the cause."""
+    # The hashed kind's fact-scan probe is the fan-out (see
+    # test_chaos_oracle._parallel_service).
     service = QueryService(
-        star_db, parallelism=4, morsel_rows=512, deadline_seconds=60.0
+        star_db, filter_kind="blocked_bloom", parallelism=4,
+        morsel_rows=512, deadline_seconds=60.0,
     )
     with inject(FaultPlan().raise_at("morsel.task", invocation=1)):
         with pytest.raises(
